@@ -34,9 +34,7 @@ from .exact import (
 )
 from .geometry import (
     AngleInterval,
-    QuadKey,
     RigidMotion,
-    compose,
     dihedral_interval,
     hausdorff,
     least_squares_motion,
@@ -44,13 +42,12 @@ from .geometry import (
     min_interpoint_distance,
     motion_from_bases,
     pair_canonical_motion,
-    quad_key,
     rotation_about_line,
     tolerant_precondition,
     triangle_key,
     union_intervals,
 )
-from .index import PairDict, TripletIndex, VoteTable, build_pair_dict, build_triplet_index
+from .index import PairDict, TripletIndex, build_pair_dict, build_triplet_index
 from .oracle import (
     GenSpec,
     Instance,

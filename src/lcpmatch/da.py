@@ -1,13 +1,13 @@
 """Tolerant matching by dihedral-angle interval voting.
 
 For each source pair (q1, q2) that survives the pair-length filter, every
-remaining q proposes candidate bases (p1, p2) through a box query on the
-triangle-key index. Per base, a canonical motion phi takes q1 to p1 and q2
-onto the ray p1 -> p2; the residual freedom is a rotation about that axis,
-and each matched pair (q, p) admits a closed arc of rotation angles keeping
-phi(q) within the report radius of p. The angle stabbing the most arcs,
-counting each q once, fixes the motion; the base pair itself contributes the
-"+2". Tied winners are re-verified, polished by an iterated least-squares
+remaining q proposes candidate bases (p1, p2) through one batched join of
+triangle keys against the model's triplet index. Per base, a canonical
+motion phi takes q1 to p1 and q2 onto the ray p1 -> p2; the residual
+freedom is a rotation about that axis, and each matched pair (q, p) admits
+a closed arc of rotation angles keeping phi(q) within the report radius of
+p. The angle stabbing the most arcs, counting each q once, fixes the
+motion; the base pair itself contributes the "+2". Tied winners are re-verified, polished by an iterated least-squares
 refit on their injective matches (kept only when it verifies at least as
 well), and the best certificate is returned.
 
@@ -139,43 +139,27 @@ def _base_candidates(pp, qq, a, b, base, qs, ps, radius):
 
 
 def _base_groups(pp, qq, a, b, pair_dict, trip_index, slack):
-    """Candidate bases for one source pair via a single index slab query.
+    """Candidate bases for one source pair via a single triplet-index join.
 
     Returns None when the pair fails the length filter, else the groups
     [(distinct-q bound, (i, j), q-array, p-array)] sorted by descending
-    bound then base. The result set per q equals the per-q box query on the
-    triplet index: the slab pins the shared first key coordinate and the
-    remaining two are filtered vectorized.
+    bound then base. Every remaining q queries the key (|q1 q2|, |q1 q|,
+    |q2 q|), so all queries share one slab of the first key coordinate.
     """
     length = float(np.linalg.norm(qq[a] - qq[b]))
     if not pair_dict.any_in_range(length, slack):
         return None
-    n = len(qq)
     if trip_index is None:
         return []
-    rows = trip_index.slab_rows(length - slack, length + slack)
-    if len(rows) == 0:
-        return []
-    wkeys = trip_index.keys[rows]
-    wtrips = trip_index.triplets[rows]
+    qs = np.delete(np.arange(len(qq)), [a, b])
     d_a = np.linalg.norm(qq - qq[a], axis=1)
     d_b = np.linalg.norm(qq - qq[b], axis=1)
-    qs_parts = []
-    rows_parts = []
-    for q in range(n):
-        if q == a or q == b:
-            continue
-        sel = (np.abs(wkeys[:, 1] - d_a[q]) <= slack) & (
-            np.abs(wkeys[:, 2] - d_b[q]) <= slack
-        )
-        count = int(sel.sum())
-        if count:
-            qs_parts.append(np.full(count, q, dtype=np.int64))
-            rows_parts.append(np.flatnonzero(sel))
-    if not rows_parts:
+    keys = np.column_stack([np.full(len(qs), length), d_a[qs], d_b[qs]])
+    qi, rows = trip_index.index.join(keys, slack)
+    if len(rows) == 0:
         return []
-    qs_cat = np.concatenate(qs_parts)
-    trips_cat = wtrips[np.concatenate(rows_parts)]
+    qs_cat = qs[qi]
+    trips_cat = trip_index.triplets[rows]
     order = np.lexsort((trips_cat[:, 2], qs_cat, trips_cat[:, 1], trips_cat[:, 0]))
     qs_cat = qs_cat[order]
     trips_cat = trips_cat[order]

@@ -1,13 +1,15 @@
 """The classic voting algorithms for exact matching of 3D point sets.
 
 All five share the same skeleton: propose rigid motions from congruent
-bases, vote, and verify the winner. They differ in the voting space and in
-how candidates are found:
+bases, vote, and verify the winner. Congruent bases are found by one
+sorted-key join (index.KeyIndex) of scene keys against model keys; the
+algorithms differ in the keys they join and in the voting space:
 
-- pose_clustering: brute-force triplet pairs, votes per quantized motion.
-- alignment: brute-force triplet pairs, votes by verifying remaining points.
-- ght: pose clustering accelerated by the triangle-key index.
-- geometric_hashing: alignment accelerated by a quad-key dictionary.
+- pose_clustering: triangle keys, votes per quantized motion.
+- alignment: triangle keys, votes by verifying remaining points.
+- ght: pose clustering over the model's triangle-key index.
+- geometric_hashing: quad keys of (triplet, fourth point), votes per
+  triplet pair.
 - ght_pair_based: motions voted per common base pair, so a k-matching wins
   k - 2 votes through any pair inside it.
 
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import floor
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .geometry import (
     motion_from_bases,
     pairwise_distances,
 )
-from .index import build_triplet_index, ordered_triplets_and_keys
+from .index import KeyIndex, build_triplet_index, ordered_triplets_and_keys
 from .result import MatchResult, build_match_result
 from .sampling import AllPairs, PairSource, materialize_pairs
 
@@ -71,16 +72,6 @@ def _noncollinear_ordered_triplets(pts, rel: float):
     return trips[keep], keys[keep]
 
 
-def _congruent_triplet_pairs(q_keys, p_keys, tau: float):
-    """Yield (q_row, p_row) index pairs with keys equal within tau, in lex order."""
-    chunk = max(1, 2_000_000 // max(len(p_keys), 1))
-    for lo in range(0, len(q_keys), chunk):
-        hi = min(lo + chunk, len(q_keys))
-        close = (np.abs(q_keys[lo:hi, None, :] - p_keys[None, :, :]) <= tau).all(axis=2)
-        for qi, pi in zip(*np.nonzero(close)):
-            yield lo + int(qi), int(pi)
-
-
 def _matched_count(P, Q, motion, tau, exclude):
     img = motion.apply(Q)
     diff = img[:, None, :] - P[None, :, :]
@@ -90,26 +81,43 @@ def _matched_count(P, Q, motion, tau, exclude):
     return int(ok.sum())
 
 
+def _vote_motions(pp, qq, tq, tp, grid: float) -> dict[tuple, list]:
+    """Tally each (scene triplet, model triplet) row's motion on the motion grid.
+
+    Returns {motion key: [votes, first row, motion of the first row]}.
+    """
+    votes: dict[tuple, list] = {}
+    for r in range(len(tq)):
+        mu = motion_from_bases(qq[tq[r]], pp[tp[r]])
+        key = motion_key(mu, grid)
+        rec = votes.get(key)
+        if rec is None:
+            votes[key] = [1, r, mu]
+        else:
+            rec[0] += 1
+    return votes
+
+
+def _pose_winner(pp, qq, tq, tp, params: ExactParams) -> MatchResult:
+    """Most-voted motion over congruent triplet rows in lexicographic order.
+
+    Ties go to the motion first seen, that is the smallest (tq, tp).
+    """
+    votes = _vote_motions(pp, qq, tq, tp, params.motion_grid)
+    if not votes:
+        raise NoCongruentTriplets("no congruent triplet pair")
+    count, _, mu = min(votes.values(), key=lambda rec: (-rec[0], rec[1]))
+    return build_match_result(pp, qq, mu, params.tau, votes=count)
+
+
 def pose_clustering(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
     """Vote each congruent triplet pair's motion in a quantized motion space."""
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 3, 3)
     q_trips, q_keys = _noncollinear_ordered_triplets(qq, params.collinear_rel)
     p_trips, p_keys = _noncollinear_ordered_triplets(pp, params.collinear_rel)
-    votes: dict[tuple, list] = {}
-    for qi, pi in _congruent_triplet_pairs(q_keys, p_keys, params.tau):
-        tq, tp = q_trips[qi], p_trips[pi]
-        mu = motion_from_bases(qq[tq], pp[tp])
-        key = motion_key(mu, params.motion_grid)
-        rec = votes.get(key)
-        if rec is None:
-            votes[key] = [1, tuple(int(x) for x in tq), tuple(int(x) for x in tp), mu]
-        else:
-            rec[0] += 1
-    if not votes:
-        raise NoCongruentTriplets("no congruent triplet pair")
-    key, rec = min(votes.items(), key=lambda it: (-it[1][0], it[1][1], it[1][2], it[0]))
-    return build_match_result(pp, qq, rec[3], params.tau, votes=rec[0])
+    qi, pi = KeyIndex(p_keys).join(q_keys, params.tau)
+    return _pose_winner(pp, qq, q_trips[qi], p_trips[pi], params)
 
 
 def alignment(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
@@ -118,17 +126,16 @@ def alignment(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
     _require_sizes(pp, qq, 3, 3)
     q_trips, q_keys = _noncollinear_ordered_triplets(qq, params.collinear_rel)
     p_trips, p_keys = _noncollinear_ordered_triplets(pp, params.collinear_rel)
+    qi, pi = KeyIndex(p_keys).join(q_keys, params.tau)
     best = None
-    for qi, pi in _congruent_triplet_pairs(q_keys, p_keys, params.tau):
-        tq, tp = q_trips[qi], p_trips[pi]
+    for tq, tp in zip(q_trips[qi], p_trips[pi]):
         mu = motion_from_bases(qq[tq], pp[tp])
         count = _matched_count(pp, qq, mu, params.tau, exclude=tq)
-        cand = (-count, tuple(int(x) for x in tq), tuple(int(x) for x in tp))
-        if best is None or cand < best[0]:
-            best = (cand, mu)
+        if best is None or count > best[0]:
+            best = (count, mu)
     if best is None:
         raise NoCongruentTriplets("no congruent triplet pair")
-    return build_match_result(pp, qq, best[1], params.tau, votes=-best[0][0])
+    return build_match_result(pp, qq, best[1], params.tau, votes=best[0])
 
 
 def ght(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
@@ -137,75 +144,9 @@ def ght(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
     _require_sizes(pp, qq, 3, 3)
     q_trips, q_keys = _noncollinear_ordered_triplets(qq, params.collinear_rel)
     idx = build_triplet_index(pp)
-    p_ok = ~collinear_mask(pp, idx.triplets, rel=params.collinear_rel)
-    votes: dict[tuple, list] = {}
-    for row in range(len(q_trips)):
-        tq = q_trips[row]
-        hits = idx.query_box_indices(q_keys[row], params.tau)
-        for h in hits:
-            if not p_ok[h]:
-                continue
-            tp = idx.triplets[h]
-            mu = motion_from_bases(qq[tq], pp[tp])
-            key = motion_key(mu, params.motion_grid)
-            rec = votes.get(key)
-            if rec is None:
-                votes[key] = [1, tuple(int(x) for x in tq), tuple(int(x) for x in tp), mu]
-            else:
-                rec[0] += 1
-    if not votes:
-        raise NoCongruentTriplets("no congruent triplet pair")
-    key, rec = min(votes.items(), key=lambda it: (-it[1][0], it[1][1], it[1][2], it[0]))
-    return build_match_result(pp, qq, rec[3], params.tau, votes=rec[0])
-
-
-class _GridDict:
-    """Tolerance-aware dictionary over float key vectors plus a discrete tag.
-
-    Keys are hashed by grid cell; queries probe neighbor cells only along
-    coordinates within tau of a cell boundary, then filter exactly.
-    """
-
-    def __init__(self, dim: int, cell: float = 1e-6):
-        self.dim = dim
-        self.cell = cell
-        self._cells: dict[tuple, list] = {}
-
-    def insert(self, vec, tag, payload):
-        v = tuple(float(x) for x in vec)
-        cell_idx = tuple(int(floor(x / self.cell)) for x in v) + (tag,)
-        self._cells.setdefault(cell_idx, []).append((v, payload))
-
-    def query(self, vec, tag, tau: float):
-        v = tuple(float(x) for x in vec)
-        axes = []
-        for x in v:
-            c = int(floor(x / self.cell))
-            cells = [c]
-            if x - c * self.cell <= tau:
-                cells.append(c - 1)
-            if (c + 1) * self.cell - x <= tau:
-                cells.append(c + 1)
-            axes.append(cells)
-        out = []
-        dims = range(self.dim)
-        for combo in _product(axes):
-            bucket = self._cells.get(tuple(combo) + (tag,))
-            if not bucket:
-                continue
-            for stored, payload in bucket:
-                if all(abs(stored[i] - v[i]) <= tau for i in dims):
-                    out.append(payload)
-        return out
-
-
-def _product(axes):
-    if not axes:
-        yield ()
-        return
-    for head in axes[0]:
-        for rest in _product(axes[1:]):
-            yield (head, *rest)
+    qi, hits = idx.index.join(q_keys, params.tau)
+    ok = ~collinear_mask(pp, idx.triplets[hits], rel=params.collinear_rel)
+    return _pose_winner(pp, qq, q_trips[qi[ok]], idx.triplets[hits[ok]], params)
 
 
 def _collinear_triplet_set(pts, rel: float) -> set[tuple[int, int, int]]:
@@ -225,7 +166,7 @@ def _is_collinear_in(coll: set, trip) -> bool:
     return tuple(sorted(int(x) for x in trip)) in coll
 
 
-def _quad_key_rows(pts, coll: set, rel: float):
+def _quad_rows(pts, coll: set, rel: float):
     """Vectorized quad keys for every (non-collinear ordered triplet, extra point).
 
     Rows are lexicographic in (triplet, fourth point). Returns the index rows,
@@ -257,37 +198,38 @@ def _quad_key_rows(pts, coll: set, rel: float):
 
 
 def geometric_hashing(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
-    """Alignment accelerated by hashing quad keys of (triplet, fourth point)."""
+    """Alignment by quad keys: (tq, tp) wins one vote per congruent fourth point.
+
+    The quad key of (triplet, fourth point) is the triangle key, the fourth
+    point's distances to the triplet and the orientation sign.
+    """
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 4, 4)
     coll_p = _collinear_triplet_set(pp, params.collinear_rel)
     coll_q = _collinear_triplet_set(qq, params.collinear_rel)
-    p_rows, p_keys, p_signs = _quad_key_rows(pp, coll_p, params.collinear_rel)
+    p_rows, p_keys, p_signs = _quad_rows(pp, coll_p, params.collinear_rel)
     if len(p_rows) == 0:
         raise NoCongruentTriplets("no usable model triplet")
-    table = _GridDict(dim=6)
-    for r in range(len(p_rows)):
-        i, j, k, p4 = (int(x) for x in p_rows[r])
-        table.insert(p_keys[r], int(p_signs[r]), ((i, j, k), p4))
-    q_rows, q_keys, q_signs = _quad_key_rows(qq, coll_q, params.collinear_rel)
-    best = None
-    r = 0
-    while r < len(q_rows):
-        tq = tuple(int(x) for x in q_rows[r, :3])
-        tally: dict[tuple, int] = {}
-        while r < len(q_rows) and tuple(int(x) for x in q_rows[r, :3]) == tq:
-            for tp, _p4 in table.query(q_keys[r], int(q_signs[r]), params.tau):
-                tally[tp] = tally.get(tp, 0) + 1
-            r += 1
-        for tp, count in sorted(tally.items()):
-            cand = (-count, tq, tp)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
+    q_rows, q_keys, q_signs = _quad_rows(qq, coll_q, params.collinear_rel)
+    # The orientation sign is a seventh coordinate; spacing the signs 4*tau
+    # apart keeps different signs out of each other's slack.
+    spacing = 4.0 * params.tau
+    table = KeyIndex(np.column_stack([p_keys, spacing * p_signs]))
+    qi, pi = table.join(np.column_stack([q_keys, spacing * q_signs]), params.tau)
+    if len(qi) == 0:
         raise NoCongruentTriplets("no congruent quad match")
-    count, tq, tp = -best[0], best[1], best[2]
-    mu = motion_from_bases(qq[list(tq)], pp[list(tp)])
-    return build_match_result(pp, qq, mu, params.tau, votes=count)
+    # One code per (tq, tp), increasing with the pair in lexicographic order.
+    m, n = len(pp), len(qq)
+    tq_code = (q_rows[qi, 0] * n + q_rows[qi, 1]) * n + q_rows[qi, 2]
+    tp_code = (p_rows[pi, 0] * m + p_rows[pi, 1]) * m + p_rows[pi, 2]
+    _, first, counts = np.unique(
+        tq_code * m**3 + tp_code, return_index=True, return_counts=True
+    )
+    # argmax keeps the smallest (tq, tp) among the most-voted pairs.
+    best = first[np.argmax(counts)]
+    tq, tp = q_rows[qi[best], :3], p_rows[pi[best], :3]
+    mu = motion_from_bases(qq[tq], pp[tp])
+    return build_match_result(pp, qq, mu, params.tau, votes=int(counts.max()))
 
 
 def ght_pair_based(
@@ -312,28 +254,19 @@ def ght_pair_based(
     dq = pairwise_distances(qq)
     best = None  # (-votes, q_pair, p_pair, key) -> motion
     for a, b in pair_list:
-        local: dict[tuple, list] = {}
-        for q in range(n):
-            if q == a or q == b:
-                continue
-            if _is_collinear_in(coll_q, (a, b, q)):
-                continue
-            key3 = np.array([dq[a, b], dq[a, q], dq[b, q]])
-            for h in idx.query_box_indices(key3, params.tau):
-                if not p_ok[h]:
-                    continue
-                tp = idx.triplets[h]
-                mu = motion_from_bases(qq[[a, b, q]], pp[tp])
-                mkey = motion_key(mu, params.motion_grid)
-                rec = local.get(mkey)
-                if rec is None:
-                    local[mkey] = [1, (int(tp[0]), int(tp[1])), mu]
-                else:
-                    rec[0] += 1
-        for mkey, rec in local.items():
-            cand = (-rec[0], (a, b), rec[1], mkey)
+        qs = np.array(
+            [q for q in range(n) if q not in (a, b) and not _is_collinear_in(coll_q, (a, b, q))],
+            dtype=np.int64,
+        )
+        keys = np.column_stack([np.full(len(qs), dq[a, b]), dq[a, qs], dq[b, qs]])
+        qi, hits = idx.index.join(keys, params.tau)
+        keep = p_ok[hits]
+        tp = idx.triplets[hits[keep]]
+        tq = np.column_stack([np.full(len(tp), a), np.full(len(tp), b), qs[qi[keep]]])
+        for mkey, (count, r, mu) in _vote_motions(pp, qq, tq, tp, params.motion_grid).items():
+            cand = (-count, (a, b), (int(tp[r, 0]), int(tp[r, 1])), mkey)
             if best is None or cand < best[0]:
-                best = (cand, rec[2])
+                best = (cand, mu)
     if best is None:
         raise NoCongruentTriplets("no congruent triplet through any source pair")
     (neg_votes, q_pair, p_pair, _), mu = best

@@ -146,11 +146,6 @@ class RigidMotion:
         return np.concatenate([self.rotation.ravel(), self.translation])
 
 
-def compose(outer: RigidMotion, inner: RigidMotion) -> RigidMotion:
-    """Functional alias: apply `inner` first, then `outer`."""
-    return outer.compose(inner)
-
-
 def rotation_about_line(p1, p2, angle: float) -> RigidMotion:
     """Rotation by `angle` about the directed line p1 -> p2."""
     a = as_point(p1)
@@ -334,21 +329,6 @@ def dihedral_interval(p1, p2, q, p, r: float) -> AngleInterval:
     return AngleInterval.arc(phi0 + delta, phi0 + TWO_PI - delta)
 
 
-def closest_rotation_angle(p1, p2, q, p) -> tuple[float | None, float]:
-    """(argmin angle, min distance) of ||R_theta(q) - p|| over theta.
-
-    The angle is None when the distance does not depend on theta (q on the
-    axis), in which case the constant distance is returned.
-    """
-    c0, c1, c2 = rotation_distance_coeffs(p1, p2, as_point(q), as_point(p))
-    c0 = float(c0)
-    amp = hypot(float(c1), float(c2))
-    if amp <= 1.0e-14 * max(c0, 1.0e-300):
-        return None, float(np.sqrt(max(c0, 0.0)))
-    theta = _wrap(atan2(float(c2), float(c1)) + pi)
-    return theta, float(np.sqrt(max(c0 - amp, 0.0)))
-
-
 def is_collinear(a, b, c, rel: float = COLLINEAR_REL) -> bool:
     """Triangle-height collinearity test, relative to the triplet diameter."""
     pa, pb, pc = as_point(a), as_point(b), as_point(c)
@@ -490,47 +470,6 @@ def triangle_key(a, b, c) -> FloatArray:
             np.linalg.norm(pc - pb),
         ]
     )
-
-
-def orientation_sign(a, b, c, d, rel: float = COLLINEAR_REL) -> int:
-    """Sign of det[b-a, c-a, d-a] with a zero band of rel * scale^3."""
-    pa, pb, pc, pd = as_point(a), as_point(b), as_point(c), as_point(d)
-    det = float(np.linalg.det(np.stack([pb - pa, pc - pa, pd - pa])))
-    pts = np.stack([pa, pb, pc, pd])
-    scale = float(pairwise_distances(pts).max())
-    if abs(det) < rel * scale**3:
-        return 0
-    return 1 if det > 0.0 else -1
-
-
-@dataclass(frozen=True, eq=False)
-class QuadKey:
-    """Rigid-motion-invariant key of an ordered triplet plus a fourth point.
-
-    The base triangle key, the three distances of the fourth point to the
-    triplet, and the orientation sign: enough to recover the quadruple up to
-    a unique proper rigid motion.
-    """
-
-    base: FloatArray
-    dists: FloatArray
-    sign: int
-
-    def flat(self) -> FloatArray:
-        return np.concatenate([self.base, self.dists])
-
-
-def quad_key(a, b, c, d) -> QuadKey:
-    pa, pb, pc, pd = as_point(a), as_point(b), as_point(c), as_point(d)
-    base = triangle_key(pa, pb, pc)
-    dists = np.array(
-        [
-            np.linalg.norm(pd - pa),
-            np.linalg.norm(pd - pb),
-            np.linalg.norm(pd - pc),
-        ]
-    )
-    return QuadKey(base, dists, orientation_sign(pa, pb, pc, pd))
 
 
 def hausdorff(P, Q) -> float:

@@ -1,16 +1,18 @@
-"""Preprocessing dictionaries: pair lengths, triplet-key kd-tree, vote table.
+"""Preprocessing dictionaries: pair lengths and one sorted-key join.
 
 The pair dictionary answers "which pairs of P have length within a slack of
-L" by binary search on a sorted length array. The triplet index stores the
-triangle key of every ordered triplet of P in a kd-tree with axis-cycling
-splits and answers axis-aligned box range queries. Both are immutable after
-construction and safe for concurrent readers; a VoteTable is private to one
-recognition task.
+L" by binary search on a sorted length array. A KeyIndex holds float keys
+sorted on their first coordinate and joins a batch of query keys against
+them: every (query, key) pair within a slack in every coordinate. It is the
+one candidate search of every matcher: triangle keys for DA and the exact
+triplet algorithms, quad keys for geometric hashing. The triplet index is
+the ordered triplets of P with their triangle keys in a KeyIndex. All are
+immutable after construction and safe for concurrent readers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -87,155 +89,99 @@ def build_pair_dict(P) -> PairDict:
     return PairDict(lengths[order], pairs[order])
 
 
-class KDTree:
-    """Static kd-tree with axis-cycling splits and vectorized bucket leaves.
+# Cells (queries x window rows) that one broadcast compare of KeyIndex.join
+# may test, which bounds its working memory.
+_JOIN_CELLS = 1 << 16
 
-    Supports exact axis-aligned box range queries over float keys of any
-    dimension. Built once; queries allocate nothing shared, so concurrent
-    readers are safe.
+
+class KeyIndex:
+    """Float keys sorted on their first coordinate, joined against queries.
+
+    `order` lists the key rows by ascending first coordinate (stable) and
+    `columns` holds the sorted keys one contiguous row per coordinate.
+    Immutable after construction, so concurrent readers are safe.
     """
 
-    __slots__ = ("points", "leaf_size", "_nodes", "_root")
+    __slots__ = ("order", "columns")
 
-    def __init__(self, points, leaf_size: int = 32):
-        self.points = np.asarray(points, dtype=np.float64)
-        if self.points.ndim != 2:
-            raise ValueError("KDTree expects a 2-D key array")
-        self.leaf_size = leaf_size
-        # Node: (axis, split, left, right) for internal, (-1, indices, None, None) for leaf.
-        self._nodes: list[tuple] = []
-        self._root = self._build(np.arange(len(self.points), dtype=np.int64), 0)
+    def __init__(self, keys):
+        keys = np.asarray(keys, dtype=np.float64)
+        self.order = np.argsort(keys[:, 0], kind="stable")
+        self.columns = np.ascontiguousarray(keys[self.order].T)
 
-    def _build(self, idx: IntArray, depth: int) -> int:
-        node_id = len(self._nodes)
-        self._nodes.append(())
-        if len(idx) <= self.leaf_size:
-            self._nodes[node_id] = (-1, idx, None, None)
-            return node_id
-        axis = depth % self.points.shape[1]
-        vals = self.points[idx, axis]
-        h = len(idx) // 2
-        order = np.argpartition(vals, h)
-        idx = idx[order]
-        split = float(self.points[idx[h], axis])
-        left = self._build(idx[:h], depth + 1)
-        right = self._build(idx[h:], depth + 1)
-        self._nodes[node_id] = (axis, split, left, right)
-        return node_id
+    def __len__(self) -> int:
+        return len(self.order)
 
-    def query_box(self, lo, hi) -> IntArray:
-        """Indices of stored keys inside the closed box [lo, hi] per coordinate."""
-        hits, _ = self._query(lo, hi)
-        return hits
+    def join(self, queries, slack: float) -> tuple[IntArray, IntArray]:
+        """Every (query row, key row) pair within `slack` in every coordinate.
 
-    def query_box_counted(self, lo, hi) -> tuple[IntArray, int]:
-        """Box query plus the number of tree nodes visited (for benchmarks)."""
-        return self._query(lo, hi)
-
-    def _query(self, lo, hi) -> tuple[IntArray, int]:
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-        out: list[IntArray] = []
-        stack = [self._root]
-        visited = 0
-        while stack:
-            node_id = stack.pop()
-            visited += 1
-            axis, a, b, c = self._nodes[node_id]
-            if axis == -1:
-                idx = a
-                pts = self.points[idx]
-                mask = ((pts >= lo) & (pts <= hi)).all(axis=1)
-                if mask.any():
-                    out.append(idx[mask])
-                continue
-            if lo[axis] <= a:
-                stack.append(b)
-            if hi[axis] >= a:
-                stack.append(c)
-        if not out:
-            return np.empty(0, dtype=np.int64), visited
-        hits = np.concatenate(out)
-        hits.sort()
-        return hits, visited
+        The pairs come out in lexicographic order. The first coordinate is
+        the closed slab [q - slack, q + slack] found by binary search; every
+        other coordinate passes when abs(key - q) <= slack. Queries are
+        visited in first-coordinate order, a batch at a time, each batch
+        tested against its shared slab window one coordinate at a time.
+        """
+        queries = np.asarray(queries, dtype=np.float64)
+        first = self.columns[0]
+        lo = np.searchsorted(first, queries[:, 0] - slack, side="left")
+        hi = np.searchsorted(first, queries[:, 0] + slack, side="right")
+        live = np.flatnonzero(hi > lo)
+        live = live[np.argsort(queries[live, 0], kind="stable")]
+        lo, hi = lo[live], hi[live]
+        q_parts, k_parts = [], []
+        s = 0
+        while s < len(live):
+            # Grow the batch while batch size times window width fits the budget.
+            ahead = hi[s : s + max(1, _JOIN_CELLS // (hi[s] - lo[s]))] - lo[s]
+            cost = np.arange(1, len(ahead) + 1) * ahead
+            e = s + max(1, int(np.searchsorted(cost, _JOIN_CELLS, side="right")))
+            a, b = lo[s], hi[e - 1]
+            rows = live[s:e]
+            pos = np.arange(a, b)
+            mask = (pos >= lo[s:e, None]) & (pos < hi[s:e, None])
+            for c in range(1, len(self.columns)):
+                mask &= np.abs(self.columns[c, a:b] - queries[rows, c, None]) <= slack
+            qi, ki = np.nonzero(mask)
+            q_parts.append(rows[qi])
+            k_parts.append(self.order[a + ki])
+            s = e
+        if not q_parts:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        qi, ki = np.concatenate(q_parts), np.concatenate(k_parts)
+        lex = np.lexsort((ki, qi))
+        return qi[lex], ki[lex]
 
 
 @dataclass(frozen=True, eq=False)
 class TripletIndex:
-    """Triangle-key kd-tree over every ordered triplet of P.
+    """Triangle keys of every ordered triplet of P in one KeyIndex.
 
     Degenerate (collinear) triplets are stored too: interval voting matches
     points near the base axis through them, and callers that need a motion
-    basis filter collinear entries themselves. A sorted view of the first
-    key coordinate supports the recognition loop, where one slab of pair
-    lengths is shared by many box queries.
+    basis filter collinear entries themselves. Rows of `index` are rows of
+    `triplets`.
     """
 
-    tree: KDTree
     triplets: IntArray
-    keys: FloatArray
-    first_order: IntArray
-    first_sorted: FloatArray
+    index: KeyIndex
 
     def __len__(self) -> int:
         return len(self.triplets)
 
-    def query_box(self, key, slack: float) -> list[tuple[int, int, int]]:
-        """Stored triplets whose key lies in the box key +- slack per coordinate."""
-        k = np.asarray(key, dtype=np.float64)
-        hits = self.tree.query_box(k - slack, k + slack)
-        return [(int(a), int(b), int(c)) for a, b, c in self.triplets[hits]]
-
     def query_box_indices(self, key, slack: float) -> IntArray:
-        """Row indices variant of query_box, for vectorized callers."""
-        k = np.asarray(key, dtype=np.float64)
-        return self.tree.query_box(k - slack, k + slack)
+        """Ascending rows whose key lies within `slack` of `key` per coordinate."""
+        return self.index.join(np.reshape(key, (1, -1)), slack)[1]
 
     def slab_rows(self, lo: float, hi: float) -> IntArray:
         """Row indices with first key coordinate in [lo, hi], by binary search."""
-        a = int(np.searchsorted(self.first_sorted, lo, side="left"))
-        b = int(np.searchsorted(self.first_sorted, hi, side="right"))
-        return self.first_order[a:b]
+        a = int(np.searchsorted(self.index.columns[0], lo, side="left"))
+        b = int(np.searchsorted(self.index.columns[0], hi, side="right"))
+        return self.index.order[a:b]
 
 
-def build_triplet_index(P, leaf_size: int = 32) -> TripletIndex:
+def build_triplet_index(P) -> TripletIndex:
     pts = as_points(P)
     if len(pts) < 3:
         raise TooFewPoints("triplet index needs at least 3 points")
     trips, keys = ordered_triplets_and_keys(pts)
-    order = np.argsort(keys[:, 0], kind="stable")
-    return TripletIndex(
-        KDTree(keys, leaf_size=leaf_size), trips, keys, order, keys[order, 0]
-    )
-
-
-@dataclass
-class VoteTable:
-    """Votes per candidate base pair with the matched (q, p) lists.
-
-    A duplicate (q, p) entry for the same base is ignored, so the vote count
-    always equals the number of distinct matched pairs.
-    """
-
-    _lists: dict[tuple[int, int], list[tuple[int, int]]] = field(default_factory=dict)
-    _seen: dict[tuple[int, int], set[tuple[int, int]]] = field(default_factory=dict)
-
-    def add(self, base: tuple[int, int], matched: tuple[int, int]) -> bool:
-        seen = self._seen.setdefault(base, set())
-        if matched in seen:
-            return False
-        seen.add(matched)
-        self._lists.setdefault(base, []).append(matched)
-        return True
-
-    def votes(self, base: tuple[int, int]) -> int:
-        return len(self._lists.get(base, ()))
-
-    def matched(self, base: tuple[int, int]) -> list[tuple[int, int]]:
-        return self._lists.get(base, [])
-
-    def items(self) -> list[tuple[tuple[int, int], list[tuple[int, int]]]]:
-        return sorted(self._lists.items())
-
-    def __len__(self) -> int:
-        return len(self._lists)
+    return TripletIndex(trips, KeyIndex(keys))

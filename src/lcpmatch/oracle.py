@@ -23,10 +23,10 @@ from .geometry import (
     as_points,
     collinear_mask,
     is_collinear,
-    min_interpoint_distance,
     motion_from_bases,
     nearest_matches,
     pairwise_distances,
+    tolerant_precondition,
 )
 from .result import greedy_injective
 
@@ -54,10 +54,7 @@ class Instance:
     truth: Truth | None = None
 
     def tolerant(self) -> bool:
-        return (
-            min_interpoint_distance(self.P) > 2.0 * self.eps
-            and min_interpoint_distance(self.Q) > 2.0 * self.eps
-        )
+        return tolerant_precondition(self.P, self.Q, self.eps)
 
     def to_dict(self) -> dict:
         out = {

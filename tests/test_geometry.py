@@ -14,7 +14,6 @@ from lcpmatch.geometry import (
     max_overlap_angle,
     motion_from_bases,
     pair_canonical_motion,
-    quad_key,
     triangle_key,
     union_intervals,
 )
@@ -198,28 +197,6 @@ def test_dihedral_on_axis_full_or_empty():
     assert far.kind == "empty"
 
 
-def test_closest_rotation_angle_matches_dense_argmin(rng):
-    from lcpmatch.geometry import closest_rotation_angle
-
-    for _ in range(25):
-        p1, p2, q, p = rng.normal(size=(4, 3)) * 3.0
-        if np.linalg.norm(p2 - p1) < 1e-6:
-            continue
-        theta, dist = closest_rotation_angle(p1, p2, q, p)
-        grid = np.linspace(0.0, TWO_PI, 20000, endpoint=False)
-        dense = []
-        for th in grid:
-            rot = rot_matrix(p2 - p1, th)
-            dense.append(np.linalg.norm(rot @ (q - p1) + p1 - p))
-        dense = np.array(dense)
-        assert dist == pytest.approx(float(dense.min()), abs=1e-6)
-        if theta is not None:
-            gap = abs((theta - grid[int(dense.argmin())]) % TWO_PI)
-            assert min(gap, TWO_PI - gap) <= 2e-3
-        else:
-            assert np.ptp(dense) <= 1e-9
-
-
 @settings(deadline=None, max_examples=30, derandomize=True)
 @given(st.integers(0, 10**6))
 def test_dihedral_against_rotation_sweep(seed):
@@ -268,22 +245,6 @@ def test_triangle_key_rigid_invariant(rng):
 def test_triangle_key_collinear_degenerate():
     key = triangle_key([0, 0, 0], [1, 0, 0], [2, 0, 0])
     assert np.isclose(key[0] + key[2], key[1])
-
-
-def test_quad_key_orientation_sign(rng):
-    a, b, c = np.eye(3)
-    d = np.array([1.0, 1.0, 1.0])
-    k1 = quad_key(a, b, c, d)
-    k2 = quad_key(a, b, c, -d)
-    assert k1.sign == -k2.sign != 0
-    mu = random_motion(rng)
-    k3 = quad_key(mu.apply(a), mu.apply(b), mu.apply(c), mu.apply(d))
-    assert k3.sign == k1.sign
-    assert np.abs(k3.flat() - k1.flat()).max() <= 1e-9
-
-
-def test_quad_key_coplanar_sign_zero():
-    assert quad_key([0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.4, 0.0]).sign == 0
 
 
 # ---------------------------------------------------------------------------

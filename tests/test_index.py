@@ -3,9 +3,9 @@ import pytest
 
 from lcpmatch.errors import TooFewPoints
 from lcpmatch.geometry import triangle_key
+from lcpmatch import index
 from lcpmatch.index import (
-    KDTree,
-    VoteTable,
+    KeyIndex,
     build_pair_dict,
     build_triplet_index,
     ordered_triplets_and_keys,
@@ -88,59 +88,38 @@ class TestTripletIndex:
     def test_box_query_exact_hit(self, rng):
         P = random_points(rng, 7)
         idx = build_triplet_index(P)
+        _, keys = ordered_triplets_and_keys(P)
         row = 17
-        hits = idx.query_box(idx.keys[row], 0.0)
-        assert tuple(idx.triplets[row]) in hits
+        assert row in idx.query_box_indices(keys[row], 0.0)
 
     def test_box_query_miss(self, rng):
         P = random_points(rng, 7)
         idx = build_triplet_index(P)
-        assert idx.query_box(np.array([-100.0, -100.0, -100.0]), 1.0) == []
+        assert len(idx.query_box_indices(np.array([-100.0, -100.0, -100.0]), 1.0)) == 0
 
     def test_box_query_matches_linear_scan(self, rng):
         P = random_points(rng, 9)
         idx = build_triplet_index(P)
+        _, keys = ordered_triplets_and_keys(P)
         for _ in range(1000):
-            center = rng.uniform(0, idx.keys.max() * 1.1, size=3)
+            center = rng.uniform(0, keys.max() * 1.1, size=3)
             slack = float(rng.uniform(0, 3.0))
-            mask = (np.abs(idx.keys - center) <= slack).all(axis=1)
-            expected = sorted(map(tuple, idx.triplets[mask]))
-            assert sorted(idx.query_box(center, slack)) == expected
+            mask = (np.abs(keys - center) <= slack).all(axis=1)
+            assert np.array_equal(idx.query_box_indices(center, slack), np.flatnonzero(mask))
 
 
-class TestKDTree:
-    def test_counted_query_visits_fewer_nodes_than_scan(self, rng):
-        pts = rng.uniform(0, 1, size=(4000, 3))
-        tree = KDTree(pts, leaf_size=16)
-        hits, visited = tree.query_box_counted([0.1] * 3, [0.2] * 3)
-        mask = ((pts >= 0.1) & (pts <= 0.2)).all(axis=1)
-        assert sorted(hits) == sorted(np.flatnonzero(mask))
-        assert visited < len(pts) // 2
-
-    def test_duplicate_coordinates(self):
-        pts = np.zeros((50, 3))
-        tree = KDTree(pts, leaf_size=4)
-        assert len(tree.query_box([-0.1] * 3, [0.1] * 3)) == 50
-
-
-class TestVoteTable:
-    def test_single_vote(self):
-        t = VoteTable()
-        assert t.add((0, 1), (2, 3))
-        assert t.votes((0, 1)) == 1
-
-    def test_k_distinct_votes(self):
-        t = VoteTable()
-        for q in range(5):
-            t.add((0, 1), (q + 2, q))
-        assert t.votes((0, 1)) == 5
-        assert len(t.matched((0, 1))) == 5
-
-    def test_duplicate_ignored(self):
-        t = VoteTable()
-        pairs = [(2, 3), (4, 5), (2, 3), (2, 3), (4, 5)]
-        for p in pairs:
-            t.add((0, 1), p)
-        # Set semantics: distinct pairs only.
-        assert t.votes((0, 1)) == len(set(pairs))
-        assert sorted(t.matched((0, 1))) == sorted(set(pairs))
+class TestKeyIndex:
+    @pytest.mark.parametrize("cells", [index._JOIN_CELLS, 5])
+    @pytest.mark.parametrize("slack", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("dim", [1, 3, 7])
+    def test_join_matches_bruteforce_mask(self, rng, monkeypatch, dim, slack, cells):
+        # A tiny cell budget forces one query per batch and split windows.
+        monkeypatch.setattr(index, "_JOIN_CELLS", cells)
+        for _ in range(20):
+            # Integer keys repeat; half-integer queries sit on or off the slack edge.
+            k = rng.integers(0, 4, size=(int(rng.integers(0, 60)), dim)).astype(float)
+            q = rng.integers(-1, 9, size=(int(rng.integers(0, 40)), dim)) / 2.0
+            qi, ki = KeyIndex(k).join(q, slack)
+            bq, bk = np.nonzero((np.abs(q[:, None] - k[None]) <= slack).all(2))
+            assert np.array_equal(qi, bq)
+            assert np.array_equal(ki, bk)
