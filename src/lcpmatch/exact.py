@@ -72,6 +72,14 @@ def _noncollinear_ordered_triplets(pts, rel: float):
     return trips[keep], keys[keep]
 
 
+def _congruent_triplets(pp, qq, params: ExactParams):
+    """Non-collinear (scene, model) triplet rows with keys within tau, in lex order."""
+    q_trips, q_keys = _noncollinear_ordered_triplets(qq, params.collinear_rel)
+    p_trips, p_keys = _noncollinear_ordered_triplets(pp, params.collinear_rel)
+    qi, pi = KeyIndex(p_keys).join(q_keys, params.tau)
+    return q_trips[qi], p_trips[pi]
+
+
 def _matched_count(P, Q, motion, tau, exclude):
     img = motion.apply(Q)
     diff = img[:, None, :] - P[None, :, :]
@@ -114,21 +122,16 @@ def pose_clustering(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
     """Vote each congruent triplet pair's motion in a quantized motion space."""
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 3, 3)
-    q_trips, q_keys = _noncollinear_ordered_triplets(qq, params.collinear_rel)
-    p_trips, p_keys = _noncollinear_ordered_triplets(pp, params.collinear_rel)
-    qi, pi = KeyIndex(p_keys).join(q_keys, params.tau)
-    return _pose_winner(pp, qq, q_trips[qi], p_trips[pi], params)
+    tq, tp = _congruent_triplets(pp, qq, params)
+    return _pose_winner(pp, qq, tq, tp, params)
 
 
 def alignment(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
     """Score each congruent triplet pair's motion by verifying remaining points."""
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 3, 3)
-    q_trips, q_keys = _noncollinear_ordered_triplets(qq, params.collinear_rel)
-    p_trips, p_keys = _noncollinear_ordered_triplets(pp, params.collinear_rel)
-    qi, pi = KeyIndex(p_keys).join(q_keys, params.tau)
     best = None
-    for tq, tp in zip(q_trips[qi], p_trips[pi]):
+    for tq, tp in zip(*_congruent_triplets(pp, qq, params)):
         mu = motion_from_bases(qq[tq], pp[tp])
         count = _matched_count(pp, qq, mu, params.tau, exclude=tq)
         if best is None or count > best[0]:

@@ -109,9 +109,6 @@ class KeyIndex:
         self.order = np.argsort(keys[:, 0], kind="stable")
         self.columns = np.ascontiguousarray(keys[self.order].T)
 
-    def __len__(self) -> int:
-        return len(self.order)
-
     def join(self, queries, slack: float) -> tuple[IntArray, IntArray]:
         """Every (query row, key row) pair within `slack` in every coordinate.
 
