@@ -7,9 +7,20 @@ motion phi takes q1 to p1 and q2 onto the ray p1 -> p2; the residual
 freedom is a rotation about that axis, and each matched pair (q, p) admits
 a closed arc of rotation angles keeping phi(q) within the report radius of
 p. The angle stabbing the most arcs, counting each q once, fixes the
-motion; the base pair itself contributes the "+2". Tied winners are re-verified, polished by an iterated least-squares
-refit on their injective matches (kept only when it verifies at least as
-well), and the best certificate is returned.
+motion; the base pair itself contributes the "+2".
+
+One source pair is the unit of work, and all its bases are voted in one
+array pass (the screen): canonical motions for every base, the arc of
+every matched (q, p), the union of each (base, q)'s arcs, and a stabbing
+sweep segmented by base. Bases whose distinct-q count cannot reach the
+best overlap found so far are dropped before the screen. Only the bases
+tied at the best overlap over all pairs are rescored one at a time by the
+scalar helpers, so the winner's motion and angle carry their arithmetic
+bit for bit. Tied winners are re-verified, polished by an iterated
+least-squares refit on their injective matches (kept only when it
+verifies at least as well), and the best certificate is returned. When
+the radius is down at rounding level (eps = 0), arcs hinge on the last
+bit and every base is scored by the scalar helpers instead.
 
 Guarantee shape: with all pairs and the tolerant precondition (minimum
 interpoint distance above 2*eps), the diameter pair of the optimal matched
@@ -28,7 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBasis, DegreeTooSmall, NoCandidatePairs, TooFewPoints
+from .errors import (
+    DegenerateBasis,
+    DegeneratePair,
+    DegreeTooSmall,
+    NoCandidatePairs,
+    TooFewPoints,
+)
 from .exact import ExactParams
 from .geometry import (
     TWO_PI,
@@ -115,7 +132,11 @@ def _arc_table(c0, c1, c2, radius: float):
 
 
 def _base_candidates(pp, qq, a, b, base, qs, ps, radius):
-    """Best stabbing angle for one candidate base, counting each q once."""
+    """Best stabbing angle for one candidate base, counting each q once.
+
+    The scalar reference of _screen; it rescores the tied winners so their
+    motion and angle carry the scalar helpers' arithmetic bit for bit.
+    """
     i, j = base
     phi = pair_canonical_motion(pp[i], pp[j], qq[a], qq[b])
     img = phi.apply(qq[qs])
@@ -138,75 +159,289 @@ def _base_candidates(pp, qq, a, b, base, qs, ps, radius):
     return _Candidate(overlap, (a, b), (i, j), psi, phi)
 
 
+def _cross(u, v):
+    """np.cross of row vectors, without its axis bookkeeping."""
+    return np.stack(
+        [
+            u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1],
+            u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
+            u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0],
+        ],
+        axis=-1,
+    )
+
+
+def _run_starts(*columns):
+    """True at row 0 and wherever a row differs from the previous one in any column."""
+    new = np.zeros(len(columns[0]), dtype=bool)
+    new[:1] = True
+    for col in columns:
+        new[1:] |= col[1:] != col[:-1]
+    return new
+
+
+def _canonical_motions(p1, p2, q1, q2):
+    """pair_canonical_motion for many model pairs (p1, p2) and one scene pair.
+
+    Returns the rotations (G, 3, 3), translations (G, 3) and unit axes
+    p1 -> p2 (G, 3). Batched reductions may differ from the scalar helper
+    in the last bit.
+    """
+    dp = p2 - p1
+    dq = q2 - q1
+    np_len = np.sqrt((dp * dp).sum(axis=1))
+    nq_len = float(np.sqrt(dq @ dq))
+    if nq_len < 1e-12 or (np_len < 1e-12).any():
+        raise DegeneratePair("pair endpoints coincide")
+    v = dp / np_len[:, None]
+    u = dq / nq_len
+    cr = _cross(u, v)
+    s = np.sqrt((cr * cr).sum(axis=1))
+    d = (v * u).sum(axis=1)
+    # Rodrigues about cr/s by angle atan2(s, d) where the directions differ.
+    turn = s > 1e-12
+    ax = cr / np.where(turn, s, 1.0)[:, None]
+    norm_sd = np.hypot(s, d)
+    cos_t = d / norm_sd
+    sin_t = s / norm_sd
+    skew = np.zeros((len(v), 3, 3))
+    skew[:, 0, 1], skew[:, 0, 2], skew[:, 1, 2] = -ax[:, 2], ax[:, 1], -ax[:, 0]
+    skew[:, 1, 0], skew[:, 2, 0], skew[:, 2, 1] = ax[:, 2], -ax[:, 1], ax[:, 0]
+    eye = np.eye(3)
+    rot = (
+        ax[:, :, None] * ax[:, None, :] * (1.0 - cos_t)[:, None, None]
+        + cos_t[:, None, None] * eye
+        + sin_t[:, None, None] * skew
+    )
+    # Antiparallel: the pi-rotation about the coordinate axis least parallel
+    # to v, orthogonalized against it.
+    pick = np.zeros_like(v)
+    pick[np.arange(len(v)), np.argmin(np.abs(v), axis=1)] = 1.0
+    w = pick - (pick * v).sum(axis=1)[:, None] * v
+    w /= np.sqrt((w * w).sum(axis=1))[:, None]
+    flip = 2.0 * w[:, :, None] * w[:, None, :] - eye
+    rot = np.where(turn[:, None, None], rot, np.where((d > 0.0)[:, None, None], eye, flip))
+    return rot, p1 - rot @ q1, v
+
+
+def _screen(pp, qq, a, b, bases, g, qs, ps, radius):
+    """Overlap and stabbing angle of many bases of source pair (a, b) at once.
+
+    The batched twin of _base_candidates. `bases` holds each base (i, j);
+    row r pairs scene point qs[r] with model point ps[r] under base g[r],
+    rows sorted by (g, qs, ps). Returns (overlap, angle) per base.
+    """
+    p1 = pp[bases[:, 0]]
+    rot, tr, axis = _canonical_motions(p1, pp[bases[:, 1]], qq[a], qq[b])
+    img = (rot[g] @ qq[qs][:, :, None])[:, :, 0] + tr[g]
+    # rotation_distance_coeffs with one axis per row.
+    u, a1 = axis[g], p1[g]
+    v = img - a1
+    along = (v * u).sum(axis=1)[:, None] * u
+    perp = v - along
+    rel = a1 + along - pp[ps]
+    c0 = (rel * rel).sum(axis=1) + (perp * perp).sum(axis=1)
+    c1 = 2.0 * (rel * perp).sum(axis=1)
+    c2 = 2.0 * (rel * _cross(u, perp)).sum(axis=1)
+    full, arc, starts, ends = _arc_table(c0, c1, c2, radius)
+    return _stab(g, qs, full, arc, starts, ends, len(bases))
+
+
+def _wrap_all(theta):
+    """geometry._wrap over an array."""
+    t = theta % TWO_PI
+    return np.where(t >= TWO_PI, 0.0, t)
+
+
+def _split(owner, start, end):
+    """geometry._segments over arrays of arcs from `start` to `end`.
+
+    An arc running past 2*pi becomes the pieces (start, 2*pi) and (0, rest).
+    Returns the owner, start and end of every piece.
+    """
+    stop = start + (end - start) % TWO_PI
+    over = stop > TWO_PI
+    return (
+        np.concatenate([owner, owner[over]]),
+        np.concatenate([start, np.zeros(int(over.sum()))]),
+        np.concatenate([np.where(over, TWO_PI, stop), stop[over] - TWO_PI]),
+    )
+
+
+def _union(key, start, end):
+    """geometry.union_intervals of the arcs of each key, all keys at once.
+
+    Returns the keys whose union is the full circle, and the (key, start,
+    end) pieces of the others as max_overlap_angle would split them.
+    """
+    key, s, e = _split(key, start, end)
+    order = np.lexsort((e, s, key))
+    key, s, e = key[order], s[order], e[order]
+    # A piece opens a new run unless it starts within the furthest end of
+    # its key's earlier pieces. That running maximum is taken over the
+    # ranks of the ends, offset by key so that it restarts at every key.
+    n = len(e)
+    by_end = np.argsort(e, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_end] = np.arange(n)
+    reach = e[by_end[np.maximum.accumulate(key * n + rank) % n]]
+    opens = _run_starts(key)
+    opens[1:] |= s[1:] > reach[:-1]
+    heads = np.flatnonzero(opens)
+    key, s, e = key[heads], s[heads], np.maximum.reduceat(e, heads)
+    first = _run_starts(key)
+    last = np.append(first[1:], True)
+    circle = first & last & (s <= 0.0) & (e >= TWO_PI)
+    # A key whose first run starts at 0 and whose last run reaches 2*pi
+    # holds one arc through the wrap point: the last run takes the first
+    # run's end, and the first run goes.
+    first_of = np.flatnonzero(first)[np.cumsum(first) - 1]
+    tail = np.flatnonzero(last & ~first & (e >= TWO_PI))
+    tail = tail[s[first_of[tail]] <= 0.0]
+    head = first_of[tail]
+    e[tail] = TWO_PI + e[head]
+    keep = ~circle
+    keep[head] = False
+    return key[circle], _split(key[keep], _wrap_all(s[keep]), _wrap_all(e[keep]))
+
+
+def _stab(g, qs, full, arc, starts, ends, n_bases):
+    """Per-base max_overlap_angle over the per-(base, q) unions of arcs.
+
+    Rows are sorted by (g, qs). A (base, q) with a full row, or whose arcs
+    cover the circle, counts at every angle. A lone arc goes to the sweep
+    as it is; two or more are united first, as union_intervals does. The
+    sweep visits each base's pieces in (angle, start before end) order and
+    keeps the first angle where the running count peaks. Returns overlap
+    and angle per base; a base with no pieces gets angle 0.0.
+    """
+    new = _run_starts(g, qs)
+    key = np.cumsum(new) - 1
+    key_base = g[new]
+    is_full = np.zeros(len(key_base), dtype=bool)
+    is_full[key[full]] = True
+    n_arcs = np.bincount(key[arc], minlength=len(key_base))[key]
+    arc = arc & ~is_full[key]
+    lone, many = arc & (n_arcs == 1), arc & (n_arcs >= 2)
+    start, end = _wrap_all(starts), _wrap_all(ends)
+    owner, s, e = _split(key[lone], start[lone], end[lone])
+    if many.any():
+        circle, (m_owner, m_s, m_e) = _union(key[many], start[many], end[many])
+        is_full[circle] = True
+        owner, s, e = (np.concatenate(x) for x in ((owner, m_owner), (s, m_s), (e, m_e)))
+    overlap = np.bincount(key_base[is_full], minlength=n_bases)
+    angle = np.zeros(n_bases)
+    if len(s) == 0:
+        return overlap, angle
+    ev_base = np.tile(key_base[owner], 2)
+    pos = np.concatenate([s, e])
+    is_end = np.repeat([False, True], len(s))
+    order = np.lexsort((is_end, pos, ev_base))
+    ev_base, pos = ev_base[order], pos[order]
+    count = np.cumsum(np.where(is_end[order], -1, 1))
+    heads = np.flatnonzero(_run_starts(ev_base))
+    peak = np.maximum.reduceat(count, heads)
+    hit = np.flatnonzero(count == np.repeat(peak, np.diff(np.append(heads, len(pos)))))
+    first_hit = hit[_run_starts(ev_base[hit])]
+    overlap[ev_base[heads]] += peak
+    angle[ev_base[heads]] = _wrap_all(pos[first_hit])
+    return overlap, angle
+
+
 def _base_groups(pp, qq, a, b, pair_dict, trip_index, slack):
     """Candidate bases for one source pair via a single triplet-index join.
 
-    Returns None when the pair fails the length filter, else the groups
-    [(distinct-q bound, (i, j), q-array, p-array)] sorted by descending
-    bound then base. Every remaining q queries the key (|q1 q2|, |q1 q|,
-    |q2 q|), so all queries share one slab of the first key coordinate.
+    Returns None when the pair fails the length filter, else the arrays
+    (qs, ps, bases, cuts, bounds). Rows (qs[r], ps[r]) are the joined
+    (scene, model) points sorted by base, then q, then p; group g is base
+    bases[g] = (i, j) and owns rows cuts[g]:cuts[g + 1]; bounds[g] is its
+    distinct-q count, which bounds its overlap. Every remaining q queries
+    the key (|q1 q2|, |q1 q|, |q2 q|), so all queries share one slab of the
+    first key coordinate.
     """
     length = float(np.linalg.norm(qq[a] - qq[b]))
     if not pair_dict.any_in_range(length, slack):
         return None
+    none = np.empty(0, dtype=np.int64)
     if trip_index is None:
-        return []
+        return none, none, none.reshape(0, 2), np.zeros(1, dtype=np.int64), none
     qs = np.delete(np.arange(len(qq)), [a, b])
     d_a = np.linalg.norm(qq - qq[a], axis=1)
     d_b = np.linalg.norm(qq - qq[b], axis=1)
     keys = np.column_stack([np.full(len(qs), length), d_a[qs], d_b[qs]])
     qi, rows = trip_index.index.join(keys, slack)
-    if len(rows) == 0:
-        return []
-    qs_cat = qs[qi]
-    trips_cat = trip_index.triplets[rows]
-    order = np.lexsort((trips_cat[:, 2], qs_cat, trips_cat[:, 1], trips_cat[:, 0]))
-    qs_cat = qs_cat[order]
-    trips_cat = trips_cat[order]
-    base_ids = trips_cat[:, 0] * len(pp) + trips_cat[:, 1]
-    cuts = np.flatnonzero(np.diff(base_ids)) + 1
-    groups = []
-    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(base_ids)]):
-        qs_g = qs_cat[lo:hi]
-        base = (int(trips_cat[lo, 0]), int(trips_cat[lo, 1]))
-        # qs_g is sorted, so distinct count is one plus the step count.
-        bound = 1 + int((qs_g[1:] != qs_g[:-1]).sum())
-        groups.append((bound, base, qs_g, trips_cat[lo:hi, 2]))
-    groups.sort(key=lambda g: (-g[0], g[1]))
-    return groups
+    qs = qs[qi]
+    trips = trip_index.triplets[rows]
+    # Sort by (i, j, q, p) through one integer code, unique per join row.
+    m = len(pp)
+    code = ((trips[:, 0] * m + trips[:, 1]) * len(qq) + qs) * m + trips[:, 2]
+    order = np.argsort(code)
+    qs, trips = qs[order], trips[order]
+    new_base = _run_starts(trips[:, 0], trips[:, 1])
+    new_q = _run_starts(trips[:, 0], trips[:, 1], qs)
+    heads = np.flatnonzero(new_base)
+    bounds = np.add.reduceat(new_q.astype(np.int64), heads)
+    return qs, trips[:, 2], trips[heads, :2], np.append(heads, len(qs)), bounds
+
+
+def _two_match(qq, a, b, pair_dict, slack):
+    """With no voting base, the base pair alone is a 2-match in both directions."""
+    length = float(np.linalg.norm(qq[a] - qq[b]))
+    i, j = min(pair_dict.query_range(length, slack))
+    none = np.empty(0, dtype=np.int64)
+    return [((i, j), none, none), ((j, i), none, none)]
+
+
+def _group(groups, g):
+    """(base, qs, ps) of group g of _base_groups."""
+    qs, ps, bases, cuts, _ = groups
+    rows = slice(cuts[g], cuts[g + 1])
+    return (int(bases[g, 0]), int(bases[g, 1])), qs[rows], ps[rows]
+
+
+def _by_bound(groups):
+    """(bound, base, qs, ps) per group, by descending bound, then base."""
+    _, _, bases, _, bounds = groups
+    for g in np.lexsort((bases[:, 1], bases[:, 0], -bounds)):
+        yield (bounds[g], *_group(groups, g))
 
 
 def _pair_worker(args):
+    """Screen every live base of one source pair in one array pass.
+
+    Returns (passed, overlap, tied): whether the pair passed the length
+    filter, its best screened overlap (-1 when no base was screened), and
+    the (base, qs, ps) of every base at that overlap. Groups whose
+    distinct-q bound is below the shared floor cannot reach the global
+    maximum, so they are dropped before the screen; the floor is read once
+    and raised to the pair's best. A base at the global maximum M has
+    bound >= M >= floor whenever it is screened, so the tied set is never
+    pruned. With no voting base the base pair alone is a 2-match in both
+    directions.
+    """
     pp, qq, a, b, pair_dict, trip_index, slack, radius, floor = args
     groups = _base_groups(pp, qq, a, b, pair_dict, trip_index, slack)
     if groups is None:
-        return False, []
-    if not groups:
-        # No voting base exists; fall back to the base pair alone (a 2-match).
-        length = float(np.linalg.norm(qq[a] - qq[b]))
-        in_range = pair_dict.query_range(length, slack)
-        if not in_range:
-            return True, []
-        i, j = min(in_range)
-        best = [
-            _Candidate(0, (a, b), (i, j), 0.0, pair_canonical_motion(pp[i], pp[j], qq[a], qq[b])),
-            _Candidate(0, (a, b), (j, i), 0.0, pair_canonical_motion(pp[j], pp[i], qq[a], qq[b])),
-        ]
-        return True, best
-    best: list[_Candidate] = []
-    # A base's overlap is bounded by its distinct-q vote count, so bases below
-    # the best overlap seen anywhere so far can neither win nor tie.
-    for bound, base, qs, ps in groups:
-        if bound < max(floor[0], best[0].overlap if best else 0):
-            break
-        cand = _base_candidates(pp, qq, a, b, base, qs, ps, radius)
-        if not best or cand.overlap > best[0].overlap:
-            best = [cand]
-        elif cand.overlap == best[0].overlap:
-            best.append(cand)
-    if best and best[0].overlap > floor[0]:
-        floor[0] = best[0].overlap
-    return True, best
+        return False, -1, []
+    qs, ps, bases, cuts, bounds = groups
+    if len(bounds) == 0:
+        return True, 0, _two_match(qq, a, b, pair_dict, slack)
+    low = floor[0]
+    keep = bounds >= low
+    if not keep.any():
+        return True, -1, []
+    sizes = np.diff(cuts)
+    rows = np.repeat(keep, sizes)
+    g = np.repeat(np.arange(keep.sum()), sizes[keep])
+    overlap, _ = _screen(pp, qq, a, b, bases[keep], g, qs[rows], ps[rows], radius)
+    top = int(overlap.max())
+    if top < low:
+        return True, top, []
+    # A racing thread may have raised the floor meanwhile; writing this
+    # lower realized overlap over it only costs work, never a tie.
+    if top > low:
+        floor[0] = top
+    return True, top, [_group(groups, k) for k in np.flatnonzero(keep)[overlap == top]]
 
 
 def _select_winner(pp, qq, candidates, radius, refine: bool = False) -> MatchResult:
@@ -281,6 +516,12 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     With AllPairs and the tolerant precondition the returned raw size
     (votes) is at least the optimal matched-set size and every certified
     residual is at most report_factor * eps.
+
+    Each source pair is screened in one array pass (_pair_worker), with
+    `threads` workers sharing the best overlap so far as a pruning floor;
+    the bases tied at the best overlap over all pairs are then rescored
+    by _base_candidates, and _select_winner verifies and refines them.
+    The result does not depend on `threads`.
     """
     pp, qq = as_points(P), as_points(Q)
     if len(pp) < 2 or len(qq) < 2:
@@ -297,19 +538,63 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     tasks = [
         (pp, qq, a, b, pair_dict, trip_index, slack, radius, floor) for a, b in pairs
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            outcomes = list(ex.map(_pair_worker, tasks))
-    else:
-        outcomes = [_pair_worker(t) for t in tasks]
-
-    any_passed = any(passed for passed, _ in outcomes)
-    candidates = [c for _, cands in outcomes for c in cands]
-    if not any_passed:
+    # Squared distances round to about 1e-16 * scale^2, scale the largest
+    # coordinate. Below a radius of 1e-6 * scale (eps = 0 leaves only the
+    # 1e-9 * span fuzz) an arc's existence hinges on the last bit, where the
+    # screen's batched arithmetic and the scalar helpers can disagree on the
+    # tied set; every base is then scored the scalar way.
+    scale = max(float(np.abs(pp).max()), float(np.abs(qq).max()))
+    screen = radius >= 1e-6 * scale
+    if screen:
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as ex:
+                outcomes = list(ex.map(_pair_worker, tasks))
+        else:
+            outcomes = [_pair_worker(t) for t in tasks]
+        passed = any(passed for passed, _, _ in outcomes)
+        top = max((overlap for _, overlap, _ in outcomes), default=-1)
+        # Only the bases tied at the global maximum are rescored by the
+        # scalar path, whose arithmetic the winner's motion and angle carry.
+        candidates = [
+            _base_candidates(pp, qq, a, b, base, qs, ps, radius)
+            for (a, b), (_, overlap, tied) in zip(pairs, outcomes)
+            if overlap == top
+            for base, qs, ps in tied
+        ]
+        # A tied base rescored off the screen's maximum is that same
+        # disagreement, seen late.
+        screen = all(c.overlap == top for c in candidates)
+    if not screen:
+        passed, candidates = _scalar_candidates(pp, qq, tasks)
+    if not passed:
         raise NoCandidatePairs("no source pair length matches any model pair")
     if not candidates:
         raise NoCandidatePairs("source pairs passed the filter but found no bases")
     return _select_winner(pp, qq, candidates, radius, refine=True)
+
+
+def _scalar_candidates(pp, qq, tasks):
+    """Whether any pair passed, and every base that can tie the best overlap
+    scored by _base_candidates."""
+    passed = False
+    floor = 0
+    candidates: list[_Candidate] = []
+    for _, _, a, b, pair_dict, trip_index, slack, radius, _ in tasks:
+        groups = _base_groups(pp, qq, a, b, pair_dict, trip_index, slack)
+        if groups is None:
+            continue
+        passed = True
+        if len(groups[4]) == 0:
+            ranked = [(0, *t) for t in _two_match(qq, a, b, pair_dict, slack)]
+        else:
+            ranked = _by_bound(groups)
+        for bound, base, qs, ps in ranked:
+            if bound < floor:
+                break
+            cand = _base_candidates(pp, qq, a, b, base, qs, ps, radius)
+            candidates.append(cand)
+            floor = max(floor, cand.overlap)
+    return passed, candidates
 
 
 def da_exact(
@@ -345,7 +630,7 @@ def da_exact(
         if groups is None:
             continue
         any_passed = True
-        for bound, base, qs, ps in groups:
+        for bound, base, qs, ps in _by_bound(groups):
             if bound < floor:
                 break
             cand = _exact_base_candidate(pp, qq, a, b, base, qs, ps, radius, angle_tol)

@@ -152,24 +152,26 @@ def ght(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
     return _pose_winner(pp, qq, q_trips[qi[ok]], idx.triplets[hits[ok]], params)
 
 
-def _collinear_triplet_set(pts, rel: float) -> set[tuple[int, int, int]]:
-    """Unordered collinear triples (i < j < k), for cheap membership tests."""
+def _degenerate_triplets(pts, rel: float):
+    """Boolean (m, m, m) array, True where (i, j, k) repeats an index or is collinear.
+
+    collinear_mask runs once per sorted triple i < j < k, and its value goes
+    to all six orderings.
+    """
     m = len(pts)
-    trips = np.array(
-        [(i, j, k) for i in range(m) for j in range(i + 1, m) for k in range(j + 1, m)],
-        dtype=np.int64,
+    idx = np.arange(m)
+    trips = np.column_stack(
+        np.nonzero((idx[:, None, None] < idx[:, None]) & (idx[:, None] < idx))
     )
-    if len(trips) == 0:
-        return set()
-    mask = collinear_mask(pts, trips, rel=rel)
-    return {tuple(int(x) for x in t) for t in trips[mask]}
+    cube = np.ones((m, m, m), dtype=bool)
+    if len(trips):
+        mask = collinear_mask(pts, trips, rel=rel)
+        for order in permutations(range(3)):
+            cube[tuple(trips[:, order].T)] = mask
+    return cube
 
 
-def _is_collinear_in(coll: set, trip) -> bool:
-    return tuple(sorted(int(x) for x in trip)) in coll
-
-
-def _quad_rows(pts, coll: set, rel: float):
+def _quad_rows(pts, rel: float):
     """Vectorized quad keys for every (non-collinear ordered triplet, extra point).
 
     Rows are lexicographic in (triplet, fourth point). Returns the index rows,
@@ -178,16 +180,9 @@ def _quad_rows(pts, coll: set, rel: float):
     """
     m = len(pts)
     d = pairwise_distances(pts)
-    rows = np.array(
-        [
-            (i, j, k, p)
-            for i, j, k in permutations(range(m), 3)
-            if not _is_collinear_in(coll, (i, j, k))
-            for p in range(m)
-            if p not in (i, j, k)
-        ],
-        dtype=np.int64,
-    )
+    trips = np.column_stack(np.nonzero(~_degenerate_triplets(pts, rel)))
+    rows = np.column_stack([np.repeat(trips, m, axis=0), np.tile(np.arange(m), len(trips))])
+    rows = rows[(rows[:, 3:] != rows[:, :3]).all(axis=1)]
     if len(rows) == 0:
         return rows, np.empty((0, 6)), np.empty(0, dtype=np.int64)
     i, j, k, p = rows.T
@@ -208,12 +203,10 @@ def geometric_hashing(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
     """
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 4, 4)
-    coll_p = _collinear_triplet_set(pp, params.collinear_rel)
-    coll_q = _collinear_triplet_set(qq, params.collinear_rel)
-    p_rows, p_keys, p_signs = _quad_rows(pp, coll_p, params.collinear_rel)
+    p_rows, p_keys, p_signs = _quad_rows(pp, params.collinear_rel)
     if len(p_rows) == 0:
         raise NoCongruentTriplets("no usable model triplet")
-    q_rows, q_keys, q_signs = _quad_rows(qq, coll_q, params.collinear_rel)
+    q_rows, q_keys, q_signs = _quad_rows(qq, params.collinear_rel)
     # The orientation sign is a seventh coordinate; spacing the signs 4*tau
     # apart keeps different signs out of each other's slack.
     spacing = 4.0 * params.tau
@@ -253,14 +246,11 @@ def ght_pair_based(
     pair_list = pairs if isinstance(pairs, list) else materialize_pairs(pairs, n)
     idx = build_triplet_index(pp)
     p_ok = ~collinear_mask(pp, idx.triplets, rel=params.collinear_rel)
-    coll_q = _collinear_triplet_set(qq, params.collinear_rel)
+    degenerate_q = _degenerate_triplets(qq, params.collinear_rel)
     dq = pairwise_distances(qq)
     best = None  # (-votes, q_pair, p_pair, key) -> motion
     for a, b in pair_list:
-        qs = np.array(
-            [q for q in range(n) if q not in (a, b) and not _is_collinear_in(coll_q, (a, b, q))],
-            dtype=np.int64,
-        )
+        qs = np.flatnonzero(~degenerate_q[a, b])
         keys = np.column_stack([np.full(len(qs), dq[a, b]), dq[a, qs], dq[b, qs]])
         qi, hits = idx.index.join(keys, params.tau)
         keep = p_ok[hits]

@@ -1,17 +1,30 @@
 import numpy as np
 import pytest
 
-from lcpmatch.da import MatchParams, da_exact, da_match, expander_da
+from lcpmatch import da
+from lcpmatch.da import (
+    MatchParams,
+    _base_candidates,
+    _base_groups,
+    _numeric_fuzz,
+    _screen,
+    _stab,
+    da_exact,
+    da_match,
+    expander_da,
+)
 from lcpmatch.errors import DegreeTooSmall, NoCandidatePairs
 from lcpmatch.exact import ExactParams
 from lcpmatch.geometry import (
     TWO_PI,
+    AngleInterval,
     dihedral_interval,
     max_overlap_angle,
     pair_canonical_motion,
     triangle_key,
     union_intervals,
 )
+from lcpmatch.index import build_pair_dict, build_triplet_index
 from lcpmatch.oracle import GenSpec, exact_lcp_bruteforce, generate_instance
 from lcpmatch.sampling import AllPairs, Expander, Pigeonhole, materialize_pairs
 
@@ -67,13 +80,17 @@ class TestDaMatch:
 
     def test_threads_invariant(self):
         inst = generate_instance(GenSpec(m=12, n=10, k=6, eps=0.3), seed=12)
-        a = da_match(inst.P, inst.Q, MatchParams(eps=inst.eps), threads=1)
-        b = da_match(inst.P, inst.Q, MatchParams(eps=inst.eps), threads=4)
-        assert a.size == b.size
-        assert a.votes == b.votes
-        assert a.base_pair == b.base_pair
-        assert a.angle == b.angle
-        assert np.array_equal(a.motion.rotation, b.motion.rotation)
+        for source in (AllPairs(), Pigeonhole(4)):
+            params = MatchParams(eps=inst.eps, pair_source=source)
+            a = da_match(inst.P, inst.Q, params, threads=1)
+            b = da_match(inst.P, inst.Q, params, threads=4)
+            assert a.size == b.size
+            assert a.votes == b.votes
+            assert a.matched == b.matched
+            assert a.base_pair == b.base_pair
+            assert a.angle == b.angle
+            assert a.motion.rotation.tobytes() == b.motion.rotation.tobytes()
+            assert a.motion.translation.tobytes() == b.motion.translation.tobytes()
 
     def test_monotone_votes_in_pair_source(self):
         # A superset of source pairs can only raise the winning vote count.
@@ -104,6 +121,185 @@ class TestDaMatch:
         res = da_match(P, Q, MatchParams(eps=0.1))
         assert res.size == 2
         assert res.votes == 2
+
+
+def screened_and_scalar(P, Q, eps, source):
+    """(screened, scalar) overlap and angle of every base of every source pair."""
+    pp, qq = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    fuzz = _numeric_fuzz(pp, qq)
+    slack, radius = max(2 * eps, fuzz), max(4 * eps, fuzz)
+    pair_dict, trip_index = build_pair_dict(pp), build_triplet_index(pp)
+    for a, b in materialize_pairs(source, len(qq)):
+        groups = _base_groups(pp, qq, a, b, pair_dict, trip_index, slack)
+        if groups is None:
+            continue
+        qs, ps, bases, cuts, _ = groups
+        g = np.repeat(np.arange(len(bases)), np.diff(cuts))
+        overlaps, angles = _screen(pp, qq, a, b, bases, g, qs, ps, radius)
+        for k, (i, j) in enumerate(bases):
+            rows = slice(cuts[k], cuts[k + 1])
+            cand = _base_candidates(pp, qq, a, b, (i, j), qs[rows], ps[rows], radius)
+            yield (overlaps[k], angles[k]), (cand.overlap, cand.angle)
+
+
+def scalar_stab(g, qs, full, arc, starts, ends, n_bases):
+    """_stab by union_intervals and max_overlap_angle, one base at a time."""
+    out = []
+    for base in range(n_bases):
+        per_q = {}
+        for r in np.flatnonzero(g == base):
+            if full[r]:
+                per_q.setdefault(qs[r], []).append(AngleInterval.full())
+            elif arc[r]:
+                per_q.setdefault(qs[r], []).append(
+                    AngleInterval.arc(float(starts[r]), float(ends[r]))
+                )
+        family = [iv for ivs in per_q.values() for iv in union_intervals(ivs)]
+        angle, overlap = max_overlap_angle(family)
+        out.append((overlap, angle))
+    return out
+
+
+def stab_rows(rows, n_bases):
+    """_stab inputs from rows (base, q, kind, start, end), kind in full/arc/empty."""
+    rows = sorted(rows, key=lambda r: r[:2])
+    g = np.array([r[0] for r in rows], dtype=np.int64)
+    qs = np.array([r[1] for r in rows], dtype=np.int64)
+    kinds = np.array([r[2] for r in rows])
+    starts = np.array([r[3] for r in rows], dtype=float)
+    ends = np.array([r[4] for r in rows], dtype=float)
+    return g, qs, kinds == "full", kinds == "arc", starts, ends, n_bases
+
+
+class TestScreen:
+    """The batched screen against the scalar per-base path it replaces."""
+
+    @pytest.mark.parametrize("source", ["all", "pigeonhole", "expander"])
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_overlaps_match_scalar_path(self, seed, source):
+        inst = generate_instance(GenSpec(m=16, n=24, k=8, eps=0.3, noise=0.3), seed=seed)
+        src = {"all": AllPairs(), "pigeonhole": Pigeonhole(4), "expander": Expander(8, seed)}
+        compared = 0
+        for (overlap, angle), (ref_overlap, ref_angle) in screened_and_scalar(
+            inst.P, inst.Q, 0.3, src[source]
+        ):
+            assert overlap == ref_overlap
+            assert abs((angle - ref_angle + np.pi) % TWO_PI - np.pi) <= 1e-9
+            compared += 1
+        assert compared > 0
+
+    @pytest.mark.parametrize("n", [12, 14, 16])
+    def test_overlaps_match_scalar_path_square(self, n):
+        for seed in (1, 2):
+            inst = generate_instance(
+                GenSpec(m=n, n=n, k=int(0.4 * n), eps=0.3, noise=0.3), seed=seed
+            )
+            for (overlap, _), (ref_overlap, _) in screened_and_scalar(
+                inst.P, inst.Q, 0.3, AllPairs()
+            ):
+                assert overlap == ref_overlap
+
+    def test_q_without_arc_does_not_count(self):
+        args = stab_rows(
+            [(0, 1, "empty", 0.0, 0.0), (0, 1, "empty", 1.0, 2.0), (0, 2, "arc", 1.0, 2.0)], 1
+        )
+        assert scalar_stab(*args) == [(1, 1.0)]
+        overlap, angle = _stab(*args)
+        assert (overlap[0], angle[0]) == (1, 1.0)
+
+    def test_two_arcs_merge_across_zero(self):
+        # q=1 holds (5.5, 0.3) and (0.2, 1.0): one arc through 0, counted once.
+        args = stab_rows(
+            [
+                (0, 1, "arc", 5.5, 0.3),
+                (0, 1, "arc", 0.2, 1.0),
+                (0, 2, "arc", 0.25, 0.5),
+                (0, 3, "arc", 5.8, 6.0),
+            ],
+            1,
+        )
+        assert scalar_stab(*args) == [(2, 0.25)]
+        overlap, angle = _stab(*args)
+        assert (overlap[0], angle[0]) == (2, 0.25)
+
+    def test_arcs_covering_the_circle_count_as_full(self):
+        args = stab_rows(
+            [
+                (0, 1, "arc", 0.0, 3.5),
+                (0, 1, "arc", 3.0, 0.5),
+                (0, 2, "arc", 4.0, 4.5),
+                (1, 1, "arc", 1.0, 4.0),
+                (1, 1, "arc", 3.0, 1.5),
+            ],
+            2,
+        )
+        assert scalar_stab(*args) == [(2, 4.0), (1, 0.0)]
+        overlap, angle = _stab(*args)
+        assert overlap.tolist() == [2, 1]
+        assert angle.tolist() == [4.0, 0.0]
+
+    def test_full_only_base_gets_angle_zero(self):
+        args = stab_rows(
+            [(0, 1, "full", 0.0, 0.0), (0, 2, "full", 0.0, 0.0), (0, 2, "arc", 1.0, 2.0)], 1
+        )
+        assert scalar_stab(*args) == [(2, 0.0)]
+        overlap, angle = _stab(*args)
+        assert (overlap[0], angle[0]) == (2, 0.0)
+
+    def test_random_rows_match_scalar_sweep(self):
+        rng = np.random.default_rng(5)
+        marks = np.array([0.0, 0.5, 1.0, np.pi, 6.0, TWO_PI - 0.5, TWO_PI - 1e-17])
+        for _ in range(300):
+            n_bases = int(rng.integers(1, 4))
+            rows = []
+            for _ in range(int(rng.integers(0, 20))):
+                kind = rng.choice(["full", "arc", "arc", "arc", "empty"])
+                start, end = rng.choice(marks, 2) if rng.random() < 0.5 else rng.uniform(0, TWO_PI, 2)
+                rows.append((int(rng.integers(n_bases)), int(rng.integers(4)), kind, start, end))
+            args = stab_rows(rows, n_bases)
+            overlap, angle = _stab(*args)
+            assert list(zip(overlap.tolist(), angle.tolist())) == scalar_stab(*args)
+
+
+class TestScalarFallback:
+    """Where the screen cannot be trusted, every base is scored the scalar way."""
+
+    @staticmethod
+    def same(a, b):
+        def key(r):
+            return r.size, r.votes, r.matched, r.base_pair, r.angle, r.motion.flatten().tobytes()
+
+        return key(a) == key(b)
+
+    def test_exact_mode_skips_the_screen(self, monkeypatch):
+        inst = generate_instance(GenSpec(m=10, n=9, k=5, eps=0.0, exact=True), seed=3)
+        want = da_match(inst.P, inst.Q, MatchParams(eps=0.0))
+
+        def refuse(*args):
+            raise AssertionError("screened at a rounding-level radius")
+
+        monkeypatch.setattr(da, "_screen", refuse)
+        assert self.same(da_match(inst.P, inst.Q, MatchParams(eps=0.0)), want)
+
+    def test_tie_rescored_off_the_screen_falls_back(self, monkeypatch):
+        inst = generate_instance(GenSpec(m=16, n=24, k=8, eps=0.3, noise=0.3), seed=1)
+        params = MatchParams(eps=0.3, pair_source=Pigeonhole(4))
+        want = da_match(inst.P, inst.Q, params)
+        screen, scalar, fallbacks = da._screen, da._scalar_candidates, []
+
+        def inflate_first_base(*args):
+            overlap, angle = screen(*args)
+            overlap[0] += 100
+            return overlap, angle
+
+        def count(*args):
+            fallbacks.append(1)
+            return scalar(*args)
+
+        monkeypatch.setattr(da, "_screen", inflate_first_base)
+        monkeypatch.setattr(da, "_scalar_candidates", count)
+        assert self.same(da_match(inst.P, inst.Q, params), want)
+        assert fallbacks == [1]
 
 
 class TestSweepAgainstDenseSampling:
