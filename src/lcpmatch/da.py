@@ -34,6 +34,7 @@ radius to 6*eps by default, trading a bounded size slack for fewer pairs.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -601,7 +602,7 @@ def da_exact(
     P,
     Q,
     params: ExactParams = ExactParams(),
-    pairs: PairSource | list[tuple[int, int]] = AllPairs(),
+    pairs: PairSource | Sequence[tuple[int, int]] = AllPairs(),
     angle_tol: float = 1e-7,
 ) -> MatchResult:
     """Exact-mode dihedral voting: each matched pair casts a single angle.
@@ -618,9 +619,7 @@ def da_exact(
     radius = slack
     pair_dict = build_pair_dict(pp)
     trip_index = build_triplet_index(pp)
-    n = len(qq)
-    pair_list = pairs if isinstance(pairs, list) else materialize_pairs(pairs, n)
-    pair_list = _longest_first(pair_list, qq)
+    pair_list = _longest_first(materialize_pairs(pairs, len(qq)), qq)
 
     any_passed = False
     floor = 0

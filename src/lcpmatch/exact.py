@@ -13,6 +13,13 @@ algorithms differ in the keys they join and in the voting space:
 - ght_pair_based: motions voted per common base pair, so a k-matching wins
   k - 2 votes through any pair inside it.
 
+The motions of all congruent (scene triplet, model triplet) rows are built
+in one batch (geometry.motions_from_bases) and voted with array operations:
+motion keys tallied by np.unique, alignment's matched points counted in
+chunks of a fixed cell budget. Only the winner's motion is rebuilt from its
+row by the scalar motion_from_bases, so results do not depend on the last
+bits of the batched arithmetic.
+
 "Exact" is realized in floating point: congruence within an absolute
 tolerance tau, and motion votes on a quantization grid. Collinear bases are
 skipped since they do not pin down a motion.
@@ -20,6 +27,7 @@ skipped since they do not pin down a motion.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -31,6 +39,7 @@ from .geometry import (
     as_points,
     collinear_mask,
     motion_from_bases,
+    motions_from_bases,
     pairwise_distances,
 )
 from .index import KeyIndex, build_triplet_index, ordered_triplets_and_keys
@@ -56,9 +65,19 @@ class ExactParams:
             raise ValueError("tau and motion_grid must be positive")
 
 
+def _motion_keys(flat, grid: float):
+    """Quantized (K, 12) motion rows (rotation row-major, then translation).
+
+    np.rint rounds half to even, like round. The keys stay float64, whose
+    integral values are exact at any magnitude, where int64 would wrap past
+    2**63; adding 0.0 turns -0.0 into 0.0.
+    """
+    return np.rint(flat / grid) + 0.0
+
+
 def motion_key(motion: RigidMotion, grid: float) -> tuple[int, ...]:
     """Quantized 12-tuple of the motion; equal for motions that agree on a basis."""
-    return tuple(int(round(v / grid)) for v in motion.flatten())
+    return tuple(int(v) for v in _motion_keys(motion.flatten()[None], grid)[0])
 
 
 def _require_sizes(P, Q, min_p: int, min_q: int):
@@ -80,42 +99,36 @@ def _congruent_triplets(pp, qq, params: ExactParams):
     return q_trips[qi], p_trips[pi]
 
 
-def _matched_count(P, Q, motion, tau, exclude):
-    img = motion.apply(Q)
-    diff = img[:, None, :] - P[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2))
-    ok = d.min(axis=1) <= tau
-    ok[list(exclude)] = False
-    return int(ok.sum())
+# Cells (rows x scene points x model points) that one broadcast distance test
+# of alignment may hold, which bounds its working memory.
+_ALIGN_CELLS = 1 << 16
 
 
-def _vote_motions(pp, qq, tq, tp, grid: float) -> dict[tuple, list]:
-    """Tally each (scene triplet, model triplet) row's motion on the motion grid.
+def _row_motions(pp, qq, tq, tp):
+    """Rotations and translations of every (scene triplet, model triplet) row."""
+    if len(tq) == 0:
+        raise NoCongruentTriplets("no congruent triplet pair")
+    return motions_from_bases(qq[tq], pp[tp])
 
-    Returns {motion key: [votes, first row, motion of the first row]}.
-    """
-    votes: dict[tuple, list] = {}
-    for r in range(len(tq)):
-        mu = motion_from_bases(qq[tq[r]], pp[tp[r]])
-        key = motion_key(mu, grid)
-        rec = votes.get(key)
-        if rec is None:
-            votes[key] = [1, r, mu]
-        else:
-            rec[0] += 1
-    return votes
+
+def _row_keys(pp, qq, tq, tp, grid: float):
+    """Motion key of every (scene triplet, model triplet) row, as (K, 12) floats."""
+    rot, tr = _row_motions(pp, qq, tq, tp)
+    return _motion_keys(np.concatenate([rot.reshape(-1, 9), tr], axis=1), grid)
 
 
 def _pose_winner(pp, qq, tq, tp, params: ExactParams) -> MatchResult:
     """Most-voted motion over congruent triplet rows in lexicographic order.
 
-    Ties go to the motion first seen, that is the smallest (tq, tp).
+    Ties go to the motion first seen, that is the smallest (tq, tp). The
+    winner's motion is rebuilt from its first row by motion_from_bases.
     """
-    votes = _vote_motions(pp, qq, tq, tp, params.motion_grid)
-    if not votes:
-        raise NoCongruentTriplets("no congruent triplet pair")
-    count, _, mu = min(votes.values(), key=lambda rec: (-rec[0], rec[1]))
-    return build_match_result(pp, qq, mu, params.tau, votes=count)
+    keys = _row_keys(pp, qq, tq, tp, params.motion_grid)
+    _, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+    top = counts.max()
+    r = first[counts == top].min()
+    mu = motion_from_bases(qq[tq[r]], pp[tp[r]])
+    return build_match_result(pp, qq, mu, params.tau, votes=int(top))
 
 
 def pose_clustering(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
@@ -127,18 +140,26 @@ def pose_clustering(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
 
 
 def alignment(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
-    """Score each congruent triplet pair's motion by verifying remaining points."""
+    """Score each congruent triplet pair's motion by verifying remaining points.
+
+    A row scores the scene points outside its triplet that its motion brings
+    within tau of some model point. The first row at the top score wins.
+    """
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 3, 3)
-    best = None
-    for tq, tp in zip(*_congruent_triplets(pp, qq, params)):
-        mu = motion_from_bases(qq[tq], pp[tp])
-        count = _matched_count(pp, qq, mu, params.tau, exclude=tq)
-        if best is None or count > best[0]:
-            best = (count, mu)
-    if best is None:
-        raise NoCongruentTriplets("no congruent triplet pair")
-    return build_match_result(pp, qq, best[1], params.tau, votes=best[0])
+    tq, tp = _congruent_triplets(pp, qq, params)
+    rot, tr = _row_motions(pp, qq, tq, tp)
+    counts = np.empty(len(tq), dtype=np.int64)
+    step = max(1, _ALIGN_CELLS // (len(qq) * len(pp)))
+    for s in range(0, len(tq), step):
+        img = qq @ rot[s : s + step].transpose(0, 2, 1) + tr[s : s + step, None, :]
+        diff = img[:, :, None, :] - pp
+        ok = np.sqrt((diff * diff).sum(axis=3)).min(axis=2) <= params.tau
+        ok[np.arange(len(ok))[:, None], tq[s : s + step]] = False
+        counts[s : s + step] = ok.sum(axis=1)
+    r = int(np.argmax(counts))
+    mu = motion_from_bases(qq[tq[r]], pp[tp[r]])
+    return build_match_result(pp, qq, mu, params.tau, votes=int(counts[r]))
 
 
 def ght(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
@@ -232,37 +253,48 @@ def ght_pair_based(
     P,
     Q,
     params: ExactParams = ExactParams(),
-    pairs: PairSource | list[tuple[int, int]] = AllPairs(),
+    pairs: PairSource | Sequence[tuple[int, int]] = AllPairs(),
 ) -> MatchResult:
     """Pair-based voting: motions are tallied per common base pair.
 
     A k-matching identified through a pair inside it collects exactly k - 2
     votes, one per further matched point. The best motion over all source
-    pairs wins.
+    pairs wins: the most votes, then the smallest scene pair, model pair of
+    the group's first row, and motion key.
     """
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 3, 3)
-    n = len(qq)
-    pair_list = pairs if isinstance(pairs, list) else materialize_pairs(pairs, n)
+    ab = np.array(materialize_pairs(pairs, len(qq)), dtype=np.int64).reshape(-1, 2)
     idx = build_triplet_index(pp)
     p_ok = ~collinear_mask(pp, idx.triplets, rel=params.collinear_rel)
-    degenerate_q = _degenerate_triplets(qq, params.collinear_rel)
     dq = pairwise_distances(qq)
-    best = None  # (-votes, q_pair, p_pair, key) -> motion
-    for a, b in pair_list:
-        qs = np.flatnonzero(~degenerate_q[a, b])
-        keys = np.column_stack([np.full(len(qs), dq[a, b]), dq[a, qs], dq[b, qs]])
-        qi, hits = idx.index.join(keys, params.tau)
-        keep = p_ok[hits]
-        tp = idx.triplets[hits[keep]]
-        tq = np.column_stack([np.full(len(tp), a), np.full(len(tp), b), qs[qi[keep]]])
-        for mkey, (count, r, mu) in _vote_motions(pp, qq, tq, tp, params.motion_grid).items():
-            cand = (-count, (a, b), (int(tp[r, 0]), int(tp[r, 1])), mkey)
-            if best is None or cand < best[0]:
-                best = (cand, mu)
-    if best is None:
+    # One query per (source pair, third point), by position in the pair list
+    # and then by third point, so each pair's rows keep their own join order.
+    degenerate_q = _degenerate_triplets(qq, params.collinear_rel)
+    pos, third = np.nonzero(~degenerate_q[ab[:, 0], ab[:, 1]])
+    a, b = ab[pos, 0], ab[pos, 1]
+    queries = np.column_stack([dq[a, b], dq[a, third], dq[b, third]])
+    qi, hits = idx.index.join(queries, params.tau)
+    keep = p_ok[hits]
+    qi, tp = qi[keep], idx.triplets[hits[keep]]
+    tq = np.column_stack([a[qi], b[qi], third[qi]])
+    if len(tq) == 0:
         raise NoCongruentTriplets("no congruent triplet through any source pair")
-    (neg_votes, q_pair, p_pair, _), mu = best
+    # Tally per (position in the pair list, motion key): a repeated pair
+    # votes apart instead of doubling its groups.
+    keys = _row_keys(pp, qq, tq, tp, params.motion_grid)
+    _, first, counts = np.unique(
+        np.column_stack([pos[qi], keys]), axis=0, return_index=True, return_counts=True
+    )
+    g_tq, g_tp = tq[first], tp[first]
+    # The smallest (-votes, scene pair, model pair, motion key); lexsort is
+    # stable, so equal candidates of a repeated pair go to its first place.
+    g = np.lexsort(
+        (*keys[first].T[::-1], g_tp[:, 1], g_tp[:, 0], g_tq[:, 1], g_tq[:, 0], -counts)
+    )[0]
+    r = first[g]
+    mu = motion_from_bases(qq[tq[r]], pp[tp[r]])
+    base_pair = ((int(tq[r, 0]), int(tq[r, 1])), (int(tp[r, 0]), int(tp[r, 1])))
     return build_match_result(
-        pp, qq, mu, params.tau, votes=-neg_votes, base_pair=(q_pair, p_pair)
+        pp, qq, mu, params.tau, votes=int(counts[g]), base_pair=base_pair
     )

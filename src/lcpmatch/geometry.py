@@ -397,6 +397,38 @@ def _triplet_frame(trip: FloatArray) -> tuple[FloatArray, FloatArray]:
     return a, np.column_stack([e1, e2, e3])
 
 
+def motions_from_bases(q_triplets, p_triplets) -> tuple[FloatArray, FloatArray]:
+    """motion_from_bases over (K, 3, 3) stacks of ordered q- and p-triplets.
+
+    Returns the (K, 3, 3) rotations and (K, 3) translations. The entries may
+    differ from motion_from_bases in the last bit. Raises DegenerateBasis if
+    any triplet is degenerate under the thresholds of the scalar frame.
+    """
+    q_origin, q_frame = _triplet_frames(np.asarray(q_triplets, dtype=np.float64))
+    p_origin, p_frame = _triplet_frames(np.asarray(p_triplets, dtype=np.float64))
+    rot = p_frame @ q_frame.transpose(0, 2, 1)
+    tr = p_origin - np.einsum("kij,kj->ki", rot, q_origin)
+    return rot, tr
+
+
+def _triplet_frames(trips: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """_triplet_frame over a (K, 3, 3) stack: (K, 3) origins, (K, 3, 3) frames."""
+    a, b, c = trips[:, 0], trips[:, 1], trips[:, 2]
+    ab = b - a
+    ac = c - a
+    nab = np.linalg.norm(ab, axis=1)
+    dmax = np.maximum(nab, np.maximum(np.linalg.norm(ac, axis=1), np.linalg.norm(c - b, axis=1)))
+    if ((dmax == 0.0) | (nab <= COLLINEAR_REL * dmax)).any():
+        raise DegenerateBasis("triplet has coincident points")
+    e1 = ab / nab[:, None]
+    h = ac - (ac * e1).sum(axis=1)[:, None] * e1
+    nh = np.linalg.norm(h, axis=1)
+    if (nh <= COLLINEAR_REL * dmax).any():
+        raise DegenerateBasis("triplet is collinear")
+    e2 = h / nh[:, None]
+    return a, np.stack([e1, e2, np.cross(e1, e2)], axis=2)
+
+
 def pair_canonical_motion(p1, p2, q1, q2) -> RigidMotion:
     """Canonical motion taking q1 to p1 and q2 onto the ray p1 -> p2.
 

@@ -15,6 +15,8 @@ retries with derived seeds until the estimate clears 2*sqrt(d).
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -52,8 +54,15 @@ class Expander:
 PairSource = AllPairs | Pigeonhole | Expander
 
 
-def materialize_pairs(source: PairSource, n: int) -> list[tuple[int, int]]:
-    """Concrete (i < j) index pairs over {0, ..., n-1} for a pair source."""
+def materialize_pairs(
+    source: PairSource | Sequence[tuple[int, int]], n: int
+) -> list[tuple[int, int]]:
+    """Concrete index pairs over {0, ..., n-1}.
+
+    A pair source gives its (i < j) pairs. Any other sequence of (a, b)
+    pairs is taken as is, in its order; an index outside [0, n) raises
+    ValueError.
+    """
     if isinstance(source, AllPairs):
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
     if isinstance(source, Pigeonhole):
@@ -64,7 +73,11 @@ def materialize_pairs(source: PairSource, n: int) -> list[tuple[int, int]]:
             return [(i, j) for i in range(n) for j in range(i + 1, n)]
         g = random_regular_graph(n, source.degree, source.seed)
         return sorted((int(a), int(b)) for a, b in g.edges)
-    raise TypeError(f"unknown pair source: {source!r}")
+    pairs = [(operator.index(a), operator.index(b)) for a, b in source]
+    bad = [p for p in pairs if not (0 <= p[0] < n and 0 <= p[1] < n)]
+    if bad:
+        raise ValueError(f"pair {bad[0]} has an index outside [0, {n})")
+    return pairs
 
 
 # ---------------------------------------------------------------------------

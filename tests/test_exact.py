@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from lcpmatch.errors import NoCongruentTriplets
+from lcpmatch import exact
+from lcpmatch.da import da_exact
+from lcpmatch.errors import DegenerateBasis, NoCongruentTriplets
 from lcpmatch.exact import (
     ExactParams,
     alignment,
@@ -11,10 +13,12 @@ from lcpmatch.exact import (
     motion_key,
     pose_clustering,
 )
-from lcpmatch.geometry import RigidMotion, is_collinear, motion_from_bases
+from lcpmatch.geometry import RigidMotion, is_collinear, motion_from_bases, motions_from_bases
 from lcpmatch.oracle import GenSpec, exact_lcp_bruteforce, generate_instance, random_rotation
+from lcpmatch.sampling import Pigeonhole, materialize_pairs
 
 from conftest import random_points
+from test_pinned_outputs import EXACT_INSTANCES, exact_instance, fingerprint
 
 UNIT_CUBE = np.array(
     [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=float
@@ -37,6 +41,30 @@ def five_point_instance():
     mu = RigidMotion(rot, np.array([3.0, -17.0, 6.0]))
     Q = np.vstack([mu.apply(common), q_extra])
     return P, Q, mu
+
+
+def grid_instance_with_decoy():
+    """P: a 3x2x2 integer grid. Q: a unit right triangle far away, then five
+    grid points under a rigid motion. Many rows share a count, and the
+    decoy's rows come first."""
+    rng = np.random.default_rng(3)
+    P = np.array([[x, y, z] for x in range(3) for y in range(2) for z in range(2)], float)
+    decoy = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], float) @ random_rotation(rng).T + 40.0
+    planted = P[[0, 3, 5, 8, 10]] @ random_rotation(rng).T + np.array([0.5, -2.0, 3.0])
+    return P, np.vstack([decoy, planted])
+
+
+def alignment_reference(P, Q, tau=1e-9):
+    """Row by row alignment: (top count, first row reaching it)."""
+    tq, tp = exact._congruent_triplets(P, Q, ExactParams(tau=tau))
+    best = None
+    for r in range(len(tq)):
+        mu = motion_from_bases(Q[tq[r]], P[tp[r]])
+        ok = np.linalg.norm(mu.apply(Q)[:, None] - P[None], axis=2).min(axis=1) <= tau
+        ok[tq[r]] = False
+        if best is None or ok.sum() > best[0]:
+            best = (int(ok.sum()), r)
+    return best
 
 
 def count_identity_triplet_votes(P, tau=1e-9):
@@ -89,6 +117,25 @@ class TestAlignment:
     def test_agrees_with_pose_clustering(self):
         P, Q, _ = five_point_instance()
         assert alignment(P, Q).size == pose_clustering(P, Q).size
+
+    @pytest.mark.parametrize("cells", [5, 300, 1000])
+    def test_chunk_budget_leaves_result(self, monkeypatch, cells):
+        # A row holds 8 x 12 cells: 5 cells make one-row chunks, 300 make
+        # three-row chunks, 1000 make ten-row chunks with a ragged last one.
+        # The first rows belong to a decoy triangle, so the winning row lies
+        # deep in the row list.
+        P, Q = grid_instance_with_decoy()
+        count, row = alignment_reference(P, Q)
+        assert count == 2 and row > 500
+        want = fingerprint(alignment(P, Q))
+        monkeypatch.setattr(exact, "_ALIGN_CELLS", cells)
+        got = alignment(P, Q)
+        assert fingerprint(got) == want
+        assert got.votes == count
+        tq, tp = exact._congruent_triplets(P, Q, ExactParams())
+        mu = motion_from_bases(Q[tq[row]], P[tp[row]])
+        assert got.motion.rotation.tobytes() == mu.rotation.tobytes()
+        assert got.motion.translation.tobytes() == mu.translation.tobytes()
 
 
 class TestGht:
@@ -149,6 +196,29 @@ class TestGhtPairBased:
             sampled = ght_pair_based(inst.P, inst.Q, pairs=Pigeonhole(4))
             assert full.size == sampled.size  # k > n/alpha = 3
 
+    def test_repeated_source_pair_changes_nothing(self):
+        # Votes are tallied per position in the pair list, so repeating the
+        # winning pair must not double its votes.
+        inst = exact_instance(12, 7, 1)
+        pairs = materialize_pairs(Pigeonhole(4), len(inst.Q))
+        plain = ght_pair_based(inst.P, inst.Q, pairs=pairs)
+        win = plain.base_pair[0]
+        repeated = [win] + pairs + [win, pairs[0]]
+        assert fingerprint(ght_pair_based(inst.P, inst.Q, pairs=repeated)) == fingerprint(plain)
+
+    def test_tuple_of_pairs_accepted(self):
+        inst = exact_instance(10, 6, 2)
+        pairs = materialize_pairs(Pigeonhole(4), len(inst.Q))
+        want = fingerprint(ght_pair_based(inst.P, inst.Q, pairs=pairs))
+        assert fingerprint(ght_pair_based(inst.P, inst.Q, pairs=tuple(pairs))) == want
+
+    @pytest.mark.parametrize("matcher", [ght_pair_based, da_exact])
+    @pytest.mark.parametrize("pair", [(-1, 2), (0, 10)])
+    def test_out_of_range_pair_raises(self, matcher, pair):
+        inst = exact_instance(10, 6, 1)
+        with pytest.raises(ValueError):
+            matcher(inst.P, inst.Q, pairs=[(0, 1), pair])
+
 
 class TestVoteAccounting:
     @pytest.mark.parametrize("k", [3, 4, 6])
@@ -197,6 +267,53 @@ class TestMotionKey:
             keys.add(motion_key(RigidMotion(rot, tr), 1e-6))
         assert len(keys) == 40
 
+    def test_exact_past_int64(self):
+        mu = RigidMotion(np.eye(3), np.array([1e13, -2e13, 3e13]))
+        key = motion_key(mu, 1e-6)
+        assert key[9:] == (10**19, -2 * 10**19, 3 * 10**19)
+        assert key[:9] == (10**6, 0, 0, 0, 10**6, 0, 0, 0, 10**6)
+
     def test_grid_must_be_positive(self):
         with pytest.raises(ValueError):
             ExactParams(tau=1e-9, motion_grid=0.0)
+
+
+class TestBatchedMotions:
+    @pytest.mark.parametrize("m, k, seed", EXACT_INSTANCES)
+    def test_rows_agree_with_scalar_helper(self, m, k, seed):
+        inst = exact_instance(m, k, seed)
+        pp, qq, grid = inst.P, inst.Q, ExactParams().motion_grid
+        tq, tp = exact._congruent_triplets(pp, qq, ExactParams())
+        assert len(tq) > 0
+        rot, tr = motions_from_bases(qq[tq], pp[tp])
+        keys = exact._row_keys(pp, qq, tq, tp, grid)
+        for r in range(len(tq)):
+            mu = motion_from_bases(qq[tq[r]], pp[tp[r]])
+            assert np.abs(rot[r] - mu.rotation).max() <= 1e-12
+            assert np.abs(tr[r] - mu.translation).max() <= 1e-12
+            assert tuple(int(v) for v in keys[r]) == motion_key(mu, grid)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]],  # collinear
+            [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]],  # coincident
+            [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5e-9, 0.0]],  # height below 1e-9
+        ],
+    )
+    def test_degenerate_row_raises(self, bad):
+        good = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        bad = np.array(bad)
+        with pytest.raises(DegenerateBasis):
+            motion_from_bases(bad, good)
+        with pytest.raises(DegenerateBasis):
+            motions_from_bases(np.stack([good, bad]), np.stack([good, good]))
+        with pytest.raises(DegenerateBasis):
+            motions_from_bases(np.stack([good, good]), np.stack([good, bad]))
+
+    def test_height_just_above_threshold_builds(self):
+        trip = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 2e-9, 0.0]])
+        rot, tr = motions_from_bases(trip[None], trip[None])
+        mu = motion_from_bases(trip, trip)
+        assert np.abs(rot[0] - mu.rotation).max() <= 1e-12
+        assert np.abs(tr[0] - mu.translation).max() <= 1e-12

@@ -208,6 +208,16 @@ class TestPairSources:
         pairs = materialize_pairs(Expander(10**6, seed=0), 20)
         assert len(pairs) == 190
 
+    def test_explicit_sequence_kept_in_order(self):
+        pairs = ((3, 1), (0, 2), (3, 1))
+        assert materialize_pairs(pairs, 4) == [(3, 1), (0, 2), (3, 1)]
+        assert materialize_pairs(np.array(pairs), 4) == [(3, 1), (0, 2), (3, 1)]
+
+    @pytest.mark.parametrize("pair", [(-1, 2), (2, -1), (0, 4), (4, 0)])
+    def test_explicit_index_out_of_range(self, pair):
+        with pytest.raises(ValueError):
+            materialize_pairs([(0, 1), pair], 4)
+
 
 # ---------------------------------------------------------------------------
 # diam_k
