@@ -34,6 +34,7 @@ EXIT_ALGORITHM = 3
 EXIT_VERIFY = 4
 
 ALGORITHMS = ("da", "da-exact", "expander-da", "pose", "align", "ght", "ghash", "ght-pair")
+THREADS_HELP = "accepted for compatibility and ignored; matching runs in one thread"
 SAMPLINGS = ("all", "pigeonhole", "expander")
 
 
@@ -119,13 +120,12 @@ def _pair_source(args, seed: int):
 
 def _dispatch(args, inst: oracle_mod.Instance, seed: int) -> MatchResult:
     eps = float(args.eps) if args.eps is not None else inst.eps
-    threads = args.threads or os.cpu_count() or 1
     if args.algo == "da":
         factor = args.radius_factor if args.radius_factor is not None else 4.0
         params = da_mod.MatchParams(
             eps=eps, pair_source=_pair_source(args, seed), report_factor=factor
         )
-        return da_mod.da_match(inst.P, inst.Q, params, threads=threads)
+        return da_mod.da_match(inst.P, inst.Q, params)
     if args.algo == "da-exact":
         return da_mod.da_exact(
             inst.P, inst.Q, exact_mod.ExactParams(tau=args.tau), pairs=_pair_source(args, seed)
@@ -142,7 +142,6 @@ def _dispatch(args, inst: oracle_mod.Instance, seed: int) -> MatchResult:
             alpha=args.alpha,
             seed=seed,
             report_factor=factor,
-            threads=threads,
         )
     params = exact_mod.ExactParams(tau=args.tau)
     if args.algo == "pose":
@@ -306,7 +305,6 @@ def cmd_bench(args) -> int:
                         eps=None,
                         tau=1e-9,
                         radius_factor=None,
-                        threads=args.threads,
                     )
                     start = time.perf_counter()
                     try:
@@ -372,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--tau", type=float, default=1e-9)
     m.add_argument("--radius-factor", type=float, default=None)
     m.add_argument("--seed", type=int, default=None)
-    m.add_argument("--threads", type=int, default=None)
+    m.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     m.add_argument("--out", default=None)
     m.set_defaults(func=cmd_match)
 
@@ -388,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="run a benchmark suite, emitting CSV")
     b.add_argument("--suite", required=True, help="suite JSON (path or inline)")
-    b.add_argument("--threads", type=int, default=None)
+    b.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     b.add_argument("--out", default=None)
     b.set_defaults(func=cmd_bench)
     return parser

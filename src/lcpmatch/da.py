@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -407,28 +406,25 @@ def _by_bound(groups):
         yield (bounds[g], *_group(groups, g))
 
 
-def _pair_worker(args):
+def _pair_worker(pp, qq, a, b, pair_dict, trip_index, slack, radius, floor: int):
     """Screen every live base of one source pair in one array pass.
 
     Returns (passed, overlap, tied): whether the pair passed the length
     filter, its best screened overlap (-1 when no base was screened), and
     the (base, qs, ps) of every base at that overlap. Groups whose
-    distinct-q bound is below the shared floor cannot reach the global
-    maximum, so they are dropped before the screen; the floor is read once
-    and raised to the pair's best. A base at the global maximum M has
-    bound >= M >= floor whenever it is screened, so the tied set is never
-    pruned. With no voting base the base pair alone is a 2-match in both
-    directions.
+    distinct-q bound is below `floor`, the best overlap of the pairs before,
+    cannot reach the global maximum, so they are dropped before the screen.
+    A base at the global maximum M has bound >= M >= floor, so the tied set
+    is never pruned. With no voting base the base pair alone is a 2-match
+    in both directions.
     """
-    pp, qq, a, b, pair_dict, trip_index, slack, radius, floor = args
     groups = _base_groups(pp, qq, a, b, pair_dict, trip_index, slack)
     if groups is None:
         return False, -1, []
     qs, ps, bases, cuts, bounds = groups
     if len(bounds) == 0:
         return True, 0, _two_match(qq, a, b, pair_dict, slack)
-    low = floor[0]
-    keep = bounds >= low
+    keep = bounds >= floor
     if not keep.any():
         return True, -1, []
     sizes = np.diff(cuts)
@@ -436,12 +432,8 @@ def _pair_worker(args):
     g = np.repeat(np.arange(keep.sum()), sizes[keep])
     overlap, _ = _screen(pp, qq, a, b, bases[keep], g, qs[rows], ps[rows], radius)
     top = int(overlap.max())
-    if top < low:
+    if top < floor:
         return True, top, []
-    # A racing thread may have raised the floor meanwhile; writing this
-    # lower realized overlap over it only costs work, never a tie.
-    if top > low:
-        floor[0] = top
     return True, top, [_group(groups, k) for k in np.flatnonzero(keep)[overlap == top]]
 
 
@@ -519,10 +511,10 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     residual is at most report_factor * eps.
 
     Each source pair is screened in one array pass (_pair_worker), with
-    `threads` workers sharing the best overlap so far as a pruning floor;
-    the bases tied at the best overlap over all pairs are then rescored
-    by _base_candidates, and _select_winner verifies and refines them.
-    The result does not depend on `threads`.
+    the best overlap so far as a pruning floor; the bases tied at the best
+    overlap over all pairs are then rescored by _base_candidates, and
+    _select_winner verifies and refines them. `threads` is accepted and
+    ignored: matching runs in the calling thread.
     """
     pp, qq = as_points(P), as_points(Q)
     if len(pp) < 2 or len(qq) < 2:
@@ -534,11 +526,6 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     trip_index = build_triplet_index(pp) if len(pp) >= 3 else None
     pairs = _longest_first(materialize_pairs(params.pair_source, len(qq)), qq)
 
-    # Shared lower bound on the winning overlap; stale reads only cost work.
-    floor = [0]
-    tasks = [
-        (pp, qq, a, b, pair_dict, trip_index, slack, radius, floor) for a, b in pairs
-    ]
     # Squared distances round to about 1e-16 * scale^2, scale the largest
     # coordinate. Below a radius of 1e-6 * scale (eps = 0 leaves only the
     # 1e-9 * span fuzz) an arc's existence hinges on the last bit, where the
@@ -547,11 +534,14 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     scale = max(float(np.abs(pp).max()), float(np.abs(qq).max()))
     screen = radius >= 1e-6 * scale
     if screen:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                outcomes = list(ex.map(_pair_worker, tasks))
-        else:
-            outcomes = [_pair_worker(t) for t in tasks]
+        # The best overlap so far is a lower bound on the winning overlap.
+        floor = 0
+        outcomes = []
+        for a, b in pairs:
+            outcomes.append(
+                _pair_worker(pp, qq, a, b, pair_dict, trip_index, slack, radius, floor)
+            )
+            floor = max(floor, outcomes[-1][1])
         passed = any(passed for passed, _, _ in outcomes)
         top = max((overlap for _, overlap, _ in outcomes), default=-1)
         # Only the bases tied at the global maximum are rescored by the
@@ -566,7 +556,9 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
         # disagreement, seen late.
         screen = all(c.overlap == top for c in candidates)
     if not screen:
-        passed, candidates = _scalar_candidates(pp, qq, tasks)
+        passed, candidates = _scalar_candidates(
+            pp, qq, pairs, pair_dict, trip_index, slack, radius
+        )
     if not passed:
         raise NoCandidatePairs("no source pair length matches any model pair")
     if not candidates:
@@ -574,13 +566,13 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     return _select_winner(pp, qq, candidates, radius, refine=True)
 
 
-def _scalar_candidates(pp, qq, tasks):
+def _scalar_candidates(pp, qq, pairs, pair_dict, trip_index, slack, radius):
     """Whether any pair passed, and every base that can tie the best overlap
     scored by _base_candidates."""
     passed = False
     floor = 0
     candidates: list[_Candidate] = []
-    for _, _, a, b, pair_dict, trip_index, slack, radius, _ in tasks:
+    for a, b in pairs:
         groups = _base_groups(pp, qq, a, b, pair_dict, trip_index, slack)
         if groups is None:
             continue
@@ -701,7 +693,8 @@ def expander_da(
 
     Requires degree > 2500 * alpha^2. When the optimum exceeds n/alpha the
     winner size falls short of it by at most (50 / sqrt(degree)) * n, with
-    residuals at most report_factor * eps.
+    residuals at most report_factor * eps. `threads` is accepted and
+    ignored, as by da_match.
     """
     if degree <= 2500.0 * alpha * alpha:
         raise DegreeTooSmall(
@@ -710,4 +703,4 @@ def expander_da(
     params = MatchParams(
         eps=eps, pair_source=Expander(degree, seed), report_factor=report_factor
     )
-    return da_match(P, Q, params, threads=threads)
+    return da_match(P, Q, params)

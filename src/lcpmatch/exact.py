@@ -2,23 +2,27 @@
 
 All five share the same skeleton: propose rigid motions from congruent
 bases, vote, and verify the winner. Congruent bases are found by one
-sorted-key join (index.KeyIndex) of scene keys against model keys; the
-algorithms differ in the keys they join and in the voting space:
+sorted-key join (index.KeyIndex) of scene triangle keys against model
+triangle keys. The four triplet algorithms score the same congruent
+(scene triplet, model triplet) rows, those of _congruent_triplets, and
+differ in the voting space:
 
-- pose_clustering: triangle keys, votes per quantized motion.
-- alignment: triangle keys, votes by verifying remaining points.
-- ght: pose clustering over the model's triangle-key index.
-- geometric_hashing: quad keys of (triplet, fourth point), votes per
-  triplet pair.
+- pose_clustering: votes per quantized motion.
+- alignment: a row scores the points its motion brings onto the model.
+- ght: the generalized Hough transform, pose clustering of the same rows.
+- geometric_hashing: a row scores its congruent fourth points, the (scene,
+  model) point pairs with equal distances to the two triplets and equal
+  orientation signs.
 - ght_pair_based: motions voted per common base pair, so a k-matching wins
   k - 2 votes through any pair inside it.
 
-The motions of all congruent (scene triplet, model triplet) rows are built
-in one batch (geometry.motions_from_bases) and voted with array operations:
-motion keys tallied by np.unique, alignment's matched points counted in
-chunks of a fixed cell budget. Only the winner's motion is rebuilt from its
-row by the scalar motion_from_bases, so results do not depend on the last
-bits of the batched arithmetic.
+The motions of all congruent rows are built in one batch
+(geometry.motions_from_bases) and voted with array operations: motion keys
+tallied by np.unique; alignment's matched points and geometric hashing's
+fourth points counted by one row loop in chunks of a fixed cell budget.
+Only the winner's motion is rebuilt from its row by the scalar
+motion_from_bases, so results do not depend on the last bits of the
+batched arithmetic.
 
 "Exact" is realized in floating point: congruence within an absolute
 tolerance tau, and motion votes on a quantization grid. Collinear bases are
@@ -92,28 +96,27 @@ def _noncollinear_ordered_triplets(pts, rel: float):
 
 
 def _congruent_triplets(pp, qq, params: ExactParams):
-    """Non-collinear (scene, model) triplet rows with keys within tau, in lex order."""
+    """Non-collinear (scene, model) triplet rows with keys within tau, in lex order.
+
+    Raises NoCongruentTriplets when there is none.
+    """
     q_trips, q_keys = _noncollinear_ordered_triplets(qq, params.collinear_rel)
     p_trips, p_keys = _noncollinear_ordered_triplets(pp, params.collinear_rel)
     qi, pi = KeyIndex(p_keys).join(q_keys, params.tau)
+    if len(qi) == 0:
+        raise NoCongruentTriplets("no congruent triplet pair")
     return q_trips[qi], p_trips[pi]
 
 
-# Cells (rows x scene points x model points) that one broadcast distance test
-# of alignment may hold, which bounds its working memory.
+# Cells (rows x scene points x model points) that one chunk of _best_row's
+# row scoring may hold, which bounds the working memory of alignment and
+# geometric hashing.
 _ALIGN_CELLS = 1 << 16
-
-
-def _row_motions(pp, qq, tq, tp):
-    """Rotations and translations of every (scene triplet, model triplet) row."""
-    if len(tq) == 0:
-        raise NoCongruentTriplets("no congruent triplet pair")
-    return motions_from_bases(qq[tq], pp[tp])
 
 
 def _row_keys(pp, qq, tq, tp, grid: float):
     """Motion key of every (scene triplet, model triplet) row, as (K, 12) floats."""
-    rot, tr = _row_motions(pp, qq, tq, tp)
+    rot, tr = motions_from_bases(qq[tq], pp[tp])
     return _motion_keys(np.concatenate([rot.reshape(-1, 9), tr], axis=1), grid)
 
 
@@ -139,6 +142,22 @@ def pose_clustering(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
     return _pose_winner(pp, qq, tq, tp, params)
 
 
+def _best_row(pp, qq, tq, tp, score, params: ExactParams) -> MatchResult:
+    """The first congruent row at the top score, rebuilt by motion_from_bases.
+
+    score(rows) returns the counts of the rows in slice `rows`; it is called
+    on consecutive chunks whose (rows x scene points x model points) cells
+    fit _ALIGN_CELLS.
+    """
+    counts = np.empty(len(tq), dtype=np.int64)
+    step = max(1, _ALIGN_CELLS // (len(qq) * len(pp)))
+    for s in range(0, len(tq), step):
+        counts[s : s + step] = score(slice(s, s + step))
+    r = int(np.argmax(counts))
+    mu = motion_from_bases(qq[tq[r]], pp[tp[r]])
+    return build_match_result(pp, qq, mu, params.tau, votes=int(counts[r]))
+
+
 def alignment(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
     """Score each congruent triplet pair's motion by verifying remaining points.
 
@@ -148,29 +167,24 @@ def alignment(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 3, 3)
     tq, tp = _congruent_triplets(pp, qq, params)
-    rot, tr = _row_motions(pp, qq, tq, tp)
-    counts = np.empty(len(tq), dtype=np.int64)
-    step = max(1, _ALIGN_CELLS // (len(qq) * len(pp)))
-    for s in range(0, len(tq), step):
-        img = qq @ rot[s : s + step].transpose(0, 2, 1) + tr[s : s + step, None, :]
+    rot, tr = motions_from_bases(qq[tq], pp[tp])
+
+    def matched(rows):
+        img = qq @ rot[rows].transpose(0, 2, 1) + tr[rows, None, :]
         diff = img[:, :, None, :] - pp
         ok = np.sqrt((diff * diff).sum(axis=3)).min(axis=2) <= params.tau
-        ok[np.arange(len(ok))[:, None], tq[s : s + step]] = False
-        counts[s : s + step] = ok.sum(axis=1)
-    r = int(np.argmax(counts))
-    mu = motion_from_bases(qq[tq[r]], pp[tp[r]])
-    return build_match_result(pp, qq, mu, params.tau, votes=int(counts[r]))
+        ok[np.arange(len(ok))[:, None], tq[rows]] = False
+        return ok.sum(axis=1)
+
+    return _best_row(pp, qq, tq, tp, matched, params)
 
 
 def ght(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
-    """Pose clustering with candidates found through the triangle-key index."""
+    """Pose clustering over the congruent rows of the triangle-key join."""
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 3, 3)
-    q_trips, q_keys = _noncollinear_ordered_triplets(qq, params.collinear_rel)
-    idx = build_triplet_index(pp)
-    qi, hits = idx.index.join(q_keys, params.tau)
-    ok = ~collinear_mask(pp, idx.triplets[hits], rel=params.collinear_rel)
-    return _pose_winner(pp, qq, q_trips[qi[ok]], idx.triplets[hits[ok]], params)
+    tq, tp = _congruent_triplets(pp, qq, params)
+    return _pose_winner(pp, qq, tq, tp, params)
 
 
 def _degenerate_triplets(pts, rel: float):
@@ -192,61 +206,55 @@ def _degenerate_triplets(pts, rel: float):
     return cube
 
 
-def _quad_rows(pts, rel: float):
-    """Vectorized quad keys for every (non-collinear ordered triplet, extra point).
+def _fourth_point_signs(pts, d, trips, rel: float):
+    """Orientation sign of every (triplet, fourth point), as (len(trips), len(pts)).
 
-    Rows are lexicographic in (triplet, fourth point). Returns the index rows,
-    the 6-vector keys (base sides then fourth-point distances), and the
-    orientation signs with the rel * scale^3 zero band.
+    The sign of det(b - a, c - a, x - a) for triplet (a, b, c) and fourth
+    point x is 0 inside the zero band |det| < rel * scale^3, scale being the
+    largest of the quad's six distances.
     """
-    m = len(pts)
-    d = pairwise_distances(pts)
-    trips = np.column_stack(np.nonzero(~_degenerate_triplets(pts, rel)))
-    rows = np.column_stack([np.repeat(trips, m, axis=0), np.tile(np.arange(m), len(trips))])
-    rows = rows[(rows[:, 3:] != rows[:, :3]).all(axis=1)]
-    if len(rows) == 0:
-        return rows, np.empty((0, 6)), np.empty(0, dtype=np.int64)
-    i, j, k, p = rows.T
-    keys = np.column_stack([d[i, j], d[i, k], d[j, k], d[p, i], d[p, j], d[p, k]])
+    n = len(pts)
+    i, j, k = np.repeat(trips, n, axis=0).T
+    x = np.tile(np.arange(n), len(trips))
     a = pts[i]
-    det = np.einsum("ij,ij->i", np.cross(pts[j] - a, pts[k] - a), pts[p] - a)
-    scale = keys.max(axis=1)
-    signs = np.sign(det).astype(np.int64)
+    det = np.einsum("ij,ij->i", np.cross(pts[j] - a, pts[k] - a), pts[x] - a)
+    scale = np.max([d[i, j], d[i, k], d[j, k], d[x, i], d[x, j], d[x, k]], axis=0)
+    signs = np.sign(det)
     signs[np.abs(det) < rel * scale**3] = 0
-    return rows, keys, signs
+    return signs.reshape(len(trips), n)
 
 
 def geometric_hashing(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
-    """Alignment by quad keys: (tq, tp) wins one vote per congruent fourth point.
+    """Alignment by fourth points: (tq, tp) wins one vote per congruent fourth point.
 
-    The quad key of (triplet, fourth point) is the triangle key, the fourth
-    point's distances to the triplet and the orientation sign.
+    A pair (q4, p4) outside the row's triplets votes when its three
+    distances to the triplet agree within tau and its orientation sign
+    agrees. The first row at the top count wins.
     """
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 4, 4)
-    p_rows, p_keys, p_signs = _quad_rows(pp, params.collinear_rel)
-    if len(p_rows) == 0:
-        raise NoCongruentTriplets("no usable model triplet")
-    q_rows, q_keys, q_signs = _quad_rows(qq, params.collinear_rel)
-    # The orientation sign is a seventh coordinate; spacing the signs 4*tau
-    # apart keeps different signs out of each other's slack.
-    spacing = 4.0 * params.tau
-    table = KeyIndex(np.column_stack([p_keys, spacing * p_signs]))
-    qi, pi = table.join(np.column_stack([q_keys, spacing * q_signs]), params.tau)
-    if len(qi) == 0:
-        raise NoCongruentTriplets("no congruent quad match")
-    # One code per (tq, tp), increasing with the pair in lexicographic order.
-    m, n = len(pp), len(qq)
-    tq_code = (q_rows[qi, 0] * n + q_rows[qi, 1]) * n + q_rows[qi, 2]
-    tp_code = (p_rows[pi, 0] * m + p_rows[pi, 1]) * m + p_rows[pi, 2]
-    _, first, counts = np.unique(
-        tq_code * m**3 + tp_code, return_index=True, return_counts=True
-    )
-    # argmax keeps the smallest (tq, tp) among the most-voted pairs.
-    best = first[np.argmax(counts)]
-    tq, tp = q_rows[qi[best], :3], p_rows[pi[best], :3]
-    mu = motion_from_bases(qq[tq], pp[tp])
-    return build_match_result(pp, qq, mu, params.tau, votes=int(counts.max()))
+    tq, tp = _congruent_triplets(pp, qq, params)
+    dq, dp = pairwise_distances(qq), pairwise_distances(pp)
+    rel = params.collinear_rel
+
+    def fourth_points(rows):
+        q_trips, p_trips = tq[rows], tp[rows]
+        ok = np.ones((len(q_trips), len(qq), len(pp)), dtype=bool)
+        for c in range(3):
+            ok &= np.abs(dq[q_trips[:, c], :, None] - dp[p_trips[:, c], None, :]) <= params.tau
+        ok &= (
+            _fourth_point_signs(qq, dq, q_trips, rel)[:, :, None]
+            == _fourth_point_signs(pp, dp, p_trips, rel)[:, None, :]
+        )
+        own = np.arange(len(ok))[:, None]
+        ok[own, q_trips] = False
+        ok[own, :, p_trips] = False
+        return ok.sum(axis=(1, 2))
+
+    result = _best_row(pp, qq, tq, tp, fourth_points, params)
+    if result.votes == 0:
+        raise NoCongruentTriplets("no congruent fourth point")
+    return result
 
 
 def ght_pair_based(

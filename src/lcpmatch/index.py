@@ -4,22 +4,21 @@ The pair dictionary answers "which pairs of P have length within a slack of
 L" by binary search on a sorted length array. A KeyIndex holds float keys
 sorted on their first coordinate and joins a batch of query keys against
 them: every (query, key) pair within a slack in every coordinate. It is the
-one candidate search of every matcher: triangle keys for DA and the exact
-triplet algorithms, quad keys for geometric hashing. The triplet index is
-the ordered triplets of P with their triangle keys in a KeyIndex. All are
-immutable after construction and safe for concurrent readers.
+one candidate search of every matcher, always over triangle keys. The
+triplet index is the ordered triplets of P with their triangle keys in a
+KeyIndex. All are immutable after construction and safe for concurrent
+readers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import TooFewPoints
-from .geometry import FloatArray, as_points
+from .geometry import FloatArray, as_points, pairwise_distances
 
 IntArray = NDArray[np.int64]
 
@@ -42,12 +41,11 @@ def ordered_triplets_and_keys(P) -> tuple[IntArray, FloatArray]:
     m = len(pts)
     if m < 3:
         raise TooFewPoints("triplet enumeration needs at least 3 points")
-    trips = np.fromiter(
-        (x for t in permutations(range(m), 3) for x in t),
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dists = np.sqrt((diff * diff).sum(axis=2))
+    idx = np.arange(m)
+    i, j, k = idx[:, None, None], idx[:, None], idx
+    # np.nonzero lists the distinct-index cube in C order, that is lexicographically.
+    trips = np.column_stack(np.nonzero((i != j) & (i != k) & (j != k))).astype(np.int64)
+    dists = pairwise_distances(pts)
     keys = np.column_stack(
         [
             dists[trips[:, 0], trips[:, 1]],

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,13 @@ from lcpmatch.exact import (
     motion_key,
     pose_clustering,
 )
-from lcpmatch.geometry import RigidMotion, is_collinear, motion_from_bases, motions_from_bases
+from lcpmatch.geometry import (
+    RigidMotion,
+    is_collinear,
+    motion_from_bases,
+    motions_from_bases,
+    pairwise_distances,
+)
 from lcpmatch.oracle import GenSpec, exact_lcp_bruteforce, generate_instance, random_rotation
 from lcpmatch.sampling import Pigeonhole, materialize_pairs
 
@@ -67,10 +75,52 @@ def alignment_reference(P, Q, tau=1e-9):
     return best
 
 
+def _reference_sign(pts, d, trip, x, rel=1e-9):
+    a, b, c = pts[trip]
+    det = float(np.dot(np.cross(b - a, c - a), pts[x] - a))
+    scale = max(d[trip[0], trip[1]], d[trip[0], trip[2]], d[trip[1], trip[2]], *d[x, trip])
+    return 0 if abs(det) < rel * scale**3 else int(np.sign(det))
+
+
+def geometric_hashing_counts(P, Q, tau=1e-9):
+    """Row by row geometric hashing: every congruent row's fourth-point votes."""
+    tq, tp = exact._congruent_triplets(P, Q, ExactParams(tau=tau))
+    dq, dp = pairwise_distances(Q), pairwise_distances(P)
+    counts = []
+    for r in range(len(tq)):
+        count = 0
+        for q4 in set(range(len(Q))) - set(tq[r]):
+            for p4 in set(range(len(P))) - set(tp[r]):
+                if (np.abs(dq[q4, tq[r]] - dp[p4, tp[r]]) <= tau).all() and _reference_sign(
+                    Q, dq, tq[r], q4
+                ) == _reference_sign(P, dp, tp[r], p4):
+                    count += 1
+        counts.append(count)
+    return np.array(counts)
+
+
+def geometric_hashing_reference(P, Q, tau=1e-9):
+    """(top count, first row reaching it) of geometric_hashing_counts."""
+    counts = geometric_hashing_counts(P, Q, tau)
+    return int(counts.max()), int(np.argmax(counts))
+
+
+def scored_rows(monkeypatch, matcher, P, Q):
+    """(tq, tp, counts) of the rows that matcher scores through exact._best_row."""
+    seen = []
+    best_row = exact._best_row
+
+    def record(pp, qq, tq, tp, score, params):
+        seen.append((tq, tp, score(slice(0, len(tq)))))
+        return best_row(pp, qq, tq, tp, score, params)
+
+    monkeypatch.setattr(exact, "_best_row", record)
+    matcher(P, Q)
+    return seen[-1]
+
+
 def count_identity_triplet_votes(P, tau=1e-9):
     """Oracle recount: ordered non-collinear triplet pairs mapping via identity."""
-    from itertools import permutations
-
     count = 0
     for t in permutations(range(len(P)), 3):
         if not is_collinear(P[t[0]], P[t[1]], P[t[2]]):
@@ -123,19 +173,25 @@ class TestAlignment:
         # A row holds 8 x 12 cells: 5 cells make one-row chunks, 300 make
         # three-row chunks, 1000 make ten-row chunks with a ragged last one.
         # The first rows belong to a decoy triangle, so the winning row lies
-        # deep in the row list.
+        # deep in the row list. Alignment and geometric hashing share the
+        # chunked row loop, so both are checked.
         P, Q = grid_instance_with_decoy()
-        count, row = alignment_reference(P, Q)
-        assert count == 2 and row > 500
-        want = fingerprint(alignment(P, Q))
-        monkeypatch.setattr(exact, "_ALIGN_CELLS", cells)
-        got = alignment(P, Q)
-        assert fingerprint(got) == want
-        assert got.votes == count
         tq, tp = exact._congruent_triplets(P, Q, ExactParams())
-        mu = motion_from_bases(Q[tq[row]], P[tp[row]])
-        assert got.motion.rotation.tobytes() == mu.rotation.tobytes()
-        assert got.motion.translation.tobytes() == mu.translation.tobytes()
+        for matcher, reference in (
+            (alignment, alignment_reference),
+            (geometric_hashing, geometric_hashing_reference),
+        ):
+            count, row = reference(P, Q)
+            assert count == 2 and row > 500
+            want = fingerprint(matcher(P, Q))
+            with monkeypatch.context() as patch:
+                patch.setattr(exact, "_ALIGN_CELLS", cells)
+                got = matcher(P, Q)
+            assert fingerprint(got) == want
+            assert got.votes == count
+            mu = motion_from_bases(Q[tq[row]], P[tp[row]])
+            assert got.motion.rotation.tobytes() == mu.rotation.tobytes()
+            assert got.motion.translation.tobytes() == mu.translation.tobytes()
 
 
 class TestGht:
@@ -170,6 +226,57 @@ class TestGeometricHashing:
         res = geometric_hashing(P, Q)
         assert res.size == 5
         assert res.votes == 2  # k - 3 further points
+
+    @pytest.mark.parametrize("height, kept", [(0.5e-9, False), (2e-9, True)])
+    def test_near_collinear_rows_as_alignment(self, monkeypatch, height, kept):
+        # (0, 1, 2) is a triangle of height just below or just above the
+        # collinear_rel threshold. Both matchers score the same congruent
+        # rows, so they skip its orderings together.
+        P = np.array(
+            [[0, 0, 0], [1, 0, 0], [0.5, height, 0], [0.2, 0.7, 0.4], [0.9, 0.3, -0.6]]
+        )
+        tq, tp, _ = scored_rows(monkeypatch, alignment, P, P)
+        g_tq, g_tp, _ = scored_rows(monkeypatch, geometric_hashing, P, P)
+        assert np.array_equal(tq, g_tq) and np.array_equal(tp, g_tp)
+        near = set(permutations([0, 1, 2]))
+        for trips in (tq, tp):
+            assert (near <= set(map(tuple, trips))) == kept
+            assert near.isdisjoint(map(tuple, trips)) != kept
+
+    @pytest.mark.parametrize("z, votes", [(-1e-12, 1), (5e-8, 1), (1e-6, 0), (-1e-6, 0)])
+    def test_zero_band_fourth_point(self, monkeypatch, z, votes):
+        # det = z for the unit right triangle and the fourth point (4, 4, z).
+        # The zero band is rel * scale^3 = 1.81e-7, scale being the fourth
+        # point's distance 5.66 to the origin (the triangle's sides are at
+        # most 1.42). The scene's fourth point lies in the band; model fourth
+        # points at every z are congruent within tau, but only those also in
+        # the band vote with it.
+        tri = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+        Q = np.array(tri + [[4, 4, 1e-12]])
+        P = np.array(tri + [[4, 4, z]])
+        if votes:
+            _, _, counts = scored_rows(monkeypatch, geometric_hashing, P, Q)
+            assert np.array_equal(counts, geometric_hashing_counts(P, Q))
+            assert counts.max() == votes
+        else:
+            with pytest.raises(NoCongruentTriplets):
+                geometric_hashing(P, Q)
+
+    @pytest.mark.parametrize("copied", ["model", "scene"])
+    def test_own_vertex_never_votes(self, monkeypatch, copied):
+        # One set also holds a copy of a triangle vertex. A vertex of a row's
+        # own triplet is congruent to that copy as a fourth point, but must
+        # not vote.
+        tri = [[0, 0, 0], [3, 0, 0], [0, 4, 0]]
+        P = np.array(tri + [[1, 1, 2]])
+        Q = np.vstack([P, [[3, 0, 0]]])
+        if copied == "model":
+            P, Q = Q, P
+        tq, tp, counts = scored_rows(monkeypatch, geometric_hashing, P, Q)
+        assert np.array_equal(counts, geometric_hashing_counts(P, Q))
+        # The row (0, 1, 2) -> (0, 1, 2) holds the copy outside its triplets.
+        row = np.flatnonzero((tq == [0, 1, 2]).all(axis=1) & (tp == [0, 1, 2]).all(axis=1))
+        assert counts[row].tolist() == [1]
 
 
 class TestGhtPairBased:

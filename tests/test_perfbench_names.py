@@ -1,0 +1,35 @@
+"""Every name the benchmark's tracer wraps still exists in lcpmatch.
+
+perfbench/tracing.py finds the layers of a match by wrapping library names
+in the namespace of their callers. A refactor that deletes or moves one of
+them does not fail the benchmark: the tracer skips the name and reports its
+per-layer metrics absent. This test fails instead.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolves the module's annotations through sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load_tracing()
+
+
+@pytest.mark.parametrize("wrap", tracing.WRAPS, ids=lambda w: w.key)
+def test_wrapped_name_resolves(wrap):
+    # The same lookup Tracer.install makes before it wraps a name.
+    owner = tracing.resolve(wrap.owner)
+    assert owner is not None, f"{wrap.owner} does not resolve"
+    assert callable(vars(owner).get(wrap.attr)), f"{wrap.key} is not a callable attribute"
