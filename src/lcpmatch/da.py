@@ -9,18 +9,20 @@ a closed arc of rotation angles keeping phi(q) within the report radius of
 p. The angle stabbing the most arcs, counting each q once, fixes the
 motion; the base pair itself contributes the "+2".
 
-One source pair is the unit of work, and all its bases are voted in one
-array pass (the screen): canonical motions for every base, the arc of
-every matched (q, p), the union of each (base, q)'s arcs, and a stabbing
-sweep segmented by base. Bases whose distinct-q count cannot reach the
-best overlap found so far are dropped before the screen. Only the bases
-tied at the best overlap over all pairs are rescored one at a time by the
+Source pairs are screened in batches, all bases of a batch in one array
+pass (the screen): one join for the candidate rows of every pair in the
+batch, canonical motions for every base, the arc of every matched (q, p),
+the union of each (base, q)'s arcs, and a stabbing sweep segmented by
+(pair, base). Bases whose distinct-q count cannot reach the best overlap
+of the batches before are dropped before the screen. Only the bases tied
+at the best overlap over all pairs are rescored one at a time by the
 scalar helpers, so the winner's motion and angle carry their arithmetic
 bit for bit. Tied winners are re-verified, polished by an iterated
 least-squares refit on their injective matches (kept only when it
 verifies at least as well), and the best certificate is returned. When
 the radius is down at rounding level (eps = 0), arcs hinge on the last
-bit and every base is scored by the scalar helpers instead.
+bit and every base is scored by the scalar helpers instead, one source
+pair at a time, from the same candidate rows.
 
 Guarantee shape: with all pairs and the tolerant precondition (minimum
 interpoint distance above 2*eps), the diameter pair of the optimal matched
@@ -36,6 +38,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -56,6 +59,7 @@ from .geometry import (
     max_overlap_angle,
     motion_from_bases,
     pair_canonical_motion,
+    pairwise_distances,
     rotation_about_line,
     rotation_distance_coeffs,
     union_intervals,
@@ -84,13 +88,29 @@ class MatchParams:
             raise ValueError("report_factor must be positive")
 
 
-def _longest_first(pairs, qq):
-    """Process long source pairs first: a diameter pair of the optimum is the
-    pair the guarantee rides on, and finding it early raises the skip floor."""
-    return sorted(
-        pairs,
-        key=lambda ab: (-float(np.linalg.norm(qq[ab[0]] - qq[ab[1]])), ab),
-    )
+# Join cells (queries times slab rows of the first key coordinate) that the
+# source pairs of one screened batch may span, at least one pair a batch.
+# The cells bound the rows a batch joins, and so the join's and the
+# screen's memory; the value trades per-pair call overhead against peak RSS.
+_BATCH_CELLS = 3 << 13
+
+
+def _live_pairs(source, qq, pair_dict, slack):
+    """The source pairs that pass the length filter, long pairs first.
+
+    Returns (src, lengths): pairs (a, b) and their lengths |ab|. A diameter
+    pair of the optimum is the pair the guarantee rides on, and finding it
+    early raises the skip floor.
+    """
+    pairs = materialize_pairs(source, len(qq))
+    lengths = np.array([float(np.linalg.norm(qq[a] - qq[b])) for a, b in pairs])
+    src = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    order = np.lexsort((src[:, 1], src[:, 0], -lengths))
+    live = [pair_dict.any_in_range(length, slack) for length in lengths[order].tolist()]
+    if not any(live):
+        raise NoCandidatePairs("no source pair length matches any model pair")
+    order = order[live]
+    return src[order], lengths[order]
 
 
 def _numeric_fuzz(pp, qq) -> float:
@@ -109,8 +129,8 @@ class _Candidate:
     q_pair: tuple[int, int]
     p_pair: tuple[int, int]
     angle: float
-    motion: RigidMotion  # phi for tolerant mode, the full winner for exact mode
-    composed: bool = False  # True when `motion` is already the full motion
+    motion: RigidMotion  # phi, the canonical motion of the base
+    window: tuple[tuple[int, int], ...] = ()  # exact mode: the (q, p) voting at angle
 
 
 def _arc_table(c0, c1, c2, radius: float):
@@ -180,21 +200,20 @@ def _run_starts(*columns):
     return new
 
 
-def _canonical_motions(p1, p2, q1, q2):
-    """pair_canonical_motion for many model pairs (p1, p2) and one scene pair.
+def _canonical_motions(p1, p2, q1, q2, nq_len):
+    """pair_canonical_motion for many model pairs (p1, p2) and scene pairs (q1, q2).
 
-    Returns the rotations (G, 3, 3), translations (G, 3) and unit axes
-    p1 -> p2 (G, 3). Batched reductions may differ from the scalar helper
-    in the last bit.
+    `nq_len` holds |q1 q2| as the scalar helper computes it. Returns the
+    rotations (G, 3, 3), translations (G, 3) and unit axes p1 -> p2 (G, 3).
+    Batched reductions may differ from the scalar helper in the last bit.
     """
     dp = p2 - p1
     dq = q2 - q1
     np_len = np.sqrt((dp * dp).sum(axis=1))
-    nq_len = float(np.sqrt(dq @ dq))
-    if nq_len < 1e-12 or (np_len < 1e-12).any():
+    if (nq_len < 1e-12).any() or (np_len < 1e-12).any():
         raise DegeneratePair("pair endpoints coincide")
     v = dp / np_len[:, None]
-    u = dq / nq_len
+    u = dq / nq_len[:, None]
     cr = _cross(u, v)
     s = np.sqrt((cr * cr).sum(axis=1))
     d = (v * u).sum(axis=1)
@@ -221,30 +240,43 @@ def _canonical_motions(p1, p2, q1, q2):
     w /= np.sqrt((w * w).sum(axis=1))[:, None]
     flip = 2.0 * w[:, :, None] * w[:, None, :] - eye
     rot = np.where(turn[:, None, None], rot, np.where((d > 0.0)[:, None, None], eye, flip))
-    return rot, p1 - rot @ q1, v
+    return rot, p1 - (rot @ q1[:, :, None])[:, :, 0], v
 
 
-def _screen(pp, qq, a, b, bases, g, qs, ps, radius):
-    """Overlap and stabbing angle of many bases of source pair (a, b) at once.
+def _screen(pp, qq, src, lengths, bases, g, qs, ps, radius):
+    """Overlap and stabbing angle of many bases at once.
 
-    The batched twin of _base_candidates. `bases` holds each base (i, j);
-    row r pairs scene point qs[r] with model point ps[r] under base g[r],
-    rows sorted by (g, qs, ps). Returns (overlap, angle) per base.
+    The batched twin of _base_candidates. Base k, bases[k] = (i, j), belongs
+    to source pair src[k] = (a, b) of length lengths[k]; row r pairs scene
+    point qs[r] with model point ps[r] under base g[r], rows sorted by (g,
+    qs, ps). Returns (overlap, angle) per base.
     """
-    p1 = pp[bases[:, 0]]
-    rot, tr, axis = _canonical_motions(p1, pp[bases[:, 1]], qq[a], qq[b])
-    img = (rot[g] @ qq[qs][:, :, None])[:, :, 0] + tr[g]
-    # rotation_distance_coeffs with one axis per row.
-    u, a1 = axis[g], p1[g]
-    v = img - a1
-    along = (v * u).sum(axis=1)[:, None] * u
-    perp = v - along
-    rel = a1 + along - pp[ps]
-    c0 = (rel * rel).sum(axis=1) + (perp * perp).sum(axis=1)
-    c1 = 2.0 * (rel * perp).sum(axis=1)
-    c2 = 2.0 * (rel * _cross(u, perp)).sum(axis=1)
-    full, arc, starts, ends = _arc_table(c0, c1, c2, radius)
+    coeffs = _row_coeffs(pp, qq, src, lengths, bases, g, qs, ps)
+    full, arc, starts, ends = _arc_table(*coeffs, radius)
     return _stab(g, qs, full, arc, starts, ends, len(bases))
+
+
+def _row_coeffs(pp, qq, src, lengths, bases, g, qs, ps):
+    """rotation_distance_coeffs of every row, with its base's canonical motion
+    and axis. The per-row temporaries are freed before the arc solve, and
+    the in-place steps round as the expressions they stand for."""
+    p1 = pp[bases[:, 0]]
+    rot, tr, axis = _canonical_motions(
+        p1, pp[bases[:, 1]], qq[src[:, 0]], qq[src[:, 1]], lengths
+    )
+    v = (rot[g] @ qq[qs][:, :, None])[:, :, 0]
+    v += tr[g]  # the image of q
+    u, a1 = axis[g], p1[g]
+    v -= a1
+    along = (v * u).sum(axis=1)[:, None] * u
+    v -= along  # perp
+    along += a1
+    along -= pp[ps]  # rel
+    return (
+        (along * along).sum(axis=1) + (v * v).sum(axis=1),
+        2.0 * (along * v).sum(axis=1),
+        2.0 * (along * _cross(u, v)).sum(axis=1),
+    )
 
 
 def _wrap_all(theta):
@@ -348,93 +380,102 @@ def _stab(g, qs, full, arc, starts, ends, n_bases):
     return overlap, angle
 
 
-def _base_groups(pp, qq, a, b, pair_dict, trip_index, slack):
-    """Candidate bases for one source pair via a single triplet-index join.
+def _batches(lengths, trip_index, slack, n):
+    """Slices of consecutive source pairs that span at most _BATCH_CELLS join
+    cells each; a pair of length L spans n - 2 queries times the slab rows of L."""
+    cells = np.zeros(len(lengths), dtype=np.int64)
+    if trip_index is not None:
+        first = trip_index.index.columns[0]
+        hi = np.searchsorted(first, lengths + slack, side="right")
+        cells = (n - 2) * (hi - np.searchsorted(first, lengths - slack, side="left"))
+    start, total = 0, 0
+    for k, c in enumerate(cells.tolist()):
+        if k > start and total + c > _BATCH_CELLS:
+            yield slice(start, k)
+            start, total = k, 0
+        total += c
+    yield slice(start, len(lengths))
 
-    Returns None when the pair fails the length filter, else the arrays
-    (qs, ps, bases, cuts, bounds). Rows (qs[r], ps[r]) are the joined
-    (scene, model) points sorted by base, then q, then p; group g is base
-    bases[g] = (i, j) and owns rows cuts[g]:cuts[g + 1]; bounds[g] is its
-    distinct-q count, which bounds its overlap. Every remaining q queries
-    the key (|q1 q2|, |q1 q|, |q2 q|), so all queries share one slab of the
-    first key coordinate.
+
+def _base_rows(m, dists, trip_index, slack, src, lengths):
+    """Candidate bases of a batch of source pairs via one triplet-index join.
+
+    Source pair src[k] = (a, b) queries the key (|ab|, |aq|, |bq|) for every
+    other scene point q, with |ab| = lengths[k] and the rest from `dists`,
+    the scene distance matrix. Returns the arrays (qs, ps, owner, bases,
+    cuts, bounds). Rows (qs[r], ps[r]) are the joined (scene, model) points
+    sorted by pair, base, q, then p; group g is base bases[g] = (i, j) of
+    pair src[owner[g]] and owns rows cuts[g]:cuts[g + 1]; bounds[g] is its
+    distinct-q count, which bounds its overlap.
     """
-    length = float(np.linalg.norm(qq[a] - qq[b]))
-    if not pair_dict.any_in_range(length, slack):
-        return None
     none = np.empty(0, dtype=np.int64)
     if trip_index is None:
-        return none, none, none.reshape(0, 2), np.zeros(1, dtype=np.int64), none
-    qs = np.delete(np.arange(len(qq)), [a, b])
-    d_a = np.linalg.norm(qq - qq[a], axis=1)
-    d_b = np.linalg.norm(qq - qq[b], axis=1)
-    keys = np.column_stack([np.full(len(qs), length), d_a[qs], d_b[qs]])
+        return none, none, none, none.reshape(0, 2), np.zeros(1, dtype=np.int64), none
+    n = len(dists)
+    pos, qs = np.divmod(np.arange(len(src) * n), n)
+    other = (qs != src[pos, 0]) & (qs != src[pos, 1])
+    pos, qs = pos[other], qs[other]
+    keys = np.column_stack([lengths[pos], dists[src[pos, 0], qs], dists[src[pos, 1], qs]])
     qi, rows = trip_index.index.join(keys, slack)
-    qs = qs[qi]
     trips = trip_index.triplets[rows]
-    # Sort by (i, j, q, p) through one integer code, unique per join row.
-    m = len(pp)
-    code = ((trips[:, 0] * m + trips[:, 1]) * len(qq) + qs) * m + trips[:, 2]
-    order = np.argsort(code)
-    qs, trips = qs[order], trips[order]
-    new_base = _run_starts(trips[:, 0], trips[:, 1])
-    new_q = _run_starts(trips[:, 0], trips[:, 1], qs)
-    heads = np.flatnonzero(new_base)
-    bounds = np.add.reduceat(new_q.astype(np.int64), heads)
-    return qs, trips[:, 2], trips[heads, :2], np.append(heads, len(qs)), bounds
+    # Sort by (pair, i, j, q, p) through one integer code, unique per join row.
+    pos, qs = pos[qi], qs[qi]
+    code = np.sort((((pos * m + trips[:, 0]) * m + trips[:, 1]) * n + qs) * m + trips[:, 2])
+    base_q, ps = np.divmod(code, m)
+    base, qs = np.divmod(base_q, n)
+    heads = np.flatnonzero(_run_starts(base))
+    bounds = np.add.reduceat(_run_starts(base_q).astype(np.int64), heads)
+    owner, i_j = np.divmod(base[heads], m * m)
+    bases = np.column_stack(np.divmod(i_j, m))
+    return qs, ps, owner, bases, np.append(heads, len(qs)), bounds
 
 
-def _two_match(qq, a, b, pair_dict, slack):
+def _two_match(pair_dict, slack, length):
     """With no voting base, the base pair alone is a 2-match in both directions."""
-    length = float(np.linalg.norm(qq[a] - qq[b]))
     i, j = min(pair_dict.query_range(length, slack))
     none = np.empty(0, dtype=np.int64)
     return [((i, j), none, none), ((j, i), none, none)]
 
 
 def _group(groups, g):
-    """(base, qs, ps) of group g of _base_groups."""
-    qs, ps, bases, cuts, _ = groups
+    """(base, qs, ps) of group g of _base_rows."""
+    qs, ps, _, bases, cuts, _ = groups
     rows = slice(cuts[g], cuts[g + 1])
     return (int(bases[g, 0]), int(bases[g, 1])), qs[rows], ps[rows]
 
 
-def _by_bound(groups):
-    """(bound, base, qs, ps) per group, by descending bound, then base."""
-    _, _, bases, _, bounds = groups
-    for g in np.lexsort((bases[:, 1], bases[:, 0], -bounds)):
-        yield (bounds[g], *_group(groups, g))
+def _screen_batch(pp, qq, src, lengths, rows, bare, radius, best: int):
+    """Screen every live base of a batch of source pairs in one array pass.
 
-
-def _pair_worker(pp, qq, a, b, pair_dict, trip_index, slack, radius, floor: int):
-    """Screen every live base of one source pair in one array pass.
-
-    Returns (passed, overlap, tied): whether the pair passed the length
-    filter, its best screened overlap (-1 when no base was screened), and
-    the (base, qs, ps) of every base at that overlap. Groups whose
-    distinct-q bound is below `floor`, the best overlap of the pairs before,
-    cannot reach the global maximum, so they are dropped before the screen.
-    A base at the global maximum M has bound >= M >= floor, so the tied set
-    is never pruned. With no voting base the base pair alone is a 2-match
-    in both directions.
+    rows() is the candidate-row builder. Returns the batch's best overlap
+    (-1 when no base was screened) and the (a, b, base, qs, ps) of every
+    base at it. Groups whose distinct-q bound is below the floor, `best`
+    the best overlap of the batches before, cannot reach the global
+    maximum, so they are dropped before the screen. A base at the global
+    maximum M has bound >= M >= floor, so the tied set is never pruned. A
+    pair with no voting base scores 0 with the bases bare(length) gives.
     """
-    groups = _base_groups(pp, qq, a, b, pair_dict, trip_index, slack)
-    if groups is None:
-        return False, -1, []
-    qs, ps, bases, cuts, bounds = groups
-    if len(bounds) == 0:
-        return True, 0, _two_match(qq, a, b, pair_dict, slack)
+    groups = qs, ps, owner, bases, cuts, bounds = rows(src, lengths)
+    floor = max(best, 0)
+    overlap = np.full(len(bounds), -1)
     keep = bounds >= floor
-    if not keep.any():
-        return True, -1, []
-    sizes = np.diff(cuts)
-    rows = np.repeat(keep, sizes)
-    g = np.repeat(np.arange(keep.sum()), sizes[keep])
-    overlap, _ = _screen(pp, qq, a, b, bases[keep], g, qs[rows], ps[rows], radius)
-    top = int(overlap.max())
+    if keep.any():
+        sizes = np.diff(cuts)
+        live = np.repeat(keep, sizes)
+        g = np.repeat(np.arange(keep.sum()), sizes[keep])
+        k = owner[keep]
+        overlap[keep], _ = _screen(
+            pp, qq, src[k], lengths[k], bases[keep], g, qs[live], ps[live], radius
+        )
+    empty = np.flatnonzero(np.bincount(owner, minlength=len(src)) == 0)
+    top = max(int(overlap.max(initial=-1)), 0 if len(empty) else -1)
     if top < floor:
-        return True, top, []
-    return True, top, [_group(groups, k) for k in np.flatnonzero(keep)[overlap == top]]
+        return top, []
+    pairs = src.tolist()
+    tied = [(*pairs[owner[g]], *_group(groups, g)) for g in np.flatnonzero(overlap == top)]
+    if top == 0:
+        tied += [(*pairs[k], *t) for k in empty for t in bare(lengths[k])]
+    return top, tied
 
 
 def _select_winner(pp, qq, candidates, radius, refine: bool = False) -> MatchResult:
@@ -442,17 +483,10 @@ def _select_winner(pp, qq, candidates, radius, refine: bool = False) -> MatchRes
     tied = [c for c in candidates if c.overlap == max_overlap]
     scored = []
     for c in tied:
-        mu = (
-            c.motion
-            if c.composed
-            else rotation_about_line(pp[c.p_pair[0]], pp[c.p_pair[1]], c.angle).compose(
-                c.motion
-            )
-        )
         result = build_match_result(
             pp,
             qq,
-            mu,
+            _full_motion(pp, qq, c),
             radius,
             votes=max_overlap + 2,
             base_pair=(c.q_pair, c.p_pair),
@@ -464,6 +498,18 @@ def _select_winner(pp, qq, candidates, radius, refine: bool = False) -> MatchRes
         scored.append((key, result))
     scored.sort(key=lambda s: s[0])
     return scored[0][1]
+
+
+def _full_motion(pp, qq, c: _Candidate) -> RigidMotion:
+    """The motion of a candidate: from the first non-degenerate matched basis
+    of its window (full precision in exact mode), else phi turned by the angle."""
+    (a, b), (i, j) = c.q_pair, c.p_pair
+    for q, p in c.window:
+        try:
+            return motion_from_bases(qq[[a, b, q]], pp[[i, j, p]])
+        except DegenerateBasis:
+            continue
+    return rotation_about_line(pp[i], pp[j], c.angle).compose(c.motion)
 
 
 def _refine_result(pp, qq, result: MatchResult, radius: float) -> MatchResult:
@@ -510,11 +556,12 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     (votes) is at least the optimal matched-set size and every certified
     residual is at most report_factor * eps.
 
-    Each source pair is screened in one array pass (_pair_worker), with
-    the best overlap so far as a pruning floor; the bases tied at the best
-    overlap over all pairs are then rescored by _base_candidates, and
-    _select_winner verifies and refines them. `threads` is accepted and
-    ignored: matching runs in the calling thread.
+    Source pairs are screened in batches of at most _BATCH_CELLS join cells
+    (_screen_batch), with the best overlap of the batches before as a
+    pruning floor; the bases tied at the best overlap over all pairs are
+    then rescored by _base_candidates, and _select_winner verifies and
+    refines them. `threads` is accepted and ignored: matching runs in the
+    calling thread.
     """
     pp, qq = as_points(P), as_points(Q)
     if len(pp) < 2 or len(qq) < 2:
@@ -524,7 +571,9 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     radius = max(params.report_factor * params.eps, fuzz)
     pair_dict = build_pair_dict(pp)
     trip_index = build_triplet_index(pp) if len(pp) >= 3 else None
-    pairs = _longest_first(materialize_pairs(params.pair_source, len(qq)), qq)
+    src, lengths = _live_pairs(params.pair_source, qq, pair_dict, slack)
+    rows = partial(_base_rows, len(pp), pairwise_distances(qq), trip_index, slack)
+    bare = partial(_two_match, pair_dict, slack)
 
     # Squared distances round to about 1e-16 * scale^2, scale the largest
     # coordinate. Below a radius of 1e-6 * scale (eps = 0 leaves only the
@@ -535,59 +584,53 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     screen = radius >= 1e-6 * scale
     if screen:
         # The best overlap so far is a lower bound on the winning overlap.
-        floor = 0
-        outcomes = []
-        for a, b in pairs:
-            outcomes.append(
-                _pair_worker(pp, qq, a, b, pair_dict, trip_index, slack, radius, floor)
-            )
-            floor = max(floor, outcomes[-1][1])
-        passed = any(passed for passed, _, _ in outcomes)
-        top = max((overlap for _, overlap, _ in outcomes), default=-1)
+        top, tied = -1, []
+        for b in _batches(lengths, trip_index, slack, len(qq)):
+            found, bases = _screen_batch(pp, qq, src[b], lengths[b], rows, bare, radius, top)
+            if found > top:
+                top, tied = found, []
+            if found == top:
+                tied += bases
         # Only the bases tied at the global maximum are rescored by the
         # scalar path, whose arithmetic the winner's motion and angle carry.
-        candidates = [
-            _base_candidates(pp, qq, a, b, base, qs, ps, radius)
-            for (a, b), (_, overlap, tied) in zip(pairs, outcomes)
-            if overlap == top
-            for base, qs, ps in tied
-        ]
+        candidates = [_base_candidates(pp, qq, *t, radius) for t in tied]
         # A tied base rescored off the screen's maximum is that same
         # disagreement, seen late.
         screen = all(c.overlap == top for c in candidates)
     if not screen:
-        passed, candidates = _scalar_candidates(
-            pp, qq, pairs, pair_dict, trip_index, slack, radius
+        candidates = _scalar_candidates(
+            src, lengths, rows, lambda *t: _base_candidates(pp, qq, *t, radius), bare
         )
-    if not passed:
-        raise NoCandidatePairs("no source pair length matches any model pair")
-    if not candidates:
-        raise NoCandidatePairs("source pairs passed the filter but found no bases")
     return _select_winner(pp, qq, candidates, radius, refine=True)
 
 
-def _scalar_candidates(pp, qq, pairs, pair_dict, trip_index, slack, radius):
-    """Whether any pair passed, and every base that can tie the best overlap
-    scored by _base_candidates."""
-    passed = False
+def _scalar_candidates(src, lengths, rows, score, bare=None):
+    """Every base that can tie the best overlap, scored one at a time.
+
+    Each source pair takes its groups from rows(), the batch builder, on its
+    own; they go by descending bound, then base, and the pair stops at the
+    first bound below the best overlap so far. score(a, b, base, qs, ps)
+    gives a _Candidate. A pair with no voting base scores the bases
+    bare(length) gives, or none when `bare` is None.
+    """
     floor = 0
     candidates: list[_Candidate] = []
-    for a, b in pairs:
-        groups = _base_groups(pp, qq, a, b, pair_dict, trip_index, slack)
-        if groups is None:
-            continue
-        passed = True
-        if len(groups[4]) == 0:
-            ranked = [(0, *t) for t in _two_match(qq, a, b, pair_dict, slack)]
-        else:
-            ranked = _by_bound(groups)
+    for k, (a, b) in enumerate(src.tolist()):
+        groups = rows(src[k : k + 1], lengths[k : k + 1])
+        _, _, _, bases, _, bounds = groups
+        ranked = (
+            (bounds[g], *_group(groups, g))
+            for g in np.lexsort((bases[:, 1], bases[:, 0], -bounds))
+        )
+        if len(bounds) == 0 and bare is not None:
+            ranked = [(0, *t) for t in bare(lengths[k])]
         for bound, base, qs, ps in ranked:
             if bound < floor:
                 break
-            cand = _base_candidates(pp, qq, a, b, base, qs, ps, radius)
+            cand = score(a, b, base, qs, ps)
             candidates.append(cand)
             floor = max(floor, cand.overlap)
-    return passed, candidates
+    return candidates
 
 
 def da_exact(
@@ -601,7 +644,10 @@ def da_exact(
 
     The modal angle over the sorted angle list plays the role of the interval
     sweep; with pigeonhole pairs at ratio alpha and a true matched set larger
-    than n/alpha, the winner matches the all-pairs run.
+    than n/alpha, the winner matches the all-pairs run. Source pairs are
+    walked one at a time from the same candidate rows as da_match, each
+    scored base keeping its modal window; only the tied winners build their
+    motion from a matched basis.
     """
     pp, qq = as_points(P), as_points(Q)
     if len(pp) < 3 or len(qq) < 3:
@@ -611,25 +657,11 @@ def da_exact(
     radius = slack
     pair_dict = build_pair_dict(pp)
     trip_index = build_triplet_index(pp)
-    pair_list = _longest_first(materialize_pairs(pairs, len(qq)), qq)
-
-    any_passed = False
-    floor = 0
-    candidates: list[_Candidate] = []
-    for a, b in pair_list:
-        groups = _base_groups(pp, qq, a, b, pair_dict, trip_index, slack)
-        if groups is None:
-            continue
-        any_passed = True
-        for bound, base, qs, ps in _by_bound(groups):
-            if bound < floor:
-                break
-            cand = _exact_base_candidate(pp, qq, a, b, base, qs, ps, radius, angle_tol)
-            if cand is not None:
-                candidates.append(cand)
-                floor = max(floor, cand.overlap)
-    if not any_passed:
-        raise NoCandidatePairs("no source pair length matches any model pair")
+    src, lengths = _live_pairs(pairs, qq, pair_dict, slack)
+    rows = partial(_base_rows, len(pp), pairwise_distances(qq), trip_index, slack)
+    candidates = _scalar_candidates(
+        src, lengths, rows, lambda *t: _exact_base_candidate(pp, qq, *t, radius, angle_tol)
+    )
     if not candidates:
         raise NoCandidatePairs("source pairs passed the filter but found no bases")
     return _select_winner(pp, qq, candidates, radius)
@@ -662,21 +694,9 @@ def _exact_base_candidate(pp, qq, a, b, base, qs, ps, radius, angle_tol):
         distinct = len({entries[k % len(entries)][1] for k in range(lo, hi)})
         if distinct > best_count:
             best_count, best_lo, best_hi = distinct, lo, hi
-    window = [entries[k % len(entries)] for k in range(best_lo, best_hi)]
-    psi = window[0][0]
-    overlap = best_count + n_always
-
-    # Recompute the winner motion from a matched basis for full precision.
-    motion = None
-    for _t, q, p in window:
-        try:
-            motion = motion_from_bases(qq[[a, b, q]], pp[[i, j, p]])
-            break
-        except DegenerateBasis:
-            continue
-    if motion is None:
-        motion = rotation_about_line(pp[i], pp[j], psi).compose(phi)
-    return _Candidate(overlap, (a, b), (i, j), psi, motion, composed=True)
+    # Only a tied winner builds its motion from a matched basis of the window.
+    window = tuple(entries[k % len(entries)][1:] for k in range(best_lo, best_hi))
+    return _Candidate(best_count + n_always, (a, b), (i, j), entries[best_lo][0], phi, window)
 
 
 def expander_da(

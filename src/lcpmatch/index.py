@@ -135,7 +135,8 @@ class KeyIndex:
             pos = np.arange(a, b)
             mask = (pos >= lo[s:e, None]) & (pos < hi[s:e, None])
             for c in range(1, len(self.columns)):
-                mask &= np.abs(self.columns[c, a:b] - queries[rows, c, None]) <= slack
+                diff = self.columns[c, a:b] - queries[rows, c, None]
+                mask &= np.abs(diff, out=diff) <= slack
             qi, ki = np.nonzero(mask)
             q_parts.append(rows[qi])
             k_parts.append(self.order[a + ki])

@@ -5,7 +5,8 @@ from lcpmatch import da
 from lcpmatch.da import (
     MatchParams,
     _base_candidates,
-    _base_groups,
+    _base_rows,
+    _live_pairs,
     _numeric_fuzz,
     _screen,
     _stab,
@@ -21,14 +22,16 @@ from lcpmatch.geometry import (
     dihedral_interval,
     max_overlap_angle,
     pair_canonical_motion,
+    pairwise_distances,
     triangle_key,
     union_intervals,
 )
-from lcpmatch.index import build_pair_dict, build_triplet_index
+from lcpmatch.index import build_pair_dict, build_triplet_index, ordered_triplets_and_keys
 from lcpmatch.oracle import GenSpec, exact_lcp_bruteforce, generate_instance
 from lcpmatch.sampling import AllPairs, Expander, Pigeonhole, materialize_pairs
 
 from test_exact import five_point_instance
+from test_pinned_outputs import fingerprint, tolerant_instance
 
 
 class TestDaMatch:
@@ -124,22 +127,103 @@ class TestDaMatch:
 
 
 def screened_and_scalar(P, Q, eps, source):
-    """(screened, scalar) overlap and angle of every base of every source pair."""
+    """(screened, scalar) overlap and angle of every base of every source pair.
+
+    All source pairs go through the screen as one batch.
+    """
     pp, qq = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     fuzz = _numeric_fuzz(pp, qq)
     slack, radius = max(2 * eps, fuzz), max(4 * eps, fuzz)
     pair_dict, trip_index = build_pair_dict(pp), build_triplet_index(pp)
-    for a, b in materialize_pairs(source, len(qq)):
-        groups = _base_groups(pp, qq, a, b, pair_dict, trip_index, slack)
-        if groups is None:
-            continue
-        qs, ps, bases, cuts, _ = groups
-        g = np.repeat(np.arange(len(bases)), np.diff(cuts))
-        overlaps, angles = _screen(pp, qq, a, b, bases, g, qs, ps, radius)
-        for k, (i, j) in enumerate(bases):
-            rows = slice(cuts[k], cuts[k + 1])
-            cand = _base_candidates(pp, qq, a, b, (i, j), qs[rows], ps[rows], radius)
-            yield (overlaps[k], angles[k]), (cand.overlap, cand.angle)
+    src, lengths = _live_pairs(source, qq, pair_dict, slack)
+    qs, ps, owner, bases, cuts, _ = _base_rows(
+        len(pp), pairwise_distances(qq), trip_index, slack, src, lengths
+    )
+    g = np.repeat(np.arange(len(bases)), np.diff(cuts))
+    overlaps, angles = _screen(pp, qq, src[owner], lengths[owner], bases, g, qs, ps, radius)
+    for k, (i, j) in enumerate(bases.tolist()):
+        a, b = src[owner[k]].tolist()
+        rows = slice(cuts[k], cuts[k + 1])
+        cand = _base_candidates(pp, qq, a, b, (i, j), qs[rows], ps[rows], radius)
+        yield (overlaps[k], angles[k]), (cand.overlap, cand.angle)
+
+
+def per_pair_rows(qq, a, b, trip_index, slack):
+    """(i, j, q, p) rows of source pair (a, b) by its own join, keyed as one
+    source pair at a time computes its queries."""
+    length = float(np.linalg.norm(qq[a] - qq[b]))
+    qs = np.delete(np.arange(len(qq)), [a, b])
+    d_a = np.linalg.norm(qq - qq[a], axis=1)
+    d_b = np.linalg.norm(qq - qq[b], axis=1)
+    keys = np.column_stack([np.full(len(qs), length), d_a[qs], d_b[qs]])
+    qi, rows = trip_index.index.join(keys, slack)
+    trips = trip_index.triplets[rows]
+    return sorted(zip(*trips[:, :2].T.tolist(), qs[qi].tolist(), trips[:, 2].tolist()))
+
+
+def batch_rows(qq, src, lengths, trip_index, slack, m):
+    """(pair, i, j, q, p) rows of one _base_rows batch, in its order."""
+    qs, ps, owner, bases, cuts, _ = _base_rows(
+        m, pairwise_distances(qq), trip_index, slack, src, lengths
+    )
+    g = np.repeat(np.arange(len(bases)), np.diff(cuts))
+    return list(zip(owner[g].tolist(), *bases[g].T.tolist(), qs.tolist(), ps.tolist()))
+
+
+class TestBaseRows:
+    """One join over a batch of source pairs gives each pair's own rows."""
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_batch_rows_equal_per_pair_joins(self, seed):
+        inst = tolerant_instance(seed)
+        pp, qq = inst.P, inst.Q
+        slack = 2 * inst.eps
+        trip_index = build_triplet_index(pp)
+        src, lengths = _live_pairs(AllPairs(), qq, build_pair_dict(pp), slack)
+        for k, (a, b) in enumerate(src.tolist()):
+            assert lengths[k] == float(np.linalg.norm(qq[a] - qq[b]))
+        dists = pairwise_distances(qq)
+        for a in range(len(qq)):
+            assert dists[a].tobytes() == np.linalg.norm(qq - qq[a], axis=1).tobytes()
+        want = [
+            (k, *row)
+            for k, (a, b) in enumerate(src.tolist())
+            for row in per_pair_rows(qq, a, b, trip_index, slack)
+        ]
+        assert len(want) > 1000
+        assert batch_rows(qq, src, lengths, trip_index, slack, len(pp)) == want
+
+    @pytest.mark.parametrize("seed", range(1, 4))
+    def test_rows_at_the_slack_boundary(self, seed):
+        # Each slack puts one (query, triplet) key pair exactly on the
+        # boundary, so a key float that moved by one bit would drop or add it.
+        inst = tolerant_instance(seed)
+        pp, qq = inst.P, inst.Q
+        trips, keys = ordered_triplets_and_keys(pp)
+        trip_index = build_triplet_index(pp)
+        pair_dict = build_pair_dict(pp)
+        rng = np.random.default_rng(seed)
+        src, _ = _live_pairs(Pigeonhole(4), qq, pair_dict, 0.6)
+        for a, b in src[rng.choice(len(src), 4, replace=False)].tolist():
+            q = int(rng.choice(np.delete(np.arange(len(qq)), [a, b])))
+            query = np.array(
+                [
+                    float(np.linalg.norm(qq[a] - qq[b])),
+                    np.linalg.norm(qq - qq[a], axis=1)[q],
+                    np.linalg.norm(qq - qq[b], axis=1)[q],
+                ]
+            )
+            gaps = np.abs(keys - query)
+            worst = gaps.max(axis=1)
+            # The boundary sits in a distance coordinate, past the length filter.
+            inner = np.flatnonzero(gaps[:, 0] < worst)
+            r = int(inner[np.argsort(worst[inner], kind="stable")[len(inner) // 50]])
+            slack = float(worst[r])
+            sub, lengths = _live_pairs([(a, b)], qq, pair_dict, slack)
+            got = batch_rows(qq, sub, lengths, trip_index, slack, len(pp))
+            want = [(0, *row) for row in per_pair_rows(qq, a, b, trip_index, slack)]
+            assert got == want
+            assert (0, *trips[r, :2].tolist(), q, int(trips[r, 2])) in got
 
 
 def scalar_stab(g, qs, full, arc, starts, ends, n_bases):
@@ -300,6 +384,80 @@ class TestScalarFallback:
         monkeypatch.setattr(da, "_scalar_candidates", count)
         assert self.same(da_match(inst.P, inst.Q, params), want)
         assert fallbacks == [1]
+
+
+def budget_results(monkeypatch, call, budgets=(1, 1 << 13, 1 << 62)):
+    """Fingerprints of call() with the screen's batch budget at each value:
+    one source pair a batch, a few, and every pair in one batch."""
+    out = []
+    for cells in budgets:
+        with monkeypatch.context() as patch:
+            patch.setattr(da, "_BATCH_CELLS", cells)
+            res = call()
+        out.append((fingerprint(res), res.angle))
+    return out
+
+
+class TestBatchBudget:
+    """How many source pairs share a screen changes the work, not the result."""
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_budget_leaves_result(self, monkeypatch, seed):
+        inst = tolerant_instance(seed)
+        small = generate_instance(GenSpec(m=12, n=12, k=5, eps=0.3, noise=0.3), seed=seed)
+        eps = inst.eps
+        for P, Q in ((inst.P, inst.Q), (small.P, small.Q)):
+            first, *rest = budget_results(
+                monkeypatch, lambda: expander_da(P, Q, eps, degree=8, alpha=0.05, seed=seed)
+            )
+            assert all(r == first for r in rest)
+            for src in (AllPairs(), Pigeonhole(4), Expander(8, seed)):
+                first, *rest = budget_results(
+                    monkeypatch, lambda: da_match(P, Q, MatchParams(eps, pair_source=src))
+                )
+                assert all(r == first for r in rest)
+
+    def test_floor_between_batches_prunes(self, monkeypatch):
+        inst = tolerant_instance(1)
+        params = MatchParams(inst.eps, pair_source=Pigeonhole(4))
+        screen, screened = da._screen, []
+
+        def count(pp, qq, src, lengths, bases, *rest):
+            screened.append(len(bases))
+            return screen(pp, qq, src, lengths, bases, *rest)
+
+        monkeypatch.setattr(da, "_screen", count)
+        per_batch, results = {}, set()
+        for cells in (1, 1 << 62):
+            monkeypatch.setattr(da, "_BATCH_CELLS", cells)
+            screened.clear()
+            results.add(fingerprint(da_match(inst.P, inst.Q, params)))
+            per_batch[cells] = list(screened)
+        assert len(results) == 1
+        # One batch screens every base; one pair a batch prunes some.
+        assert len(per_batch[1 << 62]) == 1
+        assert len(per_batch[1]) > 1
+        assert sum(per_batch[1]) < per_batch[1 << 62][0]
+
+    def test_only_two_matches_reach_the_top(self, monkeypatch):
+        # Q pairs (0, 1) and (2, 3) match the length of P's pair (0, 1), but no
+        # third point matches a triangle: both are bare 2-matches.
+        P = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 3.0, 0]])
+        Q = np.array([[0.0, 0, 0], [1.0, 0, 0], [10.0, 10, 10], [11.0, 10, 10]])
+        params = MatchParams(0.05)
+        results = budget_results(monkeypatch, lambda: da_match(P, Q, params))
+        assert all(r == results[0] for r in results)
+        res = da_match(P, Q, params)
+        assert res.votes == 2
+        assert res.base_pair[0] in ((0, 1), (2, 3))
+
+    def test_scalar_path_at_zero_eps(self, monkeypatch):
+        inst = generate_instance(GenSpec(m=12, n=12, k=6, eps=0.0, exact=True), seed=2)
+        for src in (AllPairs(), Pigeonhole(4)):
+            results = budget_results(
+                monkeypatch, lambda: da_match(inst.P, inst.Q, MatchParams(0.0, pair_source=src))
+            )
+            assert all(r == results[0] for r in results)
 
 
 class TestSweepAgainstDenseSampling:
