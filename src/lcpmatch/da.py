@@ -9,20 +9,21 @@ a closed arc of rotation angles keeping phi(q) within the report radius of
 p. The angle stabbing the most arcs, counting each q once, fixes the
 motion; the base pair itself contributes the "+2".
 
-Source pairs are screened in batches, all bases of a batch in one array
-pass (the screen): one join for the candidate rows of every pair in the
-batch, canonical motions for every base, the arc of every matched (q, p),
-the union of each (base, q)'s arcs, and a stabbing sweep segmented by
-(pair, base). Bases whose distinct-q count cannot reach the best overlap
-of the batches before are dropped before the screen. Only the bases tied
-at the best overlap over all pairs are rescored one at a time by the
-scalar helpers, so the winner's motion and angle carry their arithmetic
-bit for bit. Tied winners are re-verified, polished by an iterated
-least-squares refit on their injective matches (kept only when it
-verifies at least as well), and the best certificate is returned. When
-the radius is down at rounding level (eps = 0), arcs hinge on the last
-bit and every base is scored by the scalar helpers instead, one source
-pair at a time, from the same candidate rows.
+Source pairs are taken in batches, one join for the candidate rows of
+every pair in a batch. Its bases are screened in array passes (the
+screen): canonical motions for every base, the arc of every matched (q, p),
+the union of each (base, q)'s arcs, and a stabbing sweep segmented by base.
+Bases go from the highest distinct-q count, which bounds their overlap, to
+the lowest, a chunk of rows a pass; the best overlap so far is a floor, and
+the batch stops at the first base whose bound is below it. Only the bases
+tied at the best overlap over all pairs are rescored one at a time by the
+scalar helpers, so the winner's motion and angle carry their arithmetic bit
+for bit. Tied winners are re-verified, polished by an iterated least-squares
+refit on their injective matches (kept only when it verifies at least as
+well), and the best certificate is returned. When the radius is down at
+rounding level (eps = 0), arcs hinge on the last bit and every base is
+scored by the scalar helpers instead, one source pair at a time, from the
+same batched candidate rows.
 
 Guarantee shape: with all pairs and the tolerant precondition (minimum
 interpoint distance above 2*eps), the diameter pair of the optimal matched
@@ -55,6 +56,7 @@ from .geometry import (
     AngleInterval,
     RigidMotion,
     as_points,
+    cross,
     least_squares_motion,
     max_overlap_angle,
     motion_from_bases,
@@ -89,10 +91,12 @@ class MatchParams:
 
 
 # Join cells (queries times slab rows of the first key coordinate) that the
-# source pairs of one screened batch may span, at least one pair a batch.
-# The cells bound the rows a batch joins, and so the join's and the
-# screen's memory; the value trades per-pair call overhead against peak RSS.
-_BATCH_CELLS = 3 << 13
+# source pairs of one batch may span, at least one pair a batch. A cell
+# yields at most one candidate row, so this bounds the row builder's output.
+_BATCH_CELLS = 1 << 20
+# Rows of one _screen call, at least one base a call; this bounds the
+# screen's per-row temporaries and lets the floor rise between calls.
+_SCREEN_ROWS = 1 << 11
 
 
 def _live_pairs(source, qq, pair_dict, slack):
@@ -179,18 +183,6 @@ def _base_candidates(pp, qq, a, b, base, qs, ps, radius):
     return _Candidate(overlap, (a, b), (i, j), psi, phi)
 
 
-def _cross(u, v):
-    """np.cross of row vectors, without its axis bookkeeping."""
-    return np.stack(
-        [
-            u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1],
-            u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
-            u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0],
-        ],
-        axis=-1,
-    )
-
-
 def _run_starts(*columns):
     """True at row 0 and wherever a row differs from the previous one in any column."""
     new = np.zeros(len(columns[0]), dtype=bool)
@@ -214,7 +206,7 @@ def _canonical_motions(p1, p2, q1, q2, nq_len):
         raise DegeneratePair("pair endpoints coincide")
     v = dp / np_len[:, None]
     u = dq / nq_len[:, None]
-    cr = _cross(u, v)
+    cr = cross(u, v)
     s = np.sqrt((cr * cr).sum(axis=1))
     d = (v * u).sum(axis=1)
     # Rodrigues about cr/s by angle atan2(s, d) where the directions differ.
@@ -275,7 +267,7 @@ def _row_coeffs(pp, qq, src, lengths, bases, g, qs, ps):
     return (
         (along * along).sum(axis=1) + (v * v).sum(axis=1),
         2.0 * (along * v).sum(axis=1),
-        2.0 * (along * _cross(u, v)).sum(axis=1),
+        2.0 * (along * cross(u, v)).sum(axis=1),
     )
 
 
@@ -444,29 +436,40 @@ def _group(groups, g):
     return (int(bases[g, 0]), int(bases[g, 1])), qs[rows], ps[rows]
 
 
-def _screen_batch(pp, qq, src, lengths, rows, bare, radius, best: int):
-    """Screen every live base of a batch of source pairs in one array pass.
+def _screen_ranked(pp, qq, src, lengths, rows, bare, radius, best: int):
+    """Screen the live bases of a batch of source pairs, highest bound first.
 
-    rows() is the candidate-row builder. Returns the batch's best overlap
-    (-1 when no base was screened) and the (a, b, base, qs, ps) of every
-    base at it. Groups whose distinct-q bound is below the floor, `best`
-    the best overlap of the batches before, cannot reach the global
-    maximum, so they are dropped before the screen. A base at the global
-    maximum M has bound >= M >= floor, so the tied set is never pruned. A
-    pair with no voting base scores 0 with the bases bare(length) gives.
+    rows() is the candidate-row builder. Its groups go by descending
+    distinct-q bound, ties in (pair, base) order, in chunks of at most
+    _SCREEN_ROWS rows (at least one group), one _screen call each. The
+    floor starts at max(best, 0), `best` the best overlap of the batches
+    before, and rises after every chunk; screening stops at the first group
+    whose bound is below it, since every later group's bound is lower. A
+    base at the global maximum M has bound >= M >= floor, so the tied set
+    is never pruned. Returns the batch's best overlap (-1 when no base was
+    screened) and the (a, b, base, qs, ps) of every base at it. A pair with
+    no voting base scores 0 with the bases bare(length) gives.
     """
     groups = qs, ps, owner, bases, cuts, bounds = rows(src, lengths)
-    floor = max(best, 0)
+    order = np.argsort(-bounds, kind="stable")
+    ranked, sizes = -bounds[order], np.diff(cuts)[order]
+    ends = np.cumsum(sizes)
+    heads = ends - sizes  # row offsets of the groups taken in rank order
     overlap = np.full(len(bounds), -1)
-    keep = bounds >= floor
-    if keep.any():
-        sizes = np.diff(cuts)
-        live = np.repeat(keep, sizes)
-        g = np.repeat(np.arange(keep.sum()), sizes[keep])
-        k = owner[keep]
-        overlap[keep], _ = _screen(
-            pp, qq, src[k], lengths[k], bases[keep], g, qs[live], ps[live], radius
+    floor, start = max(best, 0), 0
+    while start < len(order) and -ranked[start] >= floor:
+        # At most _SCREEN_ROWS rows and at least one group, none below the floor.
+        stop = int(np.searchsorted(ends, heads[start] + _SCREEN_ROWS, "right"))
+        stop = min(max(start + 1, stop), int(np.searchsorted(ranked, -floor, "right")))
+        chunk, n_rows = order[start:stop], sizes[start:stop]
+        r = np.repeat(cuts[chunk] - heads[start:stop], n_rows)
+        r += np.arange(heads[start], ends[stop - 1])
+        g = np.repeat(np.arange(len(chunk)), n_rows)
+        k = owner[chunk]
+        overlap[chunk], _ = _screen(
+            pp, qq, src[k], lengths[k], bases[chunk], g, qs[r], ps[r], radius
         )
+        floor, start = max(floor, int(overlap[chunk].max())), stop
     empty = np.flatnonzero(np.bincount(owner, minlength=len(src)) == 0)
     top = max(int(overlap.max(initial=-1)), 0 if len(empty) else -1)
     if top < floor:
@@ -556,8 +559,9 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     (votes) is at least the optimal matched-set size and every certified
     residual is at most report_factor * eps.
 
-    Source pairs are screened in batches of at most _BATCH_CELLS join cells
-    (_screen_batch), with the best overlap of the batches before as a
+    Source pairs are joined in batches of at most _BATCH_CELLS join cells.
+    A batch's bases are screened by descending bound in chunks of at most
+    _SCREEN_ROWS rows (_screen_ranked), the best overlap so far being the
     pruning floor; the bases tied at the best overlap over all pairs are
     then rescored by _base_candidates, and _select_winner verifies and
     refines them. `threads` is accepted and ignored: matching runs in the
@@ -573,6 +577,7 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     trip_index = build_triplet_index(pp) if len(pp) >= 3 else None
     src, lengths = _live_pairs(params.pair_source, qq, pair_dict, slack)
     rows = partial(_base_rows, len(pp), pairwise_distances(qq), trip_index, slack)
+    batches = list(_batches(lengths, trip_index, slack, len(qq)))
     bare = partial(_two_match, pair_dict, slack)
 
     # Squared distances round to about 1e-16 * scale^2, scale the largest
@@ -585,8 +590,8 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     if screen:
         # The best overlap so far is a lower bound on the winning overlap.
         top, tied = -1, []
-        for b in _batches(lengths, trip_index, slack, len(qq)):
-            found, bases = _screen_batch(pp, qq, src[b], lengths[b], rows, bare, radius, top)
+        for b in batches:
+            found, bases = _screen_ranked(pp, qq, src[b], lengths[b], rows, bare, radius, top)
             if found > top:
                 top, tied = found, []
             if found == top:
@@ -599,37 +604,42 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
         screen = all(c.overlap == top for c in candidates)
     if not screen:
         candidates = _scalar_candidates(
-            src, lengths, rows, lambda *t: _base_candidates(pp, qq, *t, radius), bare
+            src, lengths, rows, batches, lambda *t: _base_candidates(pp, qq, *t, radius), bare
         )
     return _select_winner(pp, qq, candidates, radius, refine=True)
 
 
-def _scalar_candidates(src, lengths, rows, score, bare=None):
+def _scalar_candidates(src, lengths, rows, batches, score, bare=None):
     """Every base that can tie the best overlap, scored one at a time.
 
-    Each source pair takes its groups from rows(), the batch builder, on its
-    own; they go by descending bound, then base, and the pair stops at the
-    first bound below the best overlap so far. score(a, b, base, qs, ps)
-    gives a _Candidate. A pair with no voting base scores the bases
-    bare(length) gives, or none when `bare` is None.
+    Each batch of source pairs takes its groups from one rows() call, the
+    batch builder. Its pairs go in order, each pair's groups by descending
+    bound, then base, and a pair stops at the first bound below the best
+    overlap so far. score(a, b, base, qs, ps) gives a _Candidate. A pair
+    with no voting base scores the bases bare(length) gives, or none when
+    `bare` is None.
     """
     floor = 0
     candidates: list[_Candidate] = []
-    for k, (a, b) in enumerate(src.tolist()):
-        groups = rows(src[k : k + 1], lengths[k : k + 1])
-        _, _, _, bases, _, bounds = groups
-        ranked = (
-            (bounds[g], *_group(groups, g))
-            for g in np.lexsort((bases[:, 1], bases[:, 0], -bounds))
-        )
-        if len(bounds) == 0 and bare is not None:
-            ranked = [(0, *t) for t in bare(lengths[k])]
-        for bound, base, qs, ps in ranked:
-            if bound < floor:
-                break
-            cand = score(a, b, base, qs, ps)
-            candidates.append(cand)
-            floor = max(floor, cand.overlap)
+    for batch in batches:
+        groups = rows(src[batch], lengths[batch])
+        _, _, owner, bases, _, bounds = groups
+        # A pair's groups are consecutive: the rows are sorted by pair first.
+        heads = np.searchsorted(owner, np.arange(len(src[batch]) + 1))
+        for k, (a, b) in enumerate(src[batch].tolist()):
+            lo, hi = heads[k], heads[k + 1]
+            ranked = (
+                (bounds[g], *_group(groups, g))
+                for g in lo + np.lexsort((bases[lo:hi, 1], bases[lo:hi, 0], -bounds[lo:hi]))
+            )
+            if lo == hi and bare is not None:
+                ranked = [(0, *t) for t in bare(lengths[batch][k])]
+            for bound, base, qs, ps in ranked:
+                if bound < floor:
+                    break
+                cand = score(a, b, base, qs, ps)
+                candidates.append(cand)
+                floor = max(floor, cand.overlap)
     return candidates
 
 
@@ -645,7 +655,7 @@ def da_exact(
     The modal angle over the sorted angle list plays the role of the interval
     sweep; with pigeonhole pairs at ratio alpha and a true matched set larger
     than n/alpha, the winner matches the all-pairs run. Source pairs are
-    walked one at a time from the same candidate rows as da_match, each
+    walked one at a time from the same batched rows as da_match, each
     scored base keeping its modal window; only the tied winners build their
     motion from a matched basis.
     """
@@ -659,9 +669,9 @@ def da_exact(
     trip_index = build_triplet_index(pp)
     src, lengths = _live_pairs(pairs, qq, pair_dict, slack)
     rows = partial(_base_rows, len(pp), pairwise_distances(qq), trip_index, slack)
-    candidates = _scalar_candidates(
-        src, lengths, rows, lambda *t: _exact_base_candidate(pp, qq, *t, radius, angle_tol)
-    )
+    batches = _batches(lengths, trip_index, slack, len(qq))
+    score = partial(_exact_base_candidate, pp, qq, radius=radius, angle_tol=angle_tol)
+    candidates = _scalar_candidates(src, lengths, rows, batches, score)
     if not candidates:
         raise NoCandidatePairs("source pairs passed the filter but found no bases")
     return _select_winner(pp, qq, candidates, radius)

@@ -42,6 +42,7 @@ from .geometry import (
     RigidMotion,
     as_points,
     collinear_mask,
+    cross,
     motion_from_bases,
     motions_from_bases,
     pairwise_distances,
@@ -217,7 +218,7 @@ def _fourth_point_signs(pts, d, trips, rel: float):
     i, j, k = np.repeat(trips, n, axis=0).T
     x = np.tile(np.arange(n), len(trips))
     a = pts[i]
-    det = np.einsum("ij,ij->i", np.cross(pts[j] - a, pts[k] - a), pts[x] - a)
+    det = np.einsum("ij,ij->i", cross(pts[j] - a, pts[k] - a), pts[x] - a)
     scale = np.max([d[i, j], d[i, k], d[j, k], d[x, i], d[x, j], d[x, k]], axis=0)
     signs = np.sign(det)
     signs[np.abs(det) < rel * scale**3] = 0

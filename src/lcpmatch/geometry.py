@@ -53,6 +53,21 @@ def as_point(p) -> FloatArray:
     return v
 
 
+def cross(u, v):
+    """np.cross of 3-vectors or rows of them, without its axis bookkeeping.
+
+    The same products and subtractions as np.cross, so the same bits.
+    """
+    return np.stack(
+        [
+            u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1],
+            u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
+            u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0],
+        ],
+        axis=-1,
+    )
+
+
 def pairwise_distances(points: FloatArray) -> FloatArray:
     """Full (N, N) Euclidean distance matrix."""
     pts = np.asarray(points, dtype=np.float64)
@@ -298,7 +313,7 @@ def rotation_distance_coeffs(p1, p2, q, p) -> tuple:
     v = qa - a1
     along = (v * u).sum(axis=-1)[..., None] * u
     perp = v - along
-    w = np.cross(np.broadcast_to(u, perp.shape), perp)
+    w = cross(u, perp)
     b = a1 + along - pa
     c0 = (b * b).sum(axis=-1) + (perp * perp).sum(axis=-1)
     c1 = 2.0 * (b * perp).sum(axis=-1)
@@ -339,7 +354,7 @@ def is_collinear(a, b, c, rel: float = COLLINEAR_REL) -> bool:
     )
     if dmax == 0.0:
         return True
-    area2 = float(np.linalg.norm(np.cross(pb - pa, pc - pa)))
+    area2 = float(np.linalg.norm(cross(pb - pa, pc - pa)))
     # Height above the longest side is area2 / dmax.
     return area2 <= rel * dmax * dmax
 
@@ -357,7 +372,7 @@ def collinear_mask(points: FloatArray, triplets: NDArray, rel: float = COLLINEAR
         np.linalg.norm(ab, axis=1),
         np.maximum(np.linalg.norm(ac, axis=1), np.linalg.norm(bc, axis=1)),
     )
-    area2 = np.linalg.norm(np.cross(ab, ac), axis=1)
+    area2 = np.linalg.norm(cross(ab, ac), axis=1)
     return area2 <= rel * dmax * dmax
 
 
@@ -393,7 +408,7 @@ def _triplet_frame(trip: FloatArray) -> tuple[FloatArray, FloatArray]:
     if nh <= COLLINEAR_REL * dmax:
         raise DegenerateBasis("triplet is collinear")
     e2 = h / nh
-    e3 = np.cross(e1, e2)
+    e3 = cross(e1, e2)
     return a, np.column_stack([e1, e2, e3])
 
 
@@ -426,7 +441,7 @@ def _triplet_frames(trips: FloatArray) -> tuple[FloatArray, FloatArray]:
     if (nh <= COLLINEAR_REL * dmax).any():
         raise DegenerateBasis("triplet is collinear")
     e2 = h / nh[:, None]
-    return a, np.stack([e1, e2, np.cross(e1, e2)], axis=2)
+    return a, np.stack([e1, e2, cross(e1, e2)], axis=2)
 
 
 def pair_canonical_motion(p1, p2, q1, q2) -> RigidMotion:
@@ -449,7 +464,7 @@ def pair_canonical_motion(p1, p2, q1, q2) -> RigidMotion:
         raise DegeneratePair("pair endpoints coincide")
     v = dp / np_len
     u = dq / nq_len
-    cr = np.cross(u, v)
+    cr = cross(u, v)
     s = float(np.sqrt(cr @ cr))
     d = float(u @ v)
     if s > 1e-12:

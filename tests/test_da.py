@@ -386,20 +386,25 @@ class TestScalarFallback:
         assert fallbacks == [1]
 
 
-def budget_results(monkeypatch, call, budgets=(1, 1 << 13, 1 << 62)):
-    """Fingerprints of call() with the screen's batch budget at each value:
-    one source pair a batch, a few, and every pair in one batch."""
+# (_BATCH_CELLS, _SCREEN_ROWS): one batch screened whole, one batch screened
+# a base a call, a few pairs a batch in mid-sized calls, one pair a batch.
+BUDGETS = ((1 << 62, 1 << 62), (1 << 62, 1), (1 << 13, 1 << 8), (1, 1 << 62))
+
+
+def budget_results(monkeypatch, call, budgets=BUDGETS):
+    """Fingerprints of call() with the batch and screen budgets at each value."""
     out = []
-    for cells in budgets:
+    for cells, rows in budgets:
         with monkeypatch.context() as patch:
             patch.setattr(da, "_BATCH_CELLS", cells)
+            patch.setattr(da, "_SCREEN_ROWS", rows)
             res = call()
         out.append((fingerprint(res), res.angle))
     return out
 
 
 class TestBatchBudget:
-    """How many source pairs share a screen changes the work, not the result."""
+    """How source pairs are batched and bases screened changes the work, not the result."""
 
     @pytest.mark.parametrize("seed", range(1, 7))
     def test_budget_leaves_result(self, monkeypatch, seed):
@@ -416,28 +421,60 @@ class TestBatchBudget:
                     monkeypatch, lambda: da_match(P, Q, MatchParams(eps, pair_source=src))
                 )
                 assert all(r == first for r in rest)
+        exact = generate_instance(GenSpec(m=12, n=11, k=6, eps=0.0, exact=True), seed=seed)
+        for src in (AllPairs(), Pigeonhole(4)):
+            first, *rest = budget_results(
+                monkeypatch, lambda: da_exact(exact.P, exact.Q, pairs=src)
+            )
+            assert all(r == first for r in rest)
 
-    def test_floor_between_batches_prunes(self, monkeypatch):
+    def test_descending_bounds_skip_groups(self, monkeypatch):
         inst = tolerant_instance(1)
         params = MatchParams(inst.eps, pair_source=Pigeonhole(4))
-        screen, screened = da._screen, []
+        screen, rows, calls, groups = da._screen, da._base_rows, [], []
 
-        def count(pp, qq, src, lengths, bases, *rest):
-            screened.append(len(bases))
-            return screen(pp, qq, src, lengths, bases, *rest)
+        def count_screened(pp, qq, src, lengths, bases, g, qs, *rest):
+            new = np.ones(len(g), dtype=bool)
+            new[1:] = (g[1:] != g[:-1]) | (qs[1:] != qs[:-1])
+            bounds = np.bincount(g[new], minlength=len(bases))
+            overlap, angle = screen(pp, qq, src, lengths, bases, g, qs, *rest)
+            calls.append((len(bases), int(bounds.min()), int(overlap.max())))
+            return overlap, angle
 
-        monkeypatch.setattr(da, "_screen", count)
-        per_batch, results = {}, set()
-        for cells in (1, 1 << 62):
-            monkeypatch.setattr(da, "_BATCH_CELLS", cells)
-            screened.clear()
+        def count_groups(*args):
+            out = rows(*args)
+            groups.append(len(out[5]))
+            return out
+
+        monkeypatch.setattr(da, "_screen", count_screened)
+        monkeypatch.setattr(da, "_base_rows", count_groups)
+        work, results = {}, set()
+        for budgets in ((1 << 62, 1 << 62), (1 << 62, 1), (1, 1 << 62)):
+            monkeypatch.setattr(da, "_BATCH_CELLS", budgets[0])
+            monkeypatch.setattr(da, "_SCREEN_ROWS", budgets[1])
+            calls.clear()
+            groups.clear()
             results.add(fingerprint(da_match(inst.P, inst.Q, params)))
-            per_batch[cells] = list(screened)
+            # No call screens a base whose bound is below the best overlap
+            # of the calls before it.
+            floor = 0
+            for _, lowest, top in calls:
+                assert lowest >= floor
+                floor = max(floor, top)
+            work[budgets] = [n for n, _, _ in calls], sum(groups)
         assert len(results) == 1
-        # One batch screens every base; one pair a batch prunes some.
-        assert len(per_batch[1 << 62]) == 1
-        assert len(per_batch[1]) > 1
-        assert sum(per_batch[1]) < per_batch[1 << 62][0]
+        # Unbounded, the one batch is one call over every group.
+        sizes, n_groups = work[1 << 62, 1 << 62]
+        assert sizes == [n_groups]
+        # A base a call lets the floor rise, and the first bound below it
+        # ends the batch.
+        sizes, _ = work[1 << 62, 1]
+        assert set(sizes) == {1}
+        assert 1 < len(sizes) < n_groups
+        # One pair a batch: each call drops the groups below the floor.
+        sizes, total = work[1, 1 << 62]
+        assert total == n_groups
+        assert 1 < len(sizes) and sum(sizes) < n_groups
 
     def test_only_two_matches_reach_the_top(self, monkeypatch):
         # Q pairs (0, 1) and (2, 3) match the length of P's pair (0, 1), but no

@@ -8,6 +8,7 @@ from lcpmatch.geometry import (
     TWO_PI,
     AngleInterval,
     RigidMotion,
+    cross,
     dihedral_interval,
     hausdorff,
     is_collinear,
@@ -39,6 +40,35 @@ def rot_matrix(axis, angle):
 # ---------------------------------------------------------------------------
 # rigid motions
 # ---------------------------------------------------------------------------
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_cross_bit_equal_to_np_cross(rng):
+    # Random rows over many magnitudes, with signed zeros and whole zero rows.
+    u = rng.normal(size=(20000, 3)) * 10.0 ** rng.uniform(-150, 150, size=(20000, 1))
+    v = rng.normal(size=(20000, 3)) * 10.0 ** rng.uniform(-150, 150, size=(20000, 1))
+    u[rng.random(u.shape) < 0.1] = 0.0
+    v[rng.random(v.shape) < 0.1] = -0.0
+    u[:50], v[50:100] = -0.0, 0.0
+    assert same_bits(cross(u, v), np.cross(u, v))
+    singles = [
+        ([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]),
+        ([0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]),
+        ([1.0, 0.0, -0.0], [-0.0, 1.0, 0.0]),
+        ([1.5e153, -1e153, 3e152], [2e153, 1e-300, -5e152]),
+        ([1e153, 1e153, -1e153], [1e153, -1e153, 1e153]),
+        ([5e-324, -5e-324, 1e-160], [1e-160, 5e-324, -0.0]),
+    ]
+    for a, b in singles:
+        a, b = np.array(a), np.array(b)
+        assert same_bits(cross(a, b), np.cross(a, b))
+        assert same_bits(cross(b, a), np.cross(b, a))
+    # One vector against rows, as rotation_distance_coeffs calls it.
+    axis = rng.normal(size=3)
+    assert same_bits(cross(axis, v), np.cross(np.broadcast_to(axis, v.shape), v))
 
 
 def test_apply_identity():
