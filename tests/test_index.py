@@ -109,14 +109,12 @@ class TestTripletIndex:
 
 
 class TestKeyIndex:
-    @pytest.mark.parametrize("cells", ["default", "tiny"])
+    @pytest.mark.parametrize("cells", [index._JOIN_CELLS, 5])
     @pytest.mark.parametrize("slack", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("dim", [1, 3, 7])
     def test_join_matches_bruteforce_mask(self, rng, monkeypatch, dim, slack, cells):
         # A tiny cell budget forces one query per batch and split windows.
-        # Labels, not values, name the cases, so retuning keeps the test ids.
-        if cells == "tiny":
-            monkeypatch.setattr(index, "_JOIN_CELLS", 5)
+        monkeypatch.setattr(index, "_JOIN_CELLS", cells)
         for _ in range(20):
             # Integer keys repeat; half-integer queries sit on or off the slack edge.
             k = rng.integers(0, 4, size=(int(rng.integers(0, 60)), dim)).astype(float)
