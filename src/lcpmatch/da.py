@@ -1,15 +1,17 @@
 """Tolerant matching by dihedral-angle interval voting.
 
 For each source pair (q1, q2) that survives the pair-length filter, every
-remaining q proposes candidate bases (p1, p2) through one batched join of
-triangle keys against the model's triplet index. Per base, a canonical
-motion phi takes q1 to p1 and q2 onto the ray p1 -> p2; the residual
-freedom is a rotation about that axis, and each matched pair (q, p) admits
-a closed arc of rotation angles keeping phi(q) within the report radius of
-p. The angle stabbing the most arcs, counting each q once, fixes the
-motion; the base pair itself contributes the "+2".
+remaining q proposes candidate bases (p1, p2) through one batched search of
+the model distance rows (index.DistanceRows): (p1, p2, p) is a candidate
+when its triangle (|p1 p2|, |p1 p|, |p2 p|) is within the slack of (|q1 q2|,
+|q1 q|, |q2 q|) in every coordinate. Per base, a canonical motion phi takes
+q1 to p1 and q2 onto the ray p1 -> p2; the residual freedom is a rotation
+about that axis, and each matched pair (q, p) admits a closed arc of
+rotation angles keeping phi(q) within the report radius of p. The angle
+stabbing the most arcs, counting each q once, fixes the motion; the base
+pair itself contributes the "+2".
 
-Source pairs are taken in batches, one join for the candidate rows of
+Source pairs are taken in batches, one search for the candidate rows of
 every pair in a batch. Its bases are screened in array passes (the
 screen): canonical motions for every base, the arc of every matched (q, p),
 the union of each (base, q)'s arcs, and a stabbing sweep segmented by base.
@@ -66,7 +68,9 @@ from .geometry import (
     rotation_distance_coeffs,
     union_intervals,
 )
-from .index import build_pair_dict, build_triplet_index
+from .index import DistanceRows, build_pair_dict
+# perfbench/tracing.py wraps this name here; no matcher calls it.
+from .index import build_triplet_index  # noqa: F401
 from .result import MatchResult, build_match_result
 from .sampling import AllPairs, Expander, PairSource, materialize_pairs
 
@@ -90,9 +94,10 @@ class MatchParams:
             raise ValueError("report_factor must be positive")
 
 
-# Join cells (queries times slab rows of the first key coordinate) that the
-# source pairs of one batch may span, at least one pair a batch. A cell
-# yields at most one candidate row, so this bounds the row builder's output.
+# Cells (third scene points times third model points times model pairs in
+# the length slab) that the source pairs of one batch may span, at least one
+# pair a batch. A cell yields at most one candidate row, so this bounds the
+# row builder's output.
 _BATCH_CELLS = 1 << 20
 # Rows of one _screen call, at least one base a call; this bounds the
 # screen's per-row temporaries and lets the floor rise between calls.
@@ -106,9 +111,11 @@ def _live_pairs(source, qq, pair_dict, slack):
     pair of the optimum is the pair the guarantee rides on, and finding it
     early raises the skip floor.
     """
-    pairs = materialize_pairs(source, len(qq))
-    lengths = np.array([float(np.linalg.norm(qq[a] - qq[b])) for a, b in pairs])
-    src = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    src = np.array(materialize_pairs(source, len(qq)), dtype=np.int64).reshape(-1, 2)
+    d = qq[src[:, 0]] - qq[src[:, 1]]
+    # The per-vector np.linalg.norm, bit for bit; a row-wise sum of squares
+    # rounds differently.
+    lengths = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
     order = np.lexsort((src[:, 1], src[:, 0], -lengths))
     live = [pair_dict.any_in_range(length, slack) for length in lengths[order].tolist()]
     if not any(live):
@@ -372,14 +379,12 @@ def _stab(g, qs, full, arc, starts, ends, n_bases):
     return overlap, angle
 
 
-def _batches(lengths, trip_index, slack, n):
-    """Slices of consecutive source pairs that span at most _BATCH_CELLS join
-    cells each; a pair of length L spans n - 2 queries times the slab rows of L."""
-    cells = np.zeros(len(lengths), dtype=np.int64)
-    if trip_index is not None:
-        first = trip_index.index.columns[0]
-        hi = np.searchsorted(first, lengths + slack, side="right")
-        cells = (n - 2) * (hi - np.searchsorted(first, lengths - slack, side="left"))
+def _batches(lengths, search, slack, n):
+    """Slices of consecutive source pairs that span at most _BATCH_CELLS cells
+    each; a pair of length L spans (n - 2) * (m - 2) cells per model pair in
+    the slab of L."""
+    lo, hi = search.slab(lengths, slack)
+    cells = (n - 2) * max(len(search.dists) - 2, 0) * (hi - lo)
     start, total = 0, 0
     for k, c in enumerate(cells.tolist()):
         if k > start and total + c > _BATCH_CELLS:
@@ -389,30 +394,23 @@ def _batches(lengths, trip_index, slack, n):
     yield slice(start, len(lengths))
 
 
-def _base_rows(m, dists, trip_index, slack, src, lengths):
-    """Candidate bases of a batch of source pairs via one triplet-index join.
+def _base_rows(search, dists, slack, src, lengths):
+    """Candidate bases of a batch of source pairs via one DistanceRows search.
 
-    Source pair src[k] = (a, b) queries the key (|ab|, |aq|, |bq|) for every
-    other scene point q, with |ab| = lengths[k] and the rest from `dists`,
-    the scene distance matrix. Returns the arrays (qs, ps, owner, bases,
-    cuts, bounds). Rows (qs[r], ps[r]) are the joined (scene, model) points
-    sorted by pair, base, q, then p; group g is base bases[g] = (i, j) of
-    pair src[owner[g]] and owns rows cuts[g]:cuts[g + 1]; bounds[g] is its
-    distinct-q count, which bounds its overlap.
+    Source pair src[k] = (a, b) matches the triangle (|ab|, |aq|, |bq|) for
+    every other scene point q, with |ab| = lengths[k] and the rest from
+    `dists`, the scene distance matrix. Returns the arrays (qs, ps, owner,
+    bases, cuts, bounds). Rows (qs[r], ps[r]) are the found (scene, model)
+    points sorted by pair, base, q, then p; group g is base bases[g] =
+    (i, j) of pair src[owner[g]] and owns rows cuts[g]:cuts[g + 1];
+    bounds[g] is its distinct-q count, which bounds its overlap.
     """
-    none = np.empty(0, dtype=np.int64)
-    if trip_index is None:
-        return none, none, none, none.reshape(0, 2), np.zeros(1, dtype=np.int64), none
-    n = len(dists)
-    pos, qs = np.divmod(np.arange(len(src) * n), n)
-    other = (qs != src[pos, 0]) & (qs != src[pos, 1])
-    pos, qs = pos[other], qs[other]
-    keys = np.column_stack([lengths[pos], dists[src[pos, 0], qs], dists[src[pos, 1], qs]])
-    qi, rows = trip_index.index.join(keys, slack)
-    trips = trip_index.triplets[rows]
-    # Sort by (pair, i, j, q, p) through one integer code, unique per join row.
-    pos, qs = pos[qi], qs[qi]
-    code = np.sort((((pos * m + trips[:, 0]) * m + trips[:, 1]) * n + qs) * m + trips[:, 2])
+    m, n = len(search.dists), len(dists)
+    pos, qs, i, j, ps = search.query(dists, src, lengths, slack)
+    # Sort by (pair, i, j, q, p) through one integer code, unique per row.
+    code = (((pos * m + i) * m + j) * n + qs) * m + ps
+    del pos, qs, i, j, ps  # the batch's largest arrays, before the sort
+    code.sort()
     base_q, ps = np.divmod(code, m)
     base, qs = np.divmod(base_q, n)
     heads = np.flatnonzero(_run_starts(base))
@@ -559,7 +557,7 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     (votes) is at least the optimal matched-set size and every certified
     residual is at most report_factor * eps.
 
-    Source pairs are joined in batches of at most _BATCH_CELLS join cells.
+    Source pairs are searched in batches of at most _BATCH_CELLS cells.
     A batch's bases are screened by descending bound in chunks of at most
     _SCREEN_ROWS rows (_screen_ranked), the best overlap so far being the
     pruning floor; the bases tied at the best overlap over all pairs are
@@ -574,10 +572,10 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     slack = max(2.0 * params.eps, fuzz)
     radius = max(params.report_factor * params.eps, fuzz)
     pair_dict = build_pair_dict(pp)
-    trip_index = build_triplet_index(pp) if len(pp) >= 3 else None
+    search = DistanceRows(pp)
     src, lengths = _live_pairs(params.pair_source, qq, pair_dict, slack)
-    rows = partial(_base_rows, len(pp), pairwise_distances(qq), trip_index, slack)
-    batches = list(_batches(lengths, trip_index, slack, len(qq)))
+    rows = partial(_base_rows, search, pairwise_distances(qq), slack)
+    batches = list(_batches(lengths, search, slack, len(qq)))
     bare = partial(_two_match, pair_dict, slack)
 
     # Squared distances round to about 1e-16 * scale^2, scale the largest
@@ -666,10 +664,10 @@ def da_exact(
     slack = max(params.tau, fuzz)
     radius = slack
     pair_dict = build_pair_dict(pp)
-    trip_index = build_triplet_index(pp)
+    search = DistanceRows(pp)
     src, lengths = _live_pairs(pairs, qq, pair_dict, slack)
-    rows = partial(_base_rows, len(pp), pairwise_distances(qq), trip_index, slack)
-    batches = _batches(lengths, trip_index, slack, len(qq))
+    rows = partial(_base_rows, search, pairwise_distances(qq), slack)
+    batches = _batches(lengths, search, slack, len(qq))
     score = partial(_exact_base_candidate, pp, qq, radius=radius, angle_tol=angle_tol)
     candidates = _scalar_candidates(src, lengths, rows, batches, score)
     if not candidates:

@@ -2,10 +2,11 @@
 
 All five share the same skeleton: propose rigid motions from congruent
 bases, vote, and verify the winner. Congruent bases are found by one
-sorted-key join (index.KeyIndex) of scene triangle keys against model
-triangle keys. The four triplet algorithms score the same congruent
-(scene triplet, model triplet) rows, those of _congruent_triplets, and
-differ in the voting space:
+search of the model distance rows (index.DistanceRows): model triplet
+(i, j, p) is congruent to scene triplet (a, b, q) when |ij|, |ip| and |jp|
+are within tau of |ab|, |aq| and |bq|. The four triplet algorithms score
+the same congruent (scene triplet, model triplet) rows, those of
+_congruent_triplets, and differ in the voting space:
 
 - pose_clustering: votes per quantized motion.
 - alignment: a row scores the points its motion brings onto the model.
@@ -47,7 +48,9 @@ from .geometry import (
     motions_from_bases,
     pairwise_distances,
 )
-from .index import KeyIndex, build_triplet_index, ordered_triplets_and_keys
+from .index import DistanceRows
+# perfbench/tracing.py wraps these names here; no matcher calls them.
+from .index import build_triplet_index, ordered_triplets_and_keys  # noqa: F401
 from .result import MatchResult, build_match_result
 from .sampling import AllPairs, PairSource, materialize_pairs
 
@@ -90,23 +93,24 @@ def _require_sizes(P, Q, min_p: int, min_q: int):
         raise TooFewPoints(f"need at least {min_p} model and {min_q} scene points")
 
 
-def _noncollinear_ordered_triplets(pts, rel: float):
-    trips, keys = ordered_triplets_and_keys(pts)
-    keep = ~collinear_mask(pts, trips, rel=rel)
-    return trips[keep], keys[keep]
-
-
 def _congruent_triplets(pp, qq, params: ExactParams):
     """Non-collinear (scene, model) triplet rows with keys within tau, in lex order.
 
-    Raises NoCongruentTriplets when there is none.
+    Every ordered scene pair (a, b) is searched at its length |ab|; rows
+    with a collinear scene or model triplet are dropped. Raises
+    NoCongruentTriplets when there is none.
     """
-    q_trips, q_keys = _noncollinear_ordered_triplets(qq, params.collinear_rel)
-    p_trips, p_keys = _noncollinear_ordered_triplets(pp, params.collinear_rel)
-    qi, pi = KeyIndex(p_keys).join(q_keys, params.tau)
-    if len(qi) == 0:
+    dq = pairwise_distances(qq)
+    a, b = np.nonzero(~np.eye(len(qq), dtype=bool))
+    pos, q, i, j, p = DistanceRows(pp).query(dq, np.column_stack([a, b]), dq[a, b], params.tau)
+    tq, tp = np.column_stack([a[pos], b[pos], q]), np.column_stack([i, j, p])
+    rel = params.collinear_rel
+    keep = ~(collinear_mask(qq, tq, rel=rel) | collinear_mask(pp, tp, rel=rel))
+    tq, tp = tq[keep], tp[keep]
+    if len(tq) == 0:
         raise NoCongruentTriplets("no congruent triplet pair")
-    return q_trips[qi], p_trips[pi]
+    lex = np.lexsort((*tp.T[::-1], *tq.T[::-1]))
+    return tq[lex], tp[lex]
 
 
 # Cells (rows x scene points x model points) that one chunk of _best_row's
@@ -181,7 +185,7 @@ def alignment(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
 
 
 def ght(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
-    """Pose clustering over the congruent rows of the triangle-key join."""
+    """Pose clustering over the congruent rows of _congruent_triplets."""
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 3, 3)
     tq, tp = _congruent_triplets(pp, qq, params)
@@ -274,26 +278,24 @@ def ght_pair_based(
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 3, 3)
     ab = np.array(materialize_pairs(pairs, len(qq)), dtype=np.int64).reshape(-1, 2)
-    idx = build_triplet_index(pp)
-    p_ok = ~collinear_mask(pp, idx.triplets, rel=params.collinear_rel)
     dq = pairwise_distances(qq)
-    # One query per (source pair, third point), by position in the pair list
-    # and then by third point, so each pair's rows keep their own join order.
-    degenerate_q = _degenerate_triplets(qq, params.collinear_rel)
-    pos, third = np.nonzero(~degenerate_q[ab[:, 0], ab[:, 1]])
+    pos, q, i, j, p = DistanceRows(pp).query(dq, ab, dq[ab[:, 0], ab[:, 1]], params.tau)
     a, b = ab[pos, 0], ab[pos, 1]
-    queries = np.column_stack([dq[a, b], dq[a, third], dq[b, third]])
-    qi, hits = idx.index.join(queries, params.tau)
-    keep = p_ok[hits]
-    qi, tp = qi[keep], idx.triplets[hits[keep]]
-    tq = np.column_stack([a[qi], b[qi], third[qi]])
+    tp = np.column_stack([i, j, p])
+    keep = ~_degenerate_triplets(qq, params.collinear_rel)[a, b, q]
+    keep &= ~collinear_mask(pp, tp, rel=params.collinear_rel)
+    # Rows by position in the pair list, third point, then model triplet.
+    pos, tp = pos[keep], tp[keep]
+    tq = np.column_stack([a[keep], b[keep], q[keep]])
+    lex = np.lexsort((*tp.T[::-1], tq[:, 2], pos))
+    pos, tq, tp = pos[lex], tq[lex], tp[lex]
     if len(tq) == 0:
         raise NoCongruentTriplets("no congruent triplet through any source pair")
     # Tally per (position in the pair list, motion key): a repeated pair
     # votes apart instead of doubling its groups.
     keys = _row_keys(pp, qq, tq, tp, params.motion_grid)
     _, first, counts = np.unique(
-        np.column_stack([pos[qi], keys]), axis=0, return_index=True, return_counts=True
+        np.column_stack([pos, keys]), axis=0, return_index=True, return_counts=True
     )
     g_tq, g_tp = tq[first], tp[first]
     # The smallest (-votes, scene pair, model pair, motion key); lexsort is

@@ -1,13 +1,16 @@
-"""Preprocessing dictionaries: pair lengths and one sorted-key join.
+"""Preprocessing dictionaries: pair lengths, distance rows and a sorted-key join.
 
 The pair dictionary answers "which pairs of P have length within a slack of
-L" by binary search on a sorted length array. A KeyIndex holds float keys
-sorted on their first coordinate and joins a batch of query keys against
-them: every (query, key) pair within a slack in every coordinate. It is the
-one candidate search of every matcher, always over triangle keys. The
-triplet index is the ordered triplets of P with their triangle keys in a
-KeyIndex. All are immutable after construction and safe for concurrent
-readers.
+L" by binary search on a sorted length array. DistanceRows is the one
+candidate search of every matcher: it finds each model triplet (i, j, p)
+congruent within a slack to a scene triplet (a, b, q) from the model
+distance matrix, its ordered pairs sorted by length, and bit-packed masks
+of the model distance rows, m^2 n / 8 bytes per scene point searched. A
+KeyIndex holds float keys sorted on their first coordinate and joins a
+batch of query keys against them; the triplet index is the ordered
+triplets of P with their triangle keys in a KeyIndex. No matcher calls
+those two; perfbench/tracing.py wraps them. All are immutable after
+construction and safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -85,6 +88,100 @@ def build_pair_dict(P) -> PairDict:
     pairs, lengths = ordered_pairs_and_lengths(pts)
     order = np.argsort(lengths, kind="stable")
     return PairDict(lengths[order], pairs[order])
+
+
+# Cells of one float compare that builds DistanceRows masks (model rows x
+# scene points x model points), and bytes of one AND of their gathered rows
+# (slab pairs x scene points x mask bytes); bounds the search's working memory.
+_MASK_CELLS = 1 << 16
+
+
+class DistanceRows:
+    """The model distance matrix with its ordered pairs sorted by length.
+
+    `dists` is pairwise_distances(P); `pairs` lists every ordered pair
+    (i, j), i != j, by ascending dists[i, j] (stable, so in index order
+    among equal lengths) and `lengths` holds those lengths. Immutable after
+    construction, so concurrent readers are safe.
+    """
+
+    __slots__ = ("dists", "pairs", "lengths")
+
+    def __init__(self, P):
+        self.dists = pairwise_distances(as_points(P))
+        i, j = np.nonzero(~np.eye(len(self.dists), dtype=bool))
+        order = np.argsort(self.dists[i, j], kind="stable")
+        self.pairs = np.column_stack([i[order], j[order]])
+        self.lengths = self.dists[self.pairs[:, 0], self.pairs[:, 1]]
+
+    def slab(self, lengths, slack: float) -> tuple[IntArray, IntArray]:
+        """(lo, hi) per length L: pairs[lo:hi] have length in [L - slack, L + slack]."""
+        lengths = np.asarray(lengths, dtype=np.float64)
+        return (
+            np.searchsorted(self.lengths, lengths - slack, side="left"),
+            np.searchsorted(self.lengths, lengths + slack, side="right"),
+        )
+
+    def query(self, scene_dists, src, lengths, slack: float):
+        """Every congruent (pos, q, i, j, p) of the source pairs `src`.
+
+        Source pair src[pos] = (a, b) of length lengths[pos] yields model
+        triplet (i, j, p) for scene point q when dists[i, j] lies in the
+        closed slab [L - slack, L + slack], abs(dists[i, p] - scene_dists[a,
+        q]) <= slack and abs(dists[j, p] - scene_dists[b, q]) <= slack, with
+        q not in {a, b} and p not in {i, j}: the triangle-key test of
+        (|ab|, |aq|, |bq|) against (|ij|, |ip|, |jp|), float for float.
+        Returns five int64 arrays, ordered by pos, slab pair, q, then p.
+        """
+        scene_dists = np.asarray(scene_dists, dtype=np.float64)
+        src = np.asarray(src, dtype=np.int64).reshape(-1, 2)
+        m, n = len(self.dists), len(scene_dists)
+        lo, hi = self.slab(lengths, slack)
+        count = hi - lo
+        pos = np.repeat(np.arange(len(src)), count)
+        # Slab pair k of pos runs over lo[pos] ... hi[pos] - 1.
+        k = np.arange(len(pos)) + np.repeat(lo - (np.cumsum(count) - count), count)
+        i, j = self.pairs[k].T
+        used, slot = np.unique(src, return_inverse=True)
+        masks = self._masks(scene_dists, used, slack)
+        # Mask rows of (a, i) and (b, j) in the (used point, model row) layout.
+        slot = slot.reshape(-1, 2)[pos] * m
+        row_a, row_b = slot[:, 0] + i, slot[:, 1] + j
+        step = max(1, _MASK_CELLS // (n * masks.shape[2]))
+        parts = []
+        for s in range(0, len(pos), step):
+            both = masks[row_a[s : s + step]] & masks[row_b[s : s + step]]
+            e, q, byte = np.nonzero(both)
+            bits = np.unpackbits(both[e, q, byte][:, None], axis=1, bitorder="little")
+            r, bit = np.nonzero(bits)
+            parts.append((s + e[r], q[r], byte[r] * 8 + bit))
+        if not parts:
+            none = np.empty(0, dtype=np.int64)
+            return none, none, none, none, none
+        e, q, p = (np.concatenate(x) for x in zip(*parts))
+        return pos[e], q, i[e], j[e], p
+
+    def _masks(self, scene_dists, points, slack: float):
+        """Packed third-point masks, as (len(points) * m, n, ceil(m / 8)) bytes.
+
+        Bit p (little bit order) of row u * m + i, scene point q, is set when
+        abs(dists[i, p] - scene_dists[points[u], q]) <= slack, p != i and
+        q != points[u]. The float compare runs over chunks of rows of at
+        most _MASK_CELLS cells.
+        """
+        m, n = len(self.dists), len(scene_dists)
+        a, i = np.repeat(points, m), np.tile(np.arange(m), len(points))
+        out = np.empty((len(a), n, (m + 7) // 8), dtype=np.uint8)
+        step = max(1, _MASK_CELLS // (n * m))
+        for s in range(0, len(a), step):
+            rows = slice(s, s + step)
+            diff = self.dists[i[rows], None, :] - scene_dists[a[rows], :, None]
+            ok = np.abs(diff, out=diff) <= slack
+            r = np.arange(len(ok))
+            ok[r, :, i[rows]] = False
+            ok[r, a[rows], :] = False
+            out[rows] = np.packbits(ok, axis=2, bitorder="little")
+        return out
 
 
 # Cells (queries x window rows) that one broadcast compare of KeyIndex.join

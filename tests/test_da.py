@@ -26,7 +26,7 @@ from lcpmatch.geometry import (
     triangle_key,
     union_intervals,
 )
-from lcpmatch.index import build_pair_dict, build_triplet_index, ordered_triplets_and_keys
+from lcpmatch.index import DistanceRows, build_pair_dict
 from lcpmatch.oracle import GenSpec, exact_lcp_bruteforce, generate_instance
 from lcpmatch.sampling import AllPairs, Expander, Pigeonhole, materialize_pairs
 
@@ -134,10 +134,9 @@ def screened_and_scalar(P, Q, eps, source):
     pp, qq = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     fuzz = _numeric_fuzz(pp, qq)
     slack, radius = max(2 * eps, fuzz), max(4 * eps, fuzz)
-    pair_dict, trip_index = build_pair_dict(pp), build_triplet_index(pp)
-    src, lengths = _live_pairs(source, qq, pair_dict, slack)
+    src, lengths = _live_pairs(source, qq, build_pair_dict(pp), slack)
     qs, ps, owner, bases, cuts, _ = _base_rows(
-        len(pp), pairwise_distances(qq), trip_index, slack, src, lengths
+        DistanceRows(pp), pairwise_distances(qq), slack, src, lengths
     )
     g = np.repeat(np.arange(len(bases)), np.diff(cuts))
     overlaps, angles = _screen(pp, qq, src[owner], lengths[owner], bases, g, qs, ps, radius)
@@ -148,37 +147,54 @@ def screened_and_scalar(P, Q, eps, source):
         yield (overlaps[k], angles[k]), (cand.overlap, cand.angle)
 
 
-def per_pair_rows(qq, a, b, trip_index, slack):
-    """(i, j, q, p) rows of source pair (a, b) by its own join, keyed as one
-    source pair at a time computes its queries."""
+def per_pair_rows(pp, qq, a, b, slack):
+    """(i, j, q, p) rows of source pair (a, b) by brute force over every
+    (q, i, j, p), with distances as one source pair at a time computes them."""
     length = float(np.linalg.norm(qq[a] - qq[b]))
-    qs = np.delete(np.arange(len(qq)), [a, b])
     d_a = np.linalg.norm(qq - qq[a], axis=1)
     d_b = np.linalg.norm(qq - qq[b], axis=1)
-    keys = np.column_stack([np.full(len(qs), length), d_a[qs], d_b[qs]])
-    qi, rows = trip_index.index.join(keys, slack)
-    trips = trip_index.triplets[rows]
-    return sorted(zip(*trips[:, :2].T.tolist(), qs[qi].tolist(), trips[:, 2].tolist()))
+    dp = np.array([np.linalg.norm(pp - x, axis=1) for x in pp])
+    q, i, j, p = np.ix_(*(np.arange(k) for k in (len(qq), len(pp), len(pp), len(pp))))
+    ok = (length - slack <= dp[i, j]) & (dp[i, j] <= length + slack)
+    ok = ok & (np.abs(dp[i, p] - d_a[q]) <= slack) & (np.abs(dp[j, p] - d_b[q]) <= slack)
+    ok &= (q != a) & (q != b) & (i != j) & (p != i) & (p != j)
+    q, i, j, p = np.nonzero(ok)
+    return sorted(zip(i.tolist(), j.tolist(), q.tolist(), p.tolist()))
 
 
-def batch_rows(qq, src, lengths, trip_index, slack, m):
+def batch_rows(pp, qq, src, lengths, slack):
     """(pair, i, j, q, p) rows of one _base_rows batch, in its order."""
     qs, ps, owner, bases, cuts, _ = _base_rows(
-        m, pairwise_distances(qq), trip_index, slack, src, lengths
+        DistanceRows(pp), pairwise_distances(qq), slack, src, lengths
     )
     g = np.repeat(np.arange(len(bases)), np.diff(cuts))
     return list(zip(owner[g].tolist(), *bases[g].T.tolist(), qs.tolist(), ps.tolist()))
 
 
+class TestLivePairs:
+    @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 1e3, 1e150])
+    def test_lengths_equal_per_pair_norm(self, scale):
+        rng = np.random.default_rng(7)
+        qq = rng.normal(size=(40, 3)) * scale * 10.0 ** rng.uniform(-2, 2, size=(40, 1))
+        # Zero and signed-zero components and differences, and a coincident pair.
+        qq[:4, 0] = 0.0
+        qq[4:8, 0] = -0.0
+        qq[8:12, 1] = qq[12:16, 1]
+        qq[16] = qq[17]
+        src, lengths = _live_pairs(AllPairs(), qq, build_pair_dict(qq), np.inf)
+        assert len(src) == 40 * 39 // 2
+        want = np.array([float(np.linalg.norm(qq[a] - qq[b])) for a, b in src.tolist()])
+        assert lengths.tobytes() == want.tobytes()
+
+
 class TestBaseRows:
-    """One join over a batch of source pairs gives each pair's own rows."""
+    """One search over a batch of source pairs gives each pair's own rows."""
 
     @pytest.mark.parametrize("seed", range(1, 7))
     def test_batch_rows_equal_per_pair_joins(self, seed):
         inst = tolerant_instance(seed)
         pp, qq = inst.P, inst.Q
         slack = 2 * inst.eps
-        trip_index = build_triplet_index(pp)
         src, lengths = _live_pairs(AllPairs(), qq, build_pair_dict(pp), slack)
         for k, (a, b) in enumerate(src.tolist()):
             assert lengths[k] == float(np.linalg.norm(qq[a] - qq[b]))
@@ -188,10 +204,10 @@ class TestBaseRows:
         want = [
             (k, *row)
             for k, (a, b) in enumerate(src.tolist())
-            for row in per_pair_rows(qq, a, b, trip_index, slack)
+            for row in per_pair_rows(pp, qq, a, b, slack)
         ]
         assert len(want) > 1000
-        assert batch_rows(qq, src, lengths, trip_index, slack, len(pp)) == want
+        assert batch_rows(pp, qq, src, lengths, slack) == want
 
     @pytest.mark.parametrize("seed", range(1, 4))
     def test_rows_at_the_slack_boundary(self, seed):
@@ -199,8 +215,13 @@ class TestBaseRows:
         # boundary, so a key float that moved by one bit would drop or add it.
         inst = tolerant_instance(seed)
         pp, qq = inst.P, inst.Q
-        trips, keys = ordered_triplets_and_keys(pp)
-        trip_index = build_triplet_index(pp)
+        # Every ordered model triplet (i, j, p) and its key (|ij|, |ip|, |jp|).
+        idx = np.arange(len(pp))
+        distinct = (idx[:, None, None] != idx[:, None]) & (idx[:, None, None] != idx)
+        trips = np.argwhere(distinct & (idx[:, None] != idx))
+        i, j, p = trips.T
+        dp = pairwise_distances(pp)
+        keys = np.column_stack([dp[i, j], dp[i, p], dp[j, p]])
         pair_dict = build_pair_dict(pp)
         rng = np.random.default_rng(seed)
         src, _ = _live_pairs(Pigeonhole(4), qq, pair_dict, 0.6)
@@ -220,10 +241,32 @@ class TestBaseRows:
             r = int(inner[np.argsort(worst[inner], kind="stable")[len(inner) // 50]])
             slack = float(worst[r])
             sub, lengths = _live_pairs([(a, b)], qq, pair_dict, slack)
-            got = batch_rows(qq, sub, lengths, trip_index, slack, len(pp))
-            want = [(0, *row) for row in per_pair_rows(qq, a, b, trip_index, slack)]
+            got = batch_rows(pp, qq, sub, lengths, slack)
+            want = [(0, *row) for row in per_pair_rows(pp, qq, a, b, slack)]
             assert got == want
             assert (0, *trips[r, :2].tolist(), q, int(trips[r, 2])) in got
+
+    def test_slab_centred_on_the_pair_length(self):
+        # _live_pairs' |ab| can differ from the scene matrix entry in the last
+        # bit. Each slack puts a model pair length on the slab boundary of
+        # the first and outside the slab of the second.
+        inst = tolerant_instance(1)
+        pp, qq = inst.P, inst.Q
+        dq, dp = pairwise_distances(qq), pairwise_distances(pp)
+        src, lengths = _live_pairs(AllPairs(), qq, build_pair_dict(pp), 0.6)
+        differ = lengths != dq[src[:, 0], src[:, 1]]
+        checked = 0
+        for (a, b), length in zip(src[differ].tolist(), lengths[differ].tolist()):
+            for x in np.unique(dp).tolist():
+                slack = abs(x - length)
+                on = length - slack <= x <= length + slack
+                off = dq[a, b] - slack <= x <= dq[a, b] + slack
+                if not (0.3 <= slack <= 2.0 and on != off) or checked == 10:
+                    continue
+                got = batch_rows(pp, qq, np.array([[a, b]]), np.array([length]), slack)
+                assert got == [(0, *row) for row in per_pair_rows(pp, qq, a, b, slack)]
+                checked += any(dp[i, j] == x for _, i, j, _, _ in got)
+        assert checked == 10
 
 
 def scalar_stab(g, qs, full, arc, starts, ends, n_bases):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from lcpmatch.errors import TooFewPoints
-from lcpmatch.geometry import triangle_key
+from lcpmatch.geometry import pairwise_distances, triangle_key
 from lcpmatch import index
 from lcpmatch.index import (
+    DistanceRows,
     KeyIndex,
     build_pair_dict,
     build_triplet_index,
@@ -123,3 +124,80 @@ class TestKeyIndex:
             bq, bk = np.nonzero((np.abs(q[:, None] - k[None]) <= slack).all(2))
             assert np.array_equal(qi, bq)
             assert np.array_equal(ki, bk)
+
+
+def brute_rows(dp, dq, src, lengths, slack):
+    """(pos, q, i, j, p) of DistanceRows.query by testing every candidate."""
+    m, n = len(dp), len(dq)
+    q, i, j, p = np.ix_(np.arange(n), np.arange(m), np.arange(m), np.arange(m))
+    out = []
+    for pos, ((a, b), length) in enumerate(zip(src.tolist(), lengths.tolist())):
+        ok = (length - slack <= dp[i, j]) & (dp[i, j] <= length + slack)
+        ok = ok & (np.abs(dp[i, p] - dq[a, q]) <= slack) & (np.abs(dp[j, p] - dq[b, q]) <= slack)
+        ok &= (q != a) & (q != b) & (i != j) & (p != i) & (p != j)
+        out += [(pos, *row) for row in zip(*(x.tolist() for x in np.nonzero(ok)))]
+    return out
+
+
+def query_rows(P, Q, src, lengths, slack):
+    """DistanceRows.query as (pos, q, i, j, p) tuples, checked to come in
+    (pos, slab pair, q, p) order."""
+    search = DistanceRows(P)
+    pos, q, i, j, p = search.query(pairwise_distances(Q), src, lengths, slack)
+    rank = {pair: r for r, pair in enumerate(map(tuple, search.pairs.tolist()))}
+    order = [(a, rank[c, d], e, f) for a, c, d, e, f in zip(pos, i, j, q, p)]
+    assert order == sorted(set(order))
+    return sorted(zip(*(x.tolist() for x in (pos, q, i, j, p))))
+
+
+@pytest.fixture(params=[False, True], ids=["default_chunks", "one_row_chunks"])
+def chunks(request, monkeypatch):
+    # One model row per float compare and one slab pair per AND.
+    if request.param:
+        monkeypatch.setattr(index, "_MASK_CELLS", 1)
+
+
+class TestDistanceRows:
+    @pytest.mark.parametrize("m", [2, 3, 7, 8, 9, 16, 65, 70])
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_query_matches_bruteforce(self, rng, chunks, m, n):
+        P = random_points(rng, m)
+        # Half of Q copies points of P, so that slack 0 finds bit-equal keys.
+        copies = min(m, n // 2)
+        Q = np.vstack([P[rng.permutation(m)[:copies]], random_points(rng, n - copies)])
+        dq = pairwise_distances(Q)
+        pairs = rng.integers(0, n, size=(6, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        # A repeated pair, the same pair reversed, and one with an empty slab.
+        src = np.vstack([pairs, [[0, 1], [0, 1], [1, 0], [1, 0]]])
+        lengths = dq[src[:, 0], src[:, 1]]
+        lengths[-1] = 1e6
+        for slack in (0.0, 0.3, 1.5):
+            want = brute_rows(pairwise_distances(P), dq, src, lengths, slack)
+            assert query_rows(P, Q, src, lengths, slack) == want
+            if slack == 1.5 and m >= 7 and n > 2:
+                assert len(want) > 0
+
+    @pytest.mark.parametrize("slack", [0.0, 1.0, 2.0])
+    def test_keys_on_the_slack_boundary(self, chunks, slack):
+        # Integer distances put many keys exactly at +-slack in every
+        # coordinate. Scene points 1 apart pass |aq| <= slack, so p = i and
+        # p = j pass every other test and must be excluded by index.
+        P = np.array([[x, 0.0, 0.0] for x in (0, 1, 2, 4, 5, 7, 8, 9, 11, 14, 15)])
+        Q = np.array([[x, 0.0, 0.0] for x in (3, 4, 5, 7, 10, 11, 13)])
+        n = len(Q)
+        src = np.array([(a, b) for a in range(n) for b in range(n) if a != b])
+        dq = pairwise_distances(Q)
+        for lengths in (dq[src[:, 0], src[:, 1]], np.full(len(src), 3.0 + slack)):
+            want = brute_rows(pairwise_distances(P), dq, src, lengths, slack)
+            assert len(want) > 100
+            assert query_rows(P, Q, src, lengths, slack) == want
+
+    def test_slab_is_closed(self):
+        P = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
+        search = DistanceRows(P)
+        assert search.lengths.tolist() == [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+        lo, hi = search.slab(np.array([2.0, 1.5, 4.5, 0.0]), 1.0)
+        assert (hi - lo).tolist() == [6, 4, 0, 2]
+        by_length = [[0, 1], [1, 0], [1, 2], [2, 1], [0, 2], [2, 0]]
+        assert search.pairs[lo[0] : hi[0]].tolist() == by_length
