@@ -17,7 +17,6 @@ from .errors import (
     LcpMatchError,
     NoCandidatePairs,
     NoCongruentTriplets,
-    OverlappingSets,
     SizeMismatch,
     SpecInfeasible,
     TooFewPoints,
@@ -44,7 +43,6 @@ from .geometry import (
     pair_canonical_motion,
     rotation_about_line,
     tolerant_precondition,
-    triangle_key,
     union_intervals,
 )
 from .index import PairDict, TripletIndex, build_pair_dict, build_triplet_index
@@ -66,7 +64,6 @@ from .sampling import (
     PairSource,
     Pigeonhole,
     diam_k,
-    edges_between,
     estimate_lambda,
     materialize_pairs,
     pigeonhole_pairs,

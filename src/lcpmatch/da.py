@@ -12,20 +12,21 @@ stabbing the most arcs, counting each q once, fixes the motion; the base
 pair itself contributes the "+2".
 
 Source pairs are taken in batches, one search for the candidate rows of
-every pair in a batch. Its bases are screened in array passes (the
-screen): canonical motions for every base, the arc of every matched (q, p),
-the union of each (base, q)'s arcs, and a stabbing sweep segmented by base.
-Bases go from the highest distinct-q count, which bounds their overlap, to
-the lowest, a chunk of rows a pass; the best overlap so far is a floor, and
-the batch stops at the first base whose bound is below it. Only the bases
+every pair in a batch, and one loop (_tied_bases) walks them in every
+mode. A batch's bases go from the highest distinct-q count, which bounds
+their overlap, to the lowest; the best overlap so far is a floor, and the
+batch stops at the first base whose bound is below it. Tolerant bases are
+scored in array passes (the screen), a chunk of rows a pass: canonical
+motions for every base, the arc of every matched (q, p), the union of each
+(base, q)'s arcs, and a stabbing sweep segmented by base. Only the bases
 tied at the best overlap over all pairs are rescored one at a time by the
 scalar helpers, so the winner's motion and angle carry their arithmetic bit
-for bit. Tied winners are re-verified, polished by an iterated least-squares
-refit on their injective matches (kept only when it verifies at least as
-well), and the best certificate is returned. When the radius is down at
-rounding level (eps = 0), arcs hinge on the last bit and every base is
-scored by the scalar helpers instead, one source pair at a time, from the
-same batched candidate rows.
+for bit. When the radius is down at rounding level (eps = 0), arcs hinge on
+the last bit, and the same loop scores one base at a time by the scalar
+helpers instead, as it does in exact mode. Tied winners are re-verified,
+polished by an iterated least-squares refit on their injective matches
+(kept only when it verifies at least as well), and the best certificate is
+returned.
 
 Guarantee shape: with all pairs and the tolerant precondition (minimum
 interpoint distance above 2*eps), the diameter pair of the optimal matched
@@ -102,6 +103,8 @@ _BATCH_CELLS = 1 << 20
 # Rows of one _screen call, at least one base a call; this bounds the
 # screen's per-row temporaries and lets the floor rise between calls.
 _SCREEN_ROWS = 1 << 11
+# Angles within this many radians of each other vote as one in exact mode.
+_ANGLE_TOL = 1e-7
 
 
 def _live_pairs(source, qq, pair_dict, slack):
@@ -162,19 +165,25 @@ def _arc_table(c0, c1, c2, radius: float):
     return full, arc, starts, ends
 
 
+def _base_coeffs(pp, qq, a, b, base, qs, ps):
+    """The canonical motion phi of one base and its rows' rotation_distance_coeffs.
+
+    Returns (phi, c0, c1, c2), the coefficients as 1-d arrays.
+    """
+    i, j = base
+    phi = pair_canonical_motion(pp[i], pp[j], qq[a], qq[b])
+    img = phi.apply(qq[qs])
+    return phi, *(np.atleast_1d(c) for c in rotation_distance_coeffs(pp[i], pp[j], img, pp[ps]))
+
+
 def _base_candidates(pp, qq, a, b, base, qs, ps, radius):
     """Best stabbing angle for one candidate base, counting each q once.
 
     The scalar reference of _screen; it rescores the tied winners so their
     motion and angle carry the scalar helpers' arithmetic bit for bit.
     """
-    i, j = base
-    phi = pair_canonical_motion(pp[i], pp[j], qq[a], qq[b])
-    img = phi.apply(qq[qs])
-    c0, c1, c2 = rotation_distance_coeffs(pp[i], pp[j], img, pp[ps])
-    full, arc, starts, ends = _arc_table(
-        np.atleast_1d(c0), np.atleast_1d(c1), np.atleast_1d(c2), radius
-    )
+    phi, *coeffs = _base_coeffs(pp, qq, a, b, base, qs, ps)
+    full, arc, starts, ends = _arc_table(*coeffs, radius)
     per_q: dict[int, list[AngleInterval]] = {}
     for r in range(len(qs)):
         if full[r]:
@@ -187,7 +196,7 @@ def _base_candidates(pp, qq, a, b, base, qs, ps, radius):
     for q in per_q:
         merged.extend(union_intervals(per_q[q]))
     psi, overlap = max_overlap_angle(merged)
-    return _Candidate(overlap, (a, b), (i, j), psi, phi)
+    return _Candidate(overlap, (a, b), tuple(base), psi, phi)
 
 
 def _run_starts(*columns):
@@ -427,56 +436,92 @@ def _two_match(pair_dict, slack, length):
     return [((i, j), none, none), ((j, i), none, none)]
 
 
-def _group(groups, g):
-    """(base, qs, ps) of group g of _base_rows."""
-    qs, ps, _, bases, cuts, _ = groups
-    rows = slice(cuts[g], cuts[g + 1])
-    return (int(bases[g, 0]), int(bases[g, 1])), qs[rows], ps[rows]
+def _setup(pp, qq, source, slack):
+    """What the source-pair loop needs from one match's inputs.
 
-
-def _screen_ranked(pp, qq, src, lengths, rows, bare, radius, best: int):
-    """Screen the live bases of a batch of source pairs, highest bound first.
-
-    rows() is the candidate-row builder. Its groups go by descending
-    distinct-q bound, ties in (pair, base) order, in chunks of at most
-    _SCREEN_ROWS rows (at least one group), one _screen call each. The
-    floor starts at max(best, 0), `best` the best overlap of the batches
-    before, and rises after every chunk; screening stops at the first group
-    whose bound is below it, since every later group's bound is lower. A
-    base at the global maximum M has bound >= M >= floor, so the tied set
-    is never pruned. Returns the batch's best overlap (-1 when no base was
-    screened) and the (a, b, base, qs, ps) of every base at it. A pair with
-    no voting base scores 0 with the bases bare(length) gives.
+    Returns (src, lengths, rows, batches, bare): the live source pairs and
+    their lengths, the candidate-row builder of a batch, the batches, and
+    the bare 2-matches of a pair length.
     """
-    groups = qs, ps, owner, bases, cuts, bounds = rows(src, lengths)
-    order = np.argsort(-bounds, kind="stable")
-    ranked, sizes = -bounds[order], np.diff(cuts)[order]
-    ends = np.cumsum(sizes)
-    heads = ends - sizes  # row offsets of the groups taken in rank order
-    overlap = np.full(len(bounds), -1)
-    floor, start = max(best, 0), 0
-    while start < len(order) and -ranked[start] >= floor:
-        # At most _SCREEN_ROWS rows and at least one group, none below the floor.
-        stop = int(np.searchsorted(ends, heads[start] + _SCREEN_ROWS, "right"))
-        stop = min(max(start + 1, stop), int(np.searchsorted(ranked, -floor, "right")))
-        chunk, n_rows = order[start:stop], sizes[start:stop]
-        r = np.repeat(cuts[chunk] - heads[start:stop], n_rows)
-        r += np.arange(heads[start], ends[stop - 1])
-        g = np.repeat(np.arange(len(chunk)), n_rows)
-        k = owner[chunk]
-        overlap[chunk], _ = _screen(
-            pp, qq, src[k], lengths[k], bases[chunk], g, qs[r], ps[r], radius
-        )
-        floor, start = max(floor, int(overlap[chunk].max())), stop
-    empty = np.flatnonzero(np.bincount(owner, minlength=len(src)) == 0)
-    top = max(int(overlap.max(initial=-1)), 0 if len(empty) else -1)
-    if top < floor:
-        return top, []
-    pairs = src.tolist()
-    tied = [(*pairs[owner[g]], *_group(groups, g)) for g in np.flatnonzero(overlap == top)]
-    if top == 0:
-        tied += [(*pairs[k], *t) for k in empty for t in bare(lengths[k])]
+    pair_dict = build_pair_dict(pp)
+    search = DistanceRows(pp)
+    src, lengths = _live_pairs(source, qq, pair_dict, slack)
+    rows = partial(_base_rows, search, pairwise_distances(qq), slack)
+    batches = list(_batches(lengths, search, slack, len(qq)))
+    return src, lengths, rows, batches, partial(_two_match, pair_dict, slack)
+
+
+def _tied_bases(src, lengths, rows, batches, bare, score, chunk_rows: int):
+    """The best overlap over all source pairs and every base tied at it.
+
+    Each batch of source pairs takes its groups from one rows() call, the
+    batch builder. They go by descending distinct-q bound, ties in (pair,
+    base) order, in chunks of at most `chunk_rows` rows (at least one
+    group), one score(src, lengths, bases, g, qs, ps) call each, which
+    returns the overlap of each base as _screen does. The floor starts at
+    the best overlap of the batches before, or 0, and rises after every
+    chunk; a batch stops at the first group whose bound is below it, since
+    every later group's bound is lower. A base at the global maximum M has
+    bound >= M >= floor, so the tied set is never pruned. Returns M (-1 when
+    no base was scored) and the (a, b, base, qs, ps) of every base at it. A
+    pair with no voting base scores 0 with the bases bare(length) gives, or
+    none when `bare` is None.
+    """
+    top, tied = -1, []
+    for batch in batches:
+        pairs, lens = src[batch], lengths[batch]
+        qs, ps, owner, bases, cuts, bounds = rows(pairs, lens)
+        # Groups and their rows in rank order; group t owns rows heads[t]:ends[t].
+        order = np.argsort(-bounds, kind="stable")
+        owner, bases, sizes = owner[order], bases[order], np.diff(cuts)[order]
+        ends = np.cumsum(sizes)
+        r = np.repeat(cuts[order] - (ends - sizes), sizes)
+        r += np.arange(len(r))
+        qs, ps = qs[r], ps[r]
+        ranked, ends = (-bounds[order]).tolist(), ends.tolist()
+        heads = [0] + ends[:-1]
+        overlap = np.full(len(order), -1)
+        floor, start = max(top, 0), 0
+        while start < len(order) and -ranked[start] >= floor:
+            # At most chunk_rows rows and at least one group, none below the floor.
+            stop = bisect_right(ends, heads[start] + chunk_rows)
+            stop = min(max(start + 1, stop), bisect_right(ranked, -floor))
+            g = np.repeat(np.arange(stop - start), sizes[start:stop])
+            k, rs = owner[start:stop], slice(heads[start], ends[stop - 1])
+            overlap[start:stop] = score(pairs[k], lens[k], bases[start:stop], g, qs[rs], ps[rs])
+            floor, start = max(floor, int(overlap[start:stop].max())), stop
+        empty = np.flatnonzero(np.bincount(owner, minlength=len(pairs)) == 0) if bare else ()
+        found = max(int(overlap.max(initial=-1)), 0 if len(empty) else -1)
+        if found > top:
+            top, tied = found, []
+        if found != top or top < 0:
+            continue
+        ab = pairs.tolist()
+        for t in np.flatnonzero(overlap == top).tolist():
+            group = slice(heads[t], ends[t])
+            tied.append((*ab[owner[t]], tuple(bases[t].tolist()), qs[group], ps[group]))
+        if top == 0:
+            tied += [(*ab[k], *t) for k in empty for t in bare(lens[k])]
     return top, tied
+
+
+def _scored_once(tied_bases, score):
+    """Every base tied at the best overlap as a _Candidate, each scored once.
+
+    tied_bases(score, chunk_rows) is _tied_bases over one match's pairs; it
+    walks the bases one at a time, and score(a, b, base, qs, ps) gives each
+    one's _Candidate, which is kept for the tied set. Only the bare 2-matches,
+    which the walk does not score, are scored after it.
+    """
+    scored = {}
+
+    def one_base(src, lengths, bases, g, qs, ps):
+        key = (*src[0].tolist(), tuple(bases[0].tolist()))
+        scored[key] = score(*key, qs, ps)
+        return scored[key].overlap
+
+    _, tied = tied_bases(one_base, 0)
+    return [scored[t[:3]] if t[:3] in scored else score(*t) for t in tied]
 
 
 def _select_winner(pp, qq, candidates, radius, refine: bool = False) -> MatchResult:
@@ -557,13 +602,15 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     (votes) is at least the optimal matched-set size and every certified
     residual is at most report_factor * eps.
 
-    Source pairs are searched in batches of at most _BATCH_CELLS cells.
-    A batch's bases are screened by descending bound in chunks of at most
-    _SCREEN_ROWS rows (_screen_ranked), the best overlap so far being the
-    pruning floor; the bases tied at the best overlap over all pairs are
-    then rescored by _base_candidates, and _select_winner verifies and
-    refines them. `threads` is accepted and ignored: matching runs in the
-    calling thread.
+    Source pairs are searched in batches of at most _BATCH_CELLS cells, and
+    _tied_bases screens each batch's bases by descending bound in chunks of
+    at most _SCREEN_ROWS rows, the best overlap so far being the pruning
+    floor. The bases tied at the best overlap over all pairs are then
+    rescored by _base_candidates, and _select_winner verifies and refines
+    them. At a rounding-level radius, or when a rescored tied base leaves
+    the screen's maximum, the same loop scores every base once by
+    _base_candidates instead (_scored_once). `threads` is accepted and
+    ignored: matching runs in the calling thread.
     """
     pp, qq = as_points(P), as_points(Q)
     if len(pp) < 2 or len(qq) < 2:
@@ -571,12 +618,10 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     fuzz = _numeric_fuzz(pp, qq)
     slack = max(2.0 * params.eps, fuzz)
     radius = max(params.report_factor * params.eps, fuzz)
-    pair_dict = build_pair_dict(pp)
-    search = DistanceRows(pp)
-    src, lengths = _live_pairs(params.pair_source, qq, pair_dict, slack)
-    rows = partial(_base_rows, search, pairwise_distances(qq), slack)
-    batches = list(_batches(lengths, search, slack, len(qq)))
-    bare = partial(_two_match, pair_dict, slack)
+    tied_bases = partial(_tied_bases, *_setup(pp, qq, params.pair_source, slack))
+
+    def score(*t):
+        return _base_candidates(pp, qq, *t, radius)
 
     # Squared distances round to about 1e-16 * scale^2, scale the largest
     # coordinate. Below a radius of 1e-6 * scale (eps = 0 leaves only the
@@ -586,59 +631,16 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     scale = max(float(np.abs(pp).max()), float(np.abs(qq).max()))
     screen = radius >= 1e-6 * scale
     if screen:
-        # The best overlap so far is a lower bound on the winning overlap.
-        top, tied = -1, []
-        for b in batches:
-            found, bases = _screen_ranked(pp, qq, src[b], lengths[b], rows, bare, radius, top)
-            if found > top:
-                top, tied = found, []
-            if found == top:
-                tied += bases
+        top, tied = tied_bases(lambda *c: _screen(pp, qq, *c, radius)[0], _SCREEN_ROWS)
         # Only the bases tied at the global maximum are rescored by the
         # scalar path, whose arithmetic the winner's motion and angle carry.
-        candidates = [_base_candidates(pp, qq, *t, radius) for t in tied]
+        candidates = [score(*t) for t in tied]
         # A tied base rescored off the screen's maximum is that same
         # disagreement, seen late.
         screen = all(c.overlap == top for c in candidates)
     if not screen:
-        candidates = _scalar_candidates(
-            src, lengths, rows, batches, lambda *t: _base_candidates(pp, qq, *t, radius), bare
-        )
+        candidates = _scored_once(tied_bases, score)
     return _select_winner(pp, qq, candidates, radius, refine=True)
-
-
-def _scalar_candidates(src, lengths, rows, batches, score, bare=None):
-    """Every base that can tie the best overlap, scored one at a time.
-
-    Each batch of source pairs takes its groups from one rows() call, the
-    batch builder. Its pairs go in order, each pair's groups by descending
-    bound, then base, and a pair stops at the first bound below the best
-    overlap so far. score(a, b, base, qs, ps) gives a _Candidate. A pair
-    with no voting base scores the bases bare(length) gives, or none when
-    `bare` is None.
-    """
-    floor = 0
-    candidates: list[_Candidate] = []
-    for batch in batches:
-        groups = rows(src[batch], lengths[batch])
-        _, _, owner, bases, _, bounds = groups
-        # A pair's groups are consecutive: the rows are sorted by pair first.
-        heads = np.searchsorted(owner, np.arange(len(src[batch]) + 1))
-        for k, (a, b) in enumerate(src[batch].tolist()):
-            lo, hi = heads[k], heads[k + 1]
-            ranked = (
-                (bounds[g], *_group(groups, g))
-                for g in lo + np.lexsort((bases[lo:hi, 1], bases[lo:hi, 0], -bounds[lo:hi]))
-            )
-            if lo == hi and bare is not None:
-                ranked = [(0, *t) for t in bare(lengths[batch][k])]
-            for bound, base, qs, ps in ranked:
-                if bound < floor:
-                    break
-                cand = score(a, b, base, qs, ps)
-                candidates.append(cand)
-                floor = max(floor, cand.overlap)
-    return candidates
 
 
 def da_exact(
@@ -646,16 +648,15 @@ def da_exact(
     Q,
     params: ExactParams = ExactParams(),
     pairs: PairSource | Sequence[tuple[int, int]] = AllPairs(),
-    angle_tol: float = 1e-7,
 ) -> MatchResult:
     """Exact-mode dihedral voting: each matched pair casts a single angle.
 
     The modal angle over the sorted angle list plays the role of the interval
     sweep; with pigeonhole pairs at ratio alpha and a true matched set larger
-    than n/alpha, the winner matches the all-pairs run. Source pairs are
-    walked one at a time from the same batched rows as da_match, each
-    scored base keeping its modal window; only the tied winners build their
-    motion from a matched basis.
+    than n/alpha, the winner matches the all-pairs run. _tied_bases scores
+    the bases one at a time from the same batched rows as da_match, each
+    keeping its modal window; only the tied winners build their motion from
+    a matched basis.
     """
     pp, qq = as_points(P), as_points(Q)
     if len(pp) < 3 or len(qq) < 3:
@@ -663,48 +664,40 @@ def da_exact(
     fuzz = _numeric_fuzz(pp, qq)
     slack = max(params.tau, fuzz)
     radius = slack
-    pair_dict = build_pair_dict(pp)
-    search = DistanceRows(pp)
-    src, lengths = _live_pairs(pairs, qq, pair_dict, slack)
-    rows = partial(_base_rows, search, pairwise_distances(qq), slack)
-    batches = _batches(lengths, search, slack, len(qq))
-    score = partial(_exact_base_candidate, pp, qq, radius=radius, angle_tol=angle_tol)
-    candidates = _scalar_candidates(src, lengths, rows, batches, score)
+    src, lengths, rows, batches, _ = _setup(pp, qq, pairs, slack)
+    tied_bases = partial(_tied_bases, src, lengths, rows, batches, None)
+    candidates = _scored_once(tied_bases, partial(_exact_base_candidate, pp, qq, radius=radius))
     if not candidates:
         raise NoCandidatePairs("source pairs passed the filter but found no bases")
     return _select_winner(pp, qq, candidates, radius)
 
 
-def _exact_base_candidate(pp, qq, a, b, base, qs, ps, radius, angle_tol):
-    i, j = base
-    phi = pair_canonical_motion(pp[i], pp[j], qq[a], qq[b])
-    img = phi.apply(qq[qs])
-    c0, c1, c2 = rotation_distance_coeffs(pp[i], pp[j], img, pp[ps])
-    c0 = np.atleast_1d(c0)
-    amp = np.hypot(np.atleast_1d(c1), np.atleast_1d(c2))
+def _exact_base_candidate(pp, qq, a, b, base, qs, ps, radius):
+    phi, c0, c1, c2 = _base_coeffs(pp, qq, a, b, base, qs, ps)
+    amp = np.hypot(c1, c2)
     const = amp <= 1e-14 * np.maximum(c0, 1e-300)
     rr = radius * radius
     always_q = {int(q) for q in qs[const & (c0 <= rr)]}
     ok = ~const & (c0 - amp <= rr)
-    thetas = (np.arctan2(np.atleast_1d(c2)[ok], np.atleast_1d(c1)[ok]) + np.pi) % TWO_PI
+    thetas = (np.arctan2(c2[ok], c1[ok]) + np.pi) % TWO_PI
     entries = sorted(
         (float(t), int(q), int(p)) for t, q, p in zip(thetas, qs[ok], ps[ok])
     )
     n_always = len(always_q)
     if not entries:
-        return _Candidate(n_always, (a, b), (i, j), 0.0, phi)
+        return _Candidate(n_always, (a, b), tuple(base), 0.0, phi)
 
     angles = [e[0] for e in entries]
     ext = angles + [t + TWO_PI for t in angles]
     best_count, best_lo, best_hi = 0, 0, 0
     for lo in range(len(angles)):
-        hi = bisect_right(ext, angles[lo] + angle_tol, lo, lo + len(angles))
+        hi = bisect_right(ext, angles[lo] + _ANGLE_TOL, lo, lo + len(angles))
         distinct = len({entries[k % len(entries)][1] for k in range(lo, hi)})
         if distinct > best_count:
             best_count, best_lo, best_hi = distinct, lo, hi
     # Only a tied winner builds its motion from a matched basis of the window.
     window = tuple(entries[k % len(entries)][1:] for k in range(best_lo, best_hi))
-    return _Candidate(best_count + n_always, (a, b), (i, j), entries[best_lo][0], phi, window)
+    return _Candidate(best_count + n_always, (a, b), tuple(base), entries[best_lo][0], phi, window)
 
 
 def expander_da(

@@ -45,10 +45,6 @@ class ConstructionFailed(LcpMatchError):
     code = "construction_failed"
 
 
-class OverlappingSets(LcpMatchError):
-    code = "overlapping_sets"
-
-
 class TooLarge(LcpMatchError):
     """The requested brute-force computation exceeds its safety cap."""
 

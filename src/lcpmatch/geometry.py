@@ -1,4 +1,4 @@
-"""3D geometry core: rigid motions, invariant keys, dihedral-angle intervals.
+"""3D geometry core: rigid motions, dihedral-angle intervals.
 
 Conventions
 -----------
@@ -505,18 +505,6 @@ def pair_canonical_motion(p1, p2, q1, q2) -> RigidMotion:
         w = w / np.linalg.norm(w)
         rot = 2.0 * np.outer(w, w) - np.eye(3)
     return RigidMotion(rot, a1 - rot @ b1)
-
-
-def triangle_key(a, b, c) -> FloatArray:
-    """Ordered side lengths (|ab|, |ac|, |bc|) of a point triplet."""
-    pa, pb, pc = as_point(a), as_point(b), as_point(c)
-    return np.array(
-        [
-            np.linalg.norm(pb - pa),
-            np.linalg.norm(pc - pa),
-            np.linalg.norm(pc - pb),
-        ]
-    )
 
 
 def hausdorff(P, Q) -> float:

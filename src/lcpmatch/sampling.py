@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConstructionFailed, OverlappingSets, TooFewPoints, TooLarge
+from .errors import ConstructionFailed, TooFewPoints, TooLarge
 from .geometry import as_points, pairwise_distances
 
 
@@ -296,19 +296,6 @@ def estimate_lambda(g: ExpanderGraph, rel_tol: float = 1e-4) -> float:
             return new_est
         est = new_est
     return est
-
-
-def edges_between(g: ExpanderGraph, U, W) -> int:
-    """Exact |e(U, W)| for disjoint vertex sets, by edge-list scan."""
-    su = set(int(x) for x in U)
-    sw = set(int(x) for x in W)
-    if su & sw:
-        raise OverlappingSets("U and W must be disjoint")
-    count = 0
-    for a, b in g.edges:
-        if (a in su and b in sw) or (a in sw and b in su):
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

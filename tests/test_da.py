@@ -23,7 +23,6 @@ from lcpmatch.geometry import (
     max_overlap_angle,
     pair_canonical_motion,
     pairwise_distances,
-    triangle_key,
     union_intervals,
 )
 from lcpmatch.index import DistanceRows, build_pair_dict
@@ -412,7 +411,7 @@ class TestScalarFallback:
         inst = generate_instance(GenSpec(m=16, n=24, k=8, eps=0.3, noise=0.3), seed=1)
         params = MatchParams(eps=0.3, pair_source=Pigeonhole(4))
         want = da_match(inst.P, inst.Q, params)
-        screen, scalar, fallbacks = da._screen, da._scalar_candidates, []
+        screen, tied_bases, fallbacks = da._screen, da._tied_bases, []
 
         def inflate_first_base(*args):
             overlap, angle = screen(*args)
@@ -420,11 +419,12 @@ class TestScalarFallback:
             return overlap, angle
 
         def count(*args):
-            fallbacks.append(1)
-            return scalar(*args)
+            if args[-1] == 0:  # one base a chunk: the whole-run scalar pass
+                fallbacks.append(1)
+            return tied_bases(*args)
 
         monkeypatch.setattr(da, "_screen", inflate_first_base)
-        monkeypatch.setattr(da, "_scalar_candidates", count)
+        monkeypatch.setattr(da, "_tied_bases", count)
         assert self.same(da_match(inst.P, inst.Q, params), want)
         assert fallbacks == [1]
 
@@ -519,6 +519,40 @@ class TestBatchBudget:
         assert total == n_groups
         assert 1 < len(sizes) and sum(sizes) < n_groups
 
+        # The scalar modes walk the same loop a base a call, each base once.
+        exact = generate_instance(GenSpec(m=12, n=11, k=6, eps=0.0, exact=True), seed=2)
+        scored = []
+
+        def recorded(score):
+            def record(pp, qq, a, b, base, qs, ps, *rest, **kwargs):
+                cand = score(pp, qq, a, b, base, qs, ps, *rest, **kwargs)
+                scored.append(((a, b, tuple(base)), len(set(qs.tolist())), cand.overlap))
+                return cand
+
+            return record
+
+        monkeypatch.setattr(da, "_base_candidates", recorded(da._base_candidates))
+        monkeypatch.setattr(da, "_exact_base_candidate", recorded(da._exact_base_candidate))
+        for src in (AllPairs(), Pigeonhole(4)):
+            for run in (
+                lambda: da_exact(exact.P, exact.Q, pairs=src),
+                lambda: da_match(exact.P, exact.Q, MatchParams(0.0, pair_source=src)),
+            ):
+                results = set()
+                for cells in (1 << 62, 1):
+                    monkeypatch.setattr(da, "_BATCH_CELLS", cells)
+                    scored.clear()
+                    results.add(fingerprint(run()))
+                    assert scored
+                    # No call scores a base whose bound is below the best
+                    # overlap of the calls before it.
+                    floor = 0
+                    for _, bound, overlap in scored:
+                        assert bound >= floor
+                        floor = max(floor, overlap)
+                    assert len({key for key, _, _ in scored}) == len(scored)
+                assert len(results) == 1
+
     def test_only_two_matches_reach_the_top(self, monkeypatch):
         # Q pairs (0, 1) and (2, 3) match the length of P's pair (0, 1), but no
         # third point matches a triangle: both are bare 2-matches.
@@ -550,17 +584,18 @@ class TestSweepAgainstDenseSampling:
         phi = pair_canonical_motion(inst.P[i], inst.P[j], inst.Q[a], inst.Q[b])
         slack = 2 * inst.eps
         base_len = np.linalg.norm(inst.P[i] - inst.P[j])
+        dq, dp = pairwise_distances(inst.Q), pairwise_distances(inst.P)
         per_q = {}
         for q in range(len(inst.Q)):
             if q in (a, b):
                 continue
-            key = triangle_key(inst.Q[a], inst.Q[b], inst.Q[q])
+            key = dq[[a, a, b], [b, q, q]]
             if abs(key[0] - base_len) > slack:
                 continue
             for p in range(len(inst.P)):
                 if p in (i, j):
                     continue
-                pkey = triangle_key(inst.P[i], inst.P[j], inst.P[p])
+                pkey = dp[[i, i, j], [j, p, p]]
                 if np.abs(key - pkey).max() > slack:
                     continue
                 iv = dihedral_interval(

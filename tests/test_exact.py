@@ -230,7 +230,7 @@ class TestGeometricHashing:
     @pytest.mark.parametrize("height, kept", [(0.5e-9, False), (2e-9, True)])
     def test_near_collinear_rows_as_alignment(self, monkeypatch, height, kept):
         # (0, 1, 2) is a triangle of height just below or just above the
-        # collinear_rel threshold. Both matchers score the same congruent
+        # COLLINEAR_REL threshold. Both matchers score the same congruent
         # rows, so they skip its orderings together.
         P = np.array(
             [[0, 0, 0], [1, 0, 0], [0.5, height, 0], [0.2, 0.7, 0.4], [0.9, 0.3, -0.6]]

@@ -15,7 +15,6 @@ from lcpmatch.geometry import (
     max_overlap_angle,
     motion_from_bases,
     pair_canonical_motion,
-    triangle_key,
     union_intervals,
 )
 
@@ -251,30 +250,6 @@ def test_dihedral_against_rotation_sweep(seed):
             assert min(dists) <= 1e-6, (th, iv)
         else:
             pytest.fail(f"{iv.kind} interval misclassified angle {th}")
-
-
-# ---------------------------------------------------------------------------
-# keys
-# ---------------------------------------------------------------------------
-
-
-def test_triangle_key_345():
-    key = triangle_key([0, 0, 0], [3, 0, 0], [0, 4, 0])
-    assert np.allclose(key, [3.0, 4.0, 5.0])
-
-
-def test_triangle_key_rigid_invariant(rng):
-    for _ in range(50):
-        a, b, c = random_points(rng, 3)
-        mu = random_motion(rng)
-        k0 = triangle_key(a, b, c)
-        k1 = triangle_key(mu.apply(a), mu.apply(b), mu.apply(c))
-        assert np.abs(k0 - k1).max() <= 1e-9 * max(1.0, k0.max())
-
-
-def test_triangle_key_collinear_degenerate():
-    key = triangle_key([0, 0, 0], [1, 0, 0], [2, 0, 0])
-    assert np.isclose(key[0] + key[2], key[1])
 
 
 # ---------------------------------------------------------------------------

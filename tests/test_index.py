@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lcpmatch.errors import TooFewPoints
-from lcpmatch.geometry import pairwise_distances, triangle_key
+from lcpmatch.geometry import pairwise_distances
 from lcpmatch import index
 from lcpmatch.index import (
     DistanceRows,
@@ -84,7 +84,8 @@ class TestTripletIndex:
         P = random_points(rng, 6)
         trips, keys = ordered_triplets_and_keys(P)
         for t, k in zip(trips, keys):
-            assert np.allclose(k, triangle_key(P[t[0]], P[t[1]], P[t[2]]))
+            # (|ab|, |ac|, |bc|) of the triplet (a, b, c).
+            assert np.allclose(k, np.linalg.norm(P[t[[1, 2, 2]]] - P[t[[0, 0, 1]]], axis=1))
 
     def test_box_query_exact_hit(self, rng):
         P = random_points(rng, 7)

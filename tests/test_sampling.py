@@ -4,14 +4,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from lcpmatch.errors import OverlappingSets, TooLarge
+from lcpmatch.errors import TooLarge
 from lcpmatch.sampling import (
     AllPairs,
     Expander,
     ExpanderGraph,
     Pigeonhole,
     diam_k,
-    edges_between,
     estimate_lambda,
     materialize_pairs,
     pigeonhole_pairs,
@@ -147,20 +146,14 @@ class TestEstimateLambda:
         assert estimate_lambda(g) == 2.0
 
 
+def cross_edges(g, U, W) -> int:
+    """|e(U, W)|, the edges with one end in U and the other in W, for disjoint U and W."""
+    e = np.array(g.edges)
+    u, w = np.isin(e, U), np.isin(e, W)
+    return int(((u[:, 0] & w[:, 1]) | (w[:, 0] & u[:, 1])).sum())
+
+
 class TestEdgesBetween:
-    def test_empty_sets(self):
-        g = random_regular_graph(10, 3, seed=2)
-        assert edges_between(g, [], [1, 2]) == 0
-
-    def test_k4_bipartition(self):
-        g = ExpanderGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        assert edges_between(g, [0, 1], [2, 3]) == 4
-
-    def test_overlap_raises(self):
-        g = random_regular_graph(10, 3, seed=2)
-        with pytest.raises(OverlappingSets):
-            edges_between(g, [0, 1], [1, 2])
-
     def test_mixing_inequality_with_exact_lambda(self, rng):
         g = random_regular_graph(48, 8, seed=5)
         lam = dense_lambda(g)
@@ -170,7 +163,7 @@ class TestEdgesBetween:
             size_w = int(rng.integers(1, n - size_u))
             perm = rng.permutation(n)
             U, W = perm[:size_u], perm[size_u : size_u + size_w]
-            e_uw = edges_between(g, U, W)
+            e_uw = cross_edges(g, U, W)
             assert abs(e_uw - d * size_u * size_w / n) <= lam * math.sqrt(size_u * size_w) + 1e-9
 
     def test_corollary_edge_between_large_sets(self, rng):
@@ -182,7 +175,7 @@ class TestEdgesBetween:
         for _ in range(1000):
             perm = rng.permutation(g.n)
             U, W = perm[:floor_size], perm[floor_size : 2 * floor_size]
-            assert edges_between(g, U, W) >= 1
+            assert cross_edges(g, U, W) >= 1
 
 
 # ---------------------------------------------------------------------------
