@@ -1,10 +1,9 @@
 """Largest-common-point-set matching of 3D point sets under rigid motions.
 
 Public surface: the geometry core (rigid motions, invariant keys, dihedral
-intervals), preprocessing indexes, the exact voting algorithms, the
-dihedral-angle tolerant matcher with pluggable pair sources, sampling
-schemes, and the ground-truth oracle used for verification and instance
-generation.
+intervals), the exact voting algorithms, the dihedral-angle tolerant
+matcher with pluggable pair sources, sampling schemes, and the
+ground-truth oracle used for verification and instance generation.
 """
 
 from .da import MatchParams, da_exact, da_match, expander_da
@@ -45,7 +44,6 @@ from .geometry import (
     tolerant_precondition,
     union_intervals,
 )
-from .index import PairDict, TripletIndex, build_pair_dict, build_triplet_index
 from .oracle import (
     GenSpec,
     Instance,

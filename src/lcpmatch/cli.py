@@ -118,6 +118,15 @@ def _pair_source(args, seed: int):
     return Expander(args.degree, seed)
 
 
+# Matchers that score every congruent triplet and take no pair source.
+_TRIPLET_MATCHERS = {
+    "pose": exact_mod.pose_clustering,
+    "align": exact_mod.alignment,
+    "ght": exact_mod.ght,
+    "ghash": exact_mod.geometric_hashing,
+}
+
+
 def _dispatch(args, inst: oracle_mod.Instance, seed: int) -> MatchResult:
     eps = float(args.eps) if args.eps is not None else inst.eps
     if args.algo == "da":
@@ -144,18 +153,11 @@ def _dispatch(args, inst: oracle_mod.Instance, seed: int) -> MatchResult:
             report_factor=factor,
         )
     params = exact_mod.ExactParams(tau=args.tau)
-    if args.algo == "pose":
-        _require_all_sampling(args)
-        return exact_mod.pose_clustering(inst.P, inst.Q, params)
-    if args.algo == "align":
-        _require_all_sampling(args)
-        return exact_mod.alignment(inst.P, inst.Q, params)
-    if args.algo == "ght":
-        _require_all_sampling(args)
-        return exact_mod.ght(inst.P, inst.Q, params)
-    if args.algo == "ghash":
-        _require_all_sampling(args)
-        return exact_mod.geometric_hashing(inst.P, inst.Q, params)
+    triplet_matcher = _TRIPLET_MATCHERS.get(args.algo)
+    if triplet_matcher is not None:
+        if args.sampling != "all":
+            raise ValueError(f"--sampling {args.sampling} is not supported by --algo {args.algo}")
+        return triplet_matcher(inst.P, inst.Q, params)
     if args.algo == "ght-pair":
         return exact_mod.ght_pair_based(inst.P, inst.Q, params, pairs=_pair_source(args, seed))
     raise ValueError(f"unknown algorithm {args.algo!r}")
@@ -198,11 +200,6 @@ def cmd_match(args) -> int:
     report = build_run_report(args, inst, result, seed, wall_ms)
     _emit(json.dumps(report, indent=2), args.out)
     return EXIT_OK
-
-
-def _require_all_sampling(args):
-    if args.sampling != "all":
-        raise ValueError(f"--sampling {args.sampling} is not supported by --algo {args.algo}")
 
 
 # ---------------------------------------------------------------------------

@@ -93,23 +93,30 @@ def _require_sizes(P, Q, min_p: int, min_q: int):
         raise TooFewPoints(f"need at least {min_p} model and {min_q} scene points")
 
 
-def _congruent_triplets(pp, qq, params: ExactParams):
-    """Non-collinear (scene, model) triplet rows with keys within tau, in lex order.
+def _congruent_rows(pp, qq, ab, tau: float):
+    """Non-collinear rows (pos, tq, tp) of the scene pairs ab, by (pos, q, i, j, p).
 
-    Every ordered scene pair (a, b) is searched at its length |ab|; rows
-    with a collinear scene or model triplet are dropped. Raises
+    Scene pair ab[pos] = (a, b) is searched at its length |ab|; row
+    tq = (a, b, q) is congruent within tau to model triplet tp = (i, j, p).
+    Rows with a collinear scene or model triplet are dropped. Raises
     NoCongruentTriplets when there is none.
     """
     dq = pairwise_distances(qq)
-    a, b = np.nonzero(~np.eye(len(qq), dtype=bool))
-    pos, q, i, j, p = DistanceRows(pp).query(dq, np.column_stack([a, b]), dq[a, b], params.tau)
-    tq, tp = np.column_stack([a[pos], b[pos], q]), np.column_stack([i, j, p])
+    pos, q, i, j, p = DistanceRows(pp).query(dq, ab, dq[ab[:, 0], ab[:, 1]], tau)
+    tq, tp = np.column_stack([ab[pos], q]), np.column_stack([i, j, p])
     keep = ~(collinear_mask(qq, tq) | collinear_mask(pp, tp))
-    tq, tp = tq[keep], tp[keep]
+    pos, tq, tp = pos[keep], tq[keep], tp[keep]
     if len(tq) == 0:
         raise NoCongruentTriplets("no congruent triplet pair")
-    lex = np.lexsort((*tp.T[::-1], *tq.T[::-1]))
-    return tq[lex], tp[lex]
+    lex = np.lexsort((*tp.T[::-1], tq[:, 2], pos))
+    return pos[lex], tq[lex], tp[lex]
+
+
+def _congruent_triplets(pp, qq, params: ExactParams):
+    """The (tq, tp) rows of _congruent_rows over every ordered scene pair, in lex order."""
+    ab = np.column_stack(np.nonzero(~np.eye(len(qq), dtype=bool)))
+    _, tq, tp = _congruent_rows(pp, qq, ab, params.tau)
+    return tq, tp
 
 
 # Cells (rows x scene points x model points) that one chunk of _best_row's
@@ -258,17 +265,7 @@ def ght_pair_based(
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 3, 3)
     ab = np.array(materialize_pairs(pairs, len(qq)), dtype=np.int64).reshape(-1, 2)
-    dq = pairwise_distances(qq)
-    pos, q, i, j, p = DistanceRows(pp).query(dq, ab, dq[ab[:, 0], ab[:, 1]], params.tau)
-    a, b = ab[pos, 0], ab[pos, 1]
-    tq, tp = np.column_stack([a, b, q]), np.column_stack([i, j, p])
-    keep = ~(collinear_mask(qq, tq) | collinear_mask(pp, tp))
-    # Rows by position in the pair list, third point, then model triplet.
-    pos, tq, tp = pos[keep], tq[keep], tp[keep]
-    lex = np.lexsort((*tp.T[::-1], tq[:, 2], pos))
-    pos, tq, tp = pos[lex], tq[lex], tp[lex]
-    if len(tq) == 0:
-        raise NoCongruentTriplets("no congruent triplet through any source pair")
+    pos, tq, tp = _congruent_rows(pp, qq, ab, params.tau)
     # Tally per (position in the pair list, motion key): a repeated pair
     # votes apart instead of doubling its groups.
     keys = _row_keys(pp, qq, tq, tp, params.motion_grid)

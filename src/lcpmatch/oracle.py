@@ -321,8 +321,6 @@ class GenSpec:
     min_sep: float | None = None
     clearance: float | None = None
     exact: bool = False
-    grid: bool | None = None
-    reject_collinear: bool | None = None
     lcp_guard: bool = True
 
     def resolved(self) -> "GenSpec":
@@ -335,10 +333,8 @@ class GenSpec:
             # Loose random-packing bound so rejection sampling stays feasible.
             sep_p = base_sep + 2.0 * noise
             box = max(4.0 * sep_p, sep_p * (6.0 * self.m) ** (1.0 / 3.0) * 1.6)
-            if self.exact or self.grid:
+            if self.exact:
                 box = max(box, 12.0)
-        grid = self.exact if self.grid is None else self.grid
-        rc = self.exact if self.reject_collinear is None else self.reject_collinear
         clearance = self.clearance if self.clearance is not None else base_sep
         return replace(
             self,
@@ -346,8 +342,6 @@ class GenSpec:
             box=float(box),
             min_sep=base_sep,
             clearance=clearance,
-            grid=grid,
-            reject_collinear=rc,
         )
 
 
@@ -454,9 +448,7 @@ def generate_instance(spec: GenSpec, seed: int) -> Instance:
 
 def _generate_once(g: GenSpec, rng, budget) -> Instance | None:
     sep_p = g.min_sep + 2.0 * g.noise
-    p_list = _fill_points(
-        rng, g.m, g.box, g.grid, sep_p, g.reject_collinear, budget=budget
-    )
+    p_list = _fill_points(rng, g.m, g.box, g.exact, sep_p, g.exact, budget=budget)
     if p_list is None:
         return None
     P = np.array(p_list)
@@ -473,7 +465,7 @@ def _generate_once(g: GenSpec, rng, budget) -> Instance | None:
         images = images + dirs * radii[:, None]
 
     q_list = [img for img in images]
-    if g.reject_collinear and len(q_list) >= 3:
+    if g.exact and len(q_list) >= 3:
         trips = np.array(
             [(a, b, c) for a in range(g.k) for b in range(a + 1, g.k) for c in range(b + 1, g.k)],
             dtype=np.int64,
@@ -488,7 +480,7 @@ def _generate_once(g: GenSpec, rng, budget) -> Instance | None:
         g.box if g.k == 0 else 1.5 * g.box,
         False,
         g.min_sep,
-        g.reject_collinear,
+        g.exact,
         existing=q_list,
         clearance_from=q_list[: g.k],
         clearance=g.clearance,

@@ -8,8 +8,8 @@ n/alpha must put two (three) points into one block, so some emitted pair
 floor(n / block_size) is what makes the covering guarantee hold for ragged n.
 
 Expander pair sources realize "well-spread pairs" as random regular graphs
-whose second eigenvalue is estimated and verified a posteriori; generation
-retries with derived seeds until the estimate clears 2*sqrt(d).
+whose second eigenvalue is computed by a dense symmetric eigensolver after
+generation; generation retries with derived seeds until it clears 2*sqrt(d).
 """
 
 from __future__ import annotations
@@ -139,7 +139,8 @@ def pigeonhole_triplets(n: int, alpha: float) -> list[tuple[int, int, int]]:
 
 @dataclass(frozen=True, eq=False)
 class ExpanderGraph:
-    """Simple d-regular graph with an estimated second eigenvalue."""
+    """Simple d-regular graph; lambda_est is its second eigenvalue, from
+    estimate_lambda, exact up to a rounding of about n * d * 1e-16."""
 
     n: int
     d: int
@@ -147,7 +148,7 @@ class ExpanderGraph:
     lambda_est: float
 
     @classmethod
-    def from_edges(cls, n: int, edges, lambda_est: float | None = None) -> "ExpanderGraph":
+    def from_edges(cls, n: int, edges) -> "ExpanderGraph":
         es = tuple(sorted((min(a, b), max(a, b)) for a, b in edges))
         deg = np.zeros(n, dtype=np.int64)
         for a, b in es:
@@ -161,9 +162,7 @@ class ExpanderGraph:
         if len(degrees) != 1:
             raise ValueError(f"graph is not regular: degrees {sorted(degrees)}")
         d = degrees.pop()
-        g = cls(n, d, es, 0.0)
-        lam = estimate_lambda(g) if lambda_est is None else lambda_est
-        return cls(n, d, es, lam)
+        return cls(n, d, es, estimate_lambda(cls(n, d, es, 0.0)))
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -210,18 +209,22 @@ def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> set[tuple[int,
     return edges
 
 
-def random_regular_graph(n: int, d: int, seed: int, max_retries: int = 32) -> ExpanderGraph:
-    """Seeded simple d-regular graph with verified spectral estimate.
+# Derived seeds that random_regular_graph tries before it gives up.
+_MAX_RETRIES = 32
 
-    Regenerates from derived seeds until lambda_est <= 2*sqrt(d); raises
-    ConstructionFailed past the retry cap.
+
+def random_regular_graph(n: int, d: int, seed: int) -> ExpanderGraph:
+    """Seeded simple d-regular graph whose second eigenvalue is at most 2*sqrt(d).
+
+    Regenerates from derived seeds until estimate_lambda clears the bound;
+    raises ConstructionFailed after _MAX_RETRIES seeds.
     """
     if not 0 <= d < n:
         raise ValueError("degree must satisfy 0 <= d < n")
     if (n * d) % 2 != 0:
         raise ValueError("n * d must be even for a d-regular graph")
     bound = 2.0 * math.sqrt(d)
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_RETRIES):
         rng = np.random.default_rng([seed, attempt])
         edges = None
         for _ in range(64):
@@ -235,7 +238,7 @@ def random_regular_graph(n: int, d: int, seed: int, max_retries: int = 32) -> Ex
         if lam <= bound:
             return ExpanderGraph(n, d, g.edges, lam)
     raise ConstructionFailed(
-        f"no {d}-regular graph on {n} vertices with lambda <= {bound:.3f} in {max_retries} tries"
+        f"no {d}-regular graph on {n} vertices with lambda <= {bound:.3f} in {_MAX_RETRIES} tries"
     )
 
 
@@ -256,46 +259,21 @@ def _connected(n: int, edges) -> bool:
     return bool(seen.all())
 
 
-def estimate_lambda(g: ExpanderGraph, rel_tol: float = 1e-4) -> float:
-    """Largest |eigenvalue| of the adjacency matrix excluding the trivial one.
+def estimate_lambda(g: ExpanderGraph) -> float:
+    """Largest |eigenvalue| of the adjacency matrix after one copy of the top one.
 
-    For a connected d-regular graph the top eigenpair is (d, all-ones), which
-    is deflated exactly; power iteration then runs on the squared deflated
-    operator so paired +/- eigenvalues cannot stall convergence. Disconnected
-    graphs report d (their true second eigenvalue, and a failure signal for
-    the 2*sqrt(d) acceptance loop whenever d > 4).
+    The spectrum comes from np.linalg.eigvalsh of the dense adjacency
+    matrix, so the value is exact up to its rounding, about n * d * 1e-16.
+    A connected d-regular graph has top eigenvalue d once. Disconnected
+    graphs report exactly d (their true second eigenvalue, and a failure
+    signal for the 2*sqrt(d) acceptance loop whenever d > 4).
     """
-    n, d = g.n, g.d
-    if n <= 1:
+    if g.n <= 1:
         return 0.0
-    if not _connected(n, g.edges):
-        return float(d)
-    a = g.adjacency()
-
-    def deflated(v: np.ndarray) -> np.ndarray:
-        return a @ v - d * v.mean()
-
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(n)
-    v -= v.mean()
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        return 0.0
-    v /= norm
-    est = 0.0
-    max_steps = int(10 * n * max(math.log(n), 1.0)) // 2 + 25
-    for _ in range(max_steps):
-        w = deflated(deflated(v))
-        w -= w.mean()
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        new_est = math.sqrt(nw)
-        v = w / nw
-        if abs(new_est - est) <= rel_tol * max(new_est, 1e-30):
-            return new_est
-        est = new_est
-    return est
+    if not _connected(g.n, g.edges):
+        return float(g.d)
+    eig = np.linalg.eigvalsh(g.adjacency())  # ascending
+    return float(np.abs(eig[:-1]).max())
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,7 @@ def test_criterion_5_mixing_inequality():
             for seed in range(5):
                 g = random_regular_graph(n, d, seed=seed)
                 graphs += 1
-                lam = _exact_lambda(g) if n == 64 else estimate_lambda(g) * 1.01
+                lam = _exact_lambda(g) if n == 64 else estimate_lambda(g)
                 edges = np.array(g.edges)
                 e0, e1 = edges[:, 0], edges[:, 1]
                 for _ in range(1000):

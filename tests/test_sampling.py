@@ -134,11 +134,11 @@ class TestEstimateLambda:
         assert g.lambda_est == pytest.approx(2.0, abs=1e-3)
 
     def test_matches_dense_oracle_small(self):
-        for seed in range(8):
-            n, d = 12, 4
+        shapes = [(12, 4, seed) for seed in range(8)] + [(128, 16, 1), (512, 16, 1)]
+        for n, d, seed in shapes:
             g = random_regular_graph(n, d, seed=seed)
             exact = dense_lambda(g)
-            assert estimate_lambda(g) == pytest.approx(exact, rel=2e-3, abs=1e-6)
+            assert estimate_lambda(g) == pytest.approx(exact, rel=1e-9)
 
     def test_disconnected_reports_degree(self):
         edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
