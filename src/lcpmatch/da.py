@@ -69,9 +69,9 @@ from .geometry import (
     rotation_distance_coeffs,
     union_intervals,
 )
-from .index import DistanceRows, build_pair_dict
-# perfbench/tracing.py wraps this name here; no matcher calls it.
-from .index import build_triplet_index  # noqa: F401
+from .index import DistanceRows
+# perfbench/tracing.py wraps these names here; no matcher calls them.
+from .index import build_pair_dict, build_triplet_index  # noqa: F401
 from .result import MatchResult, build_match_result
 from .sampling import AllPairs, Expander, PairSource, materialize_pairs
 
@@ -107,12 +107,13 @@ _SCREEN_ROWS = 1 << 11
 _ANGLE_TOL = 1e-7
 
 
-def _live_pairs(source, qq, pair_dict, slack):
+def _live_pairs(source, qq, search, slack):
     """The source pairs that pass the length filter, long pairs first.
 
-    Returns (src, lengths): pairs (a, b) and their lengths |ab|. A diameter
-    pair of the optimum is the pair the guarantee rides on, and finding it
-    early raises the skip floor.
+    A pair passes when its length slab in the DistanceRows `search` is not
+    empty. Returns (src, lengths): pairs (a, b) and their lengths |ab|. A
+    diameter pair of the optimum is the pair the guarantee rides on, and
+    finding it early raises the skip floor.
     """
     src = np.array(materialize_pairs(source, len(qq)), dtype=np.int64).reshape(-1, 2)
     d = qq[src[:, 0]] - qq[src[:, 1]]
@@ -120,10 +121,10 @@ def _live_pairs(source, qq, pair_dict, slack):
     # rounds differently.
     lengths = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
     order = np.lexsort((src[:, 1], src[:, 0], -lengths))
-    live = [pair_dict.any_in_range(length, slack) for length in lengths[order].tolist()]
-    if not any(live):
+    lo, hi = search.slab(lengths[order], slack)
+    order = order[hi > lo]
+    if len(order) == 0:
         raise NoCandidatePairs("no source pair length matches any model pair")
-    order = order[live]
     return src[order], lengths[order]
 
 
@@ -410,28 +411,23 @@ def _base_rows(search, dists, slack, src, lengths):
     every other scene point q, with |ab| = lengths[k] and the rest from
     `dists`, the scene distance matrix. Returns the arrays (qs, ps, owner,
     bases, cuts, bounds). Rows (qs[r], ps[r]) are the found (scene, model)
-    points sorted by pair, base, q, then p; group g is base bases[g] =
-    (i, j) of pair src[owner[g]] and owns rows cuts[g]:cuts[g + 1];
-    bounds[g] is its distinct-q count, which bounds its overlap.
+    points in the search's order: by pair, base, q, then p. Group g is base
+    bases[g] = (i, j) of pair src[owner[g]] and owns rows cuts[g]:cuts[g +
+    1]; bounds[g] is its distinct-q count, which bounds its overlap.
     """
-    m, n = len(search.dists), len(dists)
     pos, qs, i, j, ps = search.query(dists, src, lengths, slack)
-    # Sort by (pair, i, j, q, p) through one integer code, unique per row.
-    code = (((pos * m + i) * m + j) * n + qs) * m + ps
-    del pos, qs, i, j, ps  # the batch's largest arrays, before the sort
-    code.sort()
-    base_q, ps = np.divmod(code, m)
-    base, qs = np.divmod(base_q, n)
-    heads = np.flatnonzero(_run_starts(base))
-    bounds = np.add.reduceat(_run_starts(base_q).astype(np.int64), heads)
-    owner, i_j = np.divmod(base[heads], m * m)
-    bases = np.column_stack(np.divmod(i_j, m))
-    return qs, ps, owner, bases, np.append(heads, len(qs)), bounds
+    new = _run_starts(pos, i, j)
+    heads = np.flatnonzero(new)
+    bounds = np.add.reduceat((new | _run_starts(qs)).astype(np.int64), heads)
+    bases = np.column_stack([i[heads], j[heads]])
+    return qs, ps, pos[heads], bases, np.append(heads, len(qs)), bounds
 
 
-def _two_match(pair_dict, slack, length):
-    """With no voting base, the base pair alone is a 2-match in both directions."""
-    i, j = min(pair_dict.query_range(length, slack))
+def _two_match(search, slack, length):
+    """With no voting base, the base pair alone is a 2-match in both
+    directions: the smallest (i, j) in the length slab, and (j, i)."""
+    lo, hi = search.slab([length], slack)
+    i, j = min(search.pairs[lo[0] : hi[0]].tolist())
     none = np.empty(0, dtype=np.int64)
     return [((i, j), none, none), ((j, i), none, none)]
 
@@ -443,12 +439,11 @@ def _setup(pp, qq, source, slack):
     their lengths, the candidate-row builder of a batch, the batches, and
     the bare 2-matches of a pair length.
     """
-    pair_dict = build_pair_dict(pp)
     search = DistanceRows(pp)
-    src, lengths = _live_pairs(source, qq, pair_dict, slack)
+    src, lengths = _live_pairs(source, qq, search, slack)
     rows = partial(_base_rows, search, pairwise_distances(qq), slack)
     batches = list(_batches(lengths, search, slack, len(qq)))
-    return src, lengths, rows, batches, partial(_two_match, pair_dict, slack)
+    return src, lengths, rows, batches, partial(_two_match, search, slack)
 
 
 def _tied_bases(src, lengths, rows, batches, bare, score, chunk_rows: int):

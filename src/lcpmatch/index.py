@@ -1,16 +1,20 @@
 """Preprocessing dictionaries: pair lengths, distance rows and a sorted-key join.
 
-The pair dictionary answers "which pairs of P have length within a slack of
-L" by binary search on a sorted length array. DistanceRows is the one
-candidate search of every matcher: it finds each model triplet (i, j, p)
-congruent within a slack to a scene triplet (a, b, q) from the model
-distance matrix, its ordered pairs sorted by length, and bit-packed masks
-of the model distance rows, m^2 n / 8 bytes per scene point searched. A
-KeyIndex holds float keys sorted on their first coordinate and joins a
-batch of query keys against them; the triplet index is the ordered
-triplets of P with their triangle keys in a KeyIndex. No matcher calls
-those two; perfbench/tracing.py wraps them. All are immutable after
-construction and safe for concurrent readers.
+DistanceRows is the one candidate search of every matcher: it finds each
+model triplet (i, j, p) congruent within a slack to a scene triplet (a, b,
+q) from the model distance matrix, its ordered pairs sorted by length, and
+bit-packed masks of the model distance rows, m^2 n / 8 bytes per scene
+point searched. A mask is built by one outer subtraction of scene and
+model distance rows and one flat bit pack; a search ANDs the masks of its
+length-slab entries, taken in (pair, i, j) order, and unpacks only the
+nonzero bytes, so its rows come out grouped by base. The length slab of a
+pair is also DA's pair-length filter. The pair dictionary answers "which
+pairs of P have length within a slack of L" by binary search on a sorted
+length array. A KeyIndex holds float keys sorted on their first coordinate
+and joins a batch of query keys against them; the triplet index is the
+ordered triplets of P with their triangle keys in a KeyIndex. No matcher
+calls the pair dictionary or those two; perfbench/tracing.py wraps them.
+All are immutable after construction and safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -90,9 +94,10 @@ def build_pair_dict(P) -> PairDict:
     return PairDict(lengths[order], pairs[order])
 
 
-# Cells of one float compare that builds DistanceRows masks (model rows x
-# scene points x model points), and bytes of one AND of their gathered rows
-# (slab pairs x scene points x mask bytes); bounds the search's working memory.
+# Cells of one float compare that builds DistanceRows masks (scene distances
+# x model distances padded to whole bytes, at least one byte of them), and
+# bytes of one AND of their gathered rows (slab pairs x scene points x mask
+# bytes, at least one slab pair); bounds the search's working memory.
 _MASK_CELLS = 1 << 16
 
 
@@ -131,7 +136,10 @@ class DistanceRows:
         q]) <= slack and abs(dists[j, p] - scene_dists[b, q]) <= slack, with
         q not in {a, b} and p not in {i, j}: the triangle-key test of
         (|ab|, |aq|, |bq|) against (|ij|, |ip|, |jp|), float for float.
-        Returns five int64 arrays, ordered by pos, slab pair, q, then p.
+        The slab entries (pos, i, j) are sorted before the masks of (a, i)
+        and (b, j) are ANDed, and only the nonzero bytes of each AND are
+        unpacked, so the five int64 arrays come out ordered by pos, i, j, q,
+        then p.
         """
         scene_dists = np.asarray(scene_dists, dtype=np.float64)
         src = np.asarray(src, dtype=np.int64).reshape(-1, 2)
@@ -142,46 +150,68 @@ class DistanceRows:
         # Slab pair k of pos runs over lo[pos] ... hi[pos] - 1.
         k = np.arange(len(pos)) + np.repeat(lo - (np.cumsum(count) - count), count)
         i, j = self.pairs[k].T
+        order = np.argsort((pos * m + i) * m + j)
+        pos, i, j = pos[order], i[order], j[order]
         used, slot = np.unique(src, return_inverse=True)
         masks = self._masks(scene_dists, used, slack)
         # Mask rows of (a, i) and (b, j) in the (used point, model row) layout.
         slot = slot.reshape(-1, 2)[pos] * m
         row_a, row_b = slot[:, 0] + i, slot[:, 1] + j
-        step = max(1, _MASK_CELLS // (n * masks.shape[2]))
-        parts = []
+        width = masks.shape[2]
+        step = max(1, _MASK_CELLS // (n * width))
+        parts = [np.empty(0, dtype=np.int64)]
         for s in range(0, len(pos), step):
             both = masks[row_a[s : s + step]] & masks[row_b[s : s + step]]
-            e, q, byte = np.nonzero(both)
-            bits = np.unpackbits(both[e, q, byte][:, None], axis=1, bitorder="little")
-            r, bit = np.nonzero(bits)
-            parts.append((s + e[r], q[r], byte[r] * 8 + bit))
-        if not parts:
-            none = np.empty(0, dtype=np.int64)
-            return none, none, none, none, none
-        e, q, p = (np.concatenate(x) for x in zip(*parts))
-        return pos[e], q, i[e], j[e], p
+            flat = np.flatnonzero(both != 0)
+            # unpackbits gives 0 or 1 per bit, so the bool view is exact.
+            bits = np.unpackbits(both.take(flat), bitorder="little").view(bool)
+            hit = np.flatnonzero(bits)
+            parts.append((s * n * width + flat[hit >> 3]) * 8 + (hit & 7))
+        # Bit index into the (entry, q, p) bits, p padded to whole bytes.
+        hit = np.concatenate(parts)
+        e = hit // (8 * n * width)
+        q_p = hit - e * (8 * n * width)
+        q = q_p // (8 * width)
+        return pos[e], q, i[e], j[e], q_p - q * (8 * width)
 
     def _masks(self, scene_dists, points, slack: float):
         """Packed third-point masks, as (len(points) * m, n, ceil(m / 8)) bytes.
 
         Bit p (little bit order) of row u * m + i, scene point q, is set when
-        abs(dists[i, p] - scene_dists[points[u], q]) <= slack, p != i and
-        q != points[u]. The float compare runs over chunks of rows of at
-        most _MASK_CELLS cells.
+        abs(scene_dists[points[u], q] - dists[i, p]) <= slack, p != i and
+        q != points[u]; abs(x - y) == abs(y - x) bit for bit, so this is
+        the compare of the query's docstring. The model matrix is padded to
+        whole bytes, and its diagonal set, with NaN, which fails every
+        compare. The compare is the outer difference of the scene values
+        (u, q) and the model cells (i, p), taken in blocks of at most
+        _MASK_CELLS cells (whole bytes of model cells, at least one byte)
+        into one reused buffer. Its bits are packed flat, in (u, q, i, p)
+        order, and transposed to (u, i, q, p) once.
         """
         m, n = len(self.dists), len(scene_dists)
-        a, i = np.repeat(points, m), np.tile(np.arange(m), len(points))
-        out = np.empty((len(a), n, (m + 7) // 8), dtype=np.uint8)
-        step = max(1, _MASK_CELLS // (n * m))
-        for s in range(0, len(a), step):
-            rows = slice(s, s + step)
-            diff = self.dists[i[rows], None, :] - scene_dists[a[rows], :, None]
-            ok = np.abs(diff, out=diff) <= slack
-            r = np.arange(len(ok))
-            ok[r, :, i[rows]] = False
-            ok[r, a[rows], :] = False
-            out[rows] = np.packbits(ok, axis=2, bitorder="little")
-        return out
+        width = (m + 7) // 8
+        model = np.full((m, 8 * width), np.nan)
+        model[:, :m] = self.dists
+        np.fill_diagonal(model, np.nan)
+        model = model.reshape(-1)
+        scene = scene_dists[points].reshape(-1)
+        cols = max(8, min(len(model), _MASK_CELLS // 8 * 8))
+        step = max(1, _MASK_CELLS // cols)
+        # Every compare reuses one buffer; a fresh one per block pays page faults.
+        cells = np.empty(min(step, len(scene)) * cols)
+        out = np.empty((len(scene), len(model) // 8), dtype=np.uint8)
+        for s in range(0, len(scene), step):
+            for c in range(0, len(model), cols):
+                a, b = scene[s : s + step], model[c : c + cols]
+                diff = cells[: a.size * b.size].reshape(a.size, b.size)
+                ok = np.abs(np.subtract.outer(a, b, out=diff), out=diff) <= slack
+                packed = np.packbits(ok, bitorder="little").reshape(a.size, -1)
+                out[s : s + step, c // 8 : (c + cols) // 8] = packed
+        out = out.reshape(len(points), n, m, width)
+        out[np.arange(len(points)), points] = 0
+        # To (u, i, q) order, moving each q's `width` bytes as one item.
+        by_row = np.ascontiguousarray(out.view(f"V{width}").transpose(0, 2, 1, 3))
+        return by_row.view(np.uint8).reshape(-1, n, width)
 
 
 # Cells (queries x window rows) that one broadcast compare of KeyIndex.join

@@ -284,10 +284,7 @@ def test_criterion_6_long_edge_lemma():
         rng = np.random.default_rng(6000 + i)
         pts = random_points(rng, n, span=10.0)
         d = (4, 6, 8, 16)[i % 4]
-        if d == 16 and (n * d) % 2 == 0:
-            g = random_regular_graph(n, d, seed=6000 + i)
-        else:
-            g = random_regular_graph(n, d, seed=6000 + i)
+        g = random_regular_graph(n, d, seed=6000 + i)
         lam = _exact_lambda(g)
         threshold = 25.0 * lam * n / g.d
         thresholds.append(threshold)

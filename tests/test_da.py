@@ -10,6 +10,7 @@ from lcpmatch.da import (
     _numeric_fuzz,
     _screen,
     _stab,
+    _two_match,
     da_exact,
     da_match,
     expander_da,
@@ -25,7 +26,7 @@ from lcpmatch.geometry import (
     pairwise_distances,
     union_intervals,
 )
-from lcpmatch.index import DistanceRows, build_pair_dict
+from lcpmatch.index import DistanceRows
 from lcpmatch.oracle import GenSpec, exact_lcp_bruteforce, generate_instance
 from lcpmatch.sampling import AllPairs, Expander, Pigeonhole, materialize_pairs
 
@@ -133,7 +134,7 @@ def screened_and_scalar(P, Q, eps, source):
     pp, qq = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     fuzz = _numeric_fuzz(pp, qq)
     slack, radius = max(2 * eps, fuzz), max(4 * eps, fuzz)
-    src, lengths = _live_pairs(source, qq, build_pair_dict(pp), slack)
+    src, lengths = _live_pairs(source, qq, DistanceRows(pp), slack)
     qs, ps, owner, bases, cuts, _ = _base_rows(
         DistanceRows(pp), pairwise_distances(qq), slack, src, lengths
     )
@@ -180,10 +181,63 @@ class TestLivePairs:
         qq[4:8, 0] = -0.0
         qq[8:12, 1] = qq[12:16, 1]
         qq[16] = qq[17]
-        src, lengths = _live_pairs(AllPairs(), qq, build_pair_dict(qq), np.inf)
+        src, lengths = _live_pairs(AllPairs(), qq, DistanceRows(qq), np.inf)
         assert len(src) == 40 * 39 // 2
         want = np.array([float(np.linalg.norm(qq[a] - qq[b])) for a, b in src.tolist()])
         assert lengths.tobytes() == want.tobytes()
+
+
+    def test_keeps_exactly_the_pairs_with_a_nonempty_slab(self):
+        inst = tolerant_instance(2)
+        pp, qq = inst.P, inst.Q
+        dp = pairwise_distances(pp)
+        model = dp[~np.eye(len(pp), dtype=bool)].tolist()
+        pairs = np.array(materialize_pairs(AllPairs(), len(qq)))
+        for slack in (0.05, 0.3):
+            src, lengths = _live_pairs(AllPairs(), qq, DistanceRows(pp), slack)
+            want = [
+                (a, b)
+                for a, b in pairs.tolist()
+                if any(
+                    (length := float(np.linalg.norm(qq[a] - qq[b]))) - slack <= x <= length + slack
+                    for x in model
+                )
+            ]
+            assert 0 < len(want) < len(pairs)
+            assert sorted(map(tuple, src.tolist())) == want
+            assert (np.diff(lengths) <= 0).all()
+
+    def test_length_on_the_slab_edge(self):
+        # Integer coordinates keep every length and slab edge exact. Model
+        # lengths are 3, 4 and 7; at slack 1 the scene lengths 5 and 8 reach
+        # 4 and 7 exactly on the edge, 4 matches itself, and 1, 12 and 13
+        # reach nothing.
+        pp = np.array([[0.0, 0, 0], [3.0, 0, 0], [7.0, 0, 0]])
+        qq = np.array([[0.0, 0, 0], [1.0, 0, 0], [5.0, 0, 0], [13.0, 0, 0]])
+        src, lengths = _live_pairs(AllPairs(), qq, DistanceRows(pp), 1.0)
+        assert src.tolist() == [[2, 3], [0, 2], [1, 2]]
+        assert lengths.tolist() == [8.0, 5.0, 4.0]
+        src, _ = _live_pairs(AllPairs(), qq, DistanceRows(pp), 1.0 - 1e-9)
+        assert src.tolist() == [[1, 2]]
+        with pytest.raises(NoCandidatePairs):
+            _live_pairs([(0, 1), (0, 3)], qq, DistanceRows(pp), 1.0)
+
+
+class TestTwoMatch:
+    def test_smallest_pair_in_the_slab(self):
+        # Lengths: |01| = |23| = 3, |12| = 4, |02| = |13| = 7, |03| = 10.
+        pp = np.array([[0.0, 0, 0], [3.0, 0, 0], [7.0, 0, 0], [10.0, 0, 0]])
+        dp = pairwise_distances(pp)
+        search = DistanceRows(pp)
+        for length, slack, want in [(3.0, 0.0, (0, 1)), (4.0, 0.0, (1, 2)), (5.5, 1.5, (0, 2)),
+                                    (10.0, 0.5, (0, 3)), (4.5, 0.5, (1, 2)), (3.5, 0.5, (0, 1))]:
+            ok = (length - slack <= dp) & (dp <= length + slack) & ~np.eye(len(pp), dtype=bool)
+            assert min(map(tuple, np.argwhere(ok).tolist())) == want
+            got = _two_match(search, slack, length)
+            assert [(base, qs.tolist(), ps.tolist()) for base, qs, ps in got] == [
+                (want, [], []),
+                (want[::-1], [], []),
+            ]
 
 
 class TestBaseRows:
@@ -194,7 +248,7 @@ class TestBaseRows:
         inst = tolerant_instance(seed)
         pp, qq = inst.P, inst.Q
         slack = 2 * inst.eps
-        src, lengths = _live_pairs(AllPairs(), qq, build_pair_dict(pp), slack)
+        src, lengths = _live_pairs(AllPairs(), qq, DistanceRows(pp), slack)
         for k, (a, b) in enumerate(src.tolist()):
             assert lengths[k] == float(np.linalg.norm(qq[a] - qq[b]))
         dists = pairwise_distances(qq)
@@ -221,9 +275,9 @@ class TestBaseRows:
         i, j, p = trips.T
         dp = pairwise_distances(pp)
         keys = np.column_stack([dp[i, j], dp[i, p], dp[j, p]])
-        pair_dict = build_pair_dict(pp)
+        search = DistanceRows(pp)
         rng = np.random.default_rng(seed)
-        src, _ = _live_pairs(Pigeonhole(4), qq, pair_dict, 0.6)
+        src, _ = _live_pairs(Pigeonhole(4), qq, search, 0.6)
         for a, b in src[rng.choice(len(src), 4, replace=False)].tolist():
             q = int(rng.choice(np.delete(np.arange(len(qq)), [a, b])))
             query = np.array(
@@ -239,7 +293,7 @@ class TestBaseRows:
             inner = np.flatnonzero(gaps[:, 0] < worst)
             r = int(inner[np.argsort(worst[inner], kind="stable")[len(inner) // 50]])
             slack = float(worst[r])
-            sub, lengths = _live_pairs([(a, b)], qq, pair_dict, slack)
+            sub, lengths = _live_pairs([(a, b)], qq, search, slack)
             got = batch_rows(pp, qq, sub, lengths, slack)
             want = [(0, *row) for row in per_pair_rows(pp, qq, a, b, slack)]
             assert got == want
@@ -252,7 +306,7 @@ class TestBaseRows:
         inst = tolerant_instance(1)
         pp, qq = inst.P, inst.Q
         dq, dp = pairwise_distances(qq), pairwise_distances(pp)
-        src, lengths = _live_pairs(AllPairs(), qq, build_pair_dict(pp), 0.6)
+        src, lengths = _live_pairs(AllPairs(), qq, DistanceRows(pp), 0.6)
         differ = lengths != dq[src[:, 0], src[:, 1]]
         checked = 0
         for (a, b), length in zip(src[differ].tolist(), lengths[differ].tolist()):

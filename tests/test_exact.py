@@ -22,6 +22,7 @@ from lcpmatch.geometry import (
     motions_from_bases,
     pairwise_distances,
 )
+from lcpmatch.index import DistanceRows
 from lcpmatch.oracle import GenSpec, exact_lcp_bruteforce, generate_instance, random_rotation
 from lcpmatch.sampling import Pigeonhole, materialize_pairs
 
@@ -357,6 +358,27 @@ class TestEquivalenceMini:
                 "da_exact": da_exact(inst.P, inst.Q).size,
             }
             assert set(sizes.values()) == {truth}, (seed, truth, sizes)
+
+
+class TestCongruentRows:
+    def test_collinear_model_triplet_is_dropped(self):
+        # Model (0, 1, 2) is collinear, with sides 2, 1 and 1. Scene (0, 1, 2)
+        # lifts the middle point by 0.1, so it is a triangle whose sides
+        # 2, sqrt(1.01) and sqrt(1.01) are within tau = 0.01 of the model's.
+        # Point 3 is the same off-line point in both sets.
+        P = np.array([[0.0, 0, 0], [2.0, 0, 0], [1.0, 0, 0], [1.0, 0, 1.5]])
+        Q = np.array([[0.0, 0, 0], [2.0, 0, 0], [1.0, 0.1, 0], [1.0, 0, 1.5]])
+        tau = 0.01
+        assert is_collinear(*P[:3]) and not is_collinear(*Q[:3])
+        ab = np.array([[0, 1]])
+        dq = pairwise_distances(Q)
+        pos, q, i, j, p = DistanceRows(P).query(dq, ab, dq[0, [1]], tau)
+        found = set(zip(q.tolist(), i.tolist(), j.tolist(), p.tolist()))
+        assert (2, 0, 1, 2) in found and (3, 0, 1, 3) in found
+        _, tq, tp = exact._congruent_rows(P, Q, ab, tau)
+        rows = set(zip(map(tuple, tq.tolist()), map(tuple, tp.tolist())))
+        assert ((0, 1, 3), (0, 1, 3)) in rows
+        assert ((0, 1, 2), (0, 1, 2)) not in rows
 
 
 class TestMotionKey:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -142,20 +144,58 @@ def brute_rows(dp, dq, src, lengths, slack):
 
 def query_rows(P, Q, src, lengths, slack):
     """DistanceRows.query as (pos, q, i, j, p) tuples, checked to come in
-    (pos, slab pair, q, p) order."""
+    (pos, i, j, q, p) order."""
     search = DistanceRows(P)
     pos, q, i, j, p = search.query(pairwise_distances(Q), src, lengths, slack)
-    rank = {pair: r for r, pair in enumerate(map(tuple, search.pairs.tolist()))}
-    order = [(a, rank[c, d], e, f) for a, c, d, e, f in zip(pos, i, j, q, p)]
+    assert all(x.dtype == np.int64 for x in (pos, q, i, j, p))
+    order = list(zip(*(x.tolist() for x in (pos, i, j, q, p))))
     assert order == sorted(set(order))
     return sorted(zip(*(x.tolist() for x in (pos, q, i, j, p))))
 
 
 @pytest.fixture(params=[False, True], ids=["default_chunks", "one_row_chunks"])
 def chunks(request, monkeypatch):
-    # One model row per float compare and one slab pair per AND.
+    # One byte of model cells per float compare and one slab pair per AND.
     if request.param:
         monkeypatch.setattr(index, "_MASK_CELLS", 1)
+
+
+def brute_masks(dp, dq, points, slack):
+    """DistanceRows._masks unpacked to (points x model rows, n, bits padded
+    to whole bytes), cell by cell."""
+    m, n = len(dp), len(dq)
+    bits = np.zeros((len(points), m, n, (m + 7) // 8 * 8), dtype=bool)
+    for u, a in enumerate(points.tolist()):
+        for i, q, p in itertools.product(range(m), range(n), range(m)):
+            bits[u, i, q, p] = abs(dp[i, p] - dq[a, q]) <= slack and p != i and q != a
+    return bits.reshape(-1, n, bits.shape[3])
+
+
+class TestMasks:
+    # Budgets of one byte of model cells, of blocks that split model rows,
+    # of several scene values with a short last block, and the default.
+    @pytest.mark.parametrize("cells", [1, 40, 500, index._MASK_CELLS])
+    @pytest.mark.parametrize("m", [7, 8, 9, 17])
+    def test_masks_match_per_cell_bruteforce(self, rng, monkeypatch, m, cells):
+        monkeypatch.setattr(index, "_MASK_CELLS", cells)
+        P = random_points(rng, m)
+        # Copies of P give bit-equal distances at slack 0.
+        Q = np.vstack([P[[2, 0, 5]], random_points(rng, 6)])
+        dp, dq = pairwise_distances(P), pairwise_distances(Q)
+        points = np.array([0, 2, 3, 8])
+        width = (m + 7) // 8
+        # At an infinite slack every compare passes, so the mask is exactly
+        # the exclusions q == points[u] and p == i and the padding bits.
+        for slack in (0.0, 1.5, 10.0, np.inf):
+            masks = DistanceRows(P)._masks(dq, points, slack)
+            assert masks.dtype == np.uint8
+            assert masks.shape == (len(points) * m, len(Q), width)
+            got = np.unpackbits(masks, axis=2, bitorder="little").astype(bool)
+            want = brute_masks(dp, dq, points, slack)
+            assert np.array_equal(got, want)
+            if slack == 0.0:
+                assert want.any()
+        assert got.sum() == len(points) * m * (len(Q) - 1) * (m - 1)
 
 
 class TestDistanceRows:
