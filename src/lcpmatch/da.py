@@ -17,13 +17,15 @@ mode. A batch's bases go from the highest distinct-q count, which bounds
 their overlap, to the lowest; the best overlap so far is a floor, and the
 batch stops at the first base whose bound is below it. Tolerant bases are
 scored in array passes (the screen), a chunk of rows a pass: canonical
-motions for every base, the arc of every matched (q, p), the union of each
-(base, q)'s arcs, and a stabbing sweep segmented by base. Only the bases
-tied at the best overlap over all pairs are rescored one at a time by the
-scalar helpers, so the winner's motion and angle carry their arithmetic bit
-for bit. When the radius is down at rounding level (eps = 0), arcs hinge on
-the last bit, and the same loop scores one base at a time by the scalar
-helpers instead, as it does in exact mode. Tied winners are re-verified,
+motions for every base, the arc of every matched (q, p), and one stabbing
+sweep segmented by base, in which each (base, q) counts wherever one of
+its arcs is open (_stab). Only the bases tied at the best overlap over all
+pairs are rescored, their motions and coefficients by the scalar helpers
+and then all of them by the same sweep, so the winner's motion and angle
+carry the scalar arithmetic bit for bit. When the radius is down at
+rounding level (eps = 0), arcs hinge on the last bit, and the same loop
+scores one base at a time that way instead; exact mode scores one base at
+a time by its own modal window. Tied winners are re-verified,
 polished by an iterated least-squares refit on their injective matches
 (kept only when it verifies at least as well), and the best certificate is
 returned.
@@ -56,21 +58,19 @@ from .errors import (
 from .exact import ExactParams
 from .geometry import (
     TWO_PI,
-    AngleInterval,
     RigidMotion,
     as_points,
     cross,
     least_squares_motion,
-    max_overlap_angle,
     motion_from_bases,
     pair_canonical_motion,
     pairwise_distances,
     rotation_about_line,
     rotation_distance_coeffs,
-    union_intervals,
 )
-from .index import DistanceRows
 # perfbench/tracing.py wraps these names here; no matcher calls them.
+from .geometry import max_overlap_angle, union_intervals  # noqa: F401
+from .index import DistanceRows
 from .index import build_pair_dict, build_triplet_index  # noqa: F401
 from .result import MatchResult, build_match_result
 from .sampling import AllPairs, Expander, PairSource, materialize_pairs
@@ -177,27 +177,22 @@ def _base_coeffs(pp, qq, a, b, base, qs, ps):
     return phi, *(np.atleast_1d(c) for c in rotation_distance_coeffs(pp[i], pp[j], img, pp[ps]))
 
 
-def _base_candidates(pp, qq, a, b, base, qs, ps, radius):
-    """Best stabbing angle for one candidate base, counting each q once.
+def _base_candidates(pp, qq, tied, radius):
+    """The bases (a, b, base, qs, ps) of `tied` as _Candidates, by one _stab.
 
-    The scalar reference of _screen; it rescores the tied winners so their
-    motion and angle carry the scalar helpers' arithmetic bit for bit.
+    Each base's phi and coefficients come from the scalar helpers
+    (_base_coeffs), so a winner's motion and angle carry their arithmetic
+    bit for bit; one arc solve and one sweep then score every base.
     """
-    phi, *coeffs = _base_coeffs(pp, qq, a, b, base, qs, ps)
-    full, arc, starts, ends = _arc_table(*coeffs, radius)
-    per_q: dict[int, list[AngleInterval]] = {}
-    for r in range(len(qs)):
-        if full[r]:
-            per_q.setdefault(int(qs[r]), []).append(AngleInterval.full())
-        elif arc[r]:
-            per_q.setdefault(int(qs[r]), []).append(
-                AngleInterval.arc(float(starts[r]), float(ends[r]))
-            )
-    merged: list[AngleInterval] = []
-    for q in per_q:
-        merged.extend(union_intervals(per_q[q]))
-    psi, overlap = max_overlap_angle(merged)
-    return _Candidate(overlap, (a, b), tuple(base), psi, phi)
+    heads = [_base_coeffs(pp, qq, *t) for t in tied]
+    coeffs = (np.concatenate(c) for c in zip(*(h[1:] for h in heads)))
+    g = np.repeat(np.arange(len(tied)), [len(t[3]) for t in tied])
+    qs = np.concatenate([t[3] for t in tied])
+    overlap, angle = _stab(g, qs, *_arc_table(*coeffs, radius), len(tied))
+    return [
+        _Candidate(o, (a, b), tuple(base), psi, h[0])
+        for (a, b, base, _, _), h, o, psi in zip(tied, heads, overlap.tolist(), angle.tolist())
+    ]
 
 
 def _run_starts(*columns):
@@ -255,7 +250,9 @@ def _canonical_motions(p1, p2, q1, q2, nq_len):
 def _screen(pp, qq, src, lengths, bases, g, qs, ps, radius):
     """Overlap and stabbing angle of many bases at once.
 
-    The batched twin of _base_candidates. Base k, bases[k] = (i, j), belongs
+    The coefficients come from one array pass (_row_coeffs) and may differ
+    from the scalar helpers' in the last bit; _base_candidates runs the same
+    _stab on the scalar ones. Base k, bases[k] = (i, j), belongs
     to source pair src[k] = (a, b) of length lengths[k]; row r pairs scene
     point qs[r] with model point ps[r] under base g[r], rows sorted by (g,
     qs, ps). Returns (overlap, angle) per base.
@@ -297,11 +294,12 @@ def _wrap_all(theta):
 def _split(owner, start, end):
     """geometry._segments over arrays of arcs from `start` to `end`.
 
-    An arc running past 2*pi becomes the pieces (start, 2*pi) and (0, rest).
-    Returns the owner, start and end of every piece.
+    An arc reaching 2*pi becomes the pieces (start, 2*pi) and (0, rest), so
+    one ending exactly at 2*pi also covers 0. Returns the owner, start and
+    end of every piece.
     """
     stop = start + (end - start) % TWO_PI
-    over = stop > TWO_PI
+    over = stop >= TWO_PI
     return (
         np.concatenate([owner, owner[over]]),
         np.concatenate([start, np.zeros(int(over.sum()))]),
@@ -309,77 +307,43 @@ def _split(owner, start, end):
     )
 
 
-def _union(key, start, end):
-    """geometry.union_intervals of the arcs of each key, all keys at once.
-
-    Returns the keys whose union is the full circle, and the (key, start,
-    end) pieces of the others as max_overlap_angle would split them.
-    """
-    key, s, e = _split(key, start, end)
-    order = np.lexsort((e, s, key))
-    key, s, e = key[order], s[order], e[order]
-    # A piece opens a new run unless it starts within the furthest end of
-    # its key's earlier pieces. That running maximum is taken over the
-    # ranks of the ends, offset by key so that it restarts at every key.
-    n = len(e)
-    by_end = np.argsort(e, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_end] = np.arange(n)
-    reach = e[by_end[np.maximum.accumulate(key * n + rank) % n]]
-    opens = _run_starts(key)
-    opens[1:] |= s[1:] > reach[:-1]
-    heads = np.flatnonzero(opens)
-    key, s, e = key[heads], s[heads], np.maximum.reduceat(e, heads)
-    first = _run_starts(key)
-    last = np.append(first[1:], True)
-    circle = first & last & (s <= 0.0) & (e >= TWO_PI)
-    # A key whose first run starts at 0 and whose last run reaches 2*pi
-    # holds one arc through the wrap point: the last run takes the first
-    # run's end, and the first run goes.
-    first_of = np.flatnonzero(first)[np.cumsum(first) - 1]
-    tail = np.flatnonzero(last & ~first & (e >= TWO_PI))
-    tail = tail[s[first_of[tail]] <= 0.0]
-    head = first_of[tail]
-    e[tail] = TWO_PI + e[head]
-    keep = ~circle
-    keep[head] = False
-    return key[circle], _split(key[keep], _wrap_all(s[keep]), _wrap_all(e[keep]))
-
-
 def _stab(g, qs, full, arc, starts, ends, n_bases):
-    """Per-base max_overlap_angle over the per-(base, q) unions of arcs.
+    """Per-base angle stabbing the most arcs, counting each (base, q) once.
 
-    Rows are sorted by (g, qs). A (base, q) with a full row, or whose arcs
-    cover the circle, counts at every angle. A lone arc goes to the sweep
-    as it is; two or more are united first, as union_intervals does. The
-    sweep visits each base's pieces in (angle, start before end) order and
-    keeps the first angle where the running count peaks. Returns overlap
-    and angle per base; a base with no pieces gets angle 0.0.
+    Rows are sorted by (g, qs); each (base, q) is a key. A key with a full
+    row counts at every angle. Arcs are split at 2*pi into closed pieces,
+    and a key is open wherever one of its pieces is. The steps of a key
+    with two or more pieces, in (angle, start before end) order, sum to 0,
+    so one cumsum over all such keys gives each key's open count: the key
+    opens where that count rises from 0 and closes where it falls back to
+    0. The sweep visits each base's opens and closes in (angle, open before
+    close) order and keeps the first angle where the running count peaks.
+    Returns overlap and angle per base; a base with no pieces gets 0.0.
     """
     new = _run_starts(g, qs)
     key = np.cumsum(new) - 1
     key_base = g[new]
     is_full = np.zeros(len(key_base), dtype=bool)
     is_full[key[full]] = True
-    n_arcs = np.bincount(key[arc], minlength=len(key_base))[key]
     arc = arc & ~is_full[key]
-    lone, many = arc & (n_arcs == 1), arc & (n_arcs >= 2)
-    start, end = _wrap_all(starts), _wrap_all(ends)
-    owner, s, e = _split(key[lone], start[lone], end[lone])
-    if many.any():
-        circle, (m_owner, m_s, m_e) = _union(key[many], start[many], end[many])
-        is_full[circle] = True
-        owner, s, e = (np.concatenate(x) for x in ((owner, m_owner), (s, m_s), (e, m_e)))
+    owner, s, e = _split(key[arc], _wrap_all(starts[arc]), _wrap_all(ends[arc]))
     overlap = np.bincount(key_base[is_full], minlength=n_bases)
     angle = np.zeros(n_bases)
     if len(s) == 0:
         return overlap, angle
-    ev_base = np.tile(key_base[owner], 2)
-    pos = np.concatenate([s, e])
-    is_end = np.repeat([False, True], len(s))
-    order = np.lexsort((is_end, pos, ev_base))
+    ev = np.flatnonzero(np.tile(np.bincount(owner)[owner] > 1, 2))
+    owner, pos = np.tile(owner, 2), np.concatenate([s, e])
+    step = np.repeat([1, -1], len(s))
+    if len(ev):
+        ev = ev[np.lexsort((-step[ev], pos[ev], owner[ev]))]
+        count = np.cumsum(step[ev])
+        # Keep an open that leaves its key's count at 1 and a close at 0.
+        inner = ev[count != (step[ev] > 0)]
+        owner, pos, step = (np.delete(x, inner) for x in (owner, pos, step))
+    ev_base = key_base[owner]
+    order = np.lexsort((-step, pos, ev_base))
     ev_base, pos = ev_base[order], pos[order]
-    count = np.cumsum(np.where(is_end[order], -1, 1))
+    count = np.cumsum(step[order])
     heads = np.flatnonzero(_run_starts(ev_base))
     peak = np.maximum.reduceat(count, heads)
     hit = np.flatnonzero(count == np.repeat(peak, np.diff(np.append(heads, len(pos)))))
@@ -505,8 +469,9 @@ def _scored_once(tied_bases, score):
 
     tied_bases(score, chunk_rows) is _tied_bases over one match's pairs; it
     walks the bases one at a time, and score(a, b, base, qs, ps) gives each
-    one's _Candidate, which is kept for the tied set. Only the bare 2-matches,
-    which the walk does not score, are scored after it.
+    one's _Candidate (da_match scores a one-base list by _base_candidates),
+    which is kept for the tied set. Only the bare 2-matches, which the walk
+    does not score, are scored after it.
     """
     scored = {}
 
@@ -601,11 +566,12 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     _tied_bases screens each batch's bases by descending bound in chunks of
     at most _SCREEN_ROWS rows, the best overlap so far being the pruning
     floor. The bases tied at the best overlap over all pairs are then
-    rescored by _base_candidates, and _select_winner verifies and refines
-    them. At a rounding-level radius, or when a rescored tied base leaves
-    the screen's maximum, the same loop scores every base once by
-    _base_candidates instead (_scored_once). `threads` is accepted and
-    ignored: matching runs in the calling thread.
+    rescored together by one _base_candidates call, and _select_winner
+    verifies and refines them. At a rounding-level radius, or when a
+    rescored tied base leaves the screen's maximum, the same loop scores
+    every base once by _base_candidates, one base a call, instead
+    (_scored_once). `threads` is accepted and ignored: matching runs in the
+    calling thread.
     """
     pp, qq = as_points(P), as_points(Q)
     if len(pp) < 2 or len(qq) < 2:
@@ -614,9 +580,6 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     slack = max(2.0 * params.eps, fuzz)
     radius = max(params.report_factor * params.eps, fuzz)
     tied_bases = partial(_tied_bases, *_setup(pp, qq, params.pair_source, slack))
-
-    def score(*t):
-        return _base_candidates(pp, qq, *t, radius)
 
     # Squared distances round to about 1e-16 * scale^2, scale the largest
     # coordinate. Below a radius of 1e-6 * scale (eps = 0 leaves only the
@@ -629,12 +592,12 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
         top, tied = tied_bases(lambda *c: _screen(pp, qq, *c, radius)[0], _SCREEN_ROWS)
         # Only the bases tied at the global maximum are rescored by the
         # scalar path, whose arithmetic the winner's motion and angle carry.
-        candidates = [score(*t) for t in tied]
+        candidates = _base_candidates(pp, qq, tied, radius)
         # A tied base rescored off the screen's maximum is that same
         # disagreement, seen late.
         screen = all(c.overlap == top for c in candidates)
     if not screen:
-        candidates = _scored_once(tied_bases, score)
+        candidates = _scored_once(tied_bases, lambda *t: _base_candidates(pp, qq, [t], radius)[0])
     return _select_winner(pp, qq, candidates, radius, refine=True)
 
 

@@ -217,12 +217,15 @@ class AngleInterval:
 
 
 def _segments(interval: AngleInterval) -> list[tuple[float, float]]:
-    """Split an arc at 2*pi into linear closed segments of [0, 2*pi]."""
+    """Split an arc at 2*pi into linear closed segments of [0, 2*pi].
+
+    An arc ending exactly at 2*pi also covers 0, as the segment (0, 0).
+    """
     if interval.kind != "arc":
         raise ValueError("only arcs can be segmented")
     s = interval.start
     e = s + interval.length
-    if e <= TWO_PI:
+    if e < TWO_PI:
         return [(s, e)]
     return [(s, TWO_PI), (0.0, e - TWO_PI)]
 

@@ -140,11 +140,17 @@ def screened_and_scalar(P, Q, eps, source):
     )
     g = np.repeat(np.arange(len(bases)), np.diff(cuts))
     overlaps, angles = _screen(pp, qq, src[owner], lengths[owner], bases, g, qs, ps, radius)
-    for k, (i, j) in enumerate(bases.tolist()):
-        a, b = src[owner[k]].tolist()
-        rows = slice(cuts[k], cuts[k + 1])
-        cand = _base_candidates(pp, qq, a, b, (i, j), qs[rows], ps[rows], radius)
+    scalar = _base_candidates(pp, qq, tied_set(src, owner, bases, cuts, qs, ps), radius)
+    for k, cand in enumerate(scalar):
         yield (overlaps[k], angles[k]), (cand.overlap, cand.angle)
+
+
+def tied_set(src, owner, bases, cuts, qs, ps):
+    """The (a, b, base, qs, ps) of every group of a _base_rows batch."""
+    return [
+        (*src[owner[k]].tolist(), (i, j), qs[cuts[k] : cuts[k + 1]], ps[cuts[k] : cuts[k + 1]])
+        for k, (i, j) in enumerate(bases.tolist())
+    ]
 
 
 def per_pair_rows(pp, qq, a, b, slack):
@@ -340,6 +346,35 @@ def scalar_stab(g, qs, full, arc, starts, ends, n_bases):
     return out
 
 
+def brute_stab(g, qs, full, arc, starts, ends, n_bases):
+    """_stab by brute force: arcs split at 2*pi into closed pieces, a piece
+    ending at 2*pi also covering 0. At each piece start x, count the distinct
+    q with a piece containing x, plus the q with a full row; the angle is the
+    smallest x at the maximum."""
+    out = []
+    for base in range(n_bases):
+        rows = np.flatnonzero(g == base).tolist()
+        whole = {qs[r] for r in rows if full[r]}
+        pieces = []
+        for r in rows:
+            if arc[r] and qs[r] not in whole:
+                s = float(starts[r]) % TWO_PI
+                s = 0.0 if s >= TWO_PI else s
+                e = float(ends[r]) % TWO_PI
+                e = 0.0 if e >= TWO_PI else e
+                stop = s + (e - s) % TWO_PI
+                if stop < TWO_PI:
+                    pieces.append((qs[r], s, stop))
+                else:
+                    pieces += [(qs[r], s, TWO_PI), (qs[r], 0.0, stop - TWO_PI)]
+        counts = {
+            x: len(whole) + len({q for q, s, e in pieces if s <= x <= e}) for _, x, _ in pieces
+        }
+        peak = max(counts.values(), default=len(whole))
+        out.append((peak, min((x for x in counts if counts[x] == peak), default=0.0)))
+    return out
+
+
 def stab_rows(rows, n_bases):
     """_stab inputs from rows (base, q, kind, start, end), kind in full/arc/empty."""
     rows = sorted(rows, key=lambda r: r[:2])
@@ -426,19 +461,75 @@ class TestScreen:
         overlap, angle = _stab(*args)
         assert (overlap[0], angle[0]) == (2, 0.0)
 
-    def test_random_rows_match_scalar_sweep(self):
-        rng = np.random.default_rng(5)
-        marks = np.array([0.0, 0.5, 1.0, np.pi, 6.0, TWO_PI - 0.5, TWO_PI - 1e-17])
-        for _ in range(300):
+    def test_arc_ending_at_two_pi_counts_at_zero(self):
+        # (5.0, 0.0) ends exactly at 2*pi, which is angle 0, inside (0.0, 1.0).
+        args = stab_rows([(0, 1, "arc", 5.0, 0.0), (0, 2, "arc", 0.0, 1.0)], 1)
+        overlap, angle = _stab(*args)
+        assert (overlap[0], angle[0]) == (2, 0.0)
+
+    def test_point_arc_at_the_seam(self):
+        # q=1 holds (5.5, 0.0) and the single angle 0.0; q=2 holds (0.0, 1.0).
+        args = stab_rows(
+            [(0, 1, "arc", 5.5, 0.0), (0, 1, "arc", 0.0, 0.0), (0, 2, "arc", 0.0, 1.0)], 1
+        )
+        assert brute_stab(*args) == [(2, 0.0)]
+        overlap, angle = _stab(*args)
+        assert (overlap[0], angle[0]) == (2, 0.0)
+
+    @staticmethod
+    def random_row_sets(seed, count, marks=None):
+        """Random _stab inputs; with `marks`, half the arcs end on those angles."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
             n_bases = int(rng.integers(1, 4))
             rows = []
             for _ in range(int(rng.integers(0, 20))):
                 kind = rng.choice(["full", "arc", "arc", "arc", "empty"])
-                start, end = rng.choice(marks, 2) if rng.random() < 0.5 else rng.uniform(0, TWO_PI, 2)
+                if marks is not None and rng.random() < 0.5:
+                    start, end = rng.choice(marks, 2)
+                else:
+                    start, end = rng.uniform(0, TWO_PI, 2)
                 rows.append((int(rng.integers(n_bases)), int(rng.integers(4)), kind, start, end))
-            args = stab_rows(rows, n_bases)
+            yield stab_rows(rows, n_bases)
+
+    def test_random_rows_match_scalar_sweep(self):
+        for args in self.random_row_sets(5, 300):
             overlap, angle = _stab(*args)
             assert list(zip(overlap.tolist(), angle.tolist())) == scalar_stab(*args)
+
+    def test_random_rows_match_brute_force(self):
+        marks = np.array([0.0, 0.5, 1.0, np.pi, 5.0, 6.0, TWO_PI - 0.5, TWO_PI - 1e-17, TWO_PI])
+        for args in self.random_row_sets(6, 3000, marks):
+            overlap, angle = _stab(*args)
+            assert list(zip(overlap.tolist(), angle.tolist())) == brute_stab(*args)
+
+    def test_stacked_row_sets_score_as_alone(self):
+        # Row sets stacked as the bases of one _stab call score as they do alone.
+        sets = list(self.random_row_sets(7, 200, np.array([0.0, 1.0, TWO_PI - 0.5, TWO_PI])))
+        offsets = np.cumsum([0] + [args[-1] for args in sets])
+        g = np.concatenate([args[0] + off for args, off in zip(sets, offsets)])
+        rest = [np.concatenate([args[k] for args in sets]) for k in range(1, 6)]
+        overlap, angle = _stab(g, *rest, int(offsets[-1]))
+        want = [pair for args in sets for pair in zip(*(x.tolist() for x in _stab(*args)))]
+        assert list(zip(overlap.tolist(), angle.tolist())) == want
+
+    @pytest.mark.parametrize("seed", range(1, 4))
+    def test_one_call_equals_per_base_calls(self, seed):
+        inst = tolerant_instance(seed)
+        pp, qq = inst.P, inst.Q
+        slack, radius = 2 * inst.eps, 4 * inst.eps
+        src, lengths = _live_pairs(Pigeonhole(4), qq, DistanceRows(pp), slack)
+        qs, ps, owner, bases, cuts, _ = _base_rows(
+            DistanceRows(pp), pairwise_distances(qq), slack, src, lengths
+        )
+        tied = tied_set(src, owner, bases, cuts, qs, ps)
+        assert len(tied) > 100
+
+        def key(c):
+            return c.overlap, c.q_pair, c.p_pair, c.angle, c.motion.flatten().tobytes()
+
+        alone = [key(_base_candidates(pp, qq, [t], radius)[0]) for t in tied]
+        assert [key(c) for c in _base_candidates(pp, qq, tied, radius)] == alone
 
 
 class TestScalarFallback:
@@ -577,16 +668,20 @@ class TestBatchBudget:
         exact = generate_instance(GenSpec(m=12, n=11, k=6, eps=0.0, exact=True), seed=2)
         scored = []
 
-        def recorded(score):
-            def record(pp, qq, a, b, base, qs, ps, *rest, **kwargs):
-                cand = score(pp, qq, a, b, base, qs, ps, *rest, **kwargs)
-                scored.append(((a, b, tuple(base)), len(set(qs.tolist())), cand.overlap))
-                return cand
+        def record(a, b, base, qs, cand):
+            scored.append(((a, b, tuple(base)), len(set(qs.tolist())), cand.overlap))
+            return cand
 
-            return record
+        def recorded_exact(pp, qq, a, b, base, qs, ps, **kwargs):
+            return record(a, b, base, qs, exact_score(pp, qq, a, b, base, qs, ps, **kwargs))
 
-        monkeypatch.setattr(da, "_base_candidates", recorded(da._base_candidates))
-        monkeypatch.setattr(da, "_exact_base_candidate", recorded(da._exact_base_candidate))
+        def recorded_tolerant(pp, qq, tied, radius):
+            cands = tolerant_score(pp, qq, tied, radius)
+            return [record(*t[:4], c) for t, c in zip(tied, cands)]
+
+        exact_score, tolerant_score = da._exact_base_candidate, da._base_candidates
+        monkeypatch.setattr(da, "_base_candidates", recorded_tolerant)
+        monkeypatch.setattr(da, "_exact_base_candidate", recorded_exact)
         for src in (AllPairs(), Pigeonhole(4)):
             for run in (
                 lambda: da_exact(exact.P, exact.Q, pairs=src),

@@ -293,6 +293,13 @@ def test_max_overlap_three_full():
     assert (angle, count) == (0.0, 3)
 
 
+def test_max_overlap_arc_ending_at_two_pi_counts_at_zero():
+    # (5.0, 0.0) ends exactly at 2*pi, which is angle 0, inside (0.0, 1.0).
+    family = [AngleInterval.arc(5.0, 0.0), AngleInterval.arc(0.0, 1.0)]
+    assert max_overlap_angle(family) == (0.0, 2)
+    assert max_overlap_angle(family[::-1]) == (0.0, 2)
+
+
 def _random_interval_family(rng, n):
     family = []
     truth = []  # (start, length) with known membership
