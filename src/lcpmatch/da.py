@@ -17,18 +17,20 @@ mode. A batch's bases go from the highest distinct-q count, which bounds
 their overlap, to the lowest; the best overlap so far is a floor, and the
 batch stops at the first base whose bound is below it. Tolerant bases are
 scored in array passes (the screen), a chunk of rows a pass: canonical
-motions for every base, the arc of every matched (q, p), and one stabbing
-sweep segmented by base, in which each (base, q) counts wherever one of
-its arcs is open (_stab). Only the bases tied at the best overlap over all
-pairs are rescored, their motions and coefficients by the scalar helpers
-and then all of them by the same sweep, so the winner's motion and angle
-carry the scalar arithmetic bit for bit. When the radius is down at
-rounding level (eps = 0), arcs hinge on the last bit, and the same loop
-scores one base at a time that way instead; exact mode scores one base at
-a time by its own modal window. Tied winners are re-verified,
-polished by an iterated least-squares refit on their injective matches
-(kept only when it verifies at least as well), and the best certificate is
-returned.
+motions for every base, the arc of every matched (q, p), a tighter bound
+(the most q whose arcs touch one of _BINS equal bins of the circle), and
+one stabbing sweep segmented by base over the bases whose bound reaches the
+floor, in which each (base, q) counts wherever one of its arcs is open
+(_stab). Only the bases tied at the best overlap over all pairs are
+rescored, their motions and coefficients by the scalar helpers and then
+all of them by the same sweep, so the winner's motion and angle carry the
+scalar arithmetic bit for bit. When the radius is down at rounding level
+(eps = 0), arcs hinge on the last bit, and the same loop scores one base
+at a time that way instead; exact mode scores one base at a time by its
+own modal window. Tied winners are re-verified, polished by an iterated
+least-squares refit on their injective matches (kept only when it
+verifies at least as well; each matched set is fitted once), and the
+best certificate is returned.
 
 Guarantee shape: with all pairs and the tolerant precondition (minimum
 interpoint distance above 2*eps), the diameter pair of the optimal matched
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -89,10 +91,10 @@ class MatchParams:
     report_factor: float = 4.0
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
-        if self.report_factor <= 0:
-            raise ValueError("report_factor must be positive")
+        if not 0 <= self.eps < np.inf:
+            raise ValueError("eps must be finite and >= 0")
+        if not 0 < self.report_factor < np.inf:
+            raise ValueError("report_factor must be finite and positive")
 
 
 # Cells (third scene points times third model points times model pairs in
@@ -103,6 +105,8 @@ _BATCH_CELLS = 1 << 20
 # Rows of one _screen call, at least one base a call; this bounds the
 # screen's per-row temporaries and lets the floor rise between calls.
 _SCREEN_ROWS = 1 << 11
+# Equal bins of the circle for the screen's per-base overlap bound.
+_BINS = 8
 # Angles within this many radians of each other vote as one in exact mode.
 _ANGLE_TOL = 1e-7
 
@@ -247,19 +251,31 @@ def _canonical_motions(p1, p2, q1, q2, nq_len):
     return rot, p1 - (rot @ q1[:, :, None])[:, :, 0], v
 
 
-def _screen(pp, qq, src, lengths, bases, g, qs, ps, radius):
-    """Overlap and stabbing angle of many bases at once.
+def _screen(pp, qq, src, lengths, bases, g, qs, ps, floor, radius):
+    """Overlap and stabbing angle of many bases at once; overlap -1 for a base
+    whose _bin_bounds bound is below the floor.
 
     The coefficients come from one array pass (_row_coeffs) and may differ
     from the scalar helpers' in the last bit; _base_candidates runs the same
     _stab on the scalar ones. Base k, bases[k] = (i, j), belongs
     to source pair src[k] = (a, b) of length lengths[k]; row r pairs scene
     point qs[r] with model point ps[r] under base g[r], rows sorted by (g,
-    qs, ps). Returns (overlap, angle) per base.
+    qs, ps). The bases at the highest bound are stabbed first and raise the
+    floor, then the others that reach it; _stab scores a subset of bases as
+    the stacked call does. Returns (overlap, angle) per base.
     """
     coeffs = _row_coeffs(pp, qq, src, lengths, bases, g, qs, ps)
-    full, arc, starts, ends = _arc_table(*coeffs, radius)
-    return _stab(g, qs, full, arc, starts, ends, len(bases))
+    rows = (qs, *_arc_table(*coeffs, radius))
+    bound = _bin_bounds(g, *rows, len(bases))
+    overlap, angle = np.full(len(bases), -1), np.zeros(len(bases))
+    todo = bound == max(floor, bound.max())
+    while todo.any():
+        keep = todo[g]
+        local = np.cumsum(todo)[g[keep]] - 1
+        overlap[todo], angle[todo] = _stab(local, *(x[keep] for x in rows), int(todo.sum()))
+        floor = max(floor, int(overlap.max()))
+        todo = (bound >= floor) & (overlap < 0)
+    return overlap, angle
 
 
 def _row_coeffs(pp, qq, src, lengths, bases, g, qs, ps):
@@ -353,6 +369,33 @@ def _stab(g, qs, full, arc, starts, ends, n_bases):
     return overlap, angle
 
 
+def _bin_bounds(g, qs, full, arc, starts, ends, n_bases):
+    """Per base, a bound on _stab's overlap from _BINS equal bins of the circle.
+
+    Each (base, q) key touches the bins its _split pieces do, all of them
+    for a full row, and a base's bound is its largest bin count. A piece
+    [s, e] touches the bins from that of s to that of e, by a monotone bin
+    index, so a key open at _stab's angle touches that angle's bin.
+    """
+    # One bit a bin; _BINS is a power of two up to 64.
+    dtype = np.dtype(f"<u{max(_BINS // 8, 1)}")
+    ones = dtype.type(np.iinfo(dtype).max)
+    rows = np.flatnonzero(arc)
+    owner, s, e = _split(rows, _wrap_all(starts[arc]), _wrap_all(ends[arc]))
+    lo, hi = (np.minimum(x * (_BINS / TWO_PI), _BINS - 1).astype(dtype) for x in (s, e))
+    piece = (ones >> (8 * dtype.itemsize - 1 - hi)) & (ones << lo)
+    mask = np.where(full, ones, 0).astype(dtype)
+    mask[rows] = piece[: len(rows)]
+    mask[owner[len(rows) :]] |= piece[len(rows) :]  # the wrapped pieces from 0
+    heads = np.flatnonzero(_run_starts(g, qs))
+    keys = np.bitwise_or.reduceat(mask, heads).view(np.uint8).reshape(-1, dtype.itemsize)
+    bins = np.unpackbits(keys, axis=1, bitorder="little")
+    first = np.flatnonzero(_run_starts(g[heads]))
+    bound = np.zeros(n_bases, dtype=np.int64)
+    bound[g[heads[first]]] = np.add.reduceat(bins, first, axis=0, dtype=np.int64).max(axis=1)
+    return bound
+
+
 def _batches(lengths, search, slack, n):
     """Slices of consecutive source pairs that span at most _BATCH_CELLS cells
     each; a pair of length L spans (n - 2) * (m - 2) cells per model pair in
@@ -416,11 +459,12 @@ def _tied_bases(src, lengths, rows, batches, bare, score, chunk_rows: int):
     Each batch of source pairs takes its groups from one rows() call, the
     batch builder. They go by descending distinct-q bound, ties in (pair,
     base) order, in chunks of at most `chunk_rows` rows (at least one
-    group), one score(src, lengths, bases, g, qs, ps) call each, which
-    returns the overlap of each base as _screen does. The floor starts at
-    the best overlap of the batches before, or 0, and rises after every
-    chunk; a batch stops at the first group whose bound is below it, since
-    every later group's bound is lower. A base at the global maximum M has
+    group), one score(src, lengths, bases, g, qs, ps, floor) call each,
+    which returns the overlap of each base as _screen does: -1 for a base
+    it prunes, which must then be below the floor. The floor starts at the
+    best overlap of the batches before, or 0, and rises after every chunk;
+    a batch stops at the first group whose bound is below it, since every
+    later group's bound is lower. A base at the global maximum M has any
     bound >= M >= floor, so the tied set is never pruned. Returns M (-1 when
     no base was scored) and the (a, b, base, qs, ps) of every base at it. A
     pair with no voting base scores 0 with the bases bare(length) gives, or
@@ -447,7 +491,9 @@ def _tied_bases(src, lengths, rows, batches, bare, score, chunk_rows: int):
             stop = min(max(start + 1, stop), bisect_right(ranked, -floor))
             g = np.repeat(np.arange(stop - start), sizes[start:stop])
             k, rs = owner[start:stop], slice(heads[start], ends[stop - 1])
-            overlap[start:stop] = score(pairs[k], lens[k], bases[start:stop], g, qs[rs], ps[rs])
+            overlap[start:stop] = score(
+                pairs[k], lens[k], bases[start:stop], g, qs[rs], ps[rs], floor
+            )
             floor, start = max(floor, int(overlap[start:stop].max())), stop
         empty = np.flatnonzero(np.bincount(owner, minlength=len(pairs)) == 0) if bare else ()
         found = max(int(overlap.max(initial=-1)), 0 if len(empty) else -1)
@@ -470,12 +516,12 @@ def _scored_once(tied_bases, score):
     tied_bases(score, chunk_rows) is _tied_bases over one match's pairs; it
     walks the bases one at a time, and score(a, b, base, qs, ps) gives each
     one's _Candidate (da_match scores a one-base list by _base_candidates),
-    which is kept for the tied set. Only the bare 2-matches, which the walk
-    does not score, are scored after it.
+    which is kept for the tied set; one_base ignores the floor. Only the
+    bare 2-matches, which the walk does not score, are scored after it.
     """
     scored = {}
 
-    def one_base(src, lengths, bases, g, qs, ps):
+    def one_base(src, lengths, bases, g, qs, ps, floor):
         key = (*src[0].tolist(), tuple(bases[0].tolist()))
         scored[key] = score(*key, qs, ps)
         return scored[key].overlap
@@ -485,9 +531,11 @@ def _scored_once(tied_bases, score):
 
 
 def _select_winner(pp, qq, candidates, radius, refine: bool = False) -> MatchResult:
+    """The best verified certificate of the candidates tied at the top, each
+    refined when asked; the tied winners share one dict of refits."""
     max_overlap = max(c.overlap for c in candidates)
     tied = [c for c in candidates if c.overlap == max_overlap]
-    scored = []
+    scored, fits = [], {}
     for c in tied:
         result = build_match_result(
             pp,
@@ -499,7 +547,7 @@ def _select_winner(pp, qq, candidates, radius, refine: bool = False) -> MatchRes
             angle=c.angle,
         )
         if refine:
-            result = _refine_result(pp, qq, result, radius)
+            result = _refine_result(pp, qq, result, radius, fits)
         key = ((-result.size, result.max_residual), c.q_pair, c.p_pair, c.angle)
         scored.append((key, result))
     scored.sort(key=lambda s: s[0])
@@ -518,32 +566,31 @@ def _full_motion(pp, qq, c: _Candidate) -> RigidMotion:
     return rotation_about_line(pp[i], pp[j], c.angle).compose(c.motion)
 
 
-def _refine_result(pp, qq, result: MatchResult, radius: float) -> MatchResult:
+def _refine_result(pp, qq, result: MatchResult, radius: float, fits: dict) -> MatchResult:
     """Polish the winner by refitting on its injective matches.
 
     The voted angle sits at an arc boundary, so on clean data the raw motion
     certifies residuals near the radius even when an exact alignment exists.
     Iterated refit-and-reverify (each round is kept only when it verifies
     strictly better) walks to the aligned pose; the voted winner's guarantees
-    carry over since a worse round is discarded.
+    carry over since a worse round is discarded. `fits` holds the verified
+    fit of each matched set refitted so far (None if degenerate).
     """
     for _ in range(8):
-        if result.dedup_size < 3:
+        matched = result.dedup_matched
+        if len(matched) < 3:
             return result
-        qs = [q for q, _ in result.dedup_matched]
-        ps = [p for _, p in result.dedup_matched]
-        try:
-            fit = least_squares_motion(qq[qs], pp[ps])
-        except DegenerateBasis:
+        if matched not in fits:
+            q, p = np.array(matched).T
+            try:
+                fit = least_squares_motion(qq[q], pp[p])
+            except DegenerateBasis:
+                fit = None
+            fits[matched] = None if fit is None else build_match_result(pp, qq, fit, radius, 0)
+        if fits[matched] is None:
             return result
-        polished = build_match_result(
-            pp,
-            qq,
-            fit,
-            radius,
-            votes=result.votes,
-            base_pair=result.base_pair,
-            angle=result.angle,
+        polished = replace(
+            fits[matched], votes=result.votes, base_pair=result.base_pair, angle=result.angle
         )
         better = (-polished.size, polished.max_residual) < (
             -result.size,
@@ -565,13 +612,13 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     Source pairs are searched in batches of at most _BATCH_CELLS cells, and
     _tied_bases screens each batch's bases by descending bound in chunks of
     at most _SCREEN_ROWS rows, the best overlap so far being the pruning
-    floor. The bases tied at the best overlap over all pairs are then
-    rescored together by one _base_candidates call, and _select_winner
-    verifies and refines them. At a rounding-level radius, or when a
-    rescored tied base leaves the screen's maximum, the same loop scores
-    every base once by _base_candidates, one base a call, instead
-    (_scored_once). `threads` is accepted and ignored: matching runs in the
-    calling thread.
+    floor, which _screen also applies to its _BINS-bin bound. The bases
+    tied at the best overlap over all pairs are then rescored together by
+    one _base_candidates call, and _select_winner verifies and refines
+    them. At a rounding-level radius, or when a rescored tied base leaves
+    the screen's maximum, the same loop scores every base once by
+    _base_candidates, one base a call, instead (_scored_once). `threads` is
+    accepted and ignored: matching runs in the calling thread.
     """
     pp, qq = as_points(P), as_points(Q)
     if len(pp) < 2 or len(qq) < 2:

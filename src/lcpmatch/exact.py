@@ -69,8 +69,8 @@ class ExactParams:
     motion_grid: float = 1e-6
 
     def __post_init__(self):
-        if self.tau <= 0 or self.motion_grid <= 0:
-            raise ValueError("tau and motion_grid must be positive")
+        if not (0 < self.tau < np.inf and 0 < self.motion_grid < np.inf):
+            raise ValueError("tau and motion_grid must be finite and positive")
 
 
 def _motion_keys(flat, grid: float):

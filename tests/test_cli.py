@@ -110,6 +110,14 @@ class TestMatch:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags", [("--algo", "da", "--eps", "nan"), ("--algo", "da-exact", "--tau", "inf")]
+    )
+    def test_non_finite_tolerance_is_a_usage_error(self, instance_file, capsys, flags):
+        code, _, err = run_cli(capsys, "match", str(instance_file), *flags)
+        assert code == EXIT_USAGE
+        assert json.loads(err)["error"] == "usage"
+
     def test_xyz_file_input(self, tmp_path, capsys):
         pts = np.random.default_rng(0).uniform(0, 10, size=(8, 3))
         p_file = tmp_path / "p.xyz"

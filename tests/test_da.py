@@ -6,6 +6,7 @@ from lcpmatch.da import (
     MatchParams,
     _base_candidates,
     _base_rows,
+    _bin_bounds,
     _live_pairs,
     _numeric_fuzz,
     _screen,
@@ -31,7 +32,7 @@ from lcpmatch.oracle import GenSpec, exact_lcp_bruteforce, generate_instance
 from lcpmatch.sampling import AllPairs, Expander, Pigeonhole, materialize_pairs
 
 from test_exact import five_point_instance
-from test_pinned_outputs import fingerprint, tolerant_instance
+from test_pinned_outputs import TOLERANT_CALLS, TOLERANT_SEEDS, fingerprint, tolerant_instance
 
 
 class TestDaMatch:
@@ -118,6 +119,19 @@ class TestDaMatch:
             votes = [v for _, v in ordered]
             assert votes == sorted(votes), (seed, sizes)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"eps": float("nan")},
+            {"eps": float("inf")},
+            {"eps": 0.3, "report_factor": float("nan")},
+            {"eps": 0.3, "report_factor": float("inf")},
+        ],
+    )
+    def test_params_must_be_finite(self, kwargs):
+        with pytest.raises(ValueError):
+            MatchParams(**kwargs)
+
     def test_two_point_sets_fall_back_to_pair_match(self):
         P = np.array([[0.0, 0, 0], [2.0, 0, 0]])
         Q = np.array([[5.0, 5, 5], [5.0, 7, 5]])
@@ -127,9 +141,11 @@ class TestDaMatch:
 
 
 def screened_and_scalar(P, Q, eps, source):
-    """(screened, scalar) overlap and angle of every base of every source pair.
+    """(screened, scalar) overlap and angle of every base of every source pair,
+    and the best screened overlap.
 
-    All source pairs go through the screen as one batch.
+    All source pairs go through the screen as one batch and one call; a base
+    the screen prunes reads overlap -1.
     """
     pp, qq = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     fuzz = _numeric_fuzz(pp, qq)
@@ -139,10 +155,10 @@ def screened_and_scalar(P, Q, eps, source):
         DistanceRows(pp), pairwise_distances(qq), slack, src, lengths
     )
     g = np.repeat(np.arange(len(bases)), np.diff(cuts))
-    overlaps, angles = _screen(pp, qq, src[owner], lengths[owner], bases, g, qs, ps, radius)
+    overlaps, angles = _screen(pp, qq, src[owner], lengths[owner], bases, g, qs, ps, 0, radius)
     scalar = _base_candidates(pp, qq, tied_set(src, owner, bases, cuts, qs, ps), radius)
-    for k, cand in enumerate(scalar):
-        yield (overlaps[k], angles[k]), (cand.overlap, cand.angle)
+    screened = zip(overlaps.tolist(), angles.tolist())
+    return list(zip(screened, [(c.overlap, c.angle) for c in scalar])), int(overlaps.max())
 
 
 def tied_set(src, owner, bases, cuts, qs, ps):
@@ -389,19 +405,28 @@ def stab_rows(rows, n_bases):
 class TestScreen:
     """The batched screen against the scalar per-base path it replaces."""
 
+    @staticmethod
+    def compare_with_scalar(P, Q, source, angles=True):
+        """Every base the screen scores has the scalar overlap (and angle);
+        every base it prunes has a scalar overlap below the screen's best."""
+        pairs, best = screened_and_scalar(P, Q, 0.3, source)
+        scored = 0
+        for (overlap, angle), (ref_overlap, ref_angle) in pairs:
+            if overlap < 0:
+                assert ref_overlap < best
+                continue
+            assert overlap == ref_overlap
+            if angles:
+                assert abs((angle - ref_angle + np.pi) % TWO_PI - np.pi) <= 1e-9
+            scored += 1
+        assert scored > 0
+
     @pytest.mark.parametrize("source", ["all", "pigeonhole", "expander"])
     @pytest.mark.parametrize("seed", range(1, 7))
     def test_overlaps_match_scalar_path(self, seed, source):
         inst = generate_instance(GenSpec(m=16, n=24, k=8, eps=0.3, noise=0.3), seed=seed)
         src = {"all": AllPairs(), "pigeonhole": Pigeonhole(4), "expander": Expander(8, seed)}
-        compared = 0
-        for (overlap, angle), (ref_overlap, ref_angle) in screened_and_scalar(
-            inst.P, inst.Q, 0.3, src[source]
-        ):
-            assert overlap == ref_overlap
-            assert abs((angle - ref_angle + np.pi) % TWO_PI - np.pi) <= 1e-9
-            compared += 1
-        assert compared > 0
+        self.compare_with_scalar(inst.P, inst.Q, src[source])
 
     @pytest.mark.parametrize("n", [12, 14, 16])
     def test_overlaps_match_scalar_path_square(self, n):
@@ -409,10 +434,7 @@ class TestScreen:
             inst = generate_instance(
                 GenSpec(m=n, n=n, k=int(0.4 * n), eps=0.3, noise=0.3), seed=seed
             )
-            for (overlap, _), (ref_overlap, _) in screened_and_scalar(
-                inst.P, inst.Q, 0.3, AllPairs()
-            ):
-                assert overlap == ref_overlap
+            self.compare_with_scalar(inst.P, inst.Q, AllPairs(), angles=False)
 
     def test_q_without_arc_does_not_count(self):
         args = stab_rows(
@@ -503,6 +525,44 @@ class TestScreen:
             overlap, angle = _stab(*args)
             assert list(zip(overlap.tolist(), angle.tolist())) == brute_stab(*args)
 
+    def test_bin_bound_at_the_seam(self):
+        # Base 0: (5.0, 0.0) ends at 2*pi, so its folded piece meets (0.0, 1.0)
+        # in bin 0. Base 1: two arcs of one q unite to the full circle.
+        args = stab_rows(
+            [
+                (0, 1, "arc", 5.0, 0.0),
+                (0, 2, "arc", 0.0, 1.0),
+                (1, 1, "arc", 1.0, 4.0),
+                (1, 1, "arc", 3.0, 1.5),
+                (1, 2, "arc", 2.0, 2.5),
+            ],
+            2,
+        )
+        assert _stab(*args)[0].tolist() == [2, 2]
+        assert _bin_bounds(*args).tolist() == [2, 2]
+
+    @pytest.mark.parametrize("bins", [1, 8, 64])
+    def test_bin_bound_covers_the_overlap(self, monkeypatch, bins):
+        monkeypatch.setattr(da, "_BINS", bins)
+        edges = np.arange(9) * (np.pi / 4)
+        marks = np.concatenate([edges, [0.5, 5.0, TWO_PI - 1e-17]])
+        rng = np.random.default_rng(9)
+        tighter = 0
+        for g, qs, full, arc, starts, ends, n_bases in self.random_row_sets(8, 3000, marks):
+            # A tenth of the arcs are point arcs whose end rounds one ulp below
+            # their start, so they read as all of the circle but that ulp.
+            point = rng.random(len(ends)) < 0.1
+            ends = np.where(point, np.nextafter(starts, -np.inf), ends)
+            args = g, qs, full, arc, starts, ends, n_bases
+            bound = _bin_bounds(*args)
+            assert (bound >= _stab(*args)[0]).all()
+            # Never above the count of q with a full or arc row.
+            voting = {(base, q) for base, q, v in zip(g, qs, full | arc) if v}
+            keys = np.bincount([base for base, _ in voting], minlength=n_bases)
+            assert (bound <= keys).all()
+            tighter += int((bound < keys).sum())
+        assert (tighter > 0) == (bins > 1)
+
     def test_stacked_row_sets_score_as_alone(self):
         # Row sets stacked as the bases of one _stab call score as they do alone.
         sets = list(self.random_row_sets(7, 200, np.array([0.0, 1.0, TWO_PI - 0.5, TWO_PI])))
@@ -574,18 +634,20 @@ class TestScalarFallback:
         assert fallbacks == [1]
 
 
-# (_BATCH_CELLS, _SCREEN_ROWS): one batch screened whole, one batch screened
-# a base a call, a few pairs a batch in mid-sized calls, one pair a batch.
-BUDGETS = ((1 << 62, 1 << 62), (1 << 62, 1), (1 << 13, 1 << 8), (1, 1 << 62))
+# (_BATCH_CELLS, _SCREEN_ROWS, _BINS): one batch screened whole, one batch
+# screened a base a call, a few pairs a batch in mid-sized calls, one pair a
+# batch; the screen's bound from one bin (the distinct voting q), 8 or 64.
+BUDGETS = ((1 << 62, 1 << 62, 64), (1 << 62, 1, 8), (1 << 13, 1 << 8, 1), (1, 1 << 62, 8))
 
 
 def budget_results(monkeypatch, call, budgets=BUDGETS):
     """Fingerprints of call() with the batch and screen budgets at each value."""
     out = []
-    for cells, rows in budgets:
+    for cells, rows, bins in budgets:
         with monkeypatch.context() as patch:
             patch.setattr(da, "_BATCH_CELLS", cells)
             patch.setattr(da, "_SCREEN_ROWS", rows)
+            patch.setattr(da, "_BINS", bins)
             res = call()
         out.append((fingerprint(res), res.angle))
     return out
@@ -721,6 +783,46 @@ class TestBatchBudget:
                 monkeypatch, lambda: da_match(inst.P, inst.Q, MatchParams(0.0, pair_source=src))
             )
             assert all(r == results[0] for r in results)
+
+
+class TestRefitSharing:
+    """Tied winners that verify to one matched set share its refit."""
+
+    def test_one_fit_per_matched_set(self, monkeypatch):
+        select, refine, fit = da._select_winner, da._refine_result, da.least_squares_motion
+        inputs, fits = [], []
+
+        def record_inputs(*args, **kwargs):
+            inputs.append((args, kwargs))
+            return select(*args, **kwargs)
+
+        def record_fit(Q, P):
+            fits.append((Q.tobytes(), P.tobytes()))
+            return fit(Q, P)
+
+        def key(r):
+            return fingerprint(r), r.angle, r.motion.flatten().tobytes()
+
+        monkeypatch.setattr(da, "_select_winner", record_inputs)
+        for seed in TOLERANT_SEEDS:
+            inst = tolerant_instance(seed)
+            for call in TOLERANT_CALLS.values():
+                call(inst.P, inst.Q, seed)
+        monkeypatch.setattr(da, "least_squares_motion", record_fit)
+        shared, alone = 0, 0
+        for args, kwargs in inputs:
+            fits.clear()
+            want = key(select(*args, **kwargs))
+            assert len(set(fits)) == len(fits)
+            shared += len(fits)
+            with monkeypatch.context() as patch:
+                # Each tied winner refits on its own.
+                patch.setattr(da, "_refine_result", lambda *a: refine(*a[:-1], {}))
+                fits.clear()
+                assert key(select(*args, **kwargs)) == want
+                alone += len(fits)
+        assert len(inputs) == len(TOLERANT_SEEDS) * len(TOLERANT_CALLS)
+        assert shared < alone
 
 
 class TestSweepAgainstDenseSampling:

@@ -406,6 +406,19 @@ class TestMotionKey:
         with pytest.raises(ValueError):
             ExactParams(tau=1e-9, motion_grid=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tau": float("nan")},
+            {"tau": float("inf")},
+            {"motion_grid": float("nan")},
+            {"motion_grid": float("inf")},
+        ],
+    )
+    def test_tolerances_must_be_finite(self, kwargs):
+        with pytest.raises(ValueError):
+            ExactParams(**kwargs)
+
 
 class TestBatchedMotions:
     @pytest.mark.parametrize("m, k, seed", EXACT_INSTANCES)
