@@ -4,41 +4,39 @@ For each source pair (q1, q2) that survives the pair-length filter, every
 remaining q proposes candidate bases (p1, p2) through one batched search of
 the model distance rows (index.DistanceRows): (p1, p2, p) is a candidate
 when its triangle (|p1 p2|, |p1 p|, |p2 p|) is within the slack of (|q1 q2|,
-|q1 q|, |q2 q|) in every coordinate. Per base, a canonical motion phi takes
-q1 to p1 and q2 onto the ray p1 -> p2; the residual freedom is a rotation
-about that axis, and each matched pair (q, p) admits a closed arc of
-rotation angles keeping phi(q) within the report radius of p. The angle
-stabbing the most arcs, counting each q once, fixes the motion; the base
-pair itself contributes the "+2".
+|q1 q|, |q2 q|) in every coordinate. Per base, the motions taking q1 to p1
+and q2 onto the ray p1 -> p2 differ by a turn about that axis. Each point
+has cylinder coordinates (height, distance, azimuth) about its pair's axis
+in a frame fixed by the axis alone, and a matched pair (q, p) stays within
+the report radius on a closed arc of turns that follows from them with no
+difference of large numbers (_cyl_arcs), so the arcs are as sound at
+exact mode's rounding-level radius as at 4*eps. The turn stabbing the most
+arcs, counting each q once, fixes the motion; the base pair itself
+contributes the "+2".
 
 Source pairs are taken in batches, one search for the candidate rows of
 every pair in a batch, and one loop (_tied_bases) walks them in every
 mode. A batch's bases go from the highest distinct-q count, which bounds
 their overlap, to the lowest; the best overlap so far is a floor, and the
-batch stops at the first base whose bound is below it. Tolerant bases are
-scored in array passes (the screen), a chunk of rows a pass: canonical
-motions for every base, the arc of every matched (q, p), a tighter bound
-(the most q whose arcs touch one of _BINS equal bins of the circle), and
-one stabbing sweep segmented by base over the bases whose bound reaches the
-floor, in which each (base, q) counts wherever one of its arcs is open
-(_stab). Only the bases tied at the best overlap over all pairs are
-rescored, their motions and coefficients by the scalar helpers and then
-all of them by the same sweep, so the winner's motion and angle carry the
-scalar arithmetic bit for bit. When the radius is down at rounding level
-(eps = 0), arcs hinge on the last bit, and the same loop scores one base
-at a time that way instead; exact mode scores one base at a time by its
-own modal window. Tied winners are re-verified, polished by an iterated
-least-squares refit on their injective matches (kept only when it
-verifies at least as well; each matched set is fitted once), and the
-best certificate is returned.
+batch stops at the first base whose bound is below it. Bases are scored in
+array passes (the screen), a chunk of rows a pass: the arc of every row, a
+tighter bound (the most q whose arcs touch one of _BINS equal bins of the
+circle), and one stabbing sweep segmented by base over the bases whose
+bound reaches the floor, in which each (base, q) counts wherever one of its
+arcs is open and the angle is the middle of the first peak interval
+(_stab). The bases tied at the best overlap over all pairs keep that angle;
+their motions are built from the two axis frames in one batch, verified,
+polished by an iterated least-squares refit on their injective matches
+(kept only when it verifies at least as well; each matched set is fitted
+once), and the best certificate is returned.
 
 Guarantee shape: with all pairs and the tolerant precondition (minimum
 interpoint distance above 2*eps), the diameter pair of the optimal matched
 set passes the filter and votes the full set at radius 4*eps, so the winner
 is at least as large as the optimum. The exact-mode variant (zero noise)
-replaces arcs by single angles and votes by sorting them. The expander
-variant draws source pairs from a verified expander graph and widens the
-radius to 6*eps by default, trading a bounded size slack for fewer pairs.
+runs the same loop at slack and radius tau. The expander variant draws
+source pairs from a verified expander graph and widens the radius to 6*eps
+by default, trading a bounded size slack for fewer pairs.
 """
 
 from __future__ import annotations
@@ -64,14 +62,12 @@ from .geometry import (
     as_points,
     cross,
     least_squares_motion,
-    motion_from_bases,
-    pair_canonical_motion,
     pairwise_distances,
-    rotation_about_line,
-    rotation_distance_coeffs,
 )
 # perfbench/tracing.py wraps these names here; no matcher calls them.
 from .geometry import max_overlap_angle, union_intervals  # noqa: F401
+from .geometry import motion_from_bases, pair_canonical_motion  # noqa: F401
+from .geometry import rotation_about_line, rotation_distance_coeffs  # noqa: F401
 from .index import DistanceRows
 from .index import build_pair_dict, build_triplet_index  # noqa: F401
 from .result import MatchResult, build_match_result
@@ -107,8 +103,6 @@ _BATCH_CELLS = 1 << 20
 _SCREEN_ROWS = 1 << 11
 # Equal bins of the circle for the screen's per-base overlap bound.
 _BINS = 8
-# Angles within this many radians of each other vote as one in exact mode.
-_ANGLE_TOL = 1e-7
 
 
 def _live_pairs(source, qq, search, slack):
@@ -133,70 +127,12 @@ def _live_pairs(source, qq, search, slack):
 
 
 def _numeric_fuzz(pp, qq) -> float:
-    """Absolute slack standing in for zero when eps == 0, scaled to the data."""
+    """Slack standing in for zero when eps == 0, relative to the data's span."""
     span = max(
         float(pp.max() - pp.min()) if len(pp) else 0.0,
         float(qq.max() - qq.min()) if len(qq) else 0.0,
-        1.0,
     )
     return 1e-9 * span
-
-
-@dataclass(frozen=True)
-class _Candidate:
-    overlap: int  # matched points beyond the base pair
-    q_pair: tuple[int, int]
-    p_pair: tuple[int, int]
-    angle: float
-    motion: RigidMotion  # phi, the canonical motion of the base
-    window: tuple[tuple[int, int], ...] = ()  # exact mode: the (q, p) voting at angle
-
-
-def _arc_table(c0, c1, c2, radius: float):
-    """Vectorized interval solve: masks and arc endpoints per matched pair."""
-    amp = np.hypot(c1, c2)
-    rr = radius * radius
-    scale = np.maximum(np.maximum(c0, rr), 1e-300)
-    const = amp <= 1e-14 * scale
-    safe_amp = np.where(const, 1.0, amp)
-    t = (rr - c0) / safe_amp
-    full = (const & (c0 <= rr)) | (~const & (t >= 1.0))
-    empty = (const & (c0 > rr)) | (~const & (t < -1.0))
-    arc = ~(full | empty)
-    phi0 = np.arctan2(c2, c1)
-    delta = np.arccos(np.clip(t, -1.0, 1.0))
-    starts = (phi0 + delta) % TWO_PI
-    ends = (phi0 + TWO_PI - delta) % TWO_PI
-    return full, arc, starts, ends
-
-
-def _base_coeffs(pp, qq, a, b, base, qs, ps):
-    """The canonical motion phi of one base and its rows' rotation_distance_coeffs.
-
-    Returns (phi, c0, c1, c2), the coefficients as 1-d arrays.
-    """
-    i, j = base
-    phi = pair_canonical_motion(pp[i], pp[j], qq[a], qq[b])
-    img = phi.apply(qq[qs])
-    return phi, *(np.atleast_1d(c) for c in rotation_distance_coeffs(pp[i], pp[j], img, pp[ps]))
-
-
-def _base_candidates(pp, qq, tied, radius):
-    """The bases (a, b, base, qs, ps) of `tied` as _Candidates, by one _stab.
-
-    Each base's phi and coefficients come from the scalar helpers
-    (_base_coeffs), so a winner's motion and angle carry their arithmetic
-    bit for bit; one arc solve and one sweep then score every base.
-    """
-    heads = [_base_coeffs(pp, qq, *t) for t in tied]
-    coeffs = (np.concatenate(c) for c in zip(*(h[1:] for h in heads)))
-    g = np.repeat(np.arange(len(tied)), [len(t[3]) for t in tied])
-    qs = np.concatenate([t[3] for t in tied])
-    overlap, angle = _stab(g, qs, *_arc_table(*coeffs, radius), len(tied))
-    return [
-        _Candidate(o, (a, b), tuple(base), psi, h[0])
-        for (a, b, base, _, _), h, o, psi in zip(tied, heads, overlap.tolist(), angle.tolist())
-    ]
 
 
 def _run_starts(*columns):
@@ -208,64 +144,85 @@ def _run_starts(*columns):
     return new
 
 
-def _canonical_motions(p1, p2, q1, q2, nq_len):
-    """pair_canonical_motion for many model pairs (p1, p2) and scene pairs (q1, q2).
+def _frames(points, pairs):
+    """The frame of each axis points[a] -> points[b], (a, b) in `pairs`.
 
-    `nq_len` holds |q1 q2| as the scalar helper computes it. Returns the
-    rotations (G, 3, 3), translations (G, 3) and unit axes p1 -> p2 (G, 3).
-    Batched reductions may differ from the scalar helper in the last bit.
+    Returns (frames, origins): rows (e1, e2, u) of a right-handed orthonormal
+    frame, u along the axis, e1 from the coordinate axis least parallel to u
+    (smallest index on ties) orthogonalized against it and e2 = u x e1, so a
+    frame depends on the axis alone; and the origins points[a].
     """
-    dp = p2 - p1
-    dq = q2 - q1
-    np_len = np.sqrt((dp * dp).sum(axis=1))
-    if (nq_len < 1e-12).any() or (np_len < 1e-12).any():
+    origins = points[pairs[:, 0]]
+    d = points[pairs[:, 1]] - origins
+    length = np.sqrt((d * d).sum(axis=1))
+    if (length == 0.0).any():
         raise DegeneratePair("pair endpoints coincide")
-    v = dp / np_len[:, None]
-    u = dq / nq_len[:, None]
-    cr = cross(u, v)
-    s = np.sqrt((cr * cr).sum(axis=1))
-    d = (v * u).sum(axis=1)
-    # Rodrigues about cr/s by angle atan2(s, d) where the directions differ.
-    turn = s > 1e-12
-    ax = cr / np.where(turn, s, 1.0)[:, None]
-    norm_sd = np.hypot(s, d)
-    cos_t = d / norm_sd
-    sin_t = s / norm_sd
-    skew = np.zeros((len(v), 3, 3))
-    skew[:, 0, 1], skew[:, 0, 2], skew[:, 1, 2] = -ax[:, 2], ax[:, 1], -ax[:, 0]
-    skew[:, 1, 0], skew[:, 2, 0], skew[:, 2, 1] = ax[:, 2], -ax[:, 1], ax[:, 0]
-    eye = np.eye(3)
-    rot = (
-        ax[:, :, None] * ax[:, None, :] * (1.0 - cos_t)[:, None, None]
-        + cos_t[:, None, None] * eye
-        + sin_t[:, None, None] * skew
-    )
-    # Antiparallel: the pi-rotation about the coordinate axis least parallel
-    # to v, orthogonalized against it.
-    pick = np.zeros_like(v)
-    pick[np.arange(len(v)), np.argmin(np.abs(v), axis=1)] = 1.0
-    w = pick - (pick * v).sum(axis=1)[:, None] * v
-    w /= np.sqrt((w * w).sum(axis=1))[:, None]
-    flip = 2.0 * w[:, :, None] * w[:, None, :] - eye
-    rot = np.where(turn[:, None, None], rot, np.where((d > 0.0)[:, None, None], eye, flip))
-    return rot, p1 - (rot @ q1[:, :, None])[:, :, 0], v
+    u = d / length[:, None]
+    e1 = np.zeros_like(u)
+    e1[np.arange(len(u)), np.argmin(np.abs(u), axis=1)] = 1.0
+    e1 -= (e1 * u).sum(axis=1)[:, None] * u
+    e1 /= np.sqrt((e1 * e1).sum(axis=1))[:, None]
+    return np.stack([e1, cross(u, e1), u], axis=1), origins
 
 
-def _screen(pp, qq, src, lengths, bases, g, qs, ps, floor, radius):
+def _cylinder(frames, origins, points, g, idx):
+    """Height, distance and azimuth of points[idx] about axis g in its frame."""
+    v, f = points[idx] - origins[g], frames[g]
+    # Written out: summing a (rows, 3, 3) product over its last axis took
+    # 2.5 times as long.
+    x, y, h = (f[:, k, 0] * v[:, 0] + f[:, k, 1] * v[:, 1] + f[:, k, 2] * v[:, 2] for k in range(3))
+    return h, np.hypot(x, y), np.arctan2(y, x)
+
+
+def _cyl_arcs(pp, qq, src, bases, g, qs, ps, radius):
+    """The turns about the base axis that keep each row within `radius`.
+
+    Row r pairs scene point qs[r] with model point ps[r] under base g[r] =
+    (i, j) of source pair src[g] = (a, b). Turned by angle t in the axis
+    frames, q - q_a lands at distance^2 (h_q - h_p)^2 + r_q^2 + r_p^2 -
+    2 r_q r_p cos(az_q + t - az_p) from p - p_i. So with s = radius^2 -
+    (h_q - h_p)^2 - (r_q - r_p)^2 the row is full when s >= 4 r_q r_p, empty
+    when s < 0, and otherwise holds the arc centred on az_p - az_q of
+    half-width 2 asin(sqrt(s / (4 r_q r_p))), whose ends coincide when s is
+    0. Returns (full, arc, starts, ends) per row.
+    """
+    hq, rq, aq = _cylinder(*_frames(qq, src), qq, g, qs)
+    hp, rp, ap = _cylinder(*_frames(pp, bases), pp, g, ps)
+    dh, dr = hq - hp, rq - rp
+    s = radius * radius - dh * dh - dr * dr
+    prod = 4.0 * rq * rp
+    full = s >= prod
+    arc = ~full & (s >= 0.0)
+    half = 2.0 * np.arcsin(np.sqrt(np.divide(s, prod, out=np.zeros_like(s), where=arc)))
+    centre = ap - aq
+    return full, arc, centre - half, centre + half
+
+
+def _motions(pp, qq, src, bases, angles):
+    """The motion of each base turned by its angle, as (rotations, translations).
+
+    Rotation F_p^T Rz(angle) F_q in the axis frames of base bases[k] and
+    source pair src[k], and translation p_i - R q_a.
+    """
+    (fq, qa), (fp, pi) = _frames(qq, src), _frames(pp, bases)
+    c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    turned = np.stack([c * fq[:, 0] - s * fq[:, 1], s * fq[:, 0] + c * fq[:, 1], fq[:, 2]], axis=1)
+    rot = fp.transpose(0, 2, 1) @ turned
+    return rot, pi - (rot @ qa[:, :, None])[:, :, 0]
+
+
+def _screen(pp, qq, src, bases, g, qs, ps, floor, radius):
     """Overlap and stabbing angle of many bases at once; overlap -1 for a base
     whose _bin_bounds bound is below the floor.
 
-    The coefficients come from one array pass (_row_coeffs) and may differ
-    from the scalar helpers' in the last bit; _base_candidates runs the same
-    _stab on the scalar ones. Base k, bases[k] = (i, j), belongs
-    to source pair src[k] = (a, b) of length lengths[k]; row r pairs scene
-    point qs[r] with model point ps[r] under base g[r], rows sorted by (g,
-    qs, ps). The bases at the highest bound are stabbed first and raise the
-    floor, then the others that reach it; _stab scores a subset of bases as
-    the stacked call does. Returns (overlap, angle) per base.
+    Base k, bases[k] = (i, j), belongs to source pair src[k] = (a, b); row r
+    pairs scene point qs[r] with model point ps[r] under base g[r], rows
+    sorted by (g, qs, ps). Every row's arc comes from _cyl_arcs. The bases at
+    the highest bound are stabbed first and raise the floor, then the others
+    that reach it; _stab scores a subset of bases as the stacked call does.
+    Returns (overlap, angle) per base.
     """
-    coeffs = _row_coeffs(pp, qq, src, lengths, bases, g, qs, ps)
-    rows = (qs, *_arc_table(*coeffs, radius))
+    rows = (qs, *_cyl_arcs(pp, qq, src, bases, g, qs, ps, radius))
     bound = _bin_bounds(g, *rows, len(bases))
     overlap, angle = np.full(len(bases), -1), np.zeros(len(bases))
     todo = bound == max(floor, bound.max())
@@ -276,29 +233,6 @@ def _screen(pp, qq, src, lengths, bases, g, qs, ps, floor, radius):
         floor = max(floor, int(overlap.max()))
         todo = (bound >= floor) & (overlap < 0)
     return overlap, angle
-
-
-def _row_coeffs(pp, qq, src, lengths, bases, g, qs, ps):
-    """rotation_distance_coeffs of every row, with its base's canonical motion
-    and axis. The per-row temporaries are freed before the arc solve, and
-    the in-place steps round as the expressions they stand for."""
-    p1 = pp[bases[:, 0]]
-    rot, tr, axis = _canonical_motions(
-        p1, pp[bases[:, 1]], qq[src[:, 0]], qq[src[:, 1]], lengths
-    )
-    v = (rot[g] @ qq[qs][:, :, None])[:, :, 0]
-    v += tr[g]  # the image of q
-    u, a1 = axis[g], p1[g]
-    v -= a1
-    along = (v * u).sum(axis=1)[:, None] * u
-    v -= along  # perp
-    along += a1
-    along -= pp[ps]  # rel
-    return (
-        (along * along).sum(axis=1) + (v * v).sum(axis=1),
-        2.0 * (along * v).sum(axis=1),
-        2.0 * (along * cross(u, v)).sum(axis=1),
-    )
 
 
 def _wrap_all(theta):
@@ -333,8 +267,10 @@ def _stab(g, qs, full, arc, starts, ends, n_bases):
     so one cumsum over all such keys gives each key's open count: the key
     opens where that count rises from 0 and closes where it falls back to
     0. The sweep visits each base's opens and closes in (angle, open before
-    close) order and keeps the first angle where the running count peaks.
-    Returns overlap and angle per base; a base with no pieces gets 0.0.
+    close) order. The running count first peaks at an open, and the next
+    event, a close, ends that peak interval; its middle is the angle, so no
+    key counted there sits at the end of its arc unless the interval is a
+    point. Returns overlap and angle per base; a base with no pieces gets 0.0.
     """
     new = _run_starts(g, qs)
     key = np.cumsum(new) - 1
@@ -365,7 +301,7 @@ def _stab(g, qs, full, arc, starts, ends, n_bases):
     hit = np.flatnonzero(count == np.repeat(peak, np.diff(np.append(heads, len(pos)))))
     first_hit = hit[_run_starts(ev_base[hit])]
     overlap[ev_base[heads]] += peak
-    angle[ev_base[heads]] = _wrap_all(pos[first_hit])
+    angle[ev_base[heads]] = _wrap_all(0.5 * (pos[first_hit] + pos[first_hit + 1]))
     return overlap, angle
 
 
@@ -439,36 +375,22 @@ def _two_match(search, slack, length):
     return [((i, j), none, none), ((j, i), none, none)]
 
 
-def _setup(pp, qq, source, slack):
-    """What the source-pair loop needs from one match's inputs.
-
-    Returns (src, lengths, rows, batches, bare): the live source pairs and
-    their lengths, the candidate-row builder of a batch, the batches, and
-    the bare 2-matches of a pair length.
-    """
-    search = DistanceRows(pp)
-    src, lengths = _live_pairs(source, qq, search, slack)
-    rows = partial(_base_rows, search, pairwise_distances(qq), slack)
-    batches = list(_batches(lengths, search, slack, len(qq)))
-    return src, lengths, rows, batches, partial(_two_match, search, slack)
-
-
 def _tied_bases(src, lengths, rows, batches, bare, score, chunk_rows: int):
     """The best overlap over all source pairs and every base tied at it.
 
     Each batch of source pairs takes its groups from one rows() call, the
     batch builder. They go by descending distinct-q bound, ties in (pair,
     base) order, in chunks of at most `chunk_rows` rows (at least one
-    group), one score(src, lengths, bases, g, qs, ps, floor) call each,
-    which returns the overlap of each base as _screen does: -1 for a base
-    it prunes, which must then be below the floor. The floor starts at the
-    best overlap of the batches before, or 0, and rises after every chunk;
-    a batch stops at the first group whose bound is below it, since every
-    later group's bound is lower. A base at the global maximum M has any
-    bound >= M >= floor, so the tied set is never pruned. Returns M (-1 when
-    no base was scored) and the (a, b, base, qs, ps) of every base at it. A
-    pair with no voting base scores 0 with the bases bare(length) gives, or
-    none when `bare` is None.
+    group), one score(src, bases, g, qs, ps, floor) call each, which returns
+    the overlap and angle of each base as _screen does: overlap -1 for a
+    base it prunes, which must then be below the floor. The floor starts at
+    the best overlap of the batches before, or 0, and rises after every
+    chunk; a batch stops at the first group whose bound is below it, since
+    every later group's bound is lower. A base at the global maximum M has
+    any bound >= M >= floor, so the tied set is never pruned. Returns M (-1
+    when no base was scored) and the ((a, b), base, angle) of every base at
+    it. A pair with no voting base scores 0 at angle 0.0 with the bases
+    bare(length) gives, or none when `bare` is None.
     """
     top, tied = -1, []
     for batch in batches:
@@ -483,7 +405,7 @@ def _tied_bases(src, lengths, rows, batches, bare, score, chunk_rows: int):
         qs, ps = qs[r], ps[r]
         ranked, ends = (-bounds[order]).tolist(), ends.tolist()
         heads = [0] + ends[:-1]
-        overlap = np.full(len(order), -1)
+        overlap, angle = np.full(len(order), -1), np.zeros(len(order))
         floor, start = max(top, 0), 0
         while start < len(order) and -ranked[start] >= floor:
             # At most chunk_rows rows and at least one group, none below the floor.
@@ -491,8 +413,8 @@ def _tied_bases(src, lengths, rows, batches, bare, score, chunk_rows: int):
             stop = min(max(start + 1, stop), bisect_right(ranked, -floor))
             g = np.repeat(np.arange(stop - start), sizes[start:stop])
             k, rs = owner[start:stop], slice(heads[start], ends[stop - 1])
-            overlap[start:stop] = score(
-                pairs[k], lens[k], bases[start:stop], g, qs[rs], ps[rs], floor
+            overlap[start:stop], angle[start:stop] = score(
+                pairs[k], bases[start:stop], g, qs[rs], ps[rs], floor
             )
             floor, start = max(floor, int(overlap[start:stop].max())), stop
         empty = np.flatnonzero(np.bincount(owner, minlength=len(pairs)) == 0) if bare else ()
@@ -503,74 +425,34 @@ def _tied_bases(src, lengths, rows, batches, bare, score, chunk_rows: int):
             continue
         ab = pairs.tolist()
         for t in np.flatnonzero(overlap == top).tolist():
-            group = slice(heads[t], ends[t])
-            tied.append((*ab[owner[t]], tuple(bases[t].tolist()), qs[group], ps[group]))
+            tied.append((tuple(ab[owner[t]]), tuple(bases[t].tolist()), float(angle[t])))
         if top == 0:
-            tied += [(*ab[k], *t) for k in empty for t in bare(lens[k])]
+            tied += [(tuple(ab[k]), base, 0.0) for k in empty for base, _, _ in bare(lens[k])]
     return top, tied
 
 
-def _scored_once(tied_bases, score):
-    """Every base tied at the best overlap as a _Candidate, each scored once.
+def _select_winner(pp, qq, top, tied, radius) -> MatchResult:
+    """The best verified certificate of the bases `tied` at overlap `top`.
 
-    tied_bases(score, chunk_rows) is _tied_bases over one match's pairs; it
-    walks the bases one at a time, and score(a, b, base, qs, ps) gives each
-    one's _Candidate (da_match scores a one-base list by _base_candidates),
-    which is kept for the tied set; one_base ignores the floor. Only the
-    bare 2-matches, which the walk does not score, are scored after it.
+    Each (q pair, p pair, angle) gets its motion from _motions, all in one
+    batch, is verified at `radius` with votes top + 2 and refined; the tied
+    winners share one dict of refits. The best is the largest, then the
+    smallest residual, then the smallest (q pair, p pair, angle).
     """
-    scored = {}
-
-    def one_base(src, lengths, bases, g, qs, ps, floor):
-        key = (*src[0].tolist(), tuple(bases[0].tolist()))
-        scored[key] = score(*key, qs, ps)
-        return scored[key].overlap
-
-    _, tied = tied_bases(one_base, 0)
-    return [scored[t[:3]] if t[:3] in scored else score(*t) for t in tied]
-
-
-def _select_winner(pp, qq, candidates, radius, refine: bool = False) -> MatchResult:
-    """The best verified certificate of the candidates tied at the top, each
-    refined when asked; the tied winners share one dict of refits."""
-    max_overlap = max(c.overlap for c in candidates)
-    tied = [c for c in candidates if c.overlap == max_overlap]
     scored, fits = [], {}
-    for c in tied:
-        result = build_match_result(
-            pp,
-            qq,
-            _full_motion(pp, qq, c),
-            radius,
-            votes=max_overlap + 2,
-            base_pair=(c.q_pair, c.p_pair),
-            angle=c.angle,
-        )
-        if refine:
-            result = _refine_result(pp, qq, result, radius, fits)
-        key = ((-result.size, result.max_residual), c.q_pair, c.p_pair, c.angle)
-        scored.append((key, result))
-    scored.sort(key=lambda s: s[0])
-    return scored[0][1]
-
-
-def _full_motion(pp, qq, c: _Candidate) -> RigidMotion:
-    """The motion of a candidate: from the first non-degenerate matched basis
-    of its window (full precision in exact mode), else phi turned by the angle."""
-    (a, b), (i, j) = c.q_pair, c.p_pair
-    for q, p in c.window:
-        try:
-            return motion_from_bases(qq[[a, b, q]], pp[[i, j, p]])
-        except DegenerateBasis:
-            continue
-    return rotation_about_line(pp[i], pp[j], c.angle).compose(c.motion)
+    for (ab, ij, angle), rot, tr in zip(tied, *_motions(pp, qq, *map(np.array, zip(*tied)))):
+        result = build_match_result(pp, qq, RigidMotion(rot, tr), radius, top + 2, (ab, ij), angle)
+        result = _refine_result(pp, qq, result, radius, fits)
+        scored.append((((-result.size, result.max_residual), ab, ij, angle), result))
+    return min(scored, key=lambda s: s[0])[1]
 
 
 def _refine_result(pp, qq, result: MatchResult, radius: float, fits: dict) -> MatchResult:
     """Polish the winner by refitting on its injective matches.
 
-    The voted angle sits at an arc boundary, so on clean data the raw motion
-    certifies residuals near the radius even when an exact alignment exists.
+    The voted motion rests on one base pair and one angle, so on clean data
+    it certifies residuals up to the radius even when an exact alignment
+    exists.
     Iterated refit-and-reverify (each round is kept only when it verifies
     strictly better) walks to the aligned pose; the voted winner's guarantees
     carry over since a worse round is discarded. `fits` holds the verified
@@ -602,6 +484,27 @@ def _refine_result(pp, qq, result: MatchResult, radius: float, fits: dict) -> Ma
     return result
 
 
+def _vote(pp, qq, source, slack, radius, bare: bool) -> MatchResult:
+    """The winner of one match: the live source pairs of `source`, their
+    bases screened by _tied_bases in batches and chunks, and the tied bases
+    verified and refined by _select_winner. With `bare`, a pair with no
+    voting base is a 2-match."""
+    search = DistanceRows(pp)
+    src, lengths = _live_pairs(source, qq, search, slack)
+    top, tied = _tied_bases(
+        src,
+        lengths,
+        partial(_base_rows, search, pairwise_distances(qq), slack),
+        list(_batches(lengths, search, slack, len(qq))),
+        partial(_two_match, search, slack) if bare else None,
+        lambda *chunk: _screen(pp, qq, *chunk, radius),
+        _SCREEN_ROWS,
+    )
+    if not tied:
+        raise NoCandidatePairs("source pairs passed the filter but found no bases")
+    return _select_winner(pp, qq, top, tied, radius)
+
+
 def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     """Dihedral-angle voting matcher with a pluggable pair source.
 
@@ -613,12 +516,10 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     _tied_bases screens each batch's bases by descending bound in chunks of
     at most _SCREEN_ROWS rows, the best overlap so far being the pruning
     floor, which _screen also applies to its _BINS-bin bound. The bases
-    tied at the best overlap over all pairs are then rescored together by
-    one _base_candidates call, and _select_winner verifies and refines
-    them. At a rounding-level radius, or when a rescored tied base leaves
-    the screen's maximum, the same loop scores every base once by
-    _base_candidates, one base a call, instead (_scored_once). `threads` is
-    accepted and ignored: matching runs in the calling thread.
+    tied at the best overlap over all pairs keep their screened angle, and
+    _select_winner builds, verifies and refines their motions. At eps = 0
+    the radius is 1e-9 times the data's span, and the same screen votes.
+    `threads` is accepted and ignored: matching runs in the calling thread.
     """
     pp, qq = as_points(P), as_points(Q)
     if len(pp) < 2 or len(qq) < 2:
@@ -626,26 +527,7 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     fuzz = _numeric_fuzz(pp, qq)
     slack = max(2.0 * params.eps, fuzz)
     radius = max(params.report_factor * params.eps, fuzz)
-    tied_bases = partial(_tied_bases, *_setup(pp, qq, params.pair_source, slack))
-
-    # Squared distances round to about 1e-16 * scale^2, scale the largest
-    # coordinate. Below a radius of 1e-6 * scale (eps = 0 leaves only the
-    # 1e-9 * span fuzz) an arc's existence hinges on the last bit, where the
-    # screen's batched arithmetic and the scalar helpers can disagree on the
-    # tied set; every base is then scored the scalar way.
-    scale = max(float(np.abs(pp).max()), float(np.abs(qq).max()))
-    screen = radius >= 1e-6 * scale
-    if screen:
-        top, tied = tied_bases(lambda *c: _screen(pp, qq, *c, radius)[0], _SCREEN_ROWS)
-        # Only the bases tied at the global maximum are rescored by the
-        # scalar path, whose arithmetic the winner's motion and angle carry.
-        candidates = _base_candidates(pp, qq, tied, radius)
-        # A tied base rescored off the screen's maximum is that same
-        # disagreement, seen late.
-        screen = all(c.overlap == top for c in candidates)
-    if not screen:
-        candidates = _scored_once(tied_bases, lambda *t: _base_candidates(pp, qq, [t], radius)[0])
-    return _select_winner(pp, qq, candidates, radius, refine=True)
+    return _vote(pp, qq, params.pair_source, slack, radius, bare=True)
 
 
 def da_exact(
@@ -654,55 +536,21 @@ def da_exact(
     params: ExactParams = ExactParams(),
     pairs: PairSource | Sequence[tuple[int, int]] = AllPairs(),
 ) -> MatchResult:
-    """Exact-mode dihedral voting: each matched pair casts a single angle.
+    """Exact-mode dihedral voting: da_match's screen and winner selection at
+    slack and radius tau (at least 1e-9 times the data's span).
 
-    The modal angle over the sorted angle list plays the role of the interval
-    sweep; with pigeonhole pairs at ratio alpha and a true matched set larger
-    than n/alpha, the winner matches the all-pairs run. _tied_bases scores
-    the bases one at a time from the same batched rows as da_match, each
-    keeping its modal window; only the tied winners build their motion from
-    a matched basis.
+    With zero noise each true match's arc is a sliver of width about
+    2 * tau / r about the true turn, and the screen votes these slivers as
+    it votes tolerant arcs. With pigeonhole pairs at ratio alpha and a true
+    matched set larger than n/alpha, the winner matches the all-pairs run.
+    A pair with no voting base is no 2-match here: NoCandidatePairs is
+    raised when no pair has one.
     """
     pp, qq = as_points(P), as_points(Q)
     if len(pp) < 3 or len(qq) < 3:
         raise TooFewPoints("da_exact needs at least 3 points per set")
-    fuzz = _numeric_fuzz(pp, qq)
-    slack = max(params.tau, fuzz)
-    radius = slack
-    src, lengths, rows, batches, _ = _setup(pp, qq, pairs, slack)
-    tied_bases = partial(_tied_bases, src, lengths, rows, batches, None)
-    candidates = _scored_once(tied_bases, partial(_exact_base_candidate, pp, qq, radius=radius))
-    if not candidates:
-        raise NoCandidatePairs("source pairs passed the filter but found no bases")
-    return _select_winner(pp, qq, candidates, radius)
-
-
-def _exact_base_candidate(pp, qq, a, b, base, qs, ps, radius):
-    phi, c0, c1, c2 = _base_coeffs(pp, qq, a, b, base, qs, ps)
-    amp = np.hypot(c1, c2)
-    const = amp <= 1e-14 * np.maximum(c0, 1e-300)
-    rr = radius * radius
-    always_q = {int(q) for q in qs[const & (c0 <= rr)]}
-    ok = ~const & (c0 - amp <= rr)
-    thetas = (np.arctan2(c2[ok], c1[ok]) + np.pi) % TWO_PI
-    entries = sorted(
-        (float(t), int(q), int(p)) for t, q, p in zip(thetas, qs[ok], ps[ok])
-    )
-    n_always = len(always_q)
-    if not entries:
-        return _Candidate(n_always, (a, b), tuple(base), 0.0, phi)
-
-    angles = [e[0] for e in entries]
-    ext = angles + [t + TWO_PI for t in angles]
-    best_count, best_lo, best_hi = 0, 0, 0
-    for lo in range(len(angles)):
-        hi = bisect_right(ext, angles[lo] + _ANGLE_TOL, lo, lo + len(angles))
-        distinct = len({entries[k % len(entries)][1] for k in range(lo, hi)})
-        if distinct > best_count:
-            best_count, best_lo, best_hi = distinct, lo, hi
-    # Only a tied winner builds its motion from a matched basis of the window.
-    window = tuple(entries[k % len(entries)][1:] for k in range(best_lo, best_hi))
-    return _Candidate(best_count + n_always, (a, b), tuple(base), entries[best_lo][0], phi, window)
+    radius = max(params.tau, _numeric_fuzz(pp, qq))
+    return _vote(pp, qq, pairs, radius, radius, bare=False)
 
 
 def expander_da(

@@ -15,7 +15,9 @@ class MatchResult:
     targets may repeat), `dedup_matched` is the injective resolution, greedy
     by smallest residual. `votes` is the raw vote count the winner collected
     in its voting space, which for pair-based voting counts the base pair
-    itself.
+    itself. For the dihedral matchers, `base_pair` is ((a, b), (i, j)) and
+    `angle` is the turn about the base axis in the two axis frames (see
+    da._motions), at the middle of the peak interval of the winning base.
     """
 
     motion: RigidMotion

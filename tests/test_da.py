@@ -1,13 +1,16 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from lcpmatch import da
 from lcpmatch.da import (
     MatchParams,
-    _base_candidates,
     _base_rows,
     _bin_bounds,
+    _cyl_arcs,
     _live_pairs,
+    _motions,
     _numeric_fuzz,
     _screen,
     _stab,
@@ -132,6 +135,12 @@ class TestDaMatch:
         with pytest.raises(ValueError):
             MatchParams(**kwargs)
 
+    @pytest.mark.parametrize("scale", [1e-13, 1e-9, 1e-3, 1.0, 1e5, 1e6])
+    def test_zero_eps_at_any_unit_scale(self, scale):
+        inst = generate_instance(GenSpec(m=10, n=10, k=7, eps=0.0, exact=True), seed=4)
+        res = da_match(inst.P * scale, inst.Q * scale, MatchParams(eps=0.0))
+        assert (res.size, res.votes) == (7, 7)
+
     def test_two_point_sets_fall_back_to_pair_match(self):
         P = np.array([[0.0, 0, 0], [2.0, 0, 0]])
         Q = np.array([[5.0, 5, 5], [5.0, 7, 5]])
@@ -141,11 +150,16 @@ class TestDaMatch:
 
 
 def screened_and_scalar(P, Q, eps, source):
-    """(screened, scalar) overlap and angle of every base of every source pair,
-    and the best screened overlap.
+    """(screened, scalar) overlap of every base of every source pair, the
+    screened angle, and the best screened overlap.
 
     All source pairs go through the screen as one batch and one call; a base
-    the screen prunes reads overlap -1.
+    the screen prunes reads overlap -1. The scalar overlap comes from the
+    geometry helpers: each base's pair_canonical_motion, a dihedral_interval
+    per row, and scalar_stab; for a pruned base with fewer distinct q than
+    the best, that count stands in for it. Returns (rows, best, radius);
+    rows hold per base (overlap, angle, scalar overlap, (a, b), (i, j), qs,
+    ps).
     """
     pp, qq = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     fuzz = _numeric_fuzz(pp, qq)
@@ -155,10 +169,19 @@ def screened_and_scalar(P, Q, eps, source):
         DistanceRows(pp), pairwise_distances(qq), slack, src, lengths
     )
     g = np.repeat(np.arange(len(bases)), np.diff(cuts))
-    overlaps, angles = _screen(pp, qq, src[owner], lengths[owner], bases, g, qs, ps, 0, radius)
-    scalar = _base_candidates(pp, qq, tied_set(src, owner, bases, cuts, qs, ps), radius)
-    screened = zip(overlaps.tolist(), angles.tolist())
-    return list(zip(screened, [(c.overlap, c.angle) for c in scalar])), int(overlaps.max())
+    overlaps, angles = _screen(pp, qq, src[owner], bases, g, qs, ps, 0, radius)
+    best, out = int(overlaps.max()), []
+    for k, (a, b, (i, j), q_rows, p_rows) in enumerate(tied_set(src, owner, bases, cuts, qs, ps)):
+        ref = len(set(q_rows.tolist()))
+        if overlaps[k] >= 0 or ref >= best:
+            phi = pair_canonical_motion(pp[i], pp[j], qq[a], qq[b])
+            rows = []
+            for q, p in zip(q_rows.tolist(), p_rows.tolist()):
+                iv = dihedral_interval(pp[i], pp[j], phi.apply(qq[q]), pp[p], radius)
+                rows.append((0, q, iv.kind, iv.start, iv.end))
+            [(ref, _)] = scalar_stab(*stab_rows(rows, 1))
+        out.append((int(overlaps[k]), float(angles[k]), ref, (a, b), (i, j), q_rows, p_rows))
+    return out, best, radius
 
 
 def tied_set(src, owner, bases, cuts, qs, ps):
@@ -344,21 +367,56 @@ class TestBaseRows:
         assert checked == 10
 
 
+def arc_pieces(start, end):
+    """An arc's closed pieces in [0, 2*pi]: split at 2*pi, so a piece ending at
+    2*pi also covers 0."""
+    s, e = (0.0 if x % TWO_PI >= TWO_PI else x % TWO_PI for x in (float(start), float(end)))
+    stop = s + (e - s) % TWO_PI
+    return [(s, stop)] if stop < TWO_PI else [(s, TWO_PI), (0.0, stop - TWO_PI)]
+
+
+def run_end(pieces, x):
+    """The end of the union of overlapping `pieces` that holds x, or None."""
+    runs = []
+    for s, e in sorted(pieces):
+        if runs and s <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], e)
+        else:
+            runs.append([s, e])
+    return next((e for s, e in runs if s <= x <= e), None)
+
+
+def middle_of_peak(x, pieces):
+    """The middle of the peak interval that starts at x: it ends where the
+    first q counted at x closes. `pieces` holds (q, start, end) of every q
+    without a full row."""
+    per_q = {}
+    for q, s, e in pieces:
+        per_q.setdefault(q, []).append((s, e))
+    ends = [run_end(ps, x) for ps in per_q.values()]
+    return (x + min(e for e in ends if e is not None)) / 2
+
+
 def scalar_stab(g, qs, full, arc, starts, ends, n_bases):
-    """_stab by union_intervals and max_overlap_angle, one base at a time."""
+    """_stab by union_intervals and max_overlap_angle, one base at a time;
+    the angle is the middle of the first peak interval, 0.0 with no arcs."""
     out = []
     for base in range(n_bases):
-        per_q = {}
-        for r in np.flatnonzero(g == base):
+        per_q, pieces = {}, []
+        rows = np.flatnonzero(g == base).tolist()
+        whole = {qs[r] for r in rows if full[r]}
+        for r in rows:
             if full[r]:
                 per_q.setdefault(qs[r], []).append(AngleInterval.full())
             elif arc[r]:
                 per_q.setdefault(qs[r], []).append(
                     AngleInterval.arc(float(starts[r]), float(ends[r]))
                 )
+                if qs[r] not in whole:
+                    pieces += [(qs[r], s, e) for s, e in arc_pieces(starts[r], ends[r])]
         family = [iv for ivs in per_q.values() for iv in union_intervals(ivs)]
         angle, overlap = max_overlap_angle(family)
-        out.append((overlap, angle))
+        out.append((overlap, middle_of_peak(angle, pieces) if pieces else 0.0))
     return out
 
 
@@ -366,28 +424,23 @@ def brute_stab(g, qs, full, arc, starts, ends, n_bases):
     """_stab by brute force: arcs split at 2*pi into closed pieces, a piece
     ending at 2*pi also covering 0. At each piece start x, count the distinct
     q with a piece containing x, plus the q with a full row; the angle is the
-    smallest x at the maximum."""
+    middle of the peak interval from the smallest x at the maximum."""
     out = []
     for base in range(n_bases):
         rows = np.flatnonzero(g == base).tolist()
         whole = {qs[r] for r in rows if full[r]}
-        pieces = []
-        for r in rows:
-            if arc[r] and qs[r] not in whole:
-                s = float(starts[r]) % TWO_PI
-                s = 0.0 if s >= TWO_PI else s
-                e = float(ends[r]) % TWO_PI
-                e = 0.0 if e >= TWO_PI else e
-                stop = s + (e - s) % TWO_PI
-                if stop < TWO_PI:
-                    pieces.append((qs[r], s, stop))
-                else:
-                    pieces += [(qs[r], s, TWO_PI), (qs[r], 0.0, stop - TWO_PI)]
+        pieces = [
+            (qs[r], s, e)
+            for r in rows
+            if arc[r] and qs[r] not in whole
+            for s, e in arc_pieces(starts[r], ends[r])
+        ]
         counts = {
             x: len(whole) + len({q for q, s, e in pieces if s <= x <= e}) for _, x, _ in pieces
         }
         peak = max(counts.values(), default=len(whole))
-        out.append((peak, min((x for x in counts if counts[x] == peak), default=0.0)))
+        first = min((x for x in counts if counts[x] == peak), default=None)
+        out.append((peak, 0.0 if first is None else middle_of_peak(first, pieces)))
     return out
 
 
@@ -407,17 +460,23 @@ class TestScreen:
 
     @staticmethod
     def compare_with_scalar(P, Q, source, angles=True):
-        """Every base the screen scores has the scalar overlap (and angle);
-        every base it prunes has a scalar overlap below the screen's best."""
-        pairs, best = screened_and_scalar(P, Q, 0.3, source)
+        """Every base the screen scores has the scalar overlap, and (with
+        `angles`) its motion at the screened angle brings that many distinct
+        q of its rows within the radius; every base the screen prunes has a
+        scalar overlap below the screen's best."""
+        pp, qq = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+        bases, best, radius = screened_and_scalar(pp, qq, 0.3, source)
         scored = 0
-        for (overlap, angle), (ref_overlap, ref_angle) in pairs:
+        for overlap, angle, ref_overlap, ab, ij, qs, ps in bases:
             if overlap < 0:
                 assert ref_overlap < best
                 continue
             assert overlap == ref_overlap
             if angles:
-                assert abs((angle - ref_angle + np.pi) % TWO_PI - np.pi) <= 1e-9
+                rot, tr = _motions(pp, qq, np.array([ab]), np.array([ij]), np.array([angle]))
+                dist = np.linalg.norm(qq[qs] @ rot[0].T + tr[0] - pp[ps], axis=1)
+                assert len(set(qs[dist <= radius * (1 + 1e-9)].tolist())) >= overlap
+                assert len(set(qs[dist <= radius * (1 - 1e-9)].tolist())) <= overlap
             scored += 1
         assert scored > 0
 
@@ -440,9 +499,9 @@ class TestScreen:
         args = stab_rows(
             [(0, 1, "empty", 0.0, 0.0), (0, 1, "empty", 1.0, 2.0), (0, 2, "arc", 1.0, 2.0)], 1
         )
-        assert scalar_stab(*args) == [(1, 1.0)]
+        assert scalar_stab(*args) == [(1, 1.5)]
         overlap, angle = _stab(*args)
-        assert (overlap[0], angle[0]) == (1, 1.0)
+        assert (overlap[0], angle[0]) == (1, 1.5)
 
     def test_two_arcs_merge_across_zero(self):
         # q=1 holds (5.5, 0.3) and (0.2, 1.0): one arc through 0, counted once.
@@ -455,9 +514,10 @@ class TestScreen:
             ],
             1,
         )
-        assert scalar_stab(*args) == [(2, 0.25)]
+        # The peak runs from 0.25 to 0.5, where q=2 closes.
+        assert scalar_stab(*args) == [(2, 0.375)]
         overlap, angle = _stab(*args)
-        assert (overlap[0], angle[0]) == (2, 0.25)
+        assert (overlap[0], angle[0]) == (2, 0.375)
 
     def test_arcs_covering_the_circle_count_as_full(self):
         args = stab_rows(
@@ -470,10 +530,12 @@ class TestScreen:
             ],
             2,
         )
-        assert scalar_stab(*args) == [(2, 4.0), (1, 0.0)]
+        # Base 1's arcs open at 0 and close at 2*pi, so its peak interval is
+        # the whole circle.
+        assert scalar_stab(*args) == [(2, 4.25), (1, np.pi)]
         overlap, angle = _stab(*args)
         assert overlap.tolist() == [2, 1]
-        assert angle.tolist() == [4.0, 0.0]
+        assert angle.tolist() == [4.25, np.pi]
 
     def test_full_only_base_gets_angle_zero(self):
         args = stab_rows(
@@ -582,56 +644,18 @@ class TestScreen:
         qs, ps, owner, bases, cuts, _ = _base_rows(
             DistanceRows(pp), pairwise_distances(qq), slack, src, lengths
         )
-        tied = tied_set(src, owner, bases, cuts, qs, ps)
-        assert len(tied) > 100
-
-        def key(c):
-            return c.overlap, c.q_pair, c.p_pair, c.angle, c.motion.flatten().tobytes()
-
-        alone = [key(_base_candidates(pp, qq, [t], radius)[0]) for t in tied]
-        assert [key(c) for c in _base_candidates(pp, qq, tied, radius)] == alone
-
-
-class TestScalarFallback:
-    """Where the screen cannot be trusted, every base is scored the scalar way."""
-
-    @staticmethod
-    def same(a, b):
-        def key(r):
-            return r.size, r.votes, r.matched, r.base_pair, r.angle, r.motion.flatten().tobytes()
-
-        return key(a) == key(b)
-
-    def test_exact_mode_skips_the_screen(self, monkeypatch):
-        inst = generate_instance(GenSpec(m=10, n=9, k=5, eps=0.0, exact=True), seed=3)
-        want = da_match(inst.P, inst.Q, MatchParams(eps=0.0))
-
-        def refuse(*args):
-            raise AssertionError("screened at a rounding-level radius")
-
-        monkeypatch.setattr(da, "_screen", refuse)
-        assert self.same(da_match(inst.P, inst.Q, MatchParams(eps=0.0)), want)
-
-    def test_tie_rescored_off_the_screen_falls_back(self, monkeypatch):
-        inst = generate_instance(GenSpec(m=16, n=24, k=8, eps=0.3, noise=0.3), seed=1)
-        params = MatchParams(eps=0.3, pair_source=Pigeonhole(4))
-        want = da_match(inst.P, inst.Q, params)
-        screen, tied_bases, fallbacks = da._screen, da._tied_bases, []
-
-        def inflate_first_base(*args):
-            overlap, angle = screen(*args)
-            overlap[0] += 100
-            return overlap, angle
-
-        def count(*args):
-            if args[-1] == 0:  # one base a chunk: the whole-run scalar pass
-                fallbacks.append(1)
-            return tied_bases(*args)
-
-        monkeypatch.setattr(da, "_screen", inflate_first_base)
-        monkeypatch.setattr(da, "_tied_bases", count)
-        assert self.same(da_match(inst.P, inst.Q, params), want)
-        assert fallbacks == [1]
+        assert len(bases) > 100
+        g = np.repeat(np.arange(len(bases)), np.diff(cuts))
+        stacked = _screen(pp, qq, src[owner], bases, g, qs, ps, 0, radius)
+        best = int(stacked[0].max())
+        for k in range(len(bases)):
+            one, rows = slice(k, k + 1), slice(cuts[k], cuts[k + 1])
+            alone = (src[owner[one]], bases[one], g[rows] - k, qs[rows], ps[rows])
+            overlap, angle = _screen(pp, qq, *alone, 0, radius)
+            if stacked[0][k] < 0:  # pruned by the stacked call's floor
+                assert overlap[0] < best
+            else:
+                assert (overlap[0], angle[0]) == (stacked[0][k], stacked[1][k])
 
 
 # (_BATCH_CELLS, _SCREEN_ROWS, _BINS): one batch screened whole, one batch
@@ -683,12 +707,13 @@ class TestBatchBudget:
         params = MatchParams(inst.eps, pair_source=Pigeonhole(4))
         screen, rows, calls, groups = da._screen, da._base_rows, [], []
 
-        def count_screened(pp, qq, src, lengths, bases, g, qs, *rest):
+        def count_screened(pp, qq, src, bases, g, qs, *rest):
             new = np.ones(len(g), dtype=bool)
             new[1:] = (g[1:] != g[:-1]) | (qs[1:] != qs[:-1])
             bounds = np.bincount(g[new], minlength=len(bases))
-            overlap, angle = screen(pp, qq, src, lengths, bases, g, qs, *rest)
-            calls.append((len(bases), int(bounds.min()), int(overlap.max())))
+            overlap, angle = screen(pp, qq, src, bases, g, qs, *rest)
+            keys = [tuple(k) for k in np.column_stack([src, bases]).tolist()]
+            calls.append((len(bases), int(bounds.min()), int(overlap.max()), keys))
             return overlap, angle
 
         def count_groups(*args):
@@ -708,10 +733,10 @@ class TestBatchBudget:
             # No call screens a base whose bound is below the best overlap
             # of the calls before it.
             floor = 0
-            for _, lowest, top in calls:
+            for _, lowest, top, _ in calls:
                 assert lowest >= floor
                 floor = max(floor, top)
-            work[budgets] = [n for n, _, _ in calls], sum(groups)
+            work[budgets] = [n for n, *_ in calls], sum(groups)
         assert len(results) == 1
         # Unbounded, the one batch is one call over every group.
         sizes, n_groups = work[1 << 62, 1 << 62]
@@ -726,42 +751,27 @@ class TestBatchBudget:
         assert total == n_groups
         assert 1 < len(sizes) and sum(sizes) < n_groups
 
-        # The scalar modes walk the same loop a base a call, each base once.
+        # Exact mode and eps = 0 walk the same loop through the same screen,
+        # each base once.
         exact = generate_instance(GenSpec(m=12, n=11, k=6, eps=0.0, exact=True), seed=2)
-        scored = []
-
-        def record(a, b, base, qs, cand):
-            scored.append(((a, b, tuple(base)), len(set(qs.tolist())), cand.overlap))
-            return cand
-
-        def recorded_exact(pp, qq, a, b, base, qs, ps, **kwargs):
-            return record(a, b, base, qs, exact_score(pp, qq, a, b, base, qs, ps, **kwargs))
-
-        def recorded_tolerant(pp, qq, tied, radius):
-            cands = tolerant_score(pp, qq, tied, radius)
-            return [record(*t[:4], c) for t, c in zip(tied, cands)]
-
-        exact_score, tolerant_score = da._exact_base_candidate, da._base_candidates
-        monkeypatch.setattr(da, "_base_candidates", recorded_tolerant)
-        monkeypatch.setattr(da, "_exact_base_candidate", recorded_exact)
         for src in (AllPairs(), Pigeonhole(4)):
             for run in (
                 lambda: da_exact(exact.P, exact.Q, pairs=src),
                 lambda: da_match(exact.P, exact.Q, MatchParams(0.0, pair_source=src)),
             ):
                 results = set()
-                for cells in (1 << 62, 1):
+                for cells, chunk in ((1 << 62, 1), (1, 1 << 62)):
                     monkeypatch.setattr(da, "_BATCH_CELLS", cells)
-                    scored.clear()
+                    monkeypatch.setattr(da, "_SCREEN_ROWS", chunk)
+                    calls.clear()
                     results.add(fingerprint(run()))
-                    assert scored
-                    # No call scores a base whose bound is below the best
-                    # overlap of the calls before it.
+                    assert calls
                     floor = 0
-                    for _, bound, overlap in scored:
-                        assert bound >= floor
-                        floor = max(floor, overlap)
-                    assert len({key for key, _, _ in scored}) == len(scored)
+                    for _, lowest, top, _ in calls:
+                        assert lowest >= floor
+                        floor = max(floor, top)
+                    keys = [key for *_, screened in calls for key in screened]
+                    assert len(set(keys)) == len(keys)
                 assert len(results) == 1
 
     def test_only_two_matches_reach_the_top(self, monkeypatch):
@@ -868,6 +878,130 @@ class TestSweepAgainstDenseSampling:
                 counts += (d <= iv.length).astype(int)
         best_dense = counts.max() if len(counts) else 0
         assert best_dense <= count
+
+
+def turned(a, u, x, cos, sin):
+    """x turned about the line through a along unit u by the angles of each
+    (cos, sin) (Rodrigues)."""
+    v = x - a
+    h = u * (u @ v)
+    return a + h + np.multiply.outer(cos, v - h) + np.multiply.outer(sin, np.cross(u, v))
+
+
+def exact_cylinder(o, e, x):
+    """Height and distance of x about the axis o -> e, in Decimal arithmetic
+    on the exact values of the float coordinates."""
+    d = [Decimal(b) - Decimal(a) for a, b in zip(o.tolist(), e.tolist())]
+    v = [Decimal(b) - Decimal(a) for a, b in zip(o.tolist(), x.tolist())]
+    h = sum(c * w for c, w in zip(d, v)) / sum(c * c for c in d).sqrt()
+    return h, (sum(c * c for c in v) - h * h).sqrt()
+
+
+class TestCylArcs:
+    """The live arc solve against the rotation it stands for."""
+
+    def test_dense_sweep(self):
+        # A source pair and a base on one axis, so the turn by t in the axis
+        # frames is the rotation by t about that axis. Per configuration: p a
+        # turned q plus noise (about half partial arcs), q on the axis with p
+        # near it (full), and q with a p too far along the axis (empty).
+        rng = np.random.default_rng(0xC71)
+        thetas = np.linspace(0.0, TWO_PI, 200_000, endpoint=False)
+        cos, sin = np.cos(thetas), np.sin(thetas)
+        kinds = {"full": 0, "arc": 0, "empty": 0}
+        for _ in range(100):
+            a = rng.normal(size=3) * 3.0
+            u = rng.normal(size=3)
+            u /= np.linalg.norm(u)
+            b = a + u * rng.uniform(0.5, 4.0)
+            r = rng.uniform(0.2, 1.0)
+            q = a + rng.normal(size=3) * 2.0
+            t = rng.uniform(0.0, TWO_PI)
+            p = turned(a, u, q, np.cos(t), np.sin(t)) + rng.normal(size=3) * 0.8 * r
+            on_axis = a + u * rng.uniform(-2.0, 2.0)
+            off = rng.normal(size=3)
+            near = on_axis + off * (0.5 * r / np.linalg.norm(off))
+            far = q + u * 3.0 * r
+            qq = np.array([a, b, q, on_axis, q])
+            pp = np.array([a, b, p, near, far])
+            rows = np.arange(2, len(qq))
+            pair = np.array([[0, 1]])
+            full, arc, starts, ends = _cyl_arcs(
+                pp, qq, pair, pair, np.zeros(len(rows), dtype=np.int64), rows, rows, r
+            )
+            for k, x in enumerate(rows.tolist()):
+                gap = turned(a, u, qq[x], cos, sin) - pp[x]
+                truth = np.einsum("ij,ij->i", gap, gap) <= r * r
+                if full[k] or not arc[k]:
+                    kinds["full" if full[k] else "empty"] += 1
+                    assert (truth == full[k]).all()
+                    continue
+                kinds["arc"] += 1
+                inside = (thetas - starts[k]) % TWO_PI <= (ends[k] - starts[k]) % TWO_PI
+                wrong = thetas[inside != truth]
+                gap = np.minimum(
+                    *(np.abs((wrong - x + np.pi) % TWO_PI - np.pi) for x in (starts[k], ends[k]))
+                )
+                assert (gap <= 1e-4).all()
+        assert kinds["full"] == 100 and kinds["empty"] >= 100 and kinds["arc"] >= 40, kinds
+
+    def test_point_arc_has_equal_ends(self):
+        # Heights and distances agree exactly, so at radius 0 the one turn
+        # taking q onto p is an arc whose ends coincide.
+        qq = np.array([[0.0, 0, 0], [0.0, 0, 1], [1.0, 0, 0.5]])
+        pp = np.array([[0.0, 0, 0], [0.0, 0, 2], [0.0, 1, 0.5]])
+        pair, one = np.array([[0, 1]]), np.array([2])
+        full, arc, starts, ends = _cyl_arcs(pp, qq, pair, pair, np.array([0]), one, one, 0.0)
+        assert not full[0] and arc[0]
+        assert starts[0] == ends[0]
+
+    def test_exact_rows_within_radius_at_60_digits(self, monkeypatch):
+        # Every row that all-pairs da_exact screens on the pinned-shape exact
+        # instances is within the radius at 60 digits, and _cyl_arcs gives
+        # each an arc or a full row.
+        screen, seen = da._screen, []
+
+        def record(pp, qq, src, bases, g, qs, ps, floor, radius):
+            seen.append((pp, qq, src[g], bases[g], qs, ps, radius))
+            return screen(pp, qq, src, bases, g, qs, ps, floor, radius)
+
+        monkeypatch.setattr(da, "_screen", record)
+        for m, k in ((10, 6), (12, 7)):
+            for seed in range(1, 9):
+                inst = generate_instance(GenSpec(m=m, n=m, k=k, eps=0.0, exact=True), seed=seed)
+                da_exact(inst.P, inst.Q)
+        rows = 0
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for pp, qq, src, bases, qs, ps, radius in seen:
+                each = np.arange(len(qs))
+                full, arc, _, _ = _cyl_arcs(pp, qq, src, bases, each, qs, ps, radius)
+                assert (full | arc).all()
+                for (a, b), (i, j), q, p in zip(src, bases, qs, ps):
+                    hq, rq = exact_cylinder(qq[a], qq[b], qq[q])
+                    hp, rp = exact_cylinder(pp[i], pp[j], pp[p])
+                    assert (hq - hp) ** 2 + (rq - rp) ** 2 <= Decimal(radius) ** 2
+                    rows += 1
+        assert rows > 1000
+
+
+class TestExactModeOptimum:
+    def test_votes_and_size_equal_brute_force(self):
+        # Unguarded planted exact instances; with Pigeonhole(4) the optimum
+        # (at least k = 5) exceeds n / 4, so both sources must reach it.
+        for seed in range(40):
+            m = 9 + seed % 4
+            inst = generate_instance(
+                GenSpec(m=m, n=m, k=5, eps=0.0, exact=True, lcp_guard=False), seed=seed
+            )
+            truth = exact_lcp_bruteforce(inst.P, inst.Q).lcp_size
+            for src in (AllPairs(), Pigeonhole(4)):
+                for res in (
+                    da_match(inst.P, inst.Q, MatchParams(0.0, pair_source=src)),
+                    da_exact(inst.P, inst.Q, pairs=src),
+                ):
+                    assert (res.votes, res.size) == (truth, truth), (seed, src)
+                    assert res.max_residual <= 1e-12
 
 
 class TestDaExact:

@@ -6,6 +6,7 @@ them does not fail the benchmark: the tracer skips the name and reports its
 per-layer metrics absent. This test fails instead.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -33,3 +34,24 @@ def test_wrapped_name_resolves(wrap):
     owner = tracing.resolve(wrap.owner)
     assert owner is not None, f"{wrap.owner} does not resolve"
     assert callable(vars(owner).get(wrap.attr)), f"{wrap.key} is not a callable attribute"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lcpmatch"
+
+
+@pytest.mark.parametrize("module", ["da", "exact"])
+def test_noqa_imports_are_wrapped(module):
+    # A `noqa` import keeps a name that no matcher calls, only so that the
+    # tracer can wrap it; each such name must be one the tracer wraps there.
+    path = SRC / f"{module}.py"
+    lines = path.read_text().splitlines()
+    wrapped = {w.attr for w in tracing.WRAPS if w.owner == f"lcpmatch.{module}"}
+    kept = [
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and any("noqa" in line for line in lines[node.lineno - 1 : node.end_lineno])
+        for alias in node.names
+    ]
+    assert kept
+    assert not set(kept) - wrapped, f"{sorted(set(kept) - wrapped)} are not wrapped in {module}"
