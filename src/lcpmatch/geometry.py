@@ -541,10 +541,13 @@ def nearest_matches(P, Q, motion: RigidMotion, radius: float) -> tuple[list[tupl
     """Every q whose image under `motion` lies within `radius` of some p.
 
     Returns the matched (q_index, p_index) pairs with p the nearest point,
-    plus the matched residuals aligned with the pair list.
+    plus the matched residuals aligned with the pair list. Raises EmptySet
+    when P is empty, where no q has a nearest point.
     """
     pp = as_points(P)
     qq = as_points(Q)
+    if len(pp) == 0:
+        raise EmptySet("nearest matches need a non-empty model set")
     img = motion.apply(qq)
     diff = img[:, None, :] - pp[None, :, :]
     d = np.sqrt((diff * diff).sum(axis=2))

@@ -1,10 +1,11 @@
 """Ground-truth machinery: brute-force matching, verification, generators.
 
 Everything here is deliberately simple and exact at desk scale: the
-brute-force matcher enumerates congruent triplet bases, the bottleneck
-distance runs a maximum-bipartite-matching feasibility test per candidate
-radius, and the instance generator rejects until its recorded truth is the
-unique optimum it claims to be.
+brute-force matcher finds congruent triplet bases by a window search over
+sorted keys and counts every base motion's matches in one batched pass, the
+bottleneck distance runs a maximum-bipartite-matching feasibility test per
+candidate radius, and the instance generator rejects until its recorded
+truth is the unique optimum it claims to be.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -22,8 +23,9 @@ from .geometry import (
     RigidMotion,
     as_points,
     collinear_mask,
-    is_collinear,
+    cross,
     motion_from_bases,
+    motions_from_bases,
     nearest_matches,
     pairwise_distances,
     tolerant_precondition,
@@ -157,20 +159,24 @@ def _ordered_noncollinear_triplets(pts: FloatArray) -> tuple[np.ndarray, np.ndar
     keep = ~collinear_mask(pts, trips)
     trips = trips[keep]
     d = pairwise_distances(pts)
-    keys = np.column_stack(
-        [d[trips[:, 0], trips[:, 1]], d[trips[:, 0], trips[:, 2]], d[trips[:, 1], trips[:, 2]]]
-    )
+    keys = d[trips[:, [0, 0, 1]], trips[:, [1, 2, 2]]]
     return trips, keys
+
+
+# Cells (motions x scene points x model points) in one chunk of _match_counts.
+_VERIFY_CELLS = 1 << 16
 
 
 def exact_lcp_bruteforce(P, Q, tau: float = 1e-9) -> OracleResult:
     """Exact maximum matched-set size at tolerance tau, by full enumeration.
 
-    Every congruent ordered triplet pair proposes a motion, each motion is
-    verified against P, and the degenerate floors (single points and pairs)
-    keep the answer exact when the optimum has fewer than three points. An
-    optimum of three or more points is assumed to span a non-collinear
-    triplet, which planted generators guarantee.
+    Every congruent ordered triplet pair proposes a motion, and each motion's
+    matches are counted by the test nearest_matches makes, in batches. The
+    first motion at the top count wins over the degenerate floors (single
+    points and pairs) and is rebuilt by motion_from_bases; the floors keep
+    the answer exact below three points. An optimum of three or more points
+    is assumed to span a non-collinear triplet, which planted generators
+    guarantee.
     """
     pp = as_points(P)
     qq = as_points(Q)
@@ -191,22 +197,47 @@ def exact_lcp_bruteforce(P, Q, tau: float = 1e-9) -> OracleResult:
     if m >= 3 and n >= 3:
         p_trips, p_keys = _ordered_noncollinear_triplets(pp)
         q_trips, q_keys = _ordered_noncollinear_triplets(qq)
-        chunk = max(1, 2_000_000 // max(len(p_keys), 1))
-        for lo in range(0, len(q_keys), chunk):
-            hi = min(lo + chunk, len(q_keys))
-            close = (
-                np.abs(q_keys[lo:hi, None, :] - p_keys[None, :, :]) <= tau
-            ).all(axis=2)
-            for qi, pi in zip(*np.nonzero(close)):
-                tq = q_trips[lo + qi]
-                tp = p_trips[pi]
-                mu = motion_from_bases(qq[tq], pp[tp])
-                pairs, res = nearest_matches(pp, qq, mu, tau)
-                if len(pairs) > best_size:
-                    best_size = len(pairs)
-                    best_motion = mu
-                    best_matched = tuple(pairs)
+        qi, pi = _congruent_pairs(q_keys, p_keys, tau)
+        tq, tp = q_trips[qi], p_trips[pi]
+        if len(tq):
+            counts = _match_counts(pp, qq, *motions_from_bases(qq[tq], pp[tp]), tau)
+            r = int(np.argmax(counts))
+            if counts[r] > best_size:
+                best_motion = motion_from_bases(qq[tq[r]], pp[tp[r]])
+                pairs, _ = nearest_matches(pp, qq, best_motion, tau)
+                best_size, best_matched = len(pairs), tuple(pairs)
     return OracleResult(best_size, best_motion, best_matched)
+
+
+def _congruent_pairs(q_keys, p_keys, tau: float):
+    """Rows (q, p) of keys within tau on all three lengths, by q then p.
+
+    Each q key takes the window of p keys whose first length is within 2*tau
+    plus a few ulps, a superset of the test, and keeps the rows that pass it.
+    The search is kept apart from index.DistanceRows, the one it checks.
+    """
+    order = np.argsort(p_keys[:, 0], kind="stable")
+    first = p_keys[order, 0]
+    pad = 2.0 * tau + 4.0 * np.spacing(q_keys[:, 0])
+    lo = np.searchsorted(first, q_keys[:, 0] - pad, side="left")
+    width = np.maximum(np.searchsorted(first, q_keys[:, 0] + pad, side="right") - lo, 0)
+    qi = np.repeat(np.arange(len(q_keys)), width)
+    pi = order[np.arange(len(qi)) - np.repeat(np.cumsum(width) - width - lo, width)]
+    keep = (np.abs(q_keys[qi] - p_keys[pi]) <= tau).all(axis=1)
+    lex = np.lexsort((pi[keep], qi[keep]))
+    return qi[keep][lex], pi[keep][lex]
+
+
+def _match_counts(pp, qq, rot, tr, tau: float) -> np.ndarray:
+    """Scene points each motion (rot[k], tr[k]) brings within tau of some model point."""
+    counts = np.empty(len(rot), dtype=np.int64)
+    step = max(1, _VERIFY_CELLS // (len(qq) * len(pp)))
+    for s in range(0, len(rot), step):
+        img = qq @ rot[s : s + step].transpose(0, 2, 1) + tr[s : s + step, None, :]
+        diff = img[:, :, None, :] - pp
+        near = np.sqrt((diff * diff).sum(axis=3).min(axis=2)) <= tau
+        counts[s : s + step] = near.sum(axis=1)
+    return counts
 
 
 def _best_pair_floor(pp, qq, tau):
@@ -258,6 +289,8 @@ def bottleneck_distance(P, Q) -> float:
     """
     pp = as_points(P)
     qq = as_points(Q)
+    if len(pp) == 0 or len(qq) == 0:
+        raise EmptySet("bottleneck needs non-empty point sets")
     if len(qq) > len(pp):
         raise SizeMismatch("bottleneck needs |Q| <= |P|")
     diff = qq[:, None, :] - pp[None, :, :]
@@ -377,13 +410,15 @@ def _fill_points(
     grid: bool,
     sep: float,
     reject_collinear: bool,
-    existing: list[np.ndarray] | None = None,
-    clearance_from: list[np.ndarray] | None = None,
+    existing: np.ndarray | None = None,
+    clearance_from: np.ndarray | None = None,
     clearance: float = 0.0,
     budget: list[int] | None = None,
     origin: np.ndarray | None = None,
-) -> list[np.ndarray] | None:
-    pts = list(existing) if existing else []
+) -> np.ndarray | None:
+    """`existing` plus `count` sampled points as one (N, 3) array, or None past the budget."""
+    pts = np.empty((0, 3)) if existing is None else existing
+    near = np.empty((0, 3)) if clearance_from is None else clearance_from
     added = 0
     while added < count:
         if budget is not None:
@@ -391,25 +426,28 @@ def _fill_points(
             if budget[0] <= 0:
                 return None
         cand = _sample_point(rng, box, grid, origin)
-        if pts and min(np.linalg.norm(cand - p) for p in pts) <= sep:
+        if len(pts) and _norms(cand - pts).min() <= sep:
             continue
-        if clearance_from and min(
-            np.linalg.norm(cand - p) for p in clearance_from
-        ) <= clearance:
+        if len(near) and _norms(cand - near).min() <= clearance:
             continue
         if reject_collinear and _collinear_with_any_pair(cand, pts):
             continue
-        pts.append(cand)
+        pts = np.vstack([pts, cand])
         added += 1
     return pts
 
 
-def _collinear_with_any_pair(cand: np.ndarray, pts: list[np.ndarray]) -> bool:
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if is_collinear(pts[i], pts[j], cand, rel=1e-7):
-                return True
-    return False
+def _norms(d: np.ndarray) -> np.ndarray:
+    """Row norms of (K, 3) `d`, equal bit for bit to np.linalg.norm of each row."""
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+
+def _collinear_with_any_pair(cand: np.ndarray, pts: np.ndarray) -> bool:
+    """is_collinear(pts[i], pts[j], cand, rel=1e-7) for some pair i < j, decided alike."""
+    i, j = np.triu_indices(len(pts), k=1)
+    ab, ac = pts[j] - pts[i], cand - pts[i]
+    dmax = np.maximum(np.maximum(_norms(ab), _norms(ac)), _norms(cand - pts[j]))
+    return bool((_norms(cross(ab, ac)) <= 1e-7 * dmax * dmax).any())
 
 
 def generate_instance(spec: GenSpec, seed: int) -> Instance:
@@ -448,10 +486,9 @@ def generate_instance(spec: GenSpec, seed: int) -> Instance:
 
 def _generate_once(g: GenSpec, rng, budget) -> Instance | None:
     sep_p = g.min_sep + 2.0 * g.noise
-    p_list = _fill_points(rng, g.m, g.box, g.exact, sep_p, g.exact, budget=budget)
-    if p_list is None:
+    P = _fill_points(rng, g.m, g.box, g.exact, sep_p, g.exact, budget=budget)
+    if P is None:
         return None
-    P = np.array(p_list)
     planted = np.sort(rng.choice(g.m, size=g.k, replace=False))
     rot = random_rotation(rng)
     trans = rng.uniform(-g.box, g.box, size=3)
@@ -464,13 +501,9 @@ def _generate_once(g: GenSpec, rng, budget) -> Instance | None:
         radii = rng.uniform(0.0, g.noise, size=g.k)
         images = images + dirs * radii[:, None]
 
-    q_list = [img for img in images]
-    if g.exact and len(q_list) >= 3:
-        trips = np.array(
-            [(a, b, c) for a in range(g.k) for b in range(a + 1, g.k) for c in range(b + 1, g.k)],
-            dtype=np.int64,
-        )
-        if len(trips) and collinear_mask(np.array(q_list), trips, rel=1e-7).any():
+    if g.exact and g.k >= 3:
+        trips = np.array(list(combinations(range(g.k), 3)), dtype=np.int64)
+        if collinear_mask(images, trips, rel=1e-7).any():
             return None
     # Distractors are sampled in a box surrounding the planted images.
     origin = images.min(axis=0) - 0.25 * g.box if g.k else np.zeros(3)
@@ -481,22 +514,19 @@ def _generate_once(g: GenSpec, rng, budget) -> Instance | None:
         False,
         g.min_sep,
         g.exact,
-        existing=q_list,
-        clearance_from=q_list[: g.k],
+        existing=images,
+        clearance_from=images,
         clearance=g.clearance,
         budget=budget,
         origin=origin,
     )
     if filled is None:
         return None
-    Q_unshuffled = np.array(filled)
 
     perm = rng.permutation(g.n)
-    Q = np.empty_like(Q_unshuffled)
-    Q[perm] = Q_unshuffled
-    pairs = tuple(
-        sorted((int(perm[i]), int(planted[i])) for i in range(g.k))
-    )
+    Q = np.empty_like(filled)
+    Q[perm] = filled
+    pairs = tuple(sorted((int(perm[i]), int(planted[i])) for i in range(g.k)))
     truth = Truth(motion=motion, pairs=pairs, k=g.k, noise=g.noise)
     inst = Instance(P=P, Q=Q, eps=g.eps, truth=truth)
     if not inst.tolerant() and g.eps > 0.0:

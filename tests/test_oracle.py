@@ -1,11 +1,22 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
-from lcpmatch.errors import SizeMismatch, TooLarge
-from lcpmatch.geometry import RigidMotion, min_interpoint_distance
+from lcpmatch import oracle
+from lcpmatch.errors import EmptySet, SizeMismatch, TooLarge
+from lcpmatch.geometry import (
+    RigidMotion,
+    as_points,
+    collinear_mask,
+    min_interpoint_distance,
+    motion_from_bases,
+    motions_from_bases,
+    nearest_matches,
+    pairwise_distances,
+)
 from lcpmatch.oracle import (
+    OracleResult,
     GenSpec,
     Instance,
     bottleneck_distance,
@@ -88,7 +99,161 @@ def _key(S, t):
     )
 
 
+def _scalar_bruteforce(P, Q, tau=1e-9):
+    """The brute force as a scalar loop: a dense key compare per q triplet, then
+    motion_from_bases and nearest_matches for each congruent triplet pair.
+
+    Returns the result, the congruent (q, p) triplet rows in the order the loop
+    visits them, and each row's match count.
+    """
+    pp, qq = as_points(P), as_points(Q)
+    best_size = 1
+    best_motion = RigidMotion(np.eye(3), pp[0] - qq[0])
+    best_matched = ((0, 0),)
+    pair_floor = oracle._best_pair_floor(pp, qq, tau)
+    if pair_floor is not None:
+        best_size, best_motion, best_matched = 2, pair_floor[0], pair_floor[1]
+    rows, counts = [], []
+    if len(pp) >= 3 and len(qq) >= 3:
+        p_trips, p_keys = _triplets_and_keys(pp)
+        q_trips, q_keys = _triplets_and_keys(qq)
+        for qi in range(len(q_keys)):
+            for pi in np.flatnonzero((np.abs(q_keys[qi] - p_keys) <= tau).all(axis=1)):
+                mu = motion_from_bases(qq[q_trips[qi]], pp[p_trips[pi]])
+                pairs, _ = nearest_matches(pp, qq, mu, tau)
+                rows.append((qi, pi))
+                counts.append(len(pairs))
+                if len(pairs) > best_size:
+                    best_size, best_motion, best_matched = len(pairs), mu, tuple(pairs)
+    result = OracleResult(best_size, best_motion, best_matched)
+    return result, np.array(rows, dtype=np.int64).reshape(-1, 2), np.array(counts, dtype=np.int64)
+
+
+def _triplets_and_keys(pts):
+    trips = np.array(list(permutations(range(len(pts)), 3)), dtype=np.int64)
+    trips = trips[~collinear_mask(pts, trips)]
+    d = pairwise_distances(pts)
+    keys = np.column_stack(
+        [d[trips[:, 0], trips[:, 1]], d[trips[:, 0], trips[:, 2]], d[trips[:, 1], trips[:, 2]]]
+    )
+    return trips, keys
+
+
+def _same_result(a, b):
+    return (
+        a.lcp_size == b.lcp_size
+        and a.matched == b.matched
+        and a.motion.rotation.tobytes() == b.motion.rotation.tobytes()
+        and a.motion.translation.tobytes() == b.motion.translation.tobytes()
+    )
+
+
+def _criterion_2_shapes():
+    # The instances of acceptance criterion 2, without the guard that calls the oracle.
+    for i in range(200):
+        m, n = 8 + (i % 5), 8 + ((i // 5) % 5)
+        spec = GenSpec(m=m, n=n, k=4 + (i % (min(m, n) - 3)), eps=0.0, exact=True, lcp_guard=False)
+        inst = generate_instance(spec, seed=2000 + i)
+        yield inst.P, inst.Q
+
+
+def _planted_generic():
+    # Every other copy is perturbed by up to 2e-10 a coordinate, so residuals and
+    # key differences spread up to about tau instead of sitting at rounding level.
+    rng = np.random.default_rng(5)
+    for i in range(100):
+        m, n = (int(x) for x in rng.integers(3, 12, size=2))
+        k = int(rng.integers(3, min(m, n) + 1))
+        P = rng.uniform(-5.0, 5.0, (m, 3))
+        copy = random_motion(rng, 3.0).apply(P[:k]) + (i % 2) * rng.uniform(-2e-10, 2e-10, (k, 3))
+        Q = np.vstack([copy, rng.uniform(-5.0, 5.0, (n - k, 3))])
+        yield P, Q[rng.permutation(n)]
+
+
+def _edge_cases():
+    rng = np.random.default_rng(6)
+    line = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    # All collinear, with and without equal pair lengths, against lines and generic sets.
+    yield np.outer([0.0, 1.0, 3.0, 7.0], line), np.outer([0.0, 2.0, 3.0], [0.0, 0.6, 0.8])
+    yield np.outer([0.0, 1.0, 3.0, 7.0, 12.0], line), random_points(rng, 6)
+    yield random_points(rng, 6), np.outer([5.0, 6.0, 8.0, 12.0], line)
+    # m or n below 3.
+    for m, n in ((1, 1), (1, 5), (5, 1), (2, 2), (2, 6), (6, 2)):
+        P = random_points(rng, m)
+        yield P, np.vstack([P[: min(m, n)], random_points(rng, n - min(m, n))])
+    # Integer grids: many equal lengths, many congruent triplets and tied counts.
+    cube = np.array(list(product(range(3), repeat=3)), dtype=np.float64)
+    for _ in range(12):
+        m, n = (int(x) for x in rng.integers(6, 10, size=2))
+        signed = np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], 3)
+        shift = rng.integers(-5, 6, size=3).astype(np.float64)
+        yield cube[rng.choice(27, m, replace=False)], cube[rng.choice(27, n, replace=False)] @ signed.T + shift
+    # No congruent triplet.
+    for _ in range(3):
+        yield random_points(rng, 7, span=1.0), random_points(rng, 6, span=1000.0)
+
+
+class TestBatchedBruteforce:
+    """The array passes of exact_lcp_bruteforce against the scalar loop they replace."""
+
+    @pytest.mark.parametrize("family", [_criterion_2_shapes, _planted_generic, _edge_cases])
+    def test_equals_scalar_loop(self, family):
+        for P, Q in family():
+            ref, rows, counts = _scalar_bruteforce(P, Q)
+            assert _same_result(exact_lcp_bruteforce(P, Q), ref)
+            if len(P) < 3 or len(Q) < 3:
+                continue
+            p_trips, p_keys = oracle._ordered_noncollinear_triplets(P)
+            q_trips, q_keys = oracle._ordered_noncollinear_triplets(Q)
+            qi, pi = oracle._congruent_pairs(q_keys, p_keys, 1e-9)
+            assert np.array_equal(np.column_stack([qi, pi]).reshape(-1, 2), rows)
+            if len(qi):
+                rot, tr = motions_from_bases(Q[q_trips[qi]], P[p_trips[pi]])
+                assert np.array_equal(oracle._match_counts(P, Q, rot, tr, 1e-9), counts)
+
+    def test_families_cover_the_cases(self):
+        edges = list(_edge_cases())
+        assert len(list(_criterion_2_shapes())) + len(list(_planted_generic())) + len(edges) >= 300
+        counts = [_scalar_bruteforce(P, Q)[2] for P, Q in edges]
+        assert min(len(c) for c in counts) == 0 and max(len(c) for c in counts) > 1000
+        # Grid cases tie many rows at the top count, so first-at-top decides the winner.
+        assert max((c == c.max()).sum() for c in counts if len(c)) > 100
+
+    def test_window_equals_dense_compare(self):
+        # Keys within 1.5*tau of a few shared centres, so that windows hold rows on
+        # both sides of the test and out of index order, with centres at tau's
+        # scale and far above it; then keys at tau and just past it.
+        rng = np.random.default_rng(3)
+        for trial in range(100):
+            for tau in (1e-9, 1.0, 1e6):
+                base = rng.uniform(0.0, (4.0 if trial % 2 else 1e4) * tau, size=(4, 3))
+                p_keys, q_keys = (
+                    np.abs(base[rng.integers(0, 4, r)] + rng.uniform(-1.5 * tau, 1.5 * tau, (r, 3)))
+                    for r in (40, 30)
+                )
+                if trial == 0:
+                    q_keys = np.vstack([p_keys + tau, np.nextafter(p_keys + tau, np.inf), p_keys])
+                qi, pi = oracle._congruent_pairs(q_keys, p_keys, tau)
+                dense = np.argwhere((np.abs(q_keys[:, None] - p_keys[None]) <= tau).all(axis=2))
+                assert np.array_equal(np.column_stack([qi, pi]).reshape(-1, 2), dense)
+
+    def test_result_independent_of_cell_budget(self, monkeypatch):
+        cases = list(_criterion_2_shapes())[:10] + list(_edge_cases())
+        default = [exact_lcp_bruteforce(P, Q) for P, Q in cases]
+        monkeypatch.setattr(oracle, "_VERIFY_CELLS", 1)
+        for (P, Q), res in zip(cases, default):
+            assert _same_result(exact_lcp_bruteforce(P, Q), res)
+
+
 class TestVerifyMotion:
+    def test_empty_model_raises(self, rng):
+        with pytest.raises(EmptySet):
+            verify_motion(np.empty((0, 3)), random_points(rng, 4), RigidMotion.identity(), 1.0)
+
+    def test_empty_scene_matches_nothing(self, rng):
+        res = verify_motion(random_points(rng, 4), np.empty((0, 3)), RigidMotion.identity(), 1.0)
+        assert res.size == 0 and res.max_residual == 0.0
+
     def test_identity_radius_zero(self, rng):
         P = random_points(rng, 6)
         res = verify_motion(P, P, RigidMotion.identity(), 0.0)
@@ -143,6 +308,12 @@ class TestBottleneck:
     def test_size_mismatch(self, rng):
         with pytest.raises(SizeMismatch):
             bottleneck_distance(random_points(rng, 3), random_points(rng, 5))
+
+    def test_empty_sets_raise(self, rng):
+        empty = np.empty((0, 3))
+        for P, Q in ((random_points(rng, 3), empty), (empty, empty), (empty, random_points(rng, 2))):
+            with pytest.raises(EmptySet):
+                bottleneck_distance(P, Q)
 
     def test_bottleneck_dominates_hausdorff(self, rng):
         from lcpmatch.geometry import hausdorff
@@ -217,3 +388,60 @@ class TestGenerator:
         assert set(d["truth"]) == {"rotation", "translation", "pairs", "k", "noise"}
         assert len(d["truth"]["rotation"]) == 9
         assert len(d["truth"]["translation"]) == 3
+
+
+# Instance.digest()[:16] per (spec, seed), recorded before the generator's
+# rejection tests were batched; they must reproduce every instance bit for bit.
+PINNED_SPECS = {
+    "tol-default": GenSpec(m=12, n=16, k=6, eps=0.3),
+    "tol-bench": GenSpec(m=16, n=24, k=8, eps=0.3, noise=0.3),
+    "tol-min_sep": GenSpec(m=12, n=16, k=6, eps=0.3, min_sep=1.5),
+    "tol-clearance": GenSpec(m=12, n=16, k=6, eps=0.3, clearance=2.5),
+    "tol-box": GenSpec(m=12, n=16, k=6, eps=0.2, noise=0.1, box=25.0),
+    "exact-guard": GenSpec(m=10, n=10, k=6, eps=0.0, exact=True),
+    "exact-guard-mn": GenSpec(m=9, n=12, k=5, eps=0.0, exact=True),
+    "exact-noguard": GenSpec(m=12, n=12, k=7, eps=0.0, exact=True, lcp_guard=False),
+    # Small grids, where the collinearity rejection fires.
+    "exact-small-box": GenSpec(m=10, n=10, k=6, eps=0.0, exact=True, box=4.0),
+    "exact-small-box-noguard": GenSpec(
+        m=12, n=12, k=7, eps=0.0, exact=True, box=5.0, lcp_guard=False
+    ),
+}
+PINNED_DIGESTS = {
+    ("tol-default", 1): "75c729703399f445",
+    ("tol-default", 2): "423b333b80317c98",
+    ("tol-default", 3): "a1727cd9a902ffe2",
+    ("tol-bench", 1): "174f357d7e7b713f",
+    ("tol-bench", 2): "1251c59508747d9f",
+    ("tol-bench", 3): "9d010944a7ddf197",
+    ("tol-min_sep", 1): "d227a1e675d0ef06",
+    ("tol-min_sep", 2): "0afee44e77e508d0",
+    ("tol-min_sep", 3): "1b129350420c0d7e",
+    ("tol-clearance", 1): "964d10a5cd2ae06c",
+    ("tol-clearance", 2): "fe25f71b55141dca",
+    ("tol-clearance", 3): "f9263ee604c1893b",
+    ("tol-box", 1): "80ca7573b2ea7b81",
+    ("tol-box", 2): "42288cb36b81bd91",
+    ("tol-box", 3): "7f967528abea414b",
+    ("exact-guard", 1): "272079d77d3ecc6e",
+    ("exact-guard", 2): "102770c8edca6b3f",
+    ("exact-guard", 3): "1b14b60bade647a9",
+    ("exact-guard-mn", 1): "bac5588aa56c5e40",
+    ("exact-guard-mn", 2): "21250e9a51f2a43d",
+    ("exact-guard-mn", 3): "db73655d611c7c9f",
+    ("exact-noguard", 1): "f5f8122dd7ec0134",
+    ("exact-noguard", 2): "2949c0c8924d4130",
+    ("exact-noguard", 3): "8176872f5446ff35",
+    ("exact-small-box", 1): "23b33312e12c0176",
+    ("exact-small-box", 2): "83dccdc14a242dde",
+    ("exact-small-box", 3): "8b7d63b3a5231ae6",
+    ("exact-small-box-noguard", 1): "1855451a11869e3c",
+    ("exact-small-box-noguard", 2): "68b371ad76c264da",
+    ("exact-small-box-noguard", 3): "234d933c86b5bfc8",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED_DIGESTS))
+def test_pinned_generator_digest(name, seed):
+    inst = generate_instance(PINNED_SPECS[name], seed=seed)
+    assert inst.digest()[:16] == PINNED_DIGESTS[name, seed]
