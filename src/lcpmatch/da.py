@@ -25,10 +25,10 @@ circle), and one stabbing sweep segmented by base over the bases whose
 bound reaches the floor, in which each (base, q) counts wherever one of its
 arcs is open and the angle is the middle of the first peak interval
 (_stab). The bases tied at the best overlap over all pairs keep that angle;
-their motions are built from the two axis frames in one batch, verified,
-polished by an iterated least-squares refit on their injective matches
-(kept only when it verifies at least as well; each matched set is fitted
-once), and the best certificate is returned.
+their motions are built from the two axis frames and verified in one
+batch, polished by an iterated least-squares refit on their injective
+matches (kept only when it verifies better; each matched set is fitted
+once), and only the best certificate is packaged as a MatchResult.
 
 Guarantee shape: with all pairs and the tolerant precondition (minimum
 interpoint distance above 2*eps), the diameter pair of the optimal matched
@@ -59,6 +59,7 @@ from .exact import ExactParams
 from .geometry import (
     TWO_PI,
     RigidMotion,
+    _nearest_batch,
     as_points,
     cross,
     least_squares_motion,
@@ -70,7 +71,7 @@ from .geometry import motion_from_bases, pair_canonical_motion  # noqa: F401
 from .geometry import rotation_about_line, rotation_distance_coeffs  # noqa: F401
 from .index import DistanceRows
 from .index import build_pair_dict, build_triplet_index  # noqa: F401
-from .result import MatchResult, build_match_result
+from .result import MatchResult, build_match_result, greedy_injective
 from .sampling import AllPairs, Expander, PairSource, materialize_pairs
 
 
@@ -103,6 +104,8 @@ _BATCH_CELLS = 1 << 20
 _SCREEN_ROWS = 1 << 11
 # Equal bins of the circle for the screen's per-base overlap bound.
 _BINS = 8
+# Cells (motions x scene x model points) of one verify pass over tied winners.
+_VERIFY_CELLS = 1 << 14
 
 
 def _live_pairs(source, qq, search, slack):
@@ -434,54 +437,60 @@ def _tied_bases(src, lengths, rows, batches, bare, score, chunk_rows: int):
 def _select_winner(pp, qq, top, tied, radius) -> MatchResult:
     """The best verified certificate of the bases `tied` at overlap `top`.
 
-    Each (q pair, p pair, angle) gets its motion from _motions, all in one
-    batch, is verified at `radius` with votes top + 2 and refined; the tied
-    winners share one dict of refits. The best is the largest, then the
-    smallest residual, then the smallest (q pair, p pair, angle).
+    Each (q pair, p pair, angle) gets its motion from _motions; all are
+    verified at `radius` in one array pass and refined by _refits, whose
+    rounds after a kept first refit depend only on its matched set and so
+    run once per set. The best is the largest, then the smallest residual,
+    then the smallest (q pair, p pair, angle); only it is packaged as a
+    MatchResult, with votes top + 2.
     """
-    scored, fits = [], {}
-    for (ab, ij, angle), rot, tr in zip(tied, *_motions(pp, qq, *map(np.array, zip(*tied)))):
-        result = build_match_result(pp, qq, RigidMotion(rot, tr), radius, top + 2, (ab, ij), angle)
-        result = _refine_result(pp, qq, result, radius, fits)
-        scored.append((((-result.size, result.max_residual), ab, ij, angle), result))
-    return min(scored, key=lambda s: s[0])[1]
+    rot, tr = _motions(pp, qq, *map(np.array, zip(*tied)))
+    nn, res = _nearest_batch(pp, qq, rot, tr, _VERIFY_CELLS)
+    ok = res <= radius
+    # Matched residuals are >= 0, so a row's max over them, or 0.0 for none.
+    top_res, near, hit = np.where(ok, res, 0.0).max(axis=1).tolist(), nn.tolist(), ok.tolist()
+    fits, chains, scored = {}, {}, []
+    for k, (ab, ij, angle) in enumerate(tied):
+        pairs = [(q, p) for q, (p, h) in enumerate(zip(near[k], hit[k])) if h]
+        rank, chain = (-len(pairs), top_res[k]), None
+        # greedy_injective keeps every pair, in order, when no p repeats.
+        unique = len({p for _, p in pairs}) == len(pairs)
+        dedup = tuple(pairs) if unique else greedy_injective(pairs, res[k, ok[k]])
+        if _refits(pp, qq, dedup, rank, radius, fits, rounds=1) is not None:
+            if dedup not in chains:  # (1, inf): a rank every fit beats
+                chains[dedup] = _refits(pp, qq, dedup, (1, np.inf), radius, fits)
+            chain = chains[dedup]
+            rank = (-chain.size, chain.max_residual)
+        scored.append(((rank, ab, ij, angle), k, chain))
+    (_, ab, ij, angle), k, chain = min(scored, key=lambda s: s[0])
+    if chain is not None:
+        return replace(chain, votes=top + 2, base_pair=(ab, ij), angle=angle)
+    return build_match_result(pp, qq, RigidMotion(rot[k], tr[k]), radius, top + 2, (ab, ij), angle)
 
 
-def _refine_result(pp, qq, result: MatchResult, radius: float, fits: dict) -> MatchResult:
-    """Polish the winner by refitting on its injective matches.
-
-    The voted motion rests on one base pair and one angle, so on clean data
-    it certifies residuals up to the radius even when an exact alignment
-    exists.
-    Iterated refit-and-reverify (each round is kept only when it verifies
-    strictly better) walks to the aligned pose; the voted winner's guarantees
-    carry over since a worse round is discarded. `fits` holds the verified
-    fit of each matched set refitted so far (None if degenerate).
-    """
-    for _ in range(8):
-        matched = result.dedup_matched
-        if len(matched) < 3:
-            return result
-        if matched not in fits:
+def _refits(pp, qq, matched, rank, radius: float, fits: dict, rounds: int = 8):
+    """Polish a verified motion: up to `rounds` least-squares refits, each on
+    the injective matches `matched` of the one before, kept only while its
+    (-size, max_residual) is strictly below the last `rank`. The voted motion
+    rests on one base pair and one angle, so on clean data it certifies
+    residuals up to the radius even when an exact alignment exists; a worse
+    round is discarded, so the voted guarantees carry over. Returns the last
+    kept fit, or None. `fits` maps each matched set to its verified fit or None."""
+    kept = None
+    for _ in range(rounds):
+        if len(matched) >= 3 and matched not in fits:
             q, p = np.array(matched).T
             try:
-                fit = least_squares_motion(qq[q], pp[p])
+                fits[matched] = build_match_result(
+                    pp, qq, least_squares_motion(qq[q], pp[p]), radius, 0
+                )
             except DegenerateBasis:
-                fit = None
-            fits[matched] = None if fit is None else build_match_result(pp, qq, fit, radius, 0)
-        if fits[matched] is None:
-            return result
-        polished = replace(
-            fits[matched], votes=result.votes, base_pair=result.base_pair, angle=result.angle
-        )
-        better = (-polished.size, polished.max_residual) < (
-            -result.size,
-            result.max_residual - 1e-15,
-        )
-        if not better:
-            return result
-        result = polished
-    return result
+                fits[matched] = None
+        fit = fits.get(matched)
+        if fit is None or not (-fit.size, fit.max_residual) < (rank[0], rank[1] - 1e-15):
+            return kept
+        kept, matched, rank = fit, fit.dedup_matched, (-fit.size, fit.max_residual)
+    return kept
 
 
 def _vote(pp, qq, source, slack, radius, bare: bool) -> MatchResult:

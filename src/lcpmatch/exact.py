@@ -9,7 +9,8 @@ the same congruent (scene triplet, model triplet) rows, those of
 _congruent_triplets, and differ in the voting space:
 
 - pose_clustering: votes per quantized motion.
-- alignment: a row scores the points its motion brings onto the model.
+- alignment: a row scores the points that the motion of its motion key
+  brings onto the model, each distinct key verified once.
 - ght: the generalized Hough transform, pose clustering of the same rows.
 - geometric_hashing: a row scores its congruent fourth points, the (scene,
   model) point pairs with equal distances to the two triplets and equal
@@ -19,10 +20,10 @@ _congruent_triplets, and differ in the voting space:
 
 The motions of all congruent rows are built in one batch
 (geometry.motions_from_bases) and voted with array operations: motion keys
-tallied by np.unique; alignment's matched points and geometric hashing's
-fourth points counted by one row loop in chunks of a fixed cell budget.
-Only the winner's motion is rebuilt from its row by the scalar
-motion_from_bases, so results do not depend on the last bits of the
+tallied by np.unique; alignment's matched points found once per motion key
+and, with geometric hashing's fourth points, counted per row in chunks of a
+fixed cell budget. Only the winner's motion is rebuilt from its row by the
+scalar motion_from_bases, so results do not depend on the last bits of the
 batched arithmetic.
 
 "Exact" is realized in floating point: congruence within an absolute
@@ -41,6 +42,7 @@ from .errors import NoCongruentTriplets, TooFewPoints
 from .geometry import (
     COLLINEAR_REL,
     RigidMotion,
+    _nearest_batch,
     as_points,
     collinear_mask,
     cross,
@@ -73,19 +75,20 @@ class ExactParams:
             raise ValueError("tau and motion_grid must be finite and positive")
 
 
-def _motion_keys(flat, grid: float):
-    """Quantized (K, 12) motion rows (rotation row-major, then translation).
+def _motion_keys(rot, tr, grid: float):
+    """Quantized (K, 12) rows of motions (rot[k], tr[k]): rotation row-major,
+    then translation.
 
     np.rint rounds half to even, like round. The keys stay float64, whose
     integral values are exact at any magnitude, where int64 would wrap past
     2**63; adding 0.0 turns -0.0 into 0.0.
     """
-    return np.rint(flat / grid) + 0.0
+    return np.rint(np.concatenate([rot.reshape(-1, 9), tr], axis=1) / grid) + 0.0
 
 
 def motion_key(motion: RigidMotion, grid: float) -> tuple[int, ...]:
     """Quantized 12-tuple of the motion; equal for motions that agree on a basis."""
-    return tuple(int(v) for v in _motion_keys(motion.flatten()[None], grid)[0])
+    return tuple(int(v) for v in _motion_keys(motion.rotation, motion.translation[None], grid)[0])
 
 
 def _require_sizes(P, Q, min_p: int, min_q: int):
@@ -127,8 +130,7 @@ _ALIGN_CELLS = 1 << 16
 
 def _row_keys(pp, qq, tq, tp, grid: float):
     """Motion key of every (scene triplet, model triplet) row, as (K, 12) floats."""
-    rot, tr = motions_from_bases(qq[tq], pp[tp])
-    return _motion_keys(np.concatenate([rot.reshape(-1, 9), tr], axis=1), grid)
+    return _motion_keys(*motions_from_bases(qq[tq], pp[tp]), grid)
 
 
 def _pose_winner(pp, qq, tq, tp, params: ExactParams) -> MatchResult:
@@ -172,20 +174,23 @@ def _best_row(pp, qq, tq, tp, score, params: ExactParams) -> MatchResult:
 def alignment(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
     """Score each congruent triplet pair's motion by verifying remaining points.
 
-    A row scores the scene points outside its triplet that its motion brings
-    within tau of some model point. The first row at the top score wins.
+    A row scores the scene points outside its triplet that the motion of
+    its motion key's first row brings within tau of some model point, so
+    each distinct key is verified once. The first row at the top score wins.
     """
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 3, 3)
     tq, tp = _congruent_triplets(pp, qq, params)
     rot, tr = motions_from_bases(qq[tq], pp[tp])
+    _, first, key = np.unique(
+        _motion_keys(rot, tr, params.motion_grid), axis=0, return_index=True, return_inverse=True
+    )
+    key = key.reshape(-1)  # (K,) under numpy 1.x, (K, 1) under some 2.x releases
+    hits = _nearest_batch(pp, qq, rot[first], tr[first], _ALIGN_CELLS)[1] <= params.tau
 
     def matched(rows):
-        img = qq @ rot[rows].transpose(0, 2, 1) + tr[rows, None, :]
-        diff = img[:, :, None, :] - pp
-        ok = np.sqrt((diff * diff).sum(axis=3)).min(axis=2) <= params.tau
-        ok[np.arange(len(ok))[:, None], tq[rows]] = False
-        return ok.sum(axis=1)
+        own = hits[key[rows, None], tq[rows]]
+        return hits[key[rows]].sum(axis=1) - own.sum(axis=1)
 
     return _best_row(pp, qq, tq, tp, matched, params)
 

@@ -556,3 +556,17 @@ def nearest_matches(P, Q, motion: RigidMotion, radius: float) -> tuple[list[tupl
     sel = np.flatnonzero(res <= radius)
     pairs = [(int(q), int(nn[q])) for q in sel]
     return pairs, res[sel]
+
+
+def _nearest_batch(pp, qq, rot, tr, cells: int):
+    """(nn, res): the nearest model point and its distance for every motion
+    (rot[k], tr[k]) and scene point, by the arithmetic of nearest_matches,
+    bit for bit, in chunks of at most `cells` motions x scene x model points."""
+    nn, res = np.empty((len(rot), len(qq)), dtype=np.int64), np.empty((len(rot), len(qq)))
+    step = max(1, cells // (len(qq) * len(pp)))
+    for s in range(0, len(rot), step):
+        img = qq @ rot[s : s + step].transpose(0, 2, 1) + tr[s : s + step, None, :]
+        diff = img[:, :, None, :] - pp
+        d = np.sqrt((diff * diff).sum(axis=3))
+        nn[s : s + step], res[s : s + step] = d.argmin(axis=2), d.min(axis=2)
+    return nn, res

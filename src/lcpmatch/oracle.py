@@ -132,7 +132,9 @@ class VerifyResult:
 
 
 def verify_motion(P, Q, motion: RigidMotion, radius: float) -> VerifyResult:
-    """Exact matched set of `motion` at `radius`, plus its injective resolution."""
+    """Exact matched set of `motion` at finite `radius` >= 0, plus its injective resolution."""
+    if not 0 <= radius < np.inf:
+        raise ValueError("radius must be finite and >= 0")
     pairs, res = nearest_matches(P, Q, motion, radius)
     return VerifyResult(
         matched=tuple(pairs),

@@ -212,6 +212,22 @@ class TestVerify:
         assert code == EXIT_VERIFY
 
 
+    @pytest.mark.parametrize("radius", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_bad_radius_is_a_usage_error(self, instance_file, tmp_path, capsys, radius, empty):
+        report_path = self._match(instance_file, tmp_path, capsys)
+        if empty:
+            report = json.loads(report_path.read_text())
+            report["result"]["matched"] = []
+            report_path.write_text(json.dumps(report))
+        code, _, err = run_cli(
+            capsys,
+            "verify", str(instance_file), "--report", str(report_path), "--radius", radius,
+        )
+        assert code == EXIT_USAGE
+        assert json.loads(err)["error"] == "usage"
+
+
 class TestBench:
     def test_csv_roundtrip(self, capsys):
         suite = {

@@ -1,4 +1,6 @@
+from dataclasses import replace
 from decimal import Decimal, localcontext
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,23 +21,35 @@ from lcpmatch.da import (
     da_match,
     expander_da,
 )
-from lcpmatch.errors import DegreeTooSmall, NoCandidatePairs
+from lcpmatch.errors import DegenerateBasis, DegreeTooSmall, NoCandidatePairs
 from lcpmatch.exact import ExactParams
 from lcpmatch.geometry import (
     TWO_PI,
     AngleInterval,
+    RigidMotion,
+    _nearest_batch,
     dihedral_interval,
+    least_squares_motion,
     max_overlap_angle,
+    nearest_matches,
     pair_canonical_motion,
     pairwise_distances,
     union_intervals,
 )
 from lcpmatch.index import DistanceRows
-from lcpmatch.oracle import GenSpec, exact_lcp_bruteforce, generate_instance
+from lcpmatch.oracle import GenSpec, exact_lcp_bruteforce, generate_instance, random_rotation
+from lcpmatch.result import build_match_result
 from lcpmatch.sampling import AllPairs, Expander, Pigeonhole, materialize_pairs
 
 from test_exact import five_point_instance
-from test_pinned_outputs import TOLERANT_CALLS, TOLERANT_SEEDS, fingerprint, tolerant_instance
+from test_pinned_outputs import (
+    EXACT_INSTANCES,
+    TOLERANT_CALLS,
+    TOLERANT_SEEDS,
+    exact_instance,
+    fingerprint,
+    tolerant_instance,
+)
 
 
 class TestDaMatch:
@@ -795,44 +809,176 @@ class TestBatchBudget:
             assert all(r == results[0] for r in results)
 
 
-class TestRefitSharing:
-    """Tied winners that verify to one matched set share its refit."""
+def reference_select_winner(pp, qq, top, tied, radius):
+    """The winner step one tied motion at a time: verified by
+    build_match_result, refined by reference_refine, the best taken by
+    ((-size, max_residual), q pair, p pair, angle). The tied motions share
+    one dict of refits."""
+    scored, fits = [], {}
+    for (ab, ij, angle), rot, tr in zip(tied, *_motions(pp, qq, *map(np.array, zip(*tied)))):
+        result = build_match_result(pp, qq, RigidMotion(rot, tr), radius, top + 2, (ab, ij), angle)
+        result = reference_refine(pp, qq, result, radius, fits)
+        scored.append((((-result.size, result.max_residual), ab, ij, angle), result))
+    return min(scored, key=lambda s: s[0])[1]
 
-    def test_one_fit_per_matched_set(self, monkeypatch):
-        select, refine, fit = da._select_winner, da._refine_result, da.least_squares_motion
-        inputs, fits = [], []
 
-        def record_inputs(*args, **kwargs):
-            inputs.append((args, kwargs))
-            return select(*args, **kwargs)
+def reference_refine(pp, qq, result, radius, fits):
+    """Up to 8 rounds of least-squares refit on the injective matches, each
+    kept only when it verifies strictly better; `fits` holds the verified
+    fit of each matched set fitted so far (None if degenerate)."""
+    for _ in range(8):
+        matched = result.dedup_matched
+        if len(matched) < 3:
+            return result
+        if matched not in fits:
+            q, p = np.array(matched).T
+            try:
+                fit = da.least_squares_motion(qq[q], pp[p])
+            except DegenerateBasis:
+                fit = None
+            fits[matched] = None if fit is None else build_match_result(pp, qq, fit, radius, 0)
+        if fits[matched] is None:
+            return result
+        polished = replace(
+            fits[matched], votes=result.votes, base_pair=result.base_pair, angle=result.angle
+        )
+        rank = (-result.size, result.max_residual - 1e-15)
+        if not (-polished.size, polished.max_residual) < rank:
+            return result
+        result = polished
+    return result
 
-        def record_fit(Q, P):
-            fits.append((Q.tobytes(), P.tobytes()))
-            return fit(Q, P)
 
-        def key(r):
-            return fingerprint(r), r.angle, r.motion.flatten().tobytes()
+def winner_key(r):
+    return (
+        r.size,
+        r.votes,
+        r.matched,
+        r.dedup_matched,
+        r.max_residual,
+        r.base_pair,
+        r.angle,
+        r.motion.rotation.tobytes(),
+        r.motion.translation.tobytes(),
+    )
 
-        monkeypatch.setattr(da, "_select_winner", record_inputs)
+
+@lru_cache(maxsize=None)
+def recorded_winner_inputs():
+    """The _select_winner arguments of the tolerant pinned calls, da_exact on
+    the pinned exact instances, and one all-pairs call at an eps so far
+    below the noise that no base votes and over 200 bases tie at 0."""
+    inputs, select = [], da._select_winner
+
+    def record(*args):
+        inputs.append(args)
+        return select(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(da, "_select_winner", record)
         for seed in TOLERANT_SEEDS:
             inst = tolerant_instance(seed)
             for call in TOLERANT_CALLS.values():
                 call(inst.P, inst.Q, seed)
+        for m, k, seed in EXACT_INSTANCES:
+            inst = exact_instance(m, k, seed)
+            da_exact(inst.P, inst.Q)
+        inst = tolerant_instance(12)
+        da_match(inst.P, inst.Q, MatchParams(0.015))
+    return inputs
+
+
+class TestSelectWinner:
+    """The batched winner step against the scalar loop it replaces."""
+
+    def test_recorded_inputs_cover_the_cases(self):
+        inputs = recorded_winner_inputs()
+        assert len(inputs) == len(TOLERANT_SEEDS) * len(TOLERANT_CALLS) + len(EXACT_INSTANCES) + 1
+        top, tied = inputs[-1][2:4]
+        assert top == 0 and len(tied) > 200
+
+    def test_equals_scalar_reference(self, monkeypatch):
+        fits = []
+
+        def record_fit(Q, P):
+            fits.append((Q.tobytes(), P.tobytes()))
+            return least_squares_motion(Q, P)
+
         monkeypatch.setattr(da, "least_squares_motion", record_fit)
-        shared, alone = 0, 0
-        for args, kwargs in inputs:
-            fits.clear()
-            want = key(select(*args, **kwargs))
-            assert len(set(fits)) == len(fits)
-            shared += len(fits)
-            with monkeypatch.context() as patch:
-                # Each tied winner refits on its own.
-                patch.setattr(da, "_refine_result", lambda *a: refine(*a[:-1], {}))
+        # At the default verify budget, and at one motion a pass.
+        for cells in (da._VERIFY_CELLS, 1):
+            monkeypatch.setattr(da, "_VERIFY_CELLS", cells)
+            for args in recorded_winner_inputs():
                 fits.clear()
-                assert key(select(*args, **kwargs)) == want
-                alone += len(fits)
-        assert len(inputs) == len(TOLERANT_SEEDS) * len(TOLERANT_CALLS)
-        assert shared < alone
+                want = winner_key(reference_select_winner(*args))
+                shared = set(fits)
+                fits.clear()
+                assert winner_key(da._select_winner(*args)) == want
+                # Each matched set is fitted once, and the same sets as the
+                # scalar loop's shared refits.
+                assert len(set(fits)) == len(fits)
+                assert set(fits) == shared
+
+    def test_refit_rounds_up_to_the_cap(self):
+        # Points on a widening spiral with noise at 0.4 of the radius: each
+        # refit on the matches of the one before reaches a few more points,
+        # so some chains run into the 8-round cap.
+        lengths, capped = [], 0
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            r, th = 1.2 ** np.arange(30), rng.uniform(0.0, TWO_PI, 30)
+            P = np.column_stack([r * np.cos(th), r * np.sin(th), 0.5 * r * rng.uniform(-1, 1, 30)])
+            Q = P + rng.normal(0.0, 0.1, P.shape)
+            start = build_match_result(
+                P, Q, RigidMotion.from_axis_angle(rng.normal(size=3), 0.05), 0.25, 5
+            )
+            want = reference_refine(P, Q, start, 0.25, {})
+            fits = {}
+            rank = (-start.size, start.max_residual)
+            got = da._refits(P, Q, start.dedup_matched, rank, 0.25, fits)
+            if want is start:
+                assert got is None
+                continue
+            # After a kept first round the chain depends on the matched set alone.
+            chain = da._refits(P, Q, start.dedup_matched, (1, np.inf), 0.25, {})
+            for res in (got, chain):
+                assert winner_key(replace(res, votes=5)) == winner_key(want)
+            lengths.append(len(fits))
+            capped += got is not da._refits(P, Q, start.dedup_matched, rank, 0.25, fits, rounds=7)
+        assert capped and min(lengths) < 4
+
+    def test_batched_verify_equals_nearest_matches(self):
+        # Motions near a planted one at every coordinate scale; radii that
+        # match no q, every q, and some, with scene points copied so that
+        # several q share a nearest p.
+        rng = np.random.default_rng(12)
+        seen = set()
+        for scale in (1e-9, 1e-3, 1.0, 1e3, 1e6):
+            for trial in range(8):
+                m, n = (int(x) for x in rng.integers(3, 14, size=2))
+                pp = rng.uniform(-scale, scale, (m, 3))
+                truth = RigidMotion(random_rotation(rng), rng.uniform(-scale, scale, 3))
+                qq = truth.inverse().apply(pp[rng.integers(0, m, n)])
+                qq += rng.normal(0.0, 0.05 * scale, qq.shape) * (trial % 2)
+                # Every fourth motion turned anywhere, two in three shifted.
+                rot = np.stack(
+                    [random_rotation(rng) if c % 4 == 3 else truth.rotation for c in range(10)]
+                )
+                shift = rng.normal(0.0, 0.1 * scale, (10, 3)) * (np.arange(10) % 3 > 0)[:, None]
+                tr = truth.translation + shift
+                nn, res = _nearest_batch(pp, qq, rot, tr, 1 << 62)
+                chunked = _nearest_batch(pp, qq, rot, tr, 1)
+                assert nn.tobytes() + res.tobytes() == b"".join(x.tobytes() for x in chunked)
+                for radius in (0.0, 0.1 * scale, 0.5 * scale, 10.0 * scale):
+                    for c in range(len(rot)):
+                        pairs, resid = nearest_matches(pp, qq, RigidMotion(rot[c], tr[c]), radius)
+                        q = np.flatnonzero(res[c] <= radius)
+                        assert pairs == list(zip(q.tolist(), nn[c, q].tolist()))
+                        assert res[c, q].tobytes() == resid.tobytes()
+                        ps = [p for _, p in pairs]
+                        seen.add("empty" if not pairs else "full" if len(pairs) == n else "some")
+                        seen.add("repeated" if len(set(ps)) < len(ps) else "injective")
+        assert seen == {"empty", "full", "some", "repeated", "injective"}
 
 
 class TestSweepAgainstDenseSampling:

@@ -5,7 +5,7 @@ import pytest
 
 from lcpmatch import exact
 from lcpmatch.da import da_exact
-from lcpmatch.errors import DegenerateBasis, NoCongruentTriplets
+from lcpmatch.errors import DegenerateBasis, LcpMatchError, NoCongruentTriplets
 from lcpmatch.exact import (
     ExactParams,
     alignment,
@@ -24,9 +24,11 @@ from lcpmatch.geometry import (
 )
 from lcpmatch.index import DistanceRows
 from lcpmatch.oracle import GenSpec, exact_lcp_bruteforce, generate_instance, random_rotation
+from lcpmatch.result import build_match_result
 from lcpmatch.sampling import Pigeonhole, materialize_pairs
 
 from conftest import random_points
+from test_oracle import _criterion_2_shapes, _edge_cases, _planted_generic
 from test_pinned_outputs import EXACT_INSTANCES, exact_instance, fingerprint
 
 UNIT_CUBE = np.array(
@@ -64,7 +66,9 @@ def grid_instance_with_decoy():
 
 
 def alignment_reference(P, Q, tau=1e-9):
-    """Row by row alignment: (top count, first row reaching it)."""
+    """Row by row alignment: (top count, first row reaching it, its result),
+    each row scored by its own motion."""
+    exact._require_sizes(P, Q, 3, 3)
     tq, tp = exact._congruent_triplets(P, Q, ExactParams(tau=tau))
     best = None
     for r in range(len(tq)):
@@ -72,8 +76,9 @@ def alignment_reference(P, Q, tau=1e-9):
         ok = np.linalg.norm(mu.apply(Q)[:, None] - P[None], axis=2).min(axis=1) <= tau
         ok[tq[r]] = False
         if best is None or ok.sum() > best[0]:
-            best = (int(ok.sum()), r)
-    return best
+            best = (int(ok.sum()), r, mu)
+    count, row, mu = best
+    return count, row, build_match_result(P, Q, mu, tau, votes=count)
 
 
 def _reference_sign(pts, d, trip, x, rel=1e-9):
@@ -173,16 +178,19 @@ class TestAlignment:
     def test_chunk_budget_leaves_result(self, monkeypatch, cells):
         # A row holds 8 x 12 cells: 5 cells make one-row chunks, 300 make
         # three-row chunks, 1000 make ten-row chunks with a ragged last one.
+        # Alignment verifies its motion keys in chunks of the same sizes.
         # The first rows belong to a decoy triangle, so the winning row lies
         # deep in the row list. Alignment and geometric hashing share the
         # chunked row loop, so both are checked.
         P, Q = grid_instance_with_decoy()
         tq, tp = exact._congruent_triplets(P, Q, ExactParams())
+        keys = np.unique(exact._row_keys(P, Q, tq, tp, ExactParams().motion_grid), axis=0)
+        assert len(keys) > 10 * max(1, cells // (len(P) * len(Q)))
         for matcher, reference in (
             (alignment, alignment_reference),
             (geometric_hashing, geometric_hashing_reference),
         ):
-            count, row = reference(P, Q)
+            count, row = reference(P, Q)[:2]
             assert count == 2 and row > 500
             want = fingerprint(matcher(P, Q))
             with monkeypatch.context() as patch:
@@ -193,6 +201,35 @@ class TestAlignment:
             mu = motion_from_bases(Q[tq[row]], P[tp[row]])
             assert got.motion.rotation.tobytes() == mu.rotation.tobytes()
             assert got.motion.translation.tobytes() == mu.translation.tobytes()
+
+
+def outcome(matcher, P, Q):
+    """(size, votes, matched, motion bytes) of a match, or the error it raised."""
+    try:
+        r = matcher(P, Q)
+    except LcpMatchError as exc:
+        return type(exc)
+    return r.size, r.votes, r.matched, r.motion.rotation.tobytes(), r.motion.translation.tobytes()
+
+
+class TestAlignmentPerKey:
+    """Alignment scores each motion key once; its results equal the per-row path's."""
+
+    @pytest.mark.parametrize("family", [_criterion_2_shapes, _planted_generic, _edge_cases])
+    def test_equals_row_by_row(self, family):
+        for P, Q in family():
+            reference = outcome(lambda P, Q: alignment_reference(P, Q)[2], P, Q)
+            assert outcome(alignment, P, Q) == reference
+
+    def test_fewer_keys_than_rows(self):
+        rows = keys = 0
+        for P, Q in _criterion_2_shapes():
+            tq, tp = exact._congruent_triplets(P, Q, ExactParams())
+            row_keys = exact._row_keys(P, Q, tq, tp, ExactParams().motion_grid)
+            distinct = len(np.unique(row_keys, axis=0))
+            assert distinct < len(tq)
+            rows, keys = rows + len(tq), keys + distinct
+        assert keys * 20 < rows
 
 
 class TestGht:

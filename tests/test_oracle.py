@@ -282,6 +282,13 @@ class TestVerifyMotion:
         assert (0, 0) not in res.dedup_matched or (1, 0) not in res.dedup_matched
 
 
+    @pytest.mark.parametrize("radius", [np.nan, -1e-12, np.inf, -np.inf])
+    def test_radius_must_be_finite_and_nonnegative(self, rng, radius):
+        P = random_points(rng, 4)
+        with pytest.raises(ValueError):
+            verify_motion(P, P, RigidMotion.identity(), radius)
+
+
 class TestBottleneck:
     def test_identical(self, rng):
         P = random_points(rng, 6)
