@@ -1,9 +1,9 @@
 """Largest-common-point-set matching of 3D point sets under rigid motions.
 
-Public surface: the geometry core (rigid motions, invariant keys, dihedral
-intervals), the exact voting algorithms, the dihedral-angle tolerant
-matcher with pluggable pair sources, sampling schemes, and the
-ground-truth oracle used for verification and instance generation.
+Public surface: the geometry core (rigid motions, motion bases, distances),
+the exact voting algorithms, the dihedral-angle tolerant matcher with
+pluggable pair sources, sampling schemes, and the ground-truth oracle used
+for verification and instance generation.
 """
 
 from .da import MatchParams, da_exact, da_match, expander_da
@@ -31,18 +31,12 @@ from .exact import (
     pose_clustering,
 )
 from .geometry import (
-    AngleInterval,
     RigidMotion,
-    dihedral_interval,
     hausdorff,
     least_squares_motion,
-    max_overlap_angle,
     min_interpoint_distance,
     motion_from_bases,
-    pair_canonical_motion,
-    rotation_about_line,
     tolerant_precondition,
-    union_intervals,
 )
 from .oracle import (
     GenSpec,

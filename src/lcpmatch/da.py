@@ -15,20 +15,23 @@ arcs, counting each q once, fixes the motion; the base pair itself
 contributes the "+2".
 
 Source pairs are taken in batches, one search for the candidate rows of
-every pair in a batch, and one loop (_tied_bases) walks them in every
-mode. A batch's bases go from the highest distinct-q count, which bounds
-their overlap, to the lowest; the best overlap so far is a floor, and the
-batch stops at the first base whose bound is below it. Bases are scored in
-array passes (the screen), a chunk of rows a pass: the arc of every row, a
-tighter bound (the most q whose arcs touch one of _BINS equal bins of the
-circle), and one stabbing sweep segmented by base over the bases whose
-bound reaches the floor, in which each (base, q) counts wherever one of its
-arcs is open and the angle is the middle of the first peak interval
-(_stab). The bases tied at the best overlap over all pairs keep that angle;
-their motions are built from the two axis frames and verified in one
-batch, polished by an iterated least-squares refit on their injective
-matches (kept only when it verifies better; each matched set is fitted
-once), and only the best certificate is packaged as a MatchResult.
+every pair in a batch, and one loop (_vote) walks them in every mode. A
+batch's bases go from the highest distinct-q count, which bounds their
+overlap, to the lowest; the best overlap so far is a floor, and the batch
+stops at the first base whose bound is below it. A base at the best
+overlap over all pairs has every bound at or above it, so no bound prunes
+it. Bases are scored in array passes (the screen), a chunk of rows a pass:
+the arc of every row, a tighter bound (the most q whose arcs touch one of
+_BINS equal bins of the circle), and one stabbing sweep segmented by base
+over the bases whose bound reaches the floor, in which each (base, q)
+counts wherever one of its arcs is open and the angle is the middle of the
+first peak interval (_stab). The bases tied at the best overlap over all
+pairs keep that angle; their motions are built from the two axis frames
+and verified in one batch, polished by an iterated least-squares refit on
+their injective matches (kept only when it verifies better; each matched
+set is fitted once), and only the best certificate is packaged as a
+MatchResult. With no voting base at all, a pair's base is a bare 2-match
+(_two_match) in da_match.
 
 Guarantee shape: with all pairs and the tolerant precondition (minimum
 interpoint distance above 2*eps), the diameter pair of the optimal matched
@@ -44,7 +47,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -64,6 +66,7 @@ from .geometry import (
     cross,
     least_squares_motion,
     pairwise_distances,
+    row_norms,
 )
 # perfbench/tracing.py wraps these names here; no matcher calls them.
 from .geometry import max_overlap_angle, union_intervals  # noqa: F401
@@ -117,10 +120,7 @@ def _live_pairs(source, qq, search, slack):
     finding it early raises the skip floor.
     """
     src = np.array(materialize_pairs(source, len(qq)), dtype=np.int64).reshape(-1, 2)
-    d = qq[src[:, 0]] - qq[src[:, 1]]
-    # The per-vector np.linalg.norm, bit for bit; a row-wise sum of squares
-    # rounds differently.
-    lengths = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    lengths = row_norms(qq[src[:, 0]] - qq[src[:, 1]])
     order = np.lexsort((src[:, 1], src[:, 0], -lengths))
     lo, hi = search.slab(lengths[order], slack)
     order = order[hi > lo]
@@ -374,64 +374,7 @@ def _two_match(search, slack, length):
     directions: the smallest (i, j) in the length slab, and (j, i)."""
     lo, hi = search.slab([length], slack)
     i, j = min(search.pairs[lo[0] : hi[0]].tolist())
-    none = np.empty(0, dtype=np.int64)
-    return [((i, j), none, none), ((j, i), none, none)]
-
-
-def _tied_bases(src, lengths, rows, batches, bare, score, chunk_rows: int):
-    """The best overlap over all source pairs and every base tied at it.
-
-    Each batch of source pairs takes its groups from one rows() call, the
-    batch builder. They go by descending distinct-q bound, ties in (pair,
-    base) order, in chunks of at most `chunk_rows` rows (at least one
-    group), one score(src, bases, g, qs, ps, floor) call each, which returns
-    the overlap and angle of each base as _screen does: overlap -1 for a
-    base it prunes, which must then be below the floor. The floor starts at
-    the best overlap of the batches before, or 0, and rises after every
-    chunk; a batch stops at the first group whose bound is below it, since
-    every later group's bound is lower. A base at the global maximum M has
-    any bound >= M >= floor, so the tied set is never pruned. Returns M (-1
-    when no base was scored) and the ((a, b), base, angle) of every base at
-    it. A pair with no voting base scores 0 at angle 0.0 with the bases
-    bare(length) gives, or none when `bare` is None.
-    """
-    top, tied = -1, []
-    for batch in batches:
-        pairs, lens = src[batch], lengths[batch]
-        qs, ps, owner, bases, cuts, bounds = rows(pairs, lens)
-        # Groups and their rows in rank order; group t owns rows heads[t]:ends[t].
-        order = np.argsort(-bounds, kind="stable")
-        owner, bases, sizes = owner[order], bases[order], np.diff(cuts)[order]
-        ends = np.cumsum(sizes)
-        r = np.repeat(cuts[order] - (ends - sizes), sizes)
-        r += np.arange(len(r))
-        qs, ps = qs[r], ps[r]
-        ranked, ends = (-bounds[order]).tolist(), ends.tolist()
-        heads = [0] + ends[:-1]
-        overlap, angle = np.full(len(order), -1), np.zeros(len(order))
-        floor, start = max(top, 0), 0
-        while start < len(order) and -ranked[start] >= floor:
-            # At most chunk_rows rows and at least one group, none below the floor.
-            stop = bisect_right(ends, heads[start] + chunk_rows)
-            stop = min(max(start + 1, stop), bisect_right(ranked, -floor))
-            g = np.repeat(np.arange(stop - start), sizes[start:stop])
-            k, rs = owner[start:stop], slice(heads[start], ends[stop - 1])
-            overlap[start:stop], angle[start:stop] = score(
-                pairs[k], bases[start:stop], g, qs[rs], ps[rs], floor
-            )
-            floor, start = max(floor, int(overlap[start:stop].max())), stop
-        empty = np.flatnonzero(np.bincount(owner, minlength=len(pairs)) == 0) if bare else ()
-        found = max(int(overlap.max(initial=-1)), 0 if len(empty) else -1)
-        if found > top:
-            top, tied = found, []
-        if found != top or top < 0:
-            continue
-        ab = pairs.tolist()
-        for t in np.flatnonzero(overlap == top).tolist():
-            tied.append((tuple(ab[owner[t]]), tuple(bases[t].tolist()), float(angle[t])))
-        if top == 0:
-            tied += [(tuple(ab[k]), base, 0.0) for k in empty for base, _, _ in bare(lens[k])]
-    return top, tied
+    return [(i, j), (j, i)]
 
 
 def _select_winner(pp, qq, top, tied, radius) -> MatchResult:
@@ -494,27 +437,66 @@ def _refits(pp, qq, matched, rank, radius: float, fits: dict, rounds: int = 8):
 
 
 def _vote(pp, qq, source, slack, radius, bare: bool) -> MatchResult:
-    """The winner of one match: the live source pairs of `source`, their
-    bases screened by _tied_bases in batches and chunks, and the tied bases
-    verified and refined by _select_winner. With `bare`, a pair with no
-    voting base is a 2-match."""
+    """The best overlap over the live source pairs of `source`, and the winner
+    _select_winner makes of every base tied at it.
+
+    Each batch of pairs from _batches takes its groups from one _base_rows
+    search. They go by descending distinct-q bound, ties in (pair, base)
+    order, to _screen in chunks of at most _SCREEN_ROWS rows (at least one
+    group), which returns overlap -1 for a base it prunes, one below the
+    floor. The floor starts at the best overlap of the batches before, or 0,
+    and rises after every chunk; a batch stops at the first group whose
+    bound is below it, since every later group's bound is lower. A base at
+    the global maximum M has any bound >= M >= floor, so the tied set is
+    never pruned. With `bare`, a pair with no voting base scores 0 at angle
+    0.0 with the two bases of _two_match, a 2-match.
+    """
     search = DistanceRows(pp)
     src, lengths = _live_pairs(source, qq, search, slack)
-    top, tied = _tied_bases(
-        src,
-        lengths,
-        partial(_base_rows, search, pairwise_distances(qq), slack),
-        list(_batches(lengths, search, slack, len(qq))),
-        partial(_two_match, search, slack) if bare else None,
-        lambda *chunk: _screen(pp, qq, *chunk, radius),
-        _SCREEN_ROWS,
-    )
+    dists = pairwise_distances(qq)
+    top, tied = -1, []
+    for batch in _batches(lengths, search, slack, len(qq)):
+        pairs, lens = src[batch], lengths[batch]
+        qs, ps, owner, bases, cuts, bounds = _base_rows(search, dists, slack, pairs, lens)
+        # Groups and their rows in rank order; group t owns rows heads[t]:ends[t].
+        order = np.argsort(-bounds, kind="stable")
+        owner, bases, sizes = owner[order], bases[order], np.diff(cuts)[order]
+        ends = np.cumsum(sizes)
+        r = np.repeat(cuts[order] - (ends - sizes), sizes)
+        r += np.arange(len(r))
+        qs, ps = qs[r], ps[r]
+        ranked, ends = (-bounds[order]).tolist(), ends.tolist()
+        heads = [0] + ends[:-1]
+        overlap, angle = np.full(len(order), -1), np.zeros(len(order))
+        floor, start = max(top, 0), 0
+        while start < len(order) and -ranked[start] >= floor:
+            # At most _SCREEN_ROWS rows and at least one group, none below the floor.
+            stop = bisect_right(ends, heads[start] + _SCREEN_ROWS)
+            stop = min(max(start + 1, stop), bisect_right(ranked, -floor))
+            g = np.repeat(np.arange(stop - start), sizes[start:stop])
+            k, rs = owner[start:stop], slice(heads[start], ends[stop - 1])
+            overlap[start:stop], angle[start:stop] = _screen(
+                pp, qq, pairs[k], bases[start:stop], g, qs[rs], ps[rs], floor, radius
+            )
+            floor, start = max(floor, int(overlap[start:stop].max())), stop
+        empty = np.flatnonzero(np.bincount(owner, minlength=len(pairs)) == 0) if bare else ()
+        found = max(int(overlap.max(initial=-1)), 0 if len(empty) else -1)
+        if found > top:
+            top, tied = found, []
+        if found != top or top < 0:
+            continue
+        ab = pairs.tolist()
+        for t in np.flatnonzero(overlap == top).tolist():
+            tied.append((tuple(ab[owner[t]]), tuple(bases[t].tolist()), float(angle[t])))
+        if top == 0:
+            for k in empty:
+                tied += [(tuple(ab[k]), b, 0.0) for b in _two_match(search, slack, lens[k])]
     if not tied:
         raise NoCandidatePairs("source pairs passed the filter but found no bases")
     return _select_winner(pp, qq, top, tied, radius)
 
 
-def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
+def da_match(P, Q, params: MatchParams) -> MatchResult:
     """Dihedral-angle voting matcher with a pluggable pair source.
 
     With AllPairs and the tolerant precondition the returned raw size
@@ -522,13 +504,12 @@ def da_match(P, Q, params: MatchParams, threads: int = 1) -> MatchResult:
     residual is at most report_factor * eps.
 
     Source pairs are searched in batches of at most _BATCH_CELLS cells, and
-    _tied_bases screens each batch's bases by descending bound in chunks of
-    at most _SCREEN_ROWS rows, the best overlap so far being the pruning
-    floor, which _screen also applies to its _BINS-bin bound. The bases
+    _vote screens each batch's bases by descending bound in chunks of at
+    most _SCREEN_ROWS rows, the best overlap so far being the pruning floor,
+    which _screen also applies to its _BINS-bin bound. The bases
     tied at the best overlap over all pairs keep their screened angle, and
     _select_winner builds, verifies and refines their motions. At eps = 0
     the radius is 1e-9 times the data's span, and the same screen votes.
-    `threads` is accepted and ignored: matching runs in the calling thread.
     """
     pp, qq = as_points(P), as_points(Q)
     if len(pp) < 2 or len(qq) < 2:
@@ -570,14 +551,12 @@ def expander_da(
     alpha: float,
     seed: int,
     report_factor: float = 6.0,
-    threads: int = 1,
 ) -> MatchResult:
     """Dihedral matcher over expander-sampled pairs with a widened radius.
 
     Requires degree > 2500 * alpha^2. When the optimum exceeds n/alpha the
     winner size falls short of it by at most (50 / sqrt(degree)) * n, with
-    residuals at most report_factor * eps. `threads` is accepted and
-    ignored, as by da_match.
+    residuals at most report_factor * eps.
     """
     if degree <= 2500.0 * alpha * alpha:
         raise DegreeTooSmall(

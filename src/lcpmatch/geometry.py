@@ -1,4 +1,5 @@
-"""3D geometry core: rigid motions, dihedral-angle intervals.
+"""3D geometry core: rigid motions, motion bases, nearest matches, and the
+scalar dihedral-angle intervals.
 
 Conventions
 -----------
@@ -6,14 +7,16 @@ Points are float64 arrays of shape (3,); point sets are arrays of shape
 (N, 3). Angles live on the circle [0, 2*pi). Degeneracy thresholds are
 relative to the local scale of their inputs, so instances may use any unit.
 
-The dihedral machinery reduces the squared distance between a point rotated
-about a directed axis and a fixed target to the form
+The scalar interval solve (dihedral_interval) reduces the squared distance
+between a point rotated about a directed axis and a fixed target to the form
 
     ||R_theta(q) - p||^2 = c0 + c1*cos(theta) + c2*sin(theta),
 
 which makes "which rotation angles bring q within r of p" a closed-form
 inequality: the admissible angles always form a single (possibly empty or
-full) arc of the circle.
+full) arc of the circle. No matcher runs it, nor the interval union and
+sweep: DA solves its arcs in cylinder coordinates (da._cyl_arcs), and the
+tests keep these scalar forms as references.
 """
 
 from __future__ import annotations
@@ -66,6 +69,12 @@ def cross(u, v):
         ],
         axis=-1,
     )
+
+
+def row_norms(d: FloatArray) -> FloatArray:
+    """Norms of the rows of (K, 3) `d`, equal bit for bit to np.linalg.norm of
+    each row; a row-wise sum of squares rounds differently."""
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
 def pairwise_distances(points: FloatArray) -> FloatArray:
@@ -155,10 +164,6 @@ class RigidMotion:
             np.abs(r @ r.T - np.eye(3)).max() <= tol
             and abs(float(np.linalg.det(r)) - 1.0) <= tol
         )
-
-    def flatten(self) -> FloatArray:
-        """12-vector: the 9 rotation entries row-major, then the translation."""
-        return np.concatenate([self.rotation.ravel(), self.translation])
 
 
 def rotation_about_line(p1, p2, angle: float) -> RigidMotion:

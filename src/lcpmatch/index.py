@@ -1,4 +1,4 @@
-"""Preprocessing dictionaries: pair lengths, distance rows and a sorted-key join.
+"""Preprocessing dictionaries: pair lengths, distance rows and triplet keys.
 
 DistanceRows is the one candidate search of every matcher: it finds each
 model triplet (i, j, p) congruent within a slack to a scene triplet (a, b,
@@ -8,13 +8,13 @@ point searched. A mask is built by one outer subtraction of scene and
 model distance rows and one flat bit pack; a search ANDs the masks of its
 length-slab entries, taken in (pair, i, j) order, and unpacks only the
 nonzero bytes, so its rows come out grouped by base. The length slab of a
-pair is also DA's pair-length filter. The pair dictionary answers "which
-pairs of P have length within a slack of L" by binary search on a sorted
-length array. A KeyIndex holds float keys sorted on their first coordinate
-and joins a batch of query keys against them; the triplet index is the
-ordered triplets of P with their triangle keys in a KeyIndex. No matcher
-calls the pair dictionary or those two; perfbench/tracing.py wraps them.
-All are immutable after construction and safe for concurrent readers.
+pair is also DA's pair-length filter. The pair dictionary answers "is
+there a pair of P with length within a slack of L" by binary search on a
+sorted length array; the triplet index holds the ordered triplets of P
+with their triangle keys and answers box and first-key queries by one
+mask over all keys. No matcher calls those two; perfbench/tracing.py
+wraps them. All are immutable after construction and safe for concurrent
+readers.
 """
 
 from __future__ import annotations
@@ -28,14 +28,6 @@ from .errors import TooFewPoints
 from .geometry import FloatArray, as_points, pairwise_distances
 
 IntArray = NDArray[np.int64]
-
-
-def ordered_pairs_and_lengths(P) -> tuple[IntArray, FloatArray]:
-    """All index pairs (i < j) of P with their lengths, in index order."""
-    pts = as_points(P)
-    i, j = np.triu_indices(len(pts), k=1)
-    lengths = np.linalg.norm(pts[i] - pts[j], axis=1)
-    return np.column_stack([i, j]).astype(np.int64), lengths
 
 
 def ordered_triplets_and_keys(P) -> tuple[IntArray, FloatArray]:
@@ -73,12 +65,6 @@ class PairDict:
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def query_range(self, length: float, slack: float) -> list[tuple[int, int]]:
-        """Exactly the pairs with length in [length - slack, length + slack]."""
-        lo = int(np.searchsorted(self.lengths, length - slack, side="left"))
-        hi = int(np.searchsorted(self.lengths, length + slack, side="right"))
-        return [(int(i), int(j)) for i, j in self.pairs[lo:hi]]
-
     def any_in_range(self, length: float, slack: float) -> bool:
         lo = int(np.searchsorted(self.lengths, length - slack, side="left"))
         hi = int(np.searchsorted(self.lengths, length + slack, side="right"))
@@ -89,9 +75,10 @@ def build_pair_dict(P) -> PairDict:
     pts = as_points(P)
     if len(pts) < 2:
         raise TooFewPoints("pair dictionary needs at least 2 points")
-    pairs, lengths = ordered_pairs_and_lengths(pts)
+    i, j = np.triu_indices(len(pts), k=1)
+    lengths = np.linalg.norm(pts[i] - pts[j], axis=1)
     order = np.argsort(lengths, kind="stable")
-    return PairDict(lengths[order], pairs[order])
+    return PairDict(lengths[order], np.column_stack([i[order], j[order]]).astype(np.int64))
 
 
 # Cells of one float compare that builds DistanceRows masks (scene distances
@@ -214,97 +201,29 @@ class DistanceRows:
         return by_row.view(np.uint8).reshape(-1, n, width)
 
 
-# Cells (queries x window rows) that one broadcast compare of KeyIndex.join
-# may test, which bounds its working memory.
-_JOIN_CELLS = 1 << 16
-
-
-class KeyIndex:
-    """Float keys sorted on their first coordinate, joined against queries.
-
-    `order` lists the key rows by ascending first coordinate (stable) and
-    `columns` holds the sorted keys one contiguous row per coordinate.
-    Immutable after construction, so concurrent readers are safe.
-    """
-
-    __slots__ = ("order", "columns")
-
-    def __init__(self, keys):
-        keys = np.asarray(keys, dtype=np.float64)
-        self.order = np.argsort(keys[:, 0], kind="stable")
-        self.columns = np.ascontiguousarray(keys[self.order].T)
-
-    def join(self, queries, slack: float) -> tuple[IntArray, IntArray]:
-        """Every (query row, key row) pair within `slack` in every coordinate.
-
-        The pairs come out in lexicographic order. The first coordinate is
-        the closed slab [q - slack, q + slack] found by binary search; every
-        other coordinate passes when abs(key - q) <= slack. Queries are
-        visited in first-coordinate order, a batch at a time, each batch
-        tested against its shared slab window one coordinate at a time.
-        """
-        queries = np.asarray(queries, dtype=np.float64)
-        first = self.columns[0]
-        lo = np.searchsorted(first, queries[:, 0] - slack, side="left")
-        hi = np.searchsorted(first, queries[:, 0] + slack, side="right")
-        live = np.flatnonzero(hi > lo)
-        live = live[np.argsort(queries[live, 0], kind="stable")]
-        lo, hi = lo[live], hi[live]
-        q_parts, k_parts = [], []
-        s = 0
-        while s < len(live):
-            # Grow the batch while batch size times window width fits the budget.
-            ahead = hi[s : s + max(1, _JOIN_CELLS // (hi[s] - lo[s]))] - lo[s]
-            cost = np.arange(1, len(ahead) + 1) * ahead
-            e = s + max(1, int(np.searchsorted(cost, _JOIN_CELLS, side="right")))
-            a, b = lo[s], hi[e - 1]
-            rows = live[s:e]
-            pos = np.arange(a, b)
-            mask = (pos >= lo[s:e, None]) & (pos < hi[s:e, None])
-            for c in range(1, len(self.columns)):
-                diff = self.columns[c, a:b] - queries[rows, c, None]
-                mask &= np.abs(diff, out=diff) <= slack
-            qi, ki = np.nonzero(mask)
-            q_parts.append(rows[qi])
-            k_parts.append(self.order[a + ki])
-            s = e
-        if not q_parts:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        qi, ki = np.concatenate(q_parts), np.concatenate(k_parts)
-        lex = np.lexsort((ki, qi))
-        return qi[lex], ki[lex]
-
-
 @dataclass(frozen=True, eq=False)
 class TripletIndex:
-    """Triangle keys of every ordered triplet of P in one KeyIndex.
-
-    Degenerate (collinear) triplets are stored too: interval voting matches
-    points near the base axis through them, and callers that need a motion
-    basis filter collinear entries themselves. Rows of `index` are rows of
-    `triplets`.
-    """
+    """Every ordered triplet of P, collinear ones included, with its triangle
+    key from ordered_triplets_and_keys; rows of `keys` are rows of `triplets`."""
 
     triplets: IntArray
-    index: KeyIndex
+    keys: FloatArray
 
     def __len__(self) -> int:
         return len(self.triplets)
 
     def query_box_indices(self, key, slack: float) -> IntArray:
         """Ascending rows whose key lies within `slack` of `key` per coordinate."""
-        return self.index.join(np.reshape(key, (1, -1)), slack)[1]
+        return np.flatnonzero((np.abs(self.keys - key) <= slack).all(axis=1))
 
     def slab_rows(self, lo: float, hi: float) -> IntArray:
-        """Row indices with first key coordinate in [lo, hi], by binary search."""
-        a = int(np.searchsorted(self.index.columns[0], lo, side="left"))
-        b = int(np.searchsorted(self.index.columns[0], hi, side="right"))
-        return self.index.order[a:b]
+        """Ascending rows with first key coordinate in the closed [lo, hi]."""
+        first = self.keys[:, 0]
+        return np.flatnonzero((first >= lo) & (first <= hi))
 
 
 def build_triplet_index(P) -> TripletIndex:
     pts = as_points(P)
     if len(pts) < 3:
         raise TooFewPoints("triplet index needs at least 3 points")
-    trips, keys = ordered_triplets_and_keys(pts)
-    return TripletIndex(trips, KeyIndex(keys))
+    return TripletIndex(*ordered_triplets_and_keys(pts))

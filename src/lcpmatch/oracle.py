@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -28,8 +28,10 @@ from .geometry import (
     motions_from_bases,
     nearest_matches,
     pairwise_distances,
+    row_norms,
     tolerant_precondition,
 )
+from .index import ordered_triplets_and_keys
 from .result import greedy_injective
 
 
@@ -155,16 +157,6 @@ class OracleResult:
     matched: tuple[tuple[int, int], ...]
 
 
-def _ordered_noncollinear_triplets(pts: FloatArray) -> tuple[np.ndarray, np.ndarray]:
-    m = len(pts)
-    trips = np.array(list(permutations(range(m), 3)), dtype=np.int64)
-    keep = ~collinear_mask(pts, trips)
-    trips = trips[keep]
-    d = pairwise_distances(pts)
-    keys = d[trips[:, [0, 0, 1]], trips[:, [1, 2, 2]]]
-    return trips, keys
-
-
 # Cells (motions x scene points x model points) in one chunk of _match_counts.
 _VERIFY_CELLS = 1 << 16
 
@@ -197,8 +189,8 @@ def exact_lcp_bruteforce(P, Q, tau: float = 1e-9) -> OracleResult:
         best_size, best_motion, best_matched = 2, pair_floor[0], pair_floor[1]
 
     if m >= 3 and n >= 3:
-        p_trips, p_keys = _ordered_noncollinear_triplets(pp)
-        q_trips, q_keys = _ordered_noncollinear_triplets(qq)
+        p_trips, p_keys = _noncollinear_triplets(pp)
+        q_trips, q_keys = _noncollinear_triplets(qq)
         qi, pi = _congruent_pairs(q_keys, p_keys, tau)
         tq, tp = q_trips[qi], p_trips[pi]
         if len(tq):
@@ -209,6 +201,13 @@ def exact_lcp_bruteforce(P, Q, tau: float = 1e-9) -> OracleResult:
                 pairs, _ = nearest_matches(pp, qq, best_motion, tau)
                 best_size, best_matched = len(pairs), tuple(pairs)
     return OracleResult(best_size, best_motion, best_matched)
+
+
+def _noncollinear_triplets(pts):
+    """The ordered triplets and keys of ordered_triplets_and_keys, collinear ones dropped."""
+    trips, keys = ordered_triplets_and_keys(pts)
+    keep = ~collinear_mask(pts, trips)
+    return trips[keep], keys[keep]
 
 
 def _congruent_pairs(q_keys, p_keys, tau: float):
@@ -428,9 +427,9 @@ def _fill_points(
             if budget[0] <= 0:
                 return None
         cand = _sample_point(rng, box, grid, origin)
-        if len(pts) and _norms(cand - pts).min() <= sep:
+        if len(pts) and row_norms(cand - pts).min() <= sep:
             continue
-        if len(near) and _norms(cand - near).min() <= clearance:
+        if len(near) and row_norms(cand - near).min() <= clearance:
             continue
         if reject_collinear and _collinear_with_any_pair(cand, pts):
             continue
@@ -439,17 +438,12 @@ def _fill_points(
     return pts
 
 
-def _norms(d: np.ndarray) -> np.ndarray:
-    """Row norms of (K, 3) `d`, equal bit for bit to np.linalg.norm of each row."""
-    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-
-
 def _collinear_with_any_pair(cand: np.ndarray, pts: np.ndarray) -> bool:
     """is_collinear(pts[i], pts[j], cand, rel=1e-7) for some pair i < j, decided alike."""
     i, j = np.triu_indices(len(pts), k=1)
     ab, ac = pts[j] - pts[i], cand - pts[i]
-    dmax = np.maximum(np.maximum(_norms(ab), _norms(ac)), _norms(cand - pts[j]))
-    return bool((_norms(cross(ab, ac)) <= 1e-7 * dmax * dmax).any())
+    dmax = np.maximum(np.maximum(row_norms(ab), row_norms(ac)), row_norms(cand - pts[j]))
+    return bool((row_norms(cross(ab, ac)) <= 1e-7 * dmax * dmax).any())
 
 
 def generate_instance(spec: GenSpec, seed: int) -> Instance:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from lcpmatch.cli import EXIT_OK, main
-from lcpmatch.da import MatchParams, da_exact, da_match, expander_da
+from lcpmatch.da import MatchParams, _cyl_arcs, da_exact, da_match, expander_da
 from lcpmatch.exact import (
     alignment,
     geometric_hashing,
@@ -357,8 +357,8 @@ def test_criterion_7_expander_bicriteria():
 # ---------------------------------------------------------------------------
 
 
-def _sweep_mismatches(p1, p2, q, p, r, angles):
-    """Dense rotation sweep via explicit Rodrigues application."""
+def _sweep_images(p1, p2, q, angles):
+    """q rotated about the directed line p1 -> p2 by each angle (Rodrigues)."""
     u = p2 - p1
     u = u / np.linalg.norm(u)
     v = q - p1
@@ -366,9 +366,26 @@ def _sweep_mismatches(p1, p2, q, p, r, angles):
     s = np.sin(angles)[:, None]
     cross = np.cross(u, v)
     dot = float(u @ v)
-    img = c * v + s * cross + (1 - c) * dot * u
-    dists = np.linalg.norm(img + p1 - p, axis=1)
+    return c * v + s * cross + (1 - c) * dot * u + p1
+
+
+def _sweep_mismatches(p1, p2, q, p, r, angles):
+    """Dense rotation sweep via explicit Rodrigues application."""
+    dists = np.linalg.norm(_sweep_images(p1, p2, q, angles) - p, axis=1)
     return dists <= r
+
+
+def _misclassified(truth, pred, step) -> int:
+    """Swept angles where `pred` differs from `truth` more than 1e-6 away from
+    every flip of `truth`; with no flip, every difference."""
+    mism = np.flatnonzero(pred != truth)
+    if len(mism) == 0:
+        return 0
+    flips = np.flatnonzero(truth[1:] != truth[:-1])
+    if len(flips) == 0:
+        return len(mism)
+    boundary_idx = np.concatenate([flips, flips + 1])
+    return sum(1 for idx in mism if np.abs(boundary_idx - idx).min() * step > 1e-6)
 
 
 def test_criterion_8_numerical_oracles():
@@ -397,18 +414,36 @@ def test_criterion_8_numerical_oracles():
         else:
             delta = (angles - iv.start) % TWO_PI
             pred = delta <= iv.length
-        mism = np.flatnonzero(pred != truth)
-        if len(mism) == 0:
-            continue
-        flips = np.flatnonzero(truth[1:] != truth[:-1])
-        boundary_idx = np.concatenate([flips, flips + 1]) if len(flips) else np.array([])
-        if len(boundary_idx) == 0:
-            bad += len(mism)
-            continue
-        for idx in mism:
-            gap = np.abs(boundary_idx - idx).min() * step
-            if gap > 1e-6:
-                bad += 1
+        bad += _misclassified(truth, pred, step)
+
+    # The same sweep of the arc solve the DA matchers run. The source pair
+    # and the base are both p1 -> p2, so a turn by t in the axis frames is
+    # the rotation by t about that axis. The configurations above, then p a
+    # turned q plus noise, which mostly gives partial arcs; a generator of
+    # its own leaves the draws below unchanged.
+    arc_rng = np.random.default_rng(0xC7A8)
+    arc_configs = list(configs)
+    for _ in range(12):
+        p1, p2, q = arc_rng.normal(size=(3, 3)) * 4.0
+        r = arc_rng.uniform(0.2, 1.5)
+        t = arc_rng.uniform(0.0, TWO_PI, size=1)
+        p = _sweep_images(p1, p2, q, t)[0] + arc_rng.normal(size=3) * 0.4 * r
+        arc_configs.append((p1, p2, q, p, r))
+    kinds = {"arc": 0, "full": 0, "empty": 0}
+    cyl_bad = 0
+    pair, one = np.array([[0, 1]]), np.array([2])
+    for p1, p2, q, p, r in arc_configs:
+        truth = _sweep_mismatches(p1, p2, q, p, r, angles)
+        full, arc, starts, ends = _cyl_arcs(
+            np.array([p1, p2, p]), np.array([p1, p2, q]), pair, pair, np.array([0]), one, one, r
+        )
+        if full[0] or not arc[0]:
+            kinds["full" if full[0] else "empty"] += 1
+            pred = np.full_like(truth, full[0])
+        else:
+            kinds["arc"] += 1
+            pred = (angles - starts[0]) % TWO_PI <= (ends[0] - starts[0]) % TWO_PI
+        cyl_bad += _misclassified(truth, pred, step)
 
     # Motion round-trip accuracy.
     from lcpmatch.oracle import random_rotation
@@ -449,10 +484,12 @@ def test_criterion_8_numerical_oracles():
     elapsed = time.perf_counter() - t0
     verdict(
         8,
-        "dihedral sweep, motion round-trip 1e-8, bottleneck factorial oracle",
-        bad == 0 and worst_rt <= 1e-8 and bn_bad == 0,
-        f"{cases} sweep configs with 0 misclassifications, round-trip {worst_rt:.2e}, "
-        f"bottleneck 50/50, {elapsed:.1f}s",
+        "dihedral and cylinder-arc sweeps, motion round-trip 1e-8, bottleneck factorial oracle",
+        bad == 0 and cyl_bad == 0 and kinds["arc"] >= 12 and worst_rt <= 1e-8 and bn_bad == 0,
+        f"{cases} sweep configs with {bad} misclassifications, {len(arc_configs)} _cyl_arcs "
+        f"configs ({kinds['arc']} arc, {kinds['full']} full, {kinds['empty']} empty) with "
+        f"{cyl_bad} misclassifications, round-trip {worst_rt:.2e}, bottleneck 50/50, "
+        f"{elapsed:.1f}s",
     )
 
 

@@ -100,11 +100,13 @@ class TestDaMatch:
             da_match(P, Q, MatchParams(eps=0.01))
 
     def test_threads_invariant(self):
+        # Matching runs in the calling thread and takes no thread count, so
+        # this is a repeat-call check: two calls agree bit for bit.
         inst = generate_instance(GenSpec(m=12, n=10, k=6, eps=0.3), seed=12)
         for source in (AllPairs(), Pigeonhole(4)):
             params = MatchParams(eps=inst.eps, pair_source=source)
-            a = da_match(inst.P, inst.Q, params, threads=1)
-            b = da_match(inst.P, inst.Q, params, threads=4)
+            a = da_match(inst.P, inst.Q, params)
+            b = da_match(inst.P, inst.Q, params)
             assert a.size == b.size
             assert a.votes == b.votes
             assert a.matched == b.matched
@@ -292,11 +294,7 @@ class TestTwoMatch:
                                     (10.0, 0.5, (0, 3)), (4.5, 0.5, (1, 2)), (3.5, 0.5, (0, 1))]:
             ok = (length - slack <= dp) & (dp <= length + slack) & ~np.eye(len(pp), dtype=bool)
             assert min(map(tuple, np.argwhere(ok).tolist())) == want
-            got = _two_match(search, slack, length)
-            assert [(base, qs.tolist(), ps.tolist()) for base, qs, ps in got] == [
-                (want, [], []),
-                (want[::-1], [], []),
-            ]
+            assert _two_match(search, slack, length) == [want, want[::-1]]
 
 
 class TestBaseRows:

@@ -8,7 +8,6 @@ from lcpmatch.geometry import pairwise_distances
 from lcpmatch import index
 from lcpmatch.index import (
     DistanceRows,
-    KeyIndex,
     build_pair_dict,
     build_triplet_index,
     ordered_triplets_and_keys,
@@ -50,23 +49,6 @@ class TestPairDict:
         assert stored.keys() == brute.keys()
         for pair, length in brute.items():
             assert stored[pair] == pytest.approx(length, abs=1e-12)
-
-    def test_query_exact_hit_and_miss(self, rng):
-        P = random_points(rng, 6)
-        d = build_pair_dict(P)
-        target = float(d.lengths[2])
-        assert tuple(d.pairs[2]) in d.query_range(target, 0.0)
-        assert d.query_range(float(d.lengths.min()) - 1.0, 0.5) == []
-
-    def test_query_matches_linear_scan(self, rng):
-        P = random_points(rng, 15)
-        d = build_pair_dict(P)
-        brute = brute_pairs(P)
-        for _ in range(300):
-            center = rng.uniform(0, d.lengths.max() * 1.1)
-            slack = rng.uniform(0, 2.0)
-            expected = sorted(p for p, l in brute if center - slack <= l <= center + slack)
-            assert sorted(d.query_range(center, slack)) == expected
 
     def test_too_few(self):
         with pytest.raises(TooFewPoints):
@@ -111,22 +93,21 @@ class TestTripletIndex:
             mask = (np.abs(keys - center) <= slack).all(axis=1)
             assert np.array_equal(idx.query_box_indices(center, slack), np.flatnonzero(mask))
 
-
-class TestKeyIndex:
-    @pytest.mark.parametrize("cells", [index._JOIN_CELLS, 5])
-    @pytest.mark.parametrize("slack", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("dim", [1, 3, 7])
-    def test_join_matches_bruteforce_mask(self, rng, monkeypatch, dim, slack, cells):
-        # A tiny cell budget forces one query per batch and split windows.
-        monkeypatch.setattr(index, "_JOIN_CELLS", cells)
-        for _ in range(20):
-            # Integer keys repeat; half-integer queries sit on or off the slack edge.
-            k = rng.integers(0, 4, size=(int(rng.integers(0, 60)), dim)).astype(float)
-            q = rng.integers(-1, 9, size=(int(rng.integers(0, 40)), dim)) / 2.0
-            qi, ki = KeyIndex(k).join(q, slack)
-            bq, bk = np.nonzero((np.abs(q[:, None] - k[None]) <= slack).all(2))
-            assert np.array_equal(qi, bq)
-            assert np.array_equal(ki, bk)
+    def test_slab_rows_match_linear_scan(self, rng):
+        # Integer points repeat lengths, and bounds drawn from the first
+        # keys sit exactly on the first key of some rows.
+        P = rng.integers(0, 4, size=(9, 3)).astype(float)
+        idx = build_triplet_index(P)
+        _, keys = ordered_triplets_and_keys(P)
+        values = np.unique(keys[:, 0])
+        for _ in range(300):
+            lo, hi = np.sort(rng.choice(values, size=2))
+            want = np.flatnonzero((lo <= keys[:, 0]) & (keys[:, 0] <= hi))
+            assert np.array_equal(idx.slab_rows(lo, hi), want)
+            # Bounds one ulp inside drop exactly the rows on them.
+            inner = idx.slab_rows(np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf))
+            assert np.array_equal(inner, want[(keys[want, 0] != lo) & (keys[want, 0] != hi)])
+        assert len(idx.slab_rows(-2.0, -1.0)) == 0
 
 
 def brute_rows(dp, dq, src, lengths, slack):

@@ -203,8 +203,8 @@ class TestBatchedBruteforce:
             assert _same_result(exact_lcp_bruteforce(P, Q), ref)
             if len(P) < 3 or len(Q) < 3:
                 continue
-            p_trips, p_keys = oracle._ordered_noncollinear_triplets(P)
-            q_trips, q_keys = oracle._ordered_noncollinear_triplets(Q)
+            p_trips, p_keys = oracle._noncollinear_triplets(P)
+            q_trips, q_keys = oracle._noncollinear_triplets(Q)
             qi, pi = oracle._congruent_pairs(q_keys, p_keys, 1e-9)
             assert np.array_equal(np.column_stack([qi, pi]).reshape(-1, 2), rows)
             if len(qi):
