@@ -14,6 +14,16 @@ exact mode's rounding-level radius as at 4*eps. The turn stabbing the most
 arcs, counting each q once, fixes the motion; the base pair itself
 contributes the "+2".
 
+What depends only on a pair is built once. Per call: the axis frames of
+every live source pair and of every ordered model pair (_frames). Per
+batch: the scene table (_cyl_table), the cylinder coordinates of every
+scene point about each of the batch's source pairs that owns a group
+reaching the batch's starting floor. Per chunk: each row's scene side in
+three gathers from the table, its model side about the base axis, its arc,
+the bounds and the sweep. A pair with coincident endpoints keeps a
+placeholder frame and raises DegeneratePair only when a screened base or a
+winner uses it.
+
 Source pairs are taken in batches, one search for the candidate rows of
 every pair in a batch, and one loop (_vote) walks them in every mode. A
 batch's bases go from the highest distinct-q count, which bounds their
@@ -26,12 +36,12 @@ _BINS equal bins of the circle), and one stabbing sweep segmented by base
 over the bases whose bound reaches the floor, in which each (base, q)
 counts wherever one of its arcs is open and the angle is the middle of the
 first peak interval (_stab). The bases tied at the best overlap over all
-pairs keep that angle; their motions are built from the two axis frames
-and verified in one batch, polished by an iterated least-squares refit on
-their injective matches (kept only when it verifies better; each matched
-set is fitted once), and only the best certificate is packaged as a
-MatchResult. With no voting base at all, a pair's base is a bare 2-match
-(_two_match) in da_match.
+pairs keep that angle; their motions are built from the two axis frames,
+gathered from the call's frames, verified in one batch, and polished by an
+iterated least-squares refit on their injective matches (kept only when it
+verifies better; each matched set is fitted once), and only the best
+certificate is packaged as a MatchResult. With no voting base at all, a
+pair's base is a bare 2-match (_two_match) in da_match.
 
 Guarantee shape: with all pairs and the tolerant precondition (minimum
 interpoint distance above 2*eps), the diameter pair of the optimal matched
@@ -150,22 +160,36 @@ def _run_starts(*columns):
 def _frames(points, pairs):
     """The frame of each axis points[a] -> points[b], (a, b) in `pairs`.
 
-    Returns (frames, origins): rows (e1, e2, u) of a right-handed orthonormal
-    frame, u along the axis, e1 from the coordinate axis least parallel to u
-    (smallest index on ties) orthogonalized against it and e2 = u x e1, so a
-    frame depends on the axis alone; and the origins points[a].
+    Returns (frames, origins, bad): rows (e1, e2, u) of a right-handed
+    orthonormal frame, u along the axis, e1 from the coordinate axis least
+    parallel to u (smallest index on ties) orthogonalized against it and
+    e2 = u x e1, so a frame depends on the axis alone; the origins
+    points[a]; and bad, True where the endpoints coincide, whose frame is a
+    placeholder that _gather and _cyl_arcs refuse.
     """
     origins = points[pairs[:, 0]]
     d = points[pairs[:, 1]] - origins
     length = np.sqrt((d * d).sum(axis=1))
-    if (length == 0.0).any():
-        raise DegeneratePair("pair endpoints coincide")
-    u = d / length[:, None]
+    bad = length == 0.0
+    u = d / np.where(bad, 1.0, length)[:, None]
     e1 = np.zeros_like(u)
     e1[np.arange(len(u)), np.argmin(np.abs(u), axis=1)] = 1.0
     e1 -= (e1 * u).sum(axis=1)[:, None] * u
     e1 /= np.sqrt((e1 * e1).sum(axis=1))[:, None]
-    return np.stack([e1, cross(u, e1), u], axis=1), origins
+    return np.stack([e1, cross(u, e1), u], axis=1), origins, bad
+
+
+def _refuse(bad):
+    """Raise DegeneratePair when any selected axis has coincident endpoints."""
+    if bad.any():
+        raise DegeneratePair("pair endpoints coincide")
+
+
+def _gather(axes, idx):
+    """(frames, origins) of the _frames rows `idx`, refusing a degenerate one."""
+    frames, origins, bad = axes
+    _refuse(bad[idx])
+    return frames[idx], origins[idx]
 
 
 def _cylinder(frames, origins, points, g, idx):
@@ -177,20 +201,41 @@ def _cylinder(frames, origins, points, g, idx):
     return h, np.hypot(x, y), np.arctan2(y, x)
 
 
-def _cyl_arcs(pp, qq, src, bases, g, qs, ps, radius):
+def _cyl_table(points, axes, rows):
+    """Height, distance and azimuth of every point about each axis `rows` of
+    the _frames triple `axes`: ((h, r, az), bad), three (len(rows),
+    len(points)) arrays by _cylinder's arithmetic element for element, one
+    (rows, points) broadcast per operation, and the axes' bad flags."""
+    frames, origins, bad = (x[rows] for x in axes)
+    v = [points[:, c] - origins[:, c, None] for c in range(3)]
+    x, y, h = (
+        frames[:, k, 0, None] * v[0] + frames[:, k, 1, None] * v[1] + frames[:, k, 2, None] * v[2]
+        for k in range(3)
+    )
+    return (h, np.hypot(x, y), np.arctan2(y, x)), bad
+
+
+def _cyl_arcs(pp, table, model, ids, g, qs, ps, radius):
     """The turns about the base axis that keep each row within `radius`.
 
-    Row r pairs scene point qs[r] with model point ps[r] under base g[r] =
-    (i, j) of source pair src[g] = (a, b). Turned by angle t in the axis
-    frames, q - q_a lands at distance^2 (h_q - h_p)^2 + r_q^2 + r_p^2 -
-    2 r_q r_p cos(az_q + t - az_p) from p - p_i. So with s = radius^2 -
-    (h_q - h_p)^2 - (r_q - r_p)^2 the row is full when s >= 4 r_q r_p, empty
-    when s < 0, and otherwise holds the arc centred on az_p - az_q of
-    half-width 2 asin(sqrt(s / (4 r_q r_p))), whose ends coincide when s is
-    0. Returns (full, arc, starts, ends) per row.
+    Base k has ids[k] = (tq, tp): its source pair (a, b) is row tq of the
+    scene table `table` from _cyl_table, and its model pair (i, j) row tp
+    of the _frames triple `model`. Row r pairs scene point qs[r] with model
+    point ps[r] under base g[r]: the scene side is three gathers from the
+    table, the model side _cylinder of pp[ps] about the base axis. Turned by
+    angle t in the axis frames, q - q_a lands at distance^2 (h_q - h_p)^2 +
+    r_q^2 + r_p^2 - 2 r_q r_p cos(az_q + t - az_p) from p - p_i. So with s =
+    radius^2 - (h_q - h_p)^2 - (r_q - r_p)^2 the row is full when s >= 4 r_q
+    r_p, empty when s < 0, and otherwise holds the arc centred on az_p -
+    az_q of half-width 2 asin(sqrt(s / (4 r_q r_p))), whose ends coincide
+    when s is 0. Raises DegeneratePair when a base or its source pair has
+    coincident endpoints. Returns (full, arc, starts, ends) per row.
     """
-    hq, rq, aq = _cylinder(*_frames(qq, src), qq, g, qs)
-    hp, rp, ap = _cylinder(*_frames(pp, bases), pp, g, ps)
+    (cyl, bad), (tq, tp) = table, ids.T
+    _refuse(bad[tq])
+    flat = tq[g] * cyl[0].shape[1] + qs
+    hq, rq, aq = (x.take(flat) for x in cyl)
+    hp, rp, ap = _cylinder(*_gather(model, tp), pp, g, ps)
     dh, dr = hq - hp, rq - rp
     s = radius * radius - dh * dh - dr * dr
     prod = 4.0 * rq * rp
@@ -201,33 +246,36 @@ def _cyl_arcs(pp, qq, src, bases, g, qs, ps, radius):
     return full, arc, centre - half, centre + half
 
 
-def _motions(pp, qq, src, bases, angles):
+def _motions(fq, qa, fp, pi, angles):
     """The motion of each base turned by its angle, as (rotations, translations).
 
-    Rotation F_p^T Rz(angle) F_q in the axis frames of base bases[k] and
-    source pair src[k], and translation p_i - R q_a.
+    Rotation F_p^T Rz(angle) F_q in the axis frames fp[k] of the base and
+    fq[k] of its source pair, and translation p_i - R q_a from their
+    origins pi[k] and qa[k].
     """
-    (fq, qa), (fp, pi) = _frames(qq, src), _frames(pp, bases)
     c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
     turned = np.stack([c * fq[:, 0] - s * fq[:, 1], s * fq[:, 0] + c * fq[:, 1], fq[:, 2]], axis=1)
     rot = fp.transpose(0, 2, 1) @ turned
     return rot, pi - (rot @ qa[:, :, None])[:, :, 0]
 
 
-def _screen(pp, qq, src, bases, g, qs, ps, floor, radius):
+def _screen(pp, table, model, ids, g, qs, ps, floor, radius):
     """Overlap and stabbing angle of many bases at once; overlap -1 for a base
     whose _bin_bounds bound is below the floor.
 
-    Base k, bases[k] = (i, j), belongs to source pair src[k] = (a, b); row r
-    pairs scene point qs[r] with model point ps[r] under base g[r], rows
-    sorted by (g, qs, ps). Every row's arc comes from _cyl_arcs. The bases at
-    the highest bound are stabbed first and raise the floor, then the others
-    that reach it; _stab scores a subset of bases as the stacked call does.
-    Returns (overlap, angle) per base.
+    Base k has ids[k] = (tq, tp), its source pair's row of the batch's scene
+    table `table` and its model pair's row of the call's frames `model`;
+    row r pairs scene point qs[r] with model point ps[r] under base g[r],
+    rows sorted by (g, qs, ps). A call is one chunk, and it computes only
+    what depends on the rows: the arcs (_cyl_arcs, with the model side of
+    each row), the bounds and the sweeps. The bases at the highest bound are
+    stabbed first and raise the floor, then the others that reach it; _stab
+    scores a subset of bases as the stacked call does. Returns (overlap,
+    angle) per base.
     """
-    rows = (qs, *_cyl_arcs(pp, qq, src, bases, g, qs, ps, radius))
-    bound = _bin_bounds(g, *rows, len(bases))
-    overlap, angle = np.full(len(bases), -1), np.zeros(len(bases))
+    rows = (qs, *_cyl_arcs(pp, table, model, ids, g, qs, ps, radius))
+    bound = _bin_bounds(g, *rows, len(ids))
+    overlap, angle = np.full(len(ids), -1), np.zeros(len(ids))
     todo = bound == max(floor, bound.max())
     while todo.any():
         keep = todo[g]
@@ -377,23 +425,26 @@ def _two_match(search, slack, length):
     return [(i, j), (j, i)]
 
 
-def _select_winner(pp, qq, top, tied, radius) -> MatchResult:
+def _select_winner(pp, qq, scene, model, top, tied, radius) -> MatchResult:
     """The best verified certificate of the bases `tied` at overlap `top`.
 
-    Each (q pair, p pair, angle) gets its motion from _motions; all are
-    verified at `radius` in one array pass and refined by _refits, whose
-    rounds after a kept first refit depend only on its matched set and so
-    run once per set. The best is the largest, then the smallest residual,
-    then the smallest (q pair, p pair, angle); only it is packaged as a
-    MatchResult, with votes top + 2.
+    Each (q pair, p pair, angle, kq, kp) gets its motion from _motions, with
+    the frames of row kq of `scene` and row kp of `model`, the _frames
+    triples of the source pairs and the model pairs; all are verified at
+    `radius` in one array pass and refined by _refits, whose rounds after a
+    kept first refit depend only on its matched set and so run once per set.
+    The best is the largest, then the smallest residual, then the smallest
+    (q pair, p pair, angle); only it is packaged as a MatchResult, with
+    votes top + 2.
     """
-    rot, tr = _motions(pp, qq, *map(np.array, zip(*tied)))
+    angles, kq, kp = (np.array([t[c] for t in tied]) for c in (2, 3, 4))
+    rot, tr = _motions(*_gather(scene, kq), *_gather(model, kp), angles)
     nn, res = _nearest_batch(pp, qq, rot, tr, _VERIFY_CELLS)
     ok = res <= radius
     # Matched residuals are >= 0, so a row's max over them, or 0.0 for none.
     top_res, near, hit = np.where(ok, res, 0.0).max(axis=1).tolist(), nn.tolist(), ok.tolist()
     fits, chains, scored = {}, {}, []
-    for k, (ab, ij, angle) in enumerate(tied):
+    for k, (ab, ij, angle, *_) in enumerate(tied):
         pairs = [(q, p) for q, (p, h) in enumerate(zip(near[k], hit[k])) if h]
         rank, chain = (-len(pairs), top_res[k]), None
         # greedy_injective keeps every pair, in order, when no p repeats.
@@ -440,11 +491,15 @@ def _vote(pp, qq, source, slack, radius, bare: bool) -> MatchResult:
     """The best overlap over the live source pairs of `source`, and the winner
     _select_winner makes of every base tied at it.
 
-    Each batch of pairs from _batches takes its groups from one _base_rows
-    search. They go by descending distinct-q bound, ties in (pair, base)
-    order, to _screen in chunks of at most _SCREEN_ROWS rows (at least one
-    group), which returns overlap -1 for a base it prunes, one below the
-    floor. The floor starts at the best overlap of the batches before, or 0,
+    Per call, the axis frames of every live source pair and of every ordered
+    model pair are built once (_frames). Each batch of pairs from _batches
+    takes its groups from one _base_rows search, and builds one scene table
+    (_cyl_table): the cylinder coordinates of every scene point about each
+    pair that owns a group reaching the batch's starting floor, the only
+    groups it can screen. The groups go by descending distinct-q bound, ties
+    in (pair, base) order, to _screen in chunks of at most _SCREEN_ROWS rows
+    (at least one group), which returns overlap -1 for a base it prunes, one
+    below the floor. The floor starts at the best overlap of the batches before, or 0,
     and rises after every chunk; a batch stops at the first group whose
     bound is below it, since every later group's bound is lower. A base at
     the global maximum M has any bound >= M >= floor, so the tied set is
@@ -454,6 +509,10 @@ def _vote(pp, qq, source, slack, radius, bare: bool) -> MatchResult:
     search = DistanceRows(pp)
     src, lengths = _live_pairs(source, qq, search, slack)
     dists = pairwise_distances(qq)
+    scene, model = _frames(qq, src), _frames(pp, search.pairs)
+    # pid[i, j]: the row of model pair (i, j) in search.pairs and in `model`.
+    pid = np.zeros((len(pp), len(pp)), dtype=np.int64)
+    pid[search.pairs[:, 0], search.pairs[:, 1]] = np.arange(len(search.pairs))
     top, tied = -1, []
     for batch in _batches(lengths, search, slack, len(qq)):
         pairs, lens = src[batch], lengths[batch]
@@ -469,14 +528,19 @@ def _vote(pp, qq, source, slack, radius, bare: bool) -> MatchResult:
         heads = [0] + ends[:-1]
         overlap, angle = np.full(len(order), -1), np.zeros(len(order))
         floor, start = max(top, 0), 0
+        # Base t has ids[t]: its pair's table row and its model pair's row.
+        reach = bisect_right(ranked, -floor)
+        used, slot = np.unique(owner[:reach], return_inverse=True)
+        table = _cyl_table(qq, scene, batch.start + used)
+        ids = np.column_stack([slot, pid[bases[:reach, 0], bases[:reach, 1]]])
         while start < len(order) and -ranked[start] >= floor:
             # At most _SCREEN_ROWS rows and at least one group, none below the floor.
             stop = bisect_right(ends, heads[start] + _SCREEN_ROWS)
             stop = min(max(start + 1, stop), bisect_right(ranked, -floor))
             g = np.repeat(np.arange(stop - start), sizes[start:stop])
-            k, rs = owner[start:stop], slice(heads[start], ends[stop - 1])
+            rs = slice(heads[start], ends[stop - 1])
             overlap[start:stop], angle[start:stop] = _screen(
-                pp, qq, pairs[k], bases[start:stop], g, qs[rs], ps[rs], floor, radius
+                pp, table, model, ids[start:stop], g, qs[rs], ps[rs], floor, radius
             )
             floor, start = max(floor, int(overlap[start:stop].max())), stop
         empty = np.flatnonzero(np.bincount(owner, minlength=len(pairs)) == 0) if bare else ()
@@ -485,15 +549,17 @@ def _vote(pp, qq, source, slack, radius, bare: bool) -> MatchResult:
             top, tied = found, []
         if found != top or top < 0:
             continue
-        ab = pairs.tolist()
+        ab, first = pairs.tolist(), batch.start
         for t in np.flatnonzero(overlap == top).tolist():
-            tied.append((tuple(ab[owner[t]]), tuple(bases[t].tolist()), float(angle[t])))
+            k, ij = int(owner[t]), tuple(bases[t].tolist())
+            tied.append((tuple(ab[k]), ij, float(angle[t]), first + k, int(ids[t, 1])))
         if top == 0:
             for k in empty:
-                tied += [(tuple(ab[k]), b, 0.0) for b in _two_match(search, slack, lens[k])]
+                for b in _two_match(search, slack, lens[k]):
+                    tied.append((tuple(ab[k]), b, 0.0, first + k, int(pid[b])))
     if not tied:
         raise NoCandidatePairs("source pairs passed the filter but found no bases")
-    return _select_winner(pp, qq, top, tied, radius)
+    return _select_winner(pp, qq, scene, model, top, tied, radius)
 
 
 def da_match(P, Q, params: MatchParams) -> MatchResult:

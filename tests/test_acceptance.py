@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from lcpmatch.cli import EXIT_OK, main
-from lcpmatch.da import MatchParams, _cyl_arcs, da_exact, da_match, expander_da
+from lcpmatch.da import MatchParams, _cyl_arcs, _cyl_table, _frames, da_exact, da_match, expander_da
 from lcpmatch.exact import (
     alignment,
     geometric_hashing,
@@ -375,23 +375,20 @@ def _sweep_mismatches(p1, p2, q, p, r, angles):
     return dists <= r
 
 
-def _misclassified(truth, pred, step) -> int:
-    """Swept angles where `pred` differs from `truth` more than 1e-6 away from
-    every flip of `truth`; with no flip, every difference."""
-    mism = np.flatnonzero(pred != truth)
-    if len(mism) == 0:
-        return 0
-    flips = np.flatnonzero(truth[1:] != truth[:-1])
-    if len(flips) == 0:
-        return len(mism)
-    boundary_idx = np.concatenate([flips, flips + 1])
-    return sum(1 for idx in mism if np.abs(boundary_idx - idx).min() * step > 1e-6)
+def _misclassified(truth, pred, angles, ends) -> int:
+    """Swept angles where `pred` differs from `truth` more than 1e-6 rad
+    around the circle from every solved arc end in `ends`; with no ends (a
+    full or empty prediction), every difference."""
+    wrong = angles[pred != truth]
+    if len(ends) == 0:
+        return len(wrong)
+    gap = np.min([np.abs((wrong - e + np.pi) % TWO_PI - np.pi) for e in ends], axis=0)
+    return int((gap > 1e-6).sum())
 
 
 def test_criterion_8_numerical_oracles():
     t0 = time.perf_counter()
     angles = np.linspace(0.0, TWO_PI, 1_000_000, endpoint=False)
-    step = TWO_PI / len(angles)
     bad = 0
     cases = 0
     rng = np.random.default_rng(0x8E8E)
@@ -407,6 +404,7 @@ def test_criterion_8_numerical_oracles():
         cases += 1
         truth = _sweep_mismatches(p1, p2, q, p, r, angles)
         iv = dihedral_interval(p1, p2, q, p, r)
+        ends = ()
         if iv.kind == "full":
             pred = np.ones_like(truth)
         elif iv.kind == "empty":
@@ -414,11 +412,13 @@ def test_criterion_8_numerical_oracles():
         else:
             delta = (angles - iv.start) % TWO_PI
             pred = delta <= iv.length
-        bad += _misclassified(truth, pred, step)
+            ends = (iv.start, iv.start + iv.length)
+        bad += _misclassified(truth, pred, angles, ends)
 
-    # The same sweep of the arc solve the DA matchers run. The source pair
-    # and the base are both p1 -> p2, so a turn by t in the axis frames is
-    # the rotation by t about that axis. The configurations above, then p a
+    # The same sweep of the arc solve the DA screen runs, on a one-row scene
+    # table and the frames of one model pair. The source pair and the base
+    # are both p1 -> p2, so a turn by t in the axis frames is the rotation
+    # by t about that axis. The configurations above, then p a
     # turned q plus noise, which mostly gives partial arcs; a generator of
     # its own leaves the draws below unchanged.
     arc_rng = np.random.default_rng(0xC7A8)
@@ -431,19 +431,21 @@ def test_criterion_8_numerical_oracles():
         arc_configs.append((p1, p2, q, p, r))
     kinds = {"arc": 0, "full": 0, "empty": 0}
     cyl_bad = 0
-    pair, one = np.array([[0, 1]]), np.array([2])
+    pair, ids, zero, one = np.array([[0, 1]]), np.array([[0, 0]]), np.array([0]), np.array([2])
     for p1, p2, q, p, r in arc_configs:
         truth = _sweep_mismatches(p1, p2, q, p, r, angles)
-        full, arc, starts, ends = _cyl_arcs(
-            np.array([p1, p2, p]), np.array([p1, p2, q]), pair, pair, np.array([0]), one, one, r
-        )
+        pp, qq = np.array([p1, p2, p]), np.array([p1, p2, q])
+        table = _cyl_table(qq, _frames(qq, pair), zero)
+        full, arc, starts, ends = _cyl_arcs(pp, table, _frames(pp, pair), ids, zero, one, one, r)
+        solved = ()
         if full[0] or not arc[0]:
             kinds["full" if full[0] else "empty"] += 1
             pred = np.full_like(truth, full[0])
         else:
             kinds["arc"] += 1
             pred = (angles - starts[0]) % TWO_PI <= (ends[0] - starts[0]) % TWO_PI
-        cyl_bad += _misclassified(truth, pred, step)
+            solved = (starts[0], ends[0])
+        cyl_bad += _misclassified(truth, pred, angles, solved)
 
     # Motion round-trip accuracy.
     from lcpmatch.oracle import random_rotation

@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from functools import lru_cache
@@ -10,24 +11,22 @@ from lcpmatch.da import (
     MatchParams,
     _base_rows,
     _bin_bounds,
-    _cyl_arcs,
     _live_pairs,
-    _motions,
     _numeric_fuzz,
-    _screen,
     _stab,
     _two_match,
     da_exact,
     da_match,
     expander_da,
 )
-from lcpmatch.errors import DegenerateBasis, DegreeTooSmall, NoCandidatePairs
+from lcpmatch.errors import DegenerateBasis, DegeneratePair, DegreeTooSmall, NoCandidatePairs
 from lcpmatch.exact import ExactParams
 from lcpmatch.geometry import (
     TWO_PI,
     AngleInterval,
     RigidMotion,
     _nearest_batch,
+    cross,
     dihedral_interval,
     least_squares_motion,
     max_overlap_angle,
@@ -185,7 +184,7 @@ def screened_and_scalar(P, Q, eps, source):
         DistanceRows(pp), pairwise_distances(qq), slack, src, lengths
     )
     g = np.repeat(np.arange(len(bases)), np.diff(cuts))
-    overlaps, angles = _screen(pp, qq, src[owner], bases, g, qs, ps, 0, radius)
+    overlaps, angles = screen(pp, qq, src[owner], bases, g, qs, ps, 0, radius)
     best, out = int(overlaps.max()), []
     for k, (a, b, (i, j), q_rows, p_rows) in enumerate(tied_set(src, owner, bases, cuts, qs, ps)):
         ref = len(set(q_rows.tolist()))
@@ -230,6 +229,117 @@ def batch_rows(pp, qq, src, lengths, slack):
     )
     g = np.repeat(np.arange(len(bases)), np.diff(cuts))
     return list(zip(owner[g].tolist(), *bases[g].T.tolist(), qs.tolist(), ps.tolist()))
+
+
+def reference_frames(points, pairs):
+    """The axis frame of every row of `pairs`, with no call or batch table:
+    (frames, origins), raising DegeneratePair on coincident endpoints."""
+    origins = points[pairs[:, 0]]
+    d = points[pairs[:, 1]] - origins
+    length = np.sqrt((d * d).sum(axis=1))
+    if (length == 0.0).any():
+        raise DegeneratePair("pair endpoints coincide")
+    u = d / length[:, None]
+    e1 = np.zeros_like(u)
+    e1[np.arange(len(u)), np.argmin(np.abs(u), axis=1)] = 1.0
+    e1 -= (e1 * u).sum(axis=1)[:, None] * u
+    e1 /= np.sqrt((e1 * e1).sum(axis=1))[:, None]
+    return np.stack([e1, cross(u, e1), u], axis=1), origins
+
+
+def reference_cylinder(frames, origins, points, g, idx):
+    """Height, distance and azimuth of points[idx] about axis g, per row."""
+    v, f = points[idx] - origins[g], frames[g]
+    x, y, h = (f[:, k, 0] * v[:, 0] + f[:, k, 1] * v[:, 1] + f[:, k, 2] * v[:, 2] for k in range(3))
+    return h, np.hypot(x, y), np.arctan2(y, x)
+
+
+def reference_cyl_arcs(pp, qq, src, bases, g, qs, ps, radius):
+    """The arc solve with both sides per row: base g[r] = bases[g[r]] of
+    source pair src[g[r]], frames built per base."""
+    hq, rq, aq = reference_cylinder(*reference_frames(qq, src), qq, g, qs)
+    hp, rp, ap = reference_cylinder(*reference_frames(pp, bases), pp, g, ps)
+    dh, dr = hq - hp, rq - rp
+    s = radius * radius - dh * dh - dr * dr
+    prod = 4.0 * rq * rp
+    full = s >= prod
+    arc = ~full & (s >= 0.0)
+    half = 2.0 * np.arcsin(np.sqrt(np.divide(s, prod, out=np.zeros_like(s), where=arc)))
+    centre = ap - aq
+    return full, arc, centre - half, centre + half
+
+
+def reference_motions(pp, qq, src, bases, angles):
+    """The motion of each base turned by its angle from frames built per base."""
+    (fq, qa), (fp, pi) = reference_frames(qq, src), reference_frames(pp, bases)
+    c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    turned = np.stack([c * fq[:, 0] - s * fq[:, 1], s * fq[:, 0] + c * fq[:, 1], fq[:, 2]], axis=1)
+    rot = fp.transpose(0, 2, 1) @ turned
+    return rot, pi - (rot @ qa[:, :, None])[:, :, 0]
+
+
+def distinct_frames(points, pairs):
+    """da._frames of the distinct rows of `pairs`, and each row's index among them."""
+    rows, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    return da._frames(points, rows), inverse.reshape(-1)
+
+
+def tables(pp, qq, src, bases):
+    """(table, model, ids) for bases bases[k] of source pairs src[k], as
+    _vote builds them: one scene-table row per distinct source pair, and
+    the frames of the distinct model pairs."""
+    (scene, tq), (model, tp) = distinct_frames(qq, src), distinct_frames(pp, bases)
+    table = da._cyl_table(qq, scene, np.arange(len(scene[0])))
+    return table, model, np.column_stack([tq, tp])
+
+
+def row_arcs(pp, qq, src, bases, g, qs, ps, radius):
+    """da._cyl_arcs on tables built from the per-base src and bases."""
+    return da._cyl_arcs(pp, *tables(pp, qq, src, bases), g, qs, ps, radius)
+
+
+def screen(pp, qq, src, bases, g, qs, ps, floor, radius):
+    """da._screen on tables built from the per-base src and bases."""
+    return da._screen(pp, *tables(pp, qq, src, bases), g, qs, ps, floor, radius)
+
+
+def motions(pp, qq, src, bases, angles):
+    """da._motions on frames gathered from tables of the distinct pairs."""
+    (scene, kq), (model, kp) = distinct_frames(qq, src), distinct_frames(pp, bases)
+    angles = np.asarray(angles, dtype=np.float64)
+    return da._motions(*da._gather(scene, kq), *da._gather(model, kp), angles)
+
+
+@contextmanager
+def recorded_screens():
+    """Record the _screen calls of the matchers run inside, as (args,
+    pairs, bases, result): the arguments, and per base its source pair (a,
+    b) and model pair (i, j), read from the call's live pairs, the rows of
+    the batch's scene table and DistanceRows' pair order."""
+    calls, state = [], {}
+    live_pairs, cyl_table, screen_fn = da._live_pairs, da._cyl_table, da._screen
+
+    def live(source, qq, search, slack):
+        src, lengths = live_pairs(source, qq, search, slack)
+        state["src"], state["model"] = src, search.pairs
+        return src, lengths
+
+    def table(points, axes, rows):
+        state["rows"] = rows
+        return cyl_table(points, axes, rows)
+
+    def record(*args):
+        tq, tp = args[3].T
+        pairs, bases = state["src"][state["rows"][tq]], state["model"][tp]
+        result = screen_fn(*args)
+        calls.append((args, pairs, bases, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(da, "_live_pairs", live)
+        patch.setattr(da, "_cyl_table", table)
+        patch.setattr(da, "_screen", record)
+        yield calls
 
 
 class TestLivePairs:
@@ -485,7 +595,7 @@ class TestScreen:
                 continue
             assert overlap == ref_overlap
             if angles:
-                rot, tr = _motions(pp, qq, np.array([ab]), np.array([ij]), np.array([angle]))
+                rot, tr = motions(pp, qq, np.array([ab]), np.array([ij]), [angle])
                 dist = np.linalg.norm(qq[qs] @ rot[0].T + tr[0] - pp[ps], axis=1)
                 assert len(set(qs[dist <= radius * (1 + 1e-9)].tolist())) >= overlap
                 assert len(set(qs[dist <= radius * (1 - 1e-9)].tolist())) <= overlap
@@ -658,12 +768,12 @@ class TestScreen:
         )
         assert len(bases) > 100
         g = np.repeat(np.arange(len(bases)), np.diff(cuts))
-        stacked = _screen(pp, qq, src[owner], bases, g, qs, ps, 0, radius)
+        stacked = screen(pp, qq, src[owner], bases, g, qs, ps, 0, radius)
         best = int(stacked[0].max())
         for k in range(len(bases)):
             one, rows = slice(k, k + 1), slice(cuts[k], cuts[k + 1])
             alone = (src[owner[one]], bases[one], g[rows] - k, qs[rows], ps[rows])
-            overlap, angle = _screen(pp, qq, *alone, 0, radius)
+            overlap, angle = screen(pp, qq, *alone, 0, radius)
             if stacked[0][k] < 0:  # pruned by the stacked call's floor
                 assert overlap[0] < best
             else:
@@ -717,31 +827,33 @@ class TestBatchBudget:
     def test_descending_bounds_skip_groups(self, monkeypatch):
         inst = tolerant_instance(1)
         params = MatchParams(inst.eps, pair_source=Pigeonhole(4))
-        screen, rows, calls, groups = da._screen, da._base_rows, [], []
+        rows, groups = da._base_rows, []
 
-        def count_screened(pp, qq, src, bases, g, qs, *rest):
-            new = np.ones(len(g), dtype=bool)
-            new[1:] = (g[1:] != g[:-1]) | (qs[1:] != qs[:-1])
-            bounds = np.bincount(g[new], minlength=len(bases))
-            overlap, angle = screen(pp, qq, src, bases, g, qs, *rest)
-            keys = [tuple(k) for k in np.column_stack([src, bases]).tolist()]
-            calls.append((len(bases), int(bounds.min()), int(overlap.max()), keys))
-            return overlap, angle
+        def screened(recorded):
+            """Per _screen call: bases, lowest bound, best overlap, (a, b, i, j) keys."""
+            out = []
+            for (_, _, _, ids, g, qs, *_), pairs, bases, (overlap, _) in recorded:
+                new = np.ones(len(g), dtype=bool)
+                new[1:] = (g[1:] != g[:-1]) | (qs[1:] != qs[:-1])
+                bounds = np.bincount(g[new], minlength=len(ids))
+                keys = [tuple(k) for k in np.column_stack([pairs, bases]).tolist()]
+                out.append((len(ids), int(bounds.min()), int(overlap.max()), keys))
+            return out
 
         def count_groups(*args):
             out = rows(*args)
             groups.append(len(out[5]))
             return out
 
-        monkeypatch.setattr(da, "_screen", count_screened)
         monkeypatch.setattr(da, "_base_rows", count_groups)
         work, results = {}, set()
         for budgets in ((1 << 62, 1 << 62), (1 << 62, 1), (1, 1 << 62)):
             monkeypatch.setattr(da, "_BATCH_CELLS", budgets[0])
             monkeypatch.setattr(da, "_SCREEN_ROWS", budgets[1])
-            calls.clear()
             groups.clear()
-            results.add(fingerprint(da_match(inst.P, inst.Q, params)))
+            with recorded_screens() as recorded:
+                results.add(fingerprint(da_match(inst.P, inst.Q, params)))
+            calls = screened(recorded)
             # No call screens a base whose bound is below the best overlap
             # of the calls before it.
             floor = 0
@@ -775,8 +887,9 @@ class TestBatchBudget:
                 for cells, chunk in ((1 << 62, 1), (1, 1 << 62)):
                     monkeypatch.setattr(da, "_BATCH_CELLS", cells)
                     monkeypatch.setattr(da, "_SCREEN_ROWS", chunk)
-                    calls.clear()
-                    results.add(fingerprint(run()))
+                    with recorded_screens() as recorded:
+                        results.add(fingerprint(run()))
+                    calls = screened(recorded)
                     assert calls
                     floor = 0
                     for _, lowest, top, _ in calls:
@@ -807,13 +920,14 @@ class TestBatchBudget:
             assert all(r == results[0] for r in results)
 
 
-def reference_select_winner(pp, qq, top, tied, radius):
-    """The winner step one tied motion at a time: verified by
-    build_match_result, refined by reference_refine, the best taken by
-    ((-size, max_residual), q pair, p pair, angle). The tied motions share
-    one dict of refits."""
+def reference_select_winner(pp, qq, scene, model, top, tied, radius):
+    """The winner step one tied motion at a time: motions from frames built
+    per base (reference_motions), verified by build_match_result, refined by
+    reference_refine, the best taken by ((-size, max_residual), q pair, p
+    pair, angle). The tied motions share one dict of refits."""
     scored, fits = [], {}
-    for (ab, ij, angle), rot, tr in zip(tied, *_motions(pp, qq, *map(np.array, zip(*tied)))):
+    src, bases, angles = (np.array([t[c] for t in tied]) for c in range(3))
+    for (ab, ij, angle, *_), rot, tr in zip(tied, *reference_motions(pp, qq, src, bases, angles)):
         result = build_match_result(pp, qq, RigidMotion(rot, tr), radius, top + 2, (ab, ij), angle)
         result = reference_refine(pp, qq, result, radius, fits)
         scored.append((((-result.size, result.max_residual), ab, ij, angle), result))
@@ -892,7 +1006,7 @@ class TestSelectWinner:
     def test_recorded_inputs_cover_the_cases(self):
         inputs = recorded_winner_inputs()
         assert len(inputs) == len(TOLERANT_SEEDS) * len(TOLERANT_CALLS) + len(EXACT_INSTANCES) + 1
-        top, tied = inputs[-1][2:4]
+        top, tied = inputs[-1][4:6]
         assert top == 0 and len(tied) > 200
 
     def test_equals_scalar_reference(self, monkeypatch):
@@ -1070,7 +1184,7 @@ class TestCylArcs:
             pp = np.array([a, b, p, near, far])
             rows = np.arange(2, len(qq))
             pair = np.array([[0, 1]])
-            full, arc, starts, ends = _cyl_arcs(
+            full, arc, starts, ends = row_arcs(
                 pp, qq, pair, pair, np.zeros(len(rows), dtype=np.int64), rows, rows, r
             )
             for k, x in enumerate(rows.tolist()):
@@ -1095,38 +1209,141 @@ class TestCylArcs:
         qq = np.array([[0.0, 0, 0], [0.0, 0, 1], [1.0, 0, 0.5]])
         pp = np.array([[0.0, 0, 0], [0.0, 0, 2], [0.0, 1, 0.5]])
         pair, one = np.array([[0, 1]]), np.array([2])
-        full, arc, starts, ends = _cyl_arcs(pp, qq, pair, pair, np.array([0]), one, one, 0.0)
+        full, arc, starts, ends = row_arcs(pp, qq, pair, pair, np.array([0]), one, one, 0.0)
         assert not full[0] and arc[0]
         assert starts[0] == ends[0]
 
-    def test_exact_rows_within_radius_at_60_digits(self, monkeypatch):
+    def test_exact_rows_within_radius_at_60_digits(self):
         # Every row that all-pairs da_exact screens on the pinned-shape exact
-        # instances is within the radius at 60 digits, and _cyl_arcs gives
-        # each an arc or a full row.
-        screen, seen = da._screen, []
-
-        def record(pp, qq, src, bases, g, qs, ps, floor, radius):
-            seen.append((pp, qq, src[g], bases[g], qs, ps, radius))
-            return screen(pp, qq, src, bases, g, qs, ps, floor, radius)
-
-        monkeypatch.setattr(da, "_screen", record)
+        # instances is within the radius at 60 digits, and _cyl_arcs, as the
+        # screen calls it, gives each an arc or a full row.
+        seen = []
         for m, k in ((10, 6), (12, 7)):
             for seed in range(1, 9):
                 inst = generate_instance(GenSpec(m=m, n=m, k=k, eps=0.0, exact=True), seed=seed)
-                da_exact(inst.P, inst.Q)
+                with recorded_screens() as recorded:
+                    da_exact(inst.P, inst.Q)
+                seen += [(inst.P, inst.Q, args, src, bases) for args, src, bases, _ in recorded]
         rows = 0
         with localcontext() as ctx:
             ctx.prec = 60
-            for pp, qq, src, bases, qs, ps, radius in seen:
-                each = np.arange(len(qs))
-                full, arc, _, _ = _cyl_arcs(pp, qq, src, bases, each, qs, ps, radius)
+            for pp, qq, (_, table, model, ids, g, qs, ps, _, radius), src, bases in seen:
+                full, arc, _, _ = da._cyl_arcs(pp, table, model, ids, g, qs, ps, radius)
                 assert (full | arc).all()
-                for (a, b), (i, j), q, p in zip(src, bases, qs, ps):
+                for (a, b), (i, j), q, p in zip(src[g], bases[g], qs, ps):
                     hq, rq = exact_cylinder(qq[a], qq[b], qq[q])
                     hp, rp = exact_cylinder(pp[i], pp[j], pp[p])
                     assert (hq - hp) ** 2 + (rq - rp) ** 2 <= Decimal(radius) ** 2
                     rows += 1
         assert rows > 1000
+
+
+class TestGatheredSolve:
+    """The arc solve and the winner's motions from the call and batch
+    tables equal, bit for bit, the per-row solve that built both frames for
+    every row."""
+
+    @staticmethod
+    def same_arcs(got, want):
+        return all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_recorded_screens(self):
+        # The screens of the 18 tolerant pinned calls and of da_exact on the
+        # 8 pinned exact instances.
+        runs = [
+            (tolerant_instance(seed), lambda P, Q, seed=seed, call=call: call(P, Q, seed))
+            for seed in TOLERANT_SEEDS
+            for call in TOLERANT_CALLS.values()
+        ]
+        runs += [(exact_instance(*key), lambda P, Q: da_exact(P, Q)) for key in EXACT_INSTANCES]
+        checked = 0
+        for inst, run in runs:
+            with recorded_screens() as recorded:
+                run(inst.P, inst.Q)
+            assert recorded
+            for (pp, table, model, ids, g, qs, ps, _, radius), pairs, bases, _ in recorded:
+                got = da._cyl_arcs(pp, table, model, ids, g, qs, ps, radius)
+                want = reference_cyl_arcs(pp, inst.Q, pairs, bases, g, qs, ps, radius)
+                assert self.same_arcs(got, want)
+                checked += len(qs)
+        assert checked > 80_000
+
+    def test_recorded_winner_motions(self):
+        for pp, qq, scene, model, _, tied, _ in recorded_winner_inputs():
+            src, bases, angles, kq, kp = (np.array([t[c] for t in tied]) for c in range(5))
+            rot, tr = da._motions(*da._gather(scene, kq), *da._gather(model, kp), angles)
+            want_rot, want_tr = reference_motions(pp, qq, src, bases, angles)
+            assert rot.tobytes() == want_rot.tobytes()
+            assert tr.tobytes() == want_tr.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e3, 1e6])
+    def test_random_rows(self, scale):
+        # Random pairs, bases and rows, with p a turned and shifted q on some
+        # rows so that every kind occurs; bases share source pairs and model
+        # pairs, as a batch's do.
+        rng = np.random.default_rng(int(-np.log10(scale) + 20))
+        kinds = set()
+        for _ in range(20):
+            m, n = (int(x) for x in rng.integers(4, 12, size=2))
+            pp = rng.uniform(-scale, scale, (m, 3)) + rng.uniform(-scale, scale, 3)
+            qq = rng.uniform(-scale, scale, (n, 3))
+            n_bases = int(rng.integers(1, 30))
+            src = np.stack([rng.choice(n, 2, replace=False) for _ in range(n_bases // 3 + 1)])
+            mod = np.stack([rng.choice(m, 2, replace=False) for _ in range(n_bases // 2 + 1)])
+            src = src[rng.integers(0, len(src), n_bases)]
+            bases = mod[rng.integers(0, len(mod), n_bases)]
+            g = np.sort(rng.integers(0, n_bases, 200))
+            qs, ps = rng.integers(0, n, 200), rng.integers(0, m, 200)
+            radius = scale * rng.uniform(0.0, 3.0)
+            got = row_arcs(pp, qq, src, bases, g, qs, ps, radius)
+            want = reference_cyl_arcs(pp, qq, src, bases, g, qs, ps, radius)
+            assert self.same_arcs(got, want)
+            full, arc = got[:2]
+            kinds |= {"full"} if full.any() else set()
+            kinds |= {"arc"} if arc.any() else set()
+            kinds |= {"empty"} if (~full & ~arc).any() else set()
+            angles = rng.uniform(-TWO_PI, 2 * TWO_PI, n_bases)
+            rot, tr = motions(pp, qq, src, bases, angles)
+            want_rot, want_tr = reference_motions(pp, qq, src, bases, angles)
+            assert rot.tobytes() == want_rot.tobytes()
+            assert tr.tobytes() == want_tr.tobytes()
+        assert kinds == {"full", "arc", "empty"}
+
+
+def with_repeat(X, k):
+    return X if k is None else np.vstack([X, X[k]])
+
+
+# Fingerprints of da_match (all pairs), expander_da and da_exact on the m=n=12,
+# k=6, seed-3 tolerant and exact instances with point P[k] and Q[l] appended
+# again, keyed by (k, l) (None: nothing appended). They are the outcomes of
+# the per-row frames, which raised DegeneratePair only for a screened base or
+# a winner whose pair has coincident endpoints.
+REPEATED_POINTS = {
+    (0, None): ((7, 7, "b132e709c2ed95b7"), (9, 7, "425b2971076d77c2"), (6, 6, "762044fcd7d68c5d")),
+    (None, 0): ((8, 8, "a545030d81ae10a0"), (10, 8, "a7ec4ab7f9e2f185"), (7, 7, "7b0503c4a7f61480")),
+    (0, 0): (DegeneratePair, DegeneratePair, DegeneratePair),
+    (3, 3): (DegeneratePair, DegeneratePair, (6, 6, "762044fcd7d68c5d")),
+}
+
+
+class TestRepeatedPoints:
+    @pytest.mark.parametrize("k, l", list(REPEATED_POINTS))
+    def test_outcome_pinned(self, k, l):
+        tol = generate_instance(GenSpec(m=12, n=12, k=6, eps=0.3, noise=0.3), seed=3)
+        ex = generate_instance(GenSpec(m=12, n=12, k=6, eps=0.0, exact=True), seed=3)
+        P, Q = with_repeat(tol.P, k), with_repeat(tol.Q, l)
+        runs = (
+            lambda: da_match(P, Q, MatchParams(0.3)),
+            lambda: expander_da(P, Q, 0.3, degree=8, alpha=0.05, seed=3),
+            lambda: da_exact(with_repeat(ex.P, k), with_repeat(ex.Q, l)),
+        )
+        for run, want in zip(runs, REPEATED_POINTS[k, l]):
+            if want is DegeneratePair:
+                with pytest.raises(DegeneratePair):
+                    run()
+            else:
+                assert fingerprint(run()) == want
 
 
 class TestExactModeOptimum:

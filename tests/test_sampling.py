@@ -146,6 +146,29 @@ class TestEstimateLambda:
         assert estimate_lambda(g) == 2.0
 
 
+def loop_adjacency(g: ExpanderGraph) -> np.ndarray:
+    """The adjacency matrix set one edge end at a time."""
+    a = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        a[i, j] = 1.0
+        a[j, i] = 1.0
+    return a
+
+
+class TestAdjacency:
+    def test_equals_per_edge_loop(self):
+        # The same bytes, so eigvalsh and every generated graph's lambda
+        # are unchanged.
+        shapes = ((4, 3, 1), (12, 4, 0), (40, 6, 3), (128, 16, 1))
+        graphs = [random_regular_graph(n, d, seed) for n, d, seed in shapes]
+        graphs.append(ExpanderGraph(6, 2, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)), 0.0))
+        graphs.append(ExpanderGraph(3, 0, (), 0.0))
+        for g in graphs:
+            a = g.adjacency()
+            assert a.dtype == np.float64 and a.shape == (g.n, g.n)
+            assert a.tobytes() == loop_adjacency(g).tobytes()
+
+
 def cross_edges(g, U, W) -> int:
     """|e(U, W)|, the edges with one end in U and the other in W, for disjoint U and W."""
     e = np.array(g.edges)
