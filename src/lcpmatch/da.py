@@ -16,13 +16,16 @@ contributes the "+2".
 
 What depends only on a pair is built once. Per call: the axis frames of
 every live source pair and of every ordered model pair (_frames). Per
-batch: the scene table (_cyl_table), the cylinder coordinates of every
-scene point about each of the batch's source pairs that owns a group
-reaching the batch's starting floor. Per chunk: each row's scene side in
-three gathers from the table, its model side about the base axis, its arc,
-the bounds and the sweep. A pair with coincident endpoints keeps a
-placeholder frame and raises DegeneratePair only when a screened base or a
-winner uses it.
+batch: one search that keeps its rows as nonzero mask bytes (_base_rows),
+each group's distinct-q bound and row count read off those bytes, the
+bytes of the groups reaching the batch's starting floor put in rank
+order, and the scene table (_cyl_table), the cylinder coordinates of
+every scene point about each source pair that owns such a group. Per
+chunk: the unpack of its groups' bytes into rows (groups the floor stops
+are never unpacked), each row's scene side in three gathers from the
+table, its model side about the base axis, its arc, the bounds and the
+sweep. A pair with coincident endpoints keeps a placeholder frame and
+raises DegeneratePair only when a screened base or a winner uses it.
 
 Source pairs are taken in batches, one search for the candidate rows of
 every pair in a batch, and one loop (_vote) walks them in every mode. A
@@ -37,10 +40,11 @@ over the bases whose bound reaches the floor, in which each (base, q)
 counts wherever one of its arcs is open and the angle is the middle of the
 first peak interval (_stab). The bases tied at the best overlap over all
 pairs keep that angle; their motions are built from the two axis frames,
-gathered from the call's frames, verified in one batch, and polished by an
-iterated least-squares refit on their injective matches (kept only when it
-verifies better; each matched set is fitted once), and only the best
-certificate is packaged as a MatchResult. With no voting base at all, a
+gathered from the call's frames, verified in one batch, and polished by
+rounds of least-squares refit on their injective matches (kept only when
+it verifies better), each round fitting its new matched sets in one pass
+(_fit) and verifying them in another, so each set is fitted once; only the
+best certificate is packaged as a MatchResult. With no voting base at all, a
 pair's base is a bare 2-match (_two_match) in da_match.
 
 Guarantee shape: with all pairs and the tolerant precondition (minimum
@@ -56,17 +60,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateBasis,
-    DegeneratePair,
-    DegreeTooSmall,
-    NoCandidatePairs,
-    TooFewPoints,
-)
+from .errors import DegeneratePair, DegreeTooSmall, NoCandidatePairs, TooFewPoints
 from .exact import ExactParams
 from .geometry import (
     TWO_PI,
@@ -74,17 +72,17 @@ from .geometry import (
     _nearest_batch,
     as_points,
     cross,
-    least_squares_motion,
     pairwise_distances,
     row_norms,
 )
 # perfbench/tracing.py wraps these names here; no matcher calls them.
-from .geometry import max_overlap_angle, union_intervals  # noqa: F401
+from .geometry import least_squares_motion, max_overlap_angle, union_intervals  # noqa: F401
 from .geometry import motion_from_bases, pair_canonical_motion  # noqa: F401
 from .geometry import rotation_about_line, rotation_distance_coeffs  # noqa: F401
-from .index import DistanceRows
+from .index import DistanceRows, _set_bits
 from .index import build_pair_dict, build_triplet_index  # noqa: F401
-from .result import MatchResult, build_match_result, greedy_injective
+from .result import MatchResult, greedy_injective
+from .result import build_match_result  # noqa: F401
 from .sampling import AllPairs, Expander, PairSource, materialize_pairs
 
 
@@ -399,22 +397,33 @@ def _batches(lengths, search, slack, n):
 
 
 def _base_rows(search, dists, slack, src, lengths):
-    """Candidate bases of a batch of source pairs via one DistanceRows search.
+    """Candidate bases of a batch of source pairs via one DistanceRows search,
+    kept as its nonzero mask bytes.
 
     Source pair src[k] = (a, b) matches the triangle (|ab|, |aq|, |bq|) for
     every other scene point q, with |ab| = lengths[k] and the rest from
-    `dists`, the scene distance matrix. Returns the arrays (qs, ps, owner,
-    bases, cuts, bounds). Rows (qs[r], ps[r]) are the found (scene, model)
-    points in the search's order: by pair, base, q, then p. Group g is base
-    bases[g] = (i, j) of pair src[owner[g]] and owns rows cuts[g]:cuts[g +
-    1]; bounds[g] is its distinct-q count, which bounds its overlap.
+    `dists`, the scene distance matrix. Returns (owner, bases, bounds, sizes,
+    cuts, cols, values, width). Group g, in (pair, base) order, is base
+    bases[g] = (i, j) of pair src[owner[g]]; bounds[g] is its distinct-q
+    count, which bounds its overlap, and sizes[g] its row count, both read
+    off the bytes. It owns bytes cuts[g]:cuts[g + 1]: byte k is values[k]
+    at byte index cols[k] of the group's (q, p) bits, p padded to 8 * width,
+    so _set_bits(cols, values) of a run of groups gives q * 8 * width + p
+    of their rows (q, p), by group, q, then p.
     """
-    pos, qs, i, j, ps = search.query(dists, src, lengths, slack)
-    new = _run_starts(pos, i, j)
-    heads = np.flatnonzero(new)
-    bounds = np.add.reduceat((new | _run_starts(qs)).astype(np.int64), heads)
-    bases = np.column_stack([i[heads], j[heads]])
-    return qs, ps, pos[heads], bases, np.append(heads, len(qs)), bounds
+    pos, i, j, width, blocks = search.nonzero_bytes(dists, src, lengths, slack, lambda *b: b)
+    empty = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
+    flat, values = (np.concatenate(x) for x in zip(empty, *blocks))
+    cell = flat // width  # the (entry, q) of each byte
+    e = cell // len(dists)
+    heads = np.flatnonzero(_run_starts(e))
+    bounds = np.add.reduceat(_run_starts(cell).astype(np.int64), heads)
+    # ones[v]: the set bits of byte value v.
+    ones = np.unpackbits(np.arange(256, dtype=np.uint8)).reshape(256, 8).sum(1, dtype=np.uint8)
+    sizes = np.add.reduceat(ones.take(values), heads, dtype=np.int64)
+    cols, e = flat - e * (len(dists) * width), e[heads]
+    bases = np.column_stack([i[e], j[e]])
+    return pos[e], bases, bounds, sizes, np.append(heads, len(flat)), cols, values, width
 
 
 def _two_match(search, slack, length):
@@ -430,61 +439,87 @@ def _select_winner(pp, qq, scene, model, top, tied, radius) -> MatchResult:
 
     Each (q pair, p pair, angle, kq, kp) gets its motion from _motions, with
     the frames of row kq of `scene` and row kp of `model`, the _frames
-    triples of the source pairs and the model pairs; all are verified at
-    `radius` in one array pass and refined by _refits, whose rounds after a
-    kept first refit depend only on its matched set and so run once per set.
-    The best is the largest, then the smallest residual, then the smallest
-    (q pair, p pair, angle); only it is packaged as a MatchResult, with
-    votes top + 2.
+    triples of the source pairs and the model pairs, and _refine verifies
+    and polishes them all. The best is the largest, then the smallest
+    residual, then the smallest (q pair, p pair, angle); only it becomes a
+    MatchResult, with votes top + 2, from its already verified rows.
     """
     angles, kq, kp = (np.array([t[c] for t in tied]) for c in (2, 3, 4))
     rot, tr = _motions(*_gather(scene, kq), *_gather(model, kp), angles)
-    nn, res = _nearest_batch(pp, qq, rot, tr, _VERIFY_CELLS)
+    rot, tr, certs, at = _refine(pp, qq, rot, tr, radius)
+    ranks = [((-len(certs[c][0]), certs[c][2]), *t[:3]) for c, t in zip(at, tied)]
+    k = ranks.index(min(ranks))
+    (_, ab, ij, angle), c = ranks[k], at[k]
+    return MatchResult(RigidMotion(rot[c], tr[c]), *certs[c], top + 2, radius, (ab, ij), angle)
+
+
+def _certificates(nn, res, radius):
+    """Per motion verified by _nearest_batch, what build_match_result would
+    certify: (matched, dedup_matched, max_residual)."""
     ok = res <= radius
     # Matched residuals are >= 0, so a row's max over them, or 0.0 for none.
-    top_res, near, hit = np.where(ok, res, 0.0).max(axis=1).tolist(), nn.tolist(), ok.tolist()
-    fits, chains, scored = {}, {}, []
-    for k, (ab, ij, angle, *_) in enumerate(tied):
-        pairs = [(q, p) for q, (p, h) in enumerate(zip(near[k], hit[k])) if h]
-        rank, chain = (-len(pairs), top_res[k]), None
+    top_res = np.where(ok, res, 0.0).max(axis=1).tolist()
+    row, q = np.nonzero(ok)
+    pairs, out, start = list(zip(q.tolist(), nn[row, q].tolist())), [], 0
+    for k, end in enumerate(np.cumsum(ok.sum(axis=1)).tolist()):
+        matched, start = tuple(pairs[start:end]), end
         # greedy_injective keeps every pair, in order, when no p repeats.
-        unique = len({p for _, p in pairs}) == len(pairs)
-        dedup = tuple(pairs) if unique else greedy_injective(pairs, res[k, ok[k]])
-        if _refits(pp, qq, dedup, rank, radius, fits, rounds=1) is not None:
-            if dedup not in chains:  # (1, inf): a rank every fit beats
-                chains[dedup] = _refits(pp, qq, dedup, (1, np.inf), radius, fits)
-            chain = chains[dedup]
-            rank = (-chain.size, chain.max_residual)
-        scored.append(((rank, ab, ij, angle), k, chain))
-    (_, ab, ij, angle), k, chain = min(scored, key=lambda s: s[0])
-    if chain is not None:
-        return replace(chain, votes=top + 2, base_pair=(ab, ij), angle=angle)
-    return build_match_result(pp, qq, RigidMotion(rot[k], tr[k]), radius, top + 2, (ab, ij), angle)
+        unique = len({p for _, p in matched}) == len(matched)
+        dedup = matched if unique else greedy_injective(matched, res[k, ok[k]])
+        out.append((matched, dedup, top_res[k]))
+    return out
 
 
-def _refits(pp, qq, matched, rank, radius: float, fits: dict, rounds: int = 8):
-    """Polish a verified motion: up to `rounds` least-squares refits, each on
-    the injective matches `matched` of the one before, kept only while its
-    (-size, max_residual) is strictly below the last `rank`. The voted motion
-    rests on one base pair and one angle, so on clean data it certifies
-    residuals up to the radius even when an exact alignment exists; a worse
-    round is discarded, so the voted guarantees carry over. Returns the last
-    kept fit, or None. `fits` maps each matched set to its verified fit or None."""
-    kept = None
-    for _ in range(rounds):
-        if len(matched) >= 3 and matched not in fits:
-            q, p = np.array(matched).T
-            try:
-                fits[matched] = build_match_result(
-                    pp, qq, least_squares_motion(qq[q], pp[p]), radius, 0
-                )
-            except DegenerateBasis:
-                fits[matched] = None
-        fit = fits.get(matched)
-        if fit is None or not (-fit.size, fit.max_residual) < (rank[0], rank[1] - 1e-15):
-            return kept
-        kept, matched, rank = fit, fit.dedup_matched, (-fit.size, fit.max_residual)
-    return kept
+def _refine(pp, qq, rot, tr, radius: float):
+    """Verify the motions (rot[k], tr[k]) at `radius` and polish each by up to
+    8 rounds of least-squares refit, each on the injective matches of the
+    one before, kept only while its (-size, max_residual) is strictly below
+    the last. The voted motion rests on one base pair and one angle, so on
+    clean data it certifies residuals up to the radius even when an exact
+    alignment exists; a worse round is discarded, so the voted guarantees
+    carry over. A round fits its new matched sets in one _fit pass and
+    verifies them in one _nearest_batch pass, so each set is fitted once.
+    Returns (rot, tr, certs, at): the given motions then every fit, their
+    _certificates, and the motion each chain k ends on.
+    """
+    certs = _certificates(*_nearest_batch(pp, qq, rot, tr, _VERIFY_CELLS), radius)
+    at, live, fits = list(range(len(certs))), list(range(len(certs))), {}
+    for _ in range(8):
+        live = [k for k in live if len(certs[at[k]][1]) >= 3]
+        if not live:
+            break
+        new = [m for m in dict.fromkeys(certs[at[k]][1] for k in live) if m not in fits]
+        if new:
+            fit_rot, fit_tr = _fit(pp, qq, new)
+            fits.update(zip(new, range(len(certs), len(certs) + len(new))))
+            certs += _certificates(*_nearest_batch(pp, qq, fit_rot, fit_tr, _VERIFY_CELLS), radius)
+            rot, tr = np.concatenate([rot, fit_rot]), np.concatenate([tr, fit_tr])
+        rank = [(-len(matched), res) for matched, _, res in certs]
+        step = {k: fits[certs[at[k]][1]] for k in live}
+        live = [k for k, c in step.items() if rank[c] < (rank[at[k]][0], rank[at[k]][1] - 1e-15)]
+        for k in live:
+            at[k] = step[k]
+    return rot, tr, certs, at
+
+
+def _fit(pp, qq, sets):
+    """least_squares_motion of each matched set (q, p) of `sets`, bit for bit,
+    as (rotations, translations): each set's centroids and cross-covariance
+    are formed as it forms them, and the SVD, determinant and products run
+    stacked."""
+    cross_cov, ca, cb = [], [], []
+    for q, p in (np.array(matched).T for matched in sets):
+        a, b = qq[q], pp[p]
+        ca.append(a.mean(axis=0))
+        cb.append(b.mean(axis=0))
+        cross_cov.append((a - ca[-1]).T @ (b - cb[-1]))
+    u, _, vt = np.linalg.svd(np.stack(cross_cov))
+    rot = vt.transpose(0, 2, 1) @ u.transpose(0, 2, 1)
+    flip = np.linalg.det(rot) < 0
+    if flip.any():
+        vt[flip, -1, :] *= -1.0
+        rot[flip] = vt[flip].transpose(0, 2, 1) @ u[flip].transpose(0, 2, 1)
+    return rot, np.array(cb) - (rot @ np.array(ca)[:, :, None])[:, :, 0]
 
 
 def _vote(pp, qq, source, slack, radius, bare: bool) -> MatchResult:
@@ -493,18 +528,20 @@ def _vote(pp, qq, source, slack, radius, bare: bool) -> MatchResult:
 
     Per call, the axis frames of every live source pair and of every ordered
     model pair are built once (_frames). Each batch of pairs from _batches
-    takes its groups from one _base_rows search, and builds one scene table
-    (_cyl_table): the cylinder coordinates of every scene point about each
-    pair that owns a group reaching the batch's starting floor, the only
-    groups it can screen. The groups go by descending distinct-q bound, ties
-    in (pair, base) order, to _screen in chunks of at most _SCREEN_ROWS rows
-    (at least one group), which returns overlap -1 for a base it prunes, one
-    below the floor. The floor starts at the best overlap of the batches before, or 0,
-    and rises after every chunk; a batch stops at the first group whose
-    bound is below it, since every later group's bound is lower. A base at
-    the global maximum M has any bound >= M >= floor, so the tied set is
-    never pruned. With `bare`, a pair with no voting base scores 0 at angle
-    0.0 with the two bases of _two_match, a 2-match.
+    takes its groups, as packed bytes, from one _base_rows search, puts the
+    bytes of the groups reaching the batch's starting floor (the only groups
+    it can screen) in rank order, and builds one scene table (_cyl_table):
+    the cylinder coordinates of every scene point about each pair that owns
+    such a group. The groups go by descending distinct-q bound, ties in
+    (pair, base) order, to _screen in chunks of at most _SCREEN_ROWS rows (at
+    least one group), each chunk's rows unpacked from its bytes only then;
+    _screen returns overlap -1 for a base it prunes, one below the floor.
+    The floor starts at the best overlap of the batches before, or 0, and
+    rises after every chunk; a batch stops at the first group whose bound is
+    below it, since every later group's bound is lower. A base at the global
+    maximum M has any bound >= M >= floor, so the tied set is never pruned.
+    With `bare`, a pair with no voting base scores 0 at angle 0.0 with the
+    two bases of _two_match, a 2-match.
     """
     search = DistanceRows(pp)
     src, lengths = _live_pairs(source, qq, search, slack)
@@ -516,20 +553,25 @@ def _vote(pp, qq, source, slack, radius, bare: bool) -> MatchResult:
     top, tied = -1, []
     for batch in _batches(lengths, search, slack, len(qq)):
         pairs, lens = src[batch], lengths[batch]
-        qs, ps, owner, bases, cuts, bounds = _base_rows(search, dists, slack, pairs, lens)
-        # Groups and their rows in rank order; group t owns rows heads[t]:ends[t].
+        owner, bases, bounds, sizes, cuts, cols, values, width = _base_rows(
+            search, dists, slack, pairs, lens
+        )
+        # Groups in rank order; group t has rows heads[t]:ends[t] of the ranked rows.
         order = np.argsort(-bounds, kind="stable")
-        owner, bases, sizes = owner[order], bases[order], np.diff(cuts)[order]
-        ends = np.cumsum(sizes)
-        r = np.repeat(cuts[order] - (ends - sizes), sizes)
-        r += np.arange(len(r))
-        qs, ps = qs[r], ps[r]
-        ranked, ends = (-bounds[order]).tolist(), ends.tolist()
+        owner, bases, sizes = owner[order], bases[order], sizes[order]
+        ranked, ends = (-bounds[order]).tolist(), np.cumsum(sizes).tolist()
         heads = [0] + ends[:-1]
         overlap, angle = np.full(len(order), -1), np.zeros(len(order))
         floor, start = max(top, 0), 0
-        # Base t has ids[t]: its pair's table row and its model pair's row.
         reach = bisect_right(ranked, -floor)
+        # The bytes of the groups that reach the floor in rank order; group t
+        # owns bytes at[t]:at[t + 1], unpacked only when a chunk screens it.
+        nbytes = np.diff(cuts)[order[:reach]]
+        at = np.append(0, np.cumsum(nbytes))
+        r = np.repeat(cuts[order[:reach]] - at[:-1], nbytes)
+        r += np.arange(len(r))
+        cols, values = cols[r], values[r]
+        # Base t has ids[t]: its pair's table row and its model pair's row.
         used, slot = np.unique(owner[:reach], return_inverse=True)
         table = _cyl_table(qq, scene, batch.start + used)
         ids = np.column_stack([slot, pid[bases[:reach, 0], bases[:reach, 1]]])
@@ -538,9 +580,10 @@ def _vote(pp, qq, source, slack, radius, bare: bool) -> MatchResult:
             stop = bisect_right(ends, heads[start] + _SCREEN_ROWS)
             stop = min(max(start + 1, stop), bisect_right(ranked, -floor))
             g = np.repeat(np.arange(stop - start), sizes[start:stop])
-            rs = slice(heads[start], ends[stop - 1])
+            bits = _set_bits(cols[at[start] : at[stop]], values[at[start] : at[stop]])
+            qs = bits // (8 * width)
             overlap[start:stop], angle[start:stop] = _screen(
-                pp, table, model, ids[start:stop], g, qs[rs], ps[rs], floor, radius
+                pp, table, model, ids[start:stop], g, qs, bits - qs * (8 * width), floor, radius
             )
             floor, start = max(floor, int(overlap[start:stop].max())), stop
         empty = np.flatnonzero(np.bincount(owner, minlength=len(pairs)) == 0) if bare else ()

@@ -6,9 +6,11 @@ q) from the model distance matrix, its ordered pairs sorted by length, and
 bit-packed masks of the model distance rows, m^2 n / 8 bytes per scene
 point searched. A mask is built by one outer subtraction of scene and
 model distance rows and one flat bit pack; a search ANDs the masks of its
-length-slab entries, taken in (pair, i, j) order, and unpacks only the
-nonzero bytes, so its rows come out grouped by base. The length slab of a
-pair is also DA's pair-length filter. The pair dictionary answers "is
+length-slab entries, taken in (pair, i, j) order, in blocks, and keeps
+the nonzero bytes (nonzero_bytes). query unpacks each block's bytes as it
+comes, so its rows come out grouped by base; the DA matcher keeps them and
+unpacks a base's rows only when it screens that base. The length slab of
+a pair is also DA's pair-length filter. The pair dictionary answers "is
 there a pair of P with length within a slack of L" by binary search on a
 sorted length array; the triplet index holds the ordered triplets of P
 with their triangle keys and answers box and first-key queries by one
@@ -81,6 +83,14 @@ def build_pair_dict(P) -> PairDict:
     return PairDict(lengths[order], np.column_stack([i[order], j[order]]).astype(np.int64))
 
 
+def _set_bits(flat, values):
+    """The set bits of the bytes `values` at byte indices `flat`, as ascending
+    bit indices 8 * flat + bit (little bit order)."""
+    # unpackbits gives 0 or 1 per bit, so the bool view is exact.
+    hit = np.flatnonzero(np.unpackbits(values, bitorder="little").view(bool))
+    return flat[hit >> 3] * 8 + (hit & 7)
+
+
 # Cells of one float compare that builds DistanceRows masks (scene distances
 # x model distances padded to whole bytes, at least one byte of them), and
 # bytes of one AND of their gathered rows (slab pairs x scene points x mask
@@ -114,19 +124,17 @@ class DistanceRows:
             np.searchsorted(self.lengths, lengths + slack, side="right"),
         )
 
-    def query(self, scene_dists, src, lengths, slack: float):
-        """Every congruent (pos, q, i, j, p) of the source pairs `src`.
+    def nonzero_bytes(self, scene_dists, src, lengths, slack: float, each):
+        """The slab entries of the source pairs `src` and the AND loop over them.
 
-        Source pair src[pos] = (a, b) of length lengths[pos] yields model
-        triplet (i, j, p) for scene point q when dists[i, j] lies in the
-        closed slab [L - slack, L + slack], abs(dists[i, p] - scene_dists[a,
-        q]) <= slack and abs(dists[j, p] - scene_dists[b, q]) <= slack, with
-        q not in {a, b} and p not in {i, j}: the triangle-key test of
-        (|ab|, |aq|, |bq|) against (|ij|, |ip|, |jp|), float for float.
-        The slab entries (pos, i, j) are sorted before the masks of (a, i)
-        and (b, j) are ANDed, and only the nonzero bytes of each AND are
-        unpacked, so the five int64 arrays come out ordered by pos, i, j, q,
-        then p.
+        Returns (pos, i, j, width, blocks). Entry e is model pair (i[e],
+        j[e]) in the length slab of src[pos[e]] = (a, b), entries sorted by
+        (pos, i, j). The loop ANDs the masks of (a, i) and (b, j), a block of
+        at most _MASK_CELLS bytes of entries at a time, and `blocks` holds
+        each(flat, values) of each block's nonzero bytes: the byte at index
+        flat[k] of the (entry, q, byte) layout, `width` bytes a q, is
+        values[k], ascending. Bit p % 8 (little bit order) of byte p // 8 of
+        (e, q) is set exactly when (q, p) passes query's test under entry e.
         """
         scene_dists = np.asarray(scene_dists, dtype=np.float64)
         src = np.asarray(src, dtype=np.int64).reshape(-1, 2)
@@ -146,16 +154,29 @@ class DistanceRows:
         row_a, row_b = slot[:, 0] + i, slot[:, 1] + j
         width = masks.shape[2]
         step = max(1, _MASK_CELLS // (n * width))
-        parts = [np.empty(0, dtype=np.int64)]
+        blocks = []
         for s in range(0, len(pos), step):
             both = masks[row_a[s : s + step]] & masks[row_b[s : s + step]]
             flat = np.flatnonzero(both != 0)
-            # unpackbits gives 0 or 1 per bit, so the bool view is exact.
-            bits = np.unpackbits(both.take(flat), bitorder="little").view(bool)
-            hit = np.flatnonzero(bits)
-            parts.append((s * n * width + flat[hit >> 3]) * 8 + (hit & 7))
+            blocks.append(each(s * n * width + flat, both.take(flat)))
+        return pos, i, j, width, blocks
+
+    def query(self, scene_dists, src, lengths, slack: float):
+        """Every congruent (pos, q, i, j, p) of the source pairs `src`.
+
+        Source pair src[pos] = (a, b) of length lengths[pos] yields model
+        triplet (i, j, p) for scene point q when dists[i, j] lies in the
+        closed slab [L - slack, L + slack], abs(dists[i, p] - scene_dists[a,
+        q]) <= slack and abs(dists[j, p] - scene_dists[b, q]) <= slack, with
+        q not in {a, b} and p not in {i, j}: the triangle-key test of
+        (|ab|, |aq|, |bq|) against (|ij|, |ip|, |jp|), float for float.
+        nonzero_bytes unpacks each block's bytes as the block comes, so the
+        five int64 arrays come out ordered by pos, i, j, q, then p.
+        """
+        pos, i, j, width, hits = self.nonzero_bytes(scene_dists, src, lengths, slack, _set_bits)
         # Bit index into the (entry, q, p) bits, p padded to whole bytes.
-        hit = np.concatenate(parts)
+        hit = np.concatenate([np.empty(0, dtype=np.int64), *hits])
+        n = len(scene_dists)
         e = hit // (8 * n * width)
         q_p = hit - e * (8 * n * width)
         q = q_p // (8 * width)

@@ -11,7 +11,7 @@ import pytest
 
 import lcpmatch
 from lcpmatch.cli import EXIT_ALGORITHM, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from lcpmatch.oracle import Instance
+from lcpmatch.oracle import GenSpec, Instance, generate_instance
 
 
 def run_cli(capsys, *argv):
@@ -135,21 +135,27 @@ class TestMatch:
         assert code == EXIT_OK
         assert json.loads(out)["result"]["size"] == 6
 
-    def test_determinism_across_threads_and_reps(self, instance_file, capsys):
+    def test_determinism_across_reps(self, instance_file, capsys):
         reports = []
-        for threads in ("1", "3", "8"):
-            for _ in range(2):
-                code, out, _ = run_cli(
-                    capsys,
-                    "match", str(instance_file), "--algo", "da",
-                    "--seed", "9", "--threads", threads,
-                )
-                assert code == EXIT_OK
-                rep = json.loads(out)
-                rep.pop("wall_time_ms")
-                rep["params"].pop("threads")
-                reports.append(json.dumps(rep, sort_keys=True))
+        for _ in range(6):
+            code, out, _ = run_cli(
+                capsys, "match", str(instance_file), "--algo", "da", "--seed", "9"
+            )
+            assert code == EXIT_OK
+            rep = json.loads(out)
+            rep.pop("wall_time_ms")
+            reports.append(json.dumps(rep, sort_keys=True))
         assert len(set(reports)) == 1
+
+    @pytest.mark.parametrize("command", ["match", "bench"])
+    def test_threads_flag_is_gone(self, instance_file, capsys, command):
+        # Matching runs in the calling thread; no command takes a thread count.
+        args = [str(instance_file), "--algo", "da"] if command == "match" else ["--suite", "{}"]
+        code, _, _ = run_cli(capsys, command, *args, "--threads", "2")
+        assert code == EXIT_USAGE
+        if command == "match":
+            code, out, _ = run_cli(capsys, command, *args)
+            assert "threads" not in json.loads(out)["params"]
 
     def test_env_seed_fallback(self, instance_file, capsys, monkeypatch):
         monkeypatch.setenv("LCP_MATCH_SEED", "42")
@@ -211,6 +217,31 @@ class TestVerify:
         )
         assert code == EXIT_VERIFY
 
+
+    @pytest.mark.parametrize("scale", [1e-10, 1.0])
+    def test_claimed_residual_checked_in_any_unit(self, tmp_path, capsys, scale):
+        # A da report on the seed-5 m=n=12 instance verifies at any unit
+        # scale, and one whose max_residual is forged to 0 fails at any scale.
+        inst = generate_instance(GenSpec(m=12, n=12, k=6, eps=0.3), seed=5)
+        path = tmp_path / "inst.json"
+        scaled = Instance(P=inst.P * scale, Q=inst.Q * scale, eps=inst.eps * scale)
+        path.write_text(scaled.to_json())
+        report_path = tmp_path / "report.json"
+        code, _, _ = run_cli(
+            capsys, "match", str(path), "--algo", "da", "--seed", "1", "--out", str(report_path)
+        )
+        assert code == EXIT_OK
+        verify = ("verify", str(path), "--report", str(report_path))
+        code, out, _ = run_cli(capsys, *verify)
+        assert code == EXIT_OK and json.loads(out)["ok"] is True
+        report = json.loads(report_path.read_text())
+        assert report["result"]["max_residual"] > 0.0
+        report["result"]["max_residual"] = 0.0
+        report_path.write_text(json.dumps(report))
+        code, out, _ = run_cli(capsys, *verify)
+        assert code == EXIT_VERIFY
+        [problem] = json.loads(out)["problems"]
+        assert problem.startswith("claimed max residual 0.0")
 
     @pytest.mark.parametrize("radius", ["nan", "-1", "inf"])
     @pytest.mark.parametrize("empty", [False, True])

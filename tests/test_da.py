@@ -1,3 +1,5 @@
+import itertools
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -6,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from lcpmatch import da
+from lcpmatch import da, index
 from lcpmatch.da import (
     MatchParams,
     _base_rows,
@@ -35,9 +37,9 @@ from lcpmatch.geometry import (
     pairwise_distances,
     union_intervals,
 )
-from lcpmatch.index import DistanceRows
+from lcpmatch.index import DistanceRows, _set_bits
 from lcpmatch.oracle import GenSpec, exact_lcp_bruteforce, generate_instance, random_rotation
-from lcpmatch.result import build_match_result
+from lcpmatch.result import MatchResult, build_match_result
 from lcpmatch.sampling import AllPairs, Expander, Pigeonhole, materialize_pairs
 
 from test_exact import five_point_instance
@@ -98,9 +100,9 @@ class TestDaMatch:
         with pytest.raises(NoCandidatePairs):
             da_match(P, Q, MatchParams(eps=0.01))
 
-    def test_threads_invariant(self):
-        # Matching runs in the calling thread and takes no thread count, so
-        # this is a repeat-call check: two calls agree bit for bit.
+    def test_repeat_calls_agree(self):
+        # Two calls agree bit for bit: size, votes, matched set, base pair,
+        # angle and motion bytes.
         inst = generate_instance(GenSpec(m=12, n=10, k=6, eps=0.3), seed=12)
         for source in (AllPairs(), Pigeonhole(4)):
             params = MatchParams(eps=inst.eps, pair_source=source)
@@ -180,7 +182,7 @@ def screened_and_scalar(P, Q, eps, source):
     fuzz = _numeric_fuzz(pp, qq)
     slack, radius = max(2 * eps, fuzz), max(4 * eps, fuzz)
     src, lengths = _live_pairs(source, qq, DistanceRows(pp), slack)
-    qs, ps, owner, bases, cuts, _ = _base_rows(
+    qs, ps, owner, bases, cuts, _ = base_rows(
         DistanceRows(pp), pairwise_distances(qq), slack, src, lengths
     )
     g = np.repeat(np.arange(len(bases)), np.diff(cuts))
@@ -222,9 +224,33 @@ def per_pair_rows(pp, qq, a, b, slack):
     return sorted(zip(i.tolist(), j.tolist(), q.tolist(), p.tolist()))
 
 
+def base_rows(search, dists, slack, src, lengths):
+    """_base_rows with every group's bytes unpacked, in the layout of the row
+    path (row_path): (qs, ps, owner, bases, cuts, bounds), group g owning
+    rows cuts[g]:cuts[g + 1], rows by pair, base, q, then p."""
+    owner, bases, bounds, sizes, _, cols, values, width = _base_rows(
+        search, dists, slack, src, lengths
+    )
+    bits = _set_bits(cols, values)
+    qs = bits // (8 * width)
+    return qs, bits - qs * (8 * width), owner, bases, np.append(0, np.cumsum(sizes)), bounds
+
+
+def row_path(search, dists, slack, src, lengths):
+    """_base_rows as it was before the search kept bytes: DistanceRows.query
+    unpacks every row, grouped by (pair, base); (qs, ps, owner, bases, cuts,
+    bounds) as from base_rows, bounds[g] counting the distinct q of group g."""
+    pos, qs, i, j, ps = search.query(dists, src, lengths, slack)
+    new = da._run_starts(pos, i, j)
+    heads = np.flatnonzero(new)
+    bounds = np.add.reduceat((new | da._run_starts(qs)).astype(np.int64), heads)
+    bases = np.column_stack([i[heads], j[heads]])
+    return qs, ps, pos[heads], bases, np.append(heads, len(qs)), bounds
+
+
 def batch_rows(pp, qq, src, lengths, slack):
     """(pair, i, j, q, p) rows of one _base_rows batch, in its order."""
-    qs, ps, owner, bases, cuts, _ = _base_rows(
+    qs, ps, owner, bases, cuts, _ = base_rows(
         DistanceRows(pp), pairwise_distances(qq), slack, src, lengths
     )
     g = np.repeat(np.arange(len(bases)), np.diff(cuts))
@@ -340,6 +366,26 @@ def recorded_screens():
         patch.setattr(da, "_cyl_table", table)
         patch.setattr(da, "_screen", record)
         yield calls
+
+
+@contextmanager
+def recorded_batches():
+    """Record, per _base_rows call of the matchers run inside, its arguments
+    and the arguments of the _screen calls that follow it."""
+    batches, base_rows_fn, screen_fn = [], da._base_rows, da._screen
+
+    def rows(*args):
+        batches.append((args, []))
+        return base_rows_fn(*args)
+
+    def record(*args):
+        batches[-1][1].append(args)
+        return screen_fn(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(da, "_base_rows", rows)
+        patch.setattr(da, "_screen", record)
+        yield batches
 
 
 class TestLivePairs:
@@ -487,6 +533,47 @@ class TestBaseRows:
                 assert got == [(0, *row) for row in per_pair_rows(pp, qq, a, b, slack)]
                 checked += any(dp[i, j] == x for _, i, j, _, _ in got)
         assert checked == 10
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_bytes_equal_row_path(self, seed):
+        # Each group's distinct-q bound and row count, read off the bytes,
+        # and its unpacked rows equal the row path's, batch by batch, over
+        # all pairs and at a slack that makes most groups single rows.
+        inst = tolerant_instance(seed)
+        pp, qq = inst.P, inst.Q
+        search, dists = DistanceRows(pp), pairwise_distances(qq)
+        for slack in (2 * inst.eps, 0.05):
+            src, lengths = _live_pairs(AllPairs(), qq, search, slack)
+            for k in range(0, len(src), 7):
+                args = search, dists, slack, src[k : k + 7], lengths[k : k + 7]
+                owner, bases, bounds, sizes, *_ = _base_rows(*args)
+                want = row_path(*args)
+                assert bounds.tobytes() == want[5].tobytes()
+                assert sizes.tobytes() == np.diff(want[4]).tobytes()
+                assert (owner.tobytes(), bases.tobytes()) == (want[2].tobytes(), want[3].tobytes())
+                got = base_rows(*args)
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+    def test_fewer_rows_unpacked_than_found(self, monkeypatch):
+        # The screen's floor stops before the last groups of a batch, whose
+        # bytes are never unpacked.
+        inst = tolerant_instance(1)
+        found, unpacked = [], []
+        rows, set_bits = da._base_rows, da._set_bits
+
+        def count_found(*args):
+            found.append(len(row_path(*args)[0]))
+            return rows(*args)
+
+        def count_unpacked(*args):
+            out = set_bits(*args)
+            unpacked.append(len(out))
+            return out
+
+        monkeypatch.setattr(da, "_base_rows", count_found)
+        monkeypatch.setattr(da, "_set_bits", count_unpacked)
+        da_match(inst.P, inst.Q, MatchParams(inst.eps, pair_source=Pigeonhole(4)))
+        assert 0 < sum(unpacked) < sum(found)
 
 
 def arc_pieces(start, end):
@@ -763,7 +850,7 @@ class TestScreen:
         pp, qq = inst.P, inst.Q
         slack, radius = 2 * inst.eps, 4 * inst.eps
         src, lengths = _live_pairs(Pigeonhole(4), qq, DistanceRows(pp), slack)
-        qs, ps, owner, bases, cuts, _ = _base_rows(
+        qs, ps, owner, bases, cuts, _ = base_rows(
             DistanceRows(pp), pairwise_distances(qq), slack, src, lengths
         )
         assert len(bases) > 100
@@ -842,7 +929,7 @@ class TestBatchBudget:
 
         def count_groups(*args):
             out = rows(*args)
-            groups.append(len(out[5]))
+            groups.append(len(out[2]))
             return out
 
         monkeypatch.setattr(da, "_base_rows", count_groups)
@@ -899,6 +986,63 @@ class TestBatchBudget:
                     assert len(set(keys)) == len(keys)
                 assert len(results) == 1
 
+    def test_screen_inputs_equal_row_path(self, monkeypatch):
+        # Every _screen call gets the (ids, g, qs, ps) of the row path: every
+        # row unpacked by DistanceRows.query, and all of them reordered by
+        # rank. The screen, batch and mask budgets go each at 1 and at its
+        # default.
+        inst, exact = tolerant_instance(1), exact_instance(*EXACT_INSTANCES[0])
+        runs = (
+            lambda: da_match(inst.P, inst.Q, MatchParams(inst.eps, pair_source=Pigeonhole(4))),
+            lambda: expander_da(inst.P, inst.Q, inst.eps, degree=8, alpha=0.05, seed=1),
+            lambda: da_exact(exact.P, exact.Q),
+        )
+        defaults = da._SCREEN_ROWS, da._BATCH_CELLS, index._MASK_CELLS
+        calls = 0
+        for rows, cells, mask in itertools.product(*((1, x) for x in defaults)):
+            monkeypatch.setattr(da, "_SCREEN_ROWS", rows)
+            monkeypatch.setattr(da, "_BATCH_CELLS", cells)
+            monkeypatch.setattr(index, "_MASK_CELLS", mask)
+            for run in runs:
+                with recorded_batches() as batches:
+                    run()
+                for args, screens in batches:
+                    self.check_screens(args, screens, rows)
+                    calls += len(screens)
+        assert calls > 1000
+
+    @staticmethod
+    def check_screens(args, screens, screen_rows):
+        """The _screen calls `screens` of the batch of _base_rows(*args) take
+        the groups and rows of the row path in rank order, chunked as _vote
+        chunks them at `screen_rows`."""
+        qs, ps, owner, bases, cuts, bounds = row_path(*args)
+        order = np.argsort(-bounds, kind="stable")
+        r = np.concatenate([np.arange(cuts[t], cuts[t + 1]) for t in order] + [[]]).astype(np.int64)
+        qs, ps, owner, bases, bounds = qs[r], ps[r], owner[order], bases[order], bounds[order]
+        sizes = np.diff(cuts)[order]
+        ends = np.cumsum(sizes)
+        pid = np.zeros((len(args[0].dists),) * 2, dtype=np.int64)
+        pid[tuple(args[0].pairs.T)] = np.arange(len(args[0].pairs))
+        start = 0
+        for _, _, _, ids, g, got_qs, got_ps, floor, _ in screens:
+            reach = int((bounds >= floor).sum())
+            if start == 0:
+                slot = np.unique(owner[:reach], return_inverse=True)[1]
+                want_ids = np.column_stack([slot, pid[bases[:reach, 0], bases[:reach, 1]]])
+            stop = bisect_right(ends.tolist(), ends[start] - sizes[start] + screen_rows)
+            stop = min(max(start + 1, stop), reach)
+            rs = slice(ends[start] - sizes[start], ends[stop - 1])
+            want = (
+                want_ids[start:stop],
+                np.repeat(np.arange(stop - start), sizes[start:stop]),
+                qs[rs],
+                ps[rs],
+            )
+            for x, y in zip((ids, g, got_qs, got_ps), want):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+            start = stop
+
     def test_only_two_matches_reach_the_top(self, monkeypatch):
         # Q pairs (0, 1) and (2, 3) match the length of P's pair (0, 1), but no
         # third point matches a triangle: both are bare 2-matches.
@@ -920,12 +1064,12 @@ class TestBatchBudget:
             assert all(r == results[0] for r in results)
 
 
-def reference_select_winner(pp, qq, scene, model, top, tied, radius):
+def reference_select_winner(pp, qq, scene, model, top, tied, radius, fits):
     """The winner step one tied motion at a time: motions from frames built
     per base (reference_motions), verified by build_match_result, refined by
     reference_refine, the best taken by ((-size, max_residual), q pair, p
-    pair, angle). The tied motions share one dict of refits."""
-    scored, fits = [], {}
+    pair, angle). The tied motions share the dict of refits `fits`."""
+    scored = []
     src, bases, angles = (np.array([t[c] for t in tied]) for c in range(3))
     for (ab, ij, angle, *_), rot, tr in zip(tied, *reference_motions(pp, qq, src, bases, angles)):
         result = build_match_result(pp, qq, RigidMotion(rot, tr), radius, top + 2, (ab, ij), angle)
@@ -934,18 +1078,18 @@ def reference_select_winner(pp, qq, scene, model, top, tied, radius):
     return min(scored, key=lambda s: s[0])[1]
 
 
-def reference_refine(pp, qq, result, radius, fits):
-    """Up to 8 rounds of least-squares refit on the injective matches, each
-    kept only when it verifies strictly better; `fits` holds the verified
-    fit of each matched set fitted so far (None if degenerate)."""
-    for _ in range(8):
+def reference_refine(pp, qq, result, radius, fits, rounds=8):
+    """Up to `rounds` rounds of least-squares refit on the injective matches,
+    each kept only when it verifies strictly better; `fits` holds the
+    verified fit of each matched set fitted so far (None if degenerate)."""
+    for _ in range(rounds):
         matched = result.dedup_matched
         if len(matched) < 3:
             return result
         if matched not in fits:
             q, p = np.array(matched).T
             try:
-                fit = da.least_squares_motion(qq[q], pp[p])
+                fit = least_squares_motion(qq[q], pp[p])
             except DegenerateBasis:
                 fit = None
             fits[matched] = None if fit is None else build_match_result(pp, qq, fit, radius, 0)
@@ -1009,33 +1153,39 @@ class TestSelectWinner:
         top, tied = inputs[-1][4:6]
         assert top == 0 and len(tied) > 200
 
+    @staticmethod
+    def recorded_fits(monkeypatch):
+        """The matched sets that da._fit is given, in call order."""
+        sets, fit = [], da._fit
+
+        def record(pp, qq, new):
+            sets.extend(new)
+            return fit(pp, qq, new)
+
+        monkeypatch.setattr(da, "_fit", record)
+        return sets
+
     def test_equals_scalar_reference(self, monkeypatch):
-        fits = []
-
-        def record_fit(Q, P):
-            fits.append((Q.tobytes(), P.tobytes()))
-            return least_squares_motion(Q, P)
-
-        monkeypatch.setattr(da, "least_squares_motion", record_fit)
+        fitted = self.recorded_fits(monkeypatch)
         # At the default verify budget, and at one motion a pass.
         for cells in (da._VERIFY_CELLS, 1):
             monkeypatch.setattr(da, "_VERIFY_CELLS", cells)
             for args in recorded_winner_inputs():
-                fits.clear()
-                want = winner_key(reference_select_winner(*args))
-                shared = set(fits)
-                fits.clear()
+                shared = {}
+                want = winner_key(reference_select_winner(*args, shared))
+                fitted.clear()
                 assert winner_key(da._select_winner(*args)) == want
                 # Each matched set is fitted once, and the same sets as the
                 # scalar loop's shared refits.
-                assert len(set(fits)) == len(fits)
-                assert set(fits) == shared
+                assert len(set(fitted)) == len(fitted)
+                assert set(fitted) == set(shared)
 
-    def test_refit_rounds_up_to_the_cap(self):
+    def test_refit_rounds_up_to_the_cap(self, monkeypatch):
         # Points on a widening spiral with noise at 0.4 of the radius: each
         # refit on the matches of the one before reaches a few more points,
         # so some chains run into the 8-round cap.
-        lengths, capped = [], 0
+        fitted = self.recorded_fits(monkeypatch)
+        lengths, capped, binding = [], 0, 0
         for seed in range(30):
             rng = np.random.default_rng(seed)
             r, th = 1.2 ** np.arange(30), rng.uniform(0.0, TWO_PI, 30)
@@ -1045,19 +1195,61 @@ class TestSelectWinner:
                 P, Q, RigidMotion.from_axis_angle(rng.normal(size=3), 0.05), 0.25, 5
             )
             want = reference_refine(P, Q, start, 0.25, {})
-            fits = {}
-            rank = (-start.size, start.max_residual)
-            got = da._refits(P, Q, start.dedup_matched, rank, 0.25, fits)
+            # The start motion twice: both chains end on one fit, each set
+            # fitted once.
+            rot, tr = (np.stack([x, x]) for x in (start.motion.rotation, start.motion.translation))
+            fitted.clear()
+            rot, tr, certs, at = da._refine(P, Q, rot, tr, 0.25)
+            got = MatchResult(RigidMotion(rot[at[0]], tr[at[0]]), *certs[at[0]], 5, 0.25)
+            assert winner_key(got) == winner_key(want)
+            assert at[0] == at[1]
+            assert len(set(fitted)) == len(fitted)
             if want is start:
-                assert got is None
+                assert at == [0, 1]
                 continue
-            # After a kept first round the chain depends on the matched set alone.
-            chain = da._refits(P, Q, start.dedup_matched, (1, np.inf), 0.25, {})
-            for res in (got, chain):
-                assert winner_key(replace(res, votes=5)) == winner_key(want)
-            lengths.append(len(fits))
-            capped += got is not da._refits(P, Q, start.dedup_matched, rank, 0.25, fits, rounds=7)
-        assert capped and min(lengths) < 4
+            lengths.append(len(fitted))
+            # The eighth round is kept: seven rounds end elsewhere. And the
+            # cap binds: a ninth round would move on.
+            seven, nine = (reference_refine(P, Q, start, 0.25, {}, rounds=r) for r in (7, 9))
+            capped += winner_key(seven) != winner_key(want)
+            binding += winner_key(nine) != winner_key(want)
+        assert capped and binding and min(lengths) < 4
+
+    def test_fit_equals_least_squares_motion(self, monkeypatch):
+        # Every matched set the recorded winner steps fit, then random sets at
+        # every coordinate scale, 3-point sets and reflections among them.
+        fitted = self.recorded_fits(monkeypatch)
+        cases = []
+        for args in recorded_winner_inputs():
+            fitted.clear()
+            da._select_winner(*args)
+            if fitted:
+                cases.append((args[0], args[1], list(fitted)))
+        assert sum(len(sets) for *_, sets in cases) > 40
+        rng = np.random.default_rng(3)
+        for scale in (1e-9, 1e-3, 1.0, 1e3, 1e6):
+            for _ in range(20):
+                m, n = (int(x) for x in rng.integers(3, 20, size=2))
+                pp, qq = rng.normal(0.0, scale, (m, 3)), rng.normal(0.0, scale, (n, 3))
+                sets = []
+                for _ in range(8):
+                    k = int(rng.integers(3, min(m, n) + 1))
+                    q, p = np.sort(rng.choice(n, k, replace=False)), rng.choice(m, k, replace=False)
+                    sets.append(tuple(zip(q.tolist(), p.tolist())))
+                cases.append((pp, qq, sets))
+        seen = set()
+        for pp, qq, sets in cases:
+            rot, tr = da._fit(pp, qq, sets)
+            for k, matched in enumerate(sets):
+                q, p = np.array(matched).T
+                want = least_squares_motion(qq[q], pp[p])
+                assert rot[k].tobytes() == want.rotation.tobytes()
+                assert tr[k].tobytes() == want.translation.tobytes()
+                a, b = qq[q] - qq[q].mean(axis=0), pp[p] - pp[p].mean(axis=0)
+                u, _, vt = np.linalg.svd(a.T @ b)
+                seen.add("reflection" if np.linalg.det(vt.T @ u.T) < 0 else "proper")
+                seen.add("3 points" if len(matched) == 3 else "more")
+        assert seen == {"reflection", "proper", "3 points", "more"}
 
     def test_batched_verify_equals_nearest_matches(self):
         # Motions near a planted one at every coordinate scale; radii that
