@@ -55,7 +55,6 @@ from .sampling import (
     ExpanderGraph,
     PairSource,
     Pigeonhole,
-    diam_k,
     estimate_lambda,
     materialize_pairs,
     pigeonhole_pairs,

@@ -79,7 +79,7 @@ from .geometry import (
 from .geometry import least_squares_motion, max_overlap_angle, union_intervals  # noqa: F401
 from .geometry import motion_from_bases, pair_canonical_motion  # noqa: F401
 from .geometry import rotation_about_line, rotation_distance_coeffs  # noqa: F401
-from .index import DistanceRows, _set_bits
+from .index import DistanceRows, _set_bits, _slots
 from .index import build_pair_dict, build_triplet_index  # noqa: F401
 from .result import MatchResult, greedy_injective
 from .result import build_match_result  # noqa: F401
@@ -572,7 +572,7 @@ def _vote(pp, qq, source, slack, radius, bare: bool) -> MatchResult:
         r += np.arange(len(r))
         cols, values = cols[r], values[r]
         # Base t has ids[t]: its pair's table row and its model pair's row.
-        used, slot = np.unique(owner[:reach], return_inverse=True)
+        used, slot = _slots(owner[:reach], len(pairs))
         table = _cyl_table(qq, scene, batch.start + used)
         ids = np.column_stack([slot, pid[bases[:reach, 0], bases[:reach, 1]]])
         while start < len(order) and -ranked[start] >= floor:

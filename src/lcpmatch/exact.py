@@ -20,11 +20,11 @@ _congruent_triplets, and differ in the voting space:
 
 The motions of all congruent rows are built in one batch
 (geometry.motions_from_bases) and voted with array operations: motion keys
-tallied by np.unique; alignment's matched points found once per motion key
-and, with geometric hashing's fourth points, counted per row in chunks of a
-fixed cell budget. Only the winner's motion is rebuilt from its row by the
-scalar motion_from_bases, so results do not depend on the last bits of the
-batched arithmetic.
+grouped by a stable sort of their bytes (_group_rows); alignment's matched
+points found once per motion key and, with geometric hashing's fourth
+points, counted per row in chunks of a fixed cell budget. Only the winner's
+motion is rebuilt from its row by the scalar motion_from_bases, so results
+do not depend on the last bits of the batched arithmetic.
 
 "Exact" is realized in floating point: congruence within an absolute
 tolerance tau, and motion votes on a quantization grid. Collinear bases are
@@ -86,6 +86,25 @@ def _motion_keys(rot, tr, grid: float):
     return np.rint(np.concatenate([rot.reshape(-1, 9), tr], axis=1) / grid) + 0.0
 
 
+def _group_rows(keys):
+    """Groups of equal rows of the (K, c) float keys: (first, inverse, counts).
+
+    Group g has counts[g] rows, the first being row first[g]; row r is in
+    group inverse[r]. The keys are finite and hold no -0.0 (_motion_keys adds
+    0.0), so equal bytes mean equal keys, and a stable argsort of the rows'
+    bytes sorts each group's rows in row order. Groups come in byte order,
+    not numeric order; no caller depends on the order of the groups.
+    """
+    order = np.argsort(keys.view(f"V{keys.shape[1] * keys.itemsize}")[:, 0], kind="stable")
+    rows = keys[order]
+    start = np.ones(len(rows), dtype=bool)
+    start[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(start) - 1
+    heads = np.flatnonzero(start)
+    return order[heads], inverse, np.diff(np.append(heads, len(rows)))
+
+
 def motion_key(motion: RigidMotion, grid: float) -> tuple[int, ...]:
     """Quantized 12-tuple of the motion; equal for motions that agree on a basis."""
     return tuple(int(v) for v in _motion_keys(motion.rotation, motion.translation[None], grid)[0])
@@ -139,8 +158,7 @@ def _pose_winner(pp, qq, tq, tp, params: ExactParams) -> MatchResult:
     Ties go to the motion first seen, that is the smallest (tq, tp). The
     winner's motion is rebuilt from its first row by motion_from_bases.
     """
-    keys = _row_keys(pp, qq, tq, tp, params.motion_grid)
-    _, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+    first, _, counts = _group_rows(_row_keys(pp, qq, tq, tp, params.motion_grid))
     top = counts.max()
     r = first[counts == top].min()
     mu = motion_from_bases(qq[tq[r]], pp[tp[r]])
@@ -182,10 +200,7 @@ def alignment(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
     _require_sizes(pp, qq, 3, 3)
     tq, tp = _congruent_triplets(pp, qq, params)
     rot, tr = motions_from_bases(qq[tq], pp[tp])
-    _, first, key = np.unique(
-        _motion_keys(rot, tr, params.motion_grid), axis=0, return_index=True, return_inverse=True
-    )
-    key = key.reshape(-1)  # (K,) under numpy 1.x, (K, 1) under some 2.x releases
+    first, key, _ = _group_rows(_motion_keys(rot, tr, params.motion_grid))
     hits = _nearest_batch(pp, qq, rot[first], tr[first], _ALIGN_CELLS)[1] <= params.tau
 
     def matched(rows):
@@ -211,15 +226,15 @@ def _fourth_point_signs(pts, d, trips):
     point x is 0 inside the zero band |det| < COLLINEAR_REL * scale^3, scale
     being the largest of the quad's six distances.
     """
-    n = len(pts)
-    i, j, k = np.repeat(trips, n, axis=0).T
-    x = np.tile(np.arange(n), len(trips))
+    i, j, k = trips.T
     a = pts[i]
-    det = np.einsum("ij,ij->i", cross(pts[j] - a, pts[k] - a), pts[x] - a)
-    scale = np.max([d[i, j], d[i, k], d[j, k], d[x, i], d[x, j], d[x, k]], axis=0)
+    det = np.einsum("kj,kxj->kx", cross(pts[j] - a, pts[k] - a), pts[None] - a[:, None])
+    # d is symmetric bit for bit, so row d[i] holds the distances d[x, i].
+    side = np.maximum(d[i, j], np.maximum(d[i, k], d[j, k]))[:, None]
+    scale = np.maximum(np.maximum(side, d[i]), np.maximum(d[j], d[k]))
     signs = np.sign(det)
     signs[np.abs(det) < COLLINEAR_REL * scale**3] = 0
-    return signs.reshape(len(trips), n)
+    return signs
 
 
 def geometric_hashing(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
@@ -274,12 +289,11 @@ def ght_pair_based(
     # Tally per (position in the pair list, motion key): a repeated pair
     # votes apart instead of doubling its groups.
     keys = _row_keys(pp, qq, tq, tp, params.motion_grid)
-    _, first, counts = np.unique(
-        np.column_stack([pos, keys]), axis=0, return_index=True, return_counts=True
-    )
+    first, _, counts = _group_rows(np.column_stack([pos, keys]))
     g_tq, g_tp = tq[first], tp[first]
-    # The smallest (-votes, scene pair, model pair, motion key); lexsort is
-    # stable, so equal candidates of a repeated pair go to its first place.
+    # The smallest (-votes, scene pair, model pair, motion key). Two groups
+    # compare equal only when they are one key at two places of a repeated
+    # pair, whose rows are the same, so either gives the same result.
     g = np.lexsort(
         (*keys[first].T[::-1], g_tp[:, 1], g_tp[:, 0], g_tq[:, 1], g_tq[:, 0], -counts)
     )[0]

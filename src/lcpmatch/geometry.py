@@ -73,8 +73,14 @@ def cross(u, v):
 
 def row_norms(d: FloatArray) -> FloatArray:
     """Norms of the rows of (K, 3) `d`, equal bit for bit to np.linalg.norm of
-    each row; a row-wise sum of squares rounds differently."""
+    each row, which takes a dot product; axis_norms rounds differently."""
     return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+
+def axis_norms(d: FloatArray) -> FloatArray:
+    """np.linalg.norm(d, axis=1) of real `d` without its dispatch: the same
+    sum of squares along the axis, so the same bits."""
+    return np.sqrt(np.add.reduce(d * d, axis=1))
 
 
 def pairwise_distances(points: FloatArray) -> FloatArray:
@@ -355,14 +361,14 @@ def dihedral_interval(p1, p2, q, p, r: float) -> AngleInterval:
 def is_collinear(a, b, c, rel: float = COLLINEAR_REL) -> bool:
     """Triangle-height collinearity test, relative to the triplet diameter."""
     pa, pb, pc = as_point(a), as_point(b), as_point(c)
-    dmax = max(
-        float(np.linalg.norm(pb - pa)),
-        float(np.linalg.norm(pc - pa)),
-        float(np.linalg.norm(pc - pb)),
-    )
+    ab, ac, bc = pb - pa, pc - pa, pc - pb
+    # np.sqrt(x.dot(x)) is what np.linalg.norm computes for a 1-D x, and a
+    # square root is monotone, so the largest square gives the largest norm.
+    dmax = float(np.sqrt(max(ab.dot(ab), ac.dot(ac), bc.dot(bc))))
     if dmax == 0.0:
         return True
-    area2 = float(np.linalg.norm(cross(pb - pa, pc - pa)))
+    n = cross(ab, ac)
+    area2 = float(np.sqrt(n.dot(n)))
     # Height above the longest side is area2 / dmax.
     return area2 <= rel * dmax * dmax
 
@@ -376,11 +382,8 @@ def collinear_mask(points: FloatArray, triplets: NDArray, rel: float = COLLINEAR
     ab = b - a
     ac = c - a
     bc = c - b
-    dmax = np.maximum(
-        np.linalg.norm(ab, axis=1),
-        np.maximum(np.linalg.norm(ac, axis=1), np.linalg.norm(bc, axis=1)),
-    )
-    area2 = np.linalg.norm(cross(ab, ac), axis=1)
+    dmax = np.maximum(axis_norms(ab), np.maximum(axis_norms(ac), axis_norms(bc)))
+    area2 = axis_norms(cross(ab, ac))
     return area2 <= rel * dmax * dmax
 
 
@@ -400,19 +403,14 @@ def motion_from_bases(q_triplet, p_triplet) -> RigidMotion:
 def _triplet_frame(trip: FloatArray) -> tuple[FloatArray, FloatArray]:
     """Origin and right-handed orthonormal frame attached to an ordered triplet."""
     a, b, c = trip
-    ab = b - a
-    ac = c - a
-    dmax = max(
-        float(np.linalg.norm(ab)),
-        float(np.linalg.norm(ac)),
-        float(np.linalg.norm(c - b)),
-    )
-    nab = float(np.linalg.norm(ab))
+    ab, ac, bc = b - a, c - a, c - b
+    nab = float(np.sqrt(ab.dot(ab)))
+    dmax = max(nab, float(np.sqrt(ac.dot(ac))), float(np.sqrt(bc.dot(bc))))
     if dmax == 0.0 or nab <= COLLINEAR_REL * dmax:
         raise DegenerateBasis("triplet has coincident points")
     e1 = ab / nab
     h = ac - (ac @ e1) * e1
-    nh = float(np.linalg.norm(h))
+    nh = float(np.sqrt(h.dot(h)))
     if nh <= COLLINEAR_REL * dmax:
         raise DegenerateBasis("triplet is collinear")
     e2 = h / nh
@@ -439,13 +437,13 @@ def _triplet_frames(trips: FloatArray) -> tuple[FloatArray, FloatArray]:
     a, b, c = trips[:, 0], trips[:, 1], trips[:, 2]
     ab = b - a
     ac = c - a
-    nab = np.linalg.norm(ab, axis=1)
-    dmax = np.maximum(nab, np.maximum(np.linalg.norm(ac, axis=1), np.linalg.norm(c - b, axis=1)))
+    nab = axis_norms(ab)
+    dmax = np.maximum(nab, np.maximum(axis_norms(ac), axis_norms(c - b)))
     if ((dmax == 0.0) | (nab <= COLLINEAR_REL * dmax)).any():
         raise DegenerateBasis("triplet has coincident points")
     e1 = ab / nab[:, None]
     h = ac - (ac * e1).sum(axis=1)[:, None] * e1
-    nh = np.linalg.norm(h, axis=1)
+    nh = axis_norms(h)
     if (nh <= COLLINEAR_REL * dmax).any():
         raise DegenerateBasis("triplet is collinear")
     e2 = h / nh[:, None]

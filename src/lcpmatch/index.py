@@ -91,6 +91,14 @@ def _set_bits(flat, values):
     return flat[hit >> 3] * 8 + (hit & 7)
 
 
+def _slots(x, size: int):
+    """np.unique(x, return_inverse=True) of ints 0 <= x < size by a presence
+    table: (used, slot), slot shaped like x, used[slot] == x."""
+    present = np.zeros(size, dtype=bool)
+    present[x] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[x]
+
+
 # Cells of one float compare that builds DistanceRows masks (scene distances
 # x model distances padded to whole bytes, at least one byte of them), and
 # bytes of one AND of their gathered rows (slab pairs x scene points x mask
@@ -147,10 +155,10 @@ class DistanceRows:
         i, j = self.pairs[k].T
         order = np.argsort((pos * m + i) * m + j)
         pos, i, j = pos[order], i[order], j[order]
-        used, slot = np.unique(src, return_inverse=True)
+        used, slot = _slots(src, n)
         masks = self._masks(scene_dists, used, slack)
         # Mask rows of (a, i) and (b, j) in the (used point, model row) layout.
-        slot = slot.reshape(-1, 2)[pos] * m
+        slot = slot[pos] * m
         row_a, row_b = slot[:, 0] + i, slot[:, 1] + j
         width = masks.shape[2]
         step = max(1, _MASK_CELLS // (n * width))

@@ -351,6 +351,44 @@ class TestGhtPairBased:
         repeated = [win] + pairs + [win, pairs[0]]
         assert fingerprint(ght_pair_based(inst.P, inst.Q, pairs=repeated)) == fingerprint(plain)
 
+    # Recorded when the tally ran on np.unique(axis=0), whose groups come in
+    # numeric order; the winner must not depend on the order of the groups.
+    # The list repeats (0, 1) and (2, 3) and holds (0, 1) in both orders. On
+    # 20 of the 24 instances both places of a repeated pair tie at the top.
+    REPEATED_PINNED = {
+        (10, 6, 1): (6, 4, '429db241edb7eb44'),
+        (10, 6, 6): (6, 4, 'f9499c1309162074'),
+        (10, 6, 7): (6, 4, 'a0ecc58ee572cab0'),
+        (10, 6, 8): (6, 4, '0951dbcfe867ca71'),
+        (10, 6, 9): (6, 4, 'bc0a4751faefb65e'),
+        (10, 6, 11): (6, 4, '5053a86c36668c11'),
+        (10, 6, 12): (6, 4, '5a50e4e4efe72b21'),
+        (10, 6, 13): (6, 4, 'f68c57990eb8184e'),
+        (10, 6, 15): (6, 4, '6a0bad3ecf956c0e'),
+        (10, 6, 17): (6, 4, 'a08d90202af78f35'),
+        (10, 6, 20): (6, 4, 'af56f703251c5997'),
+        (10, 6, 21): (6, 4, '14ab2e28aa64e129'),
+        (12, 7, 1): (7, 5, '436eb0d6eb3d8fa0'),
+        (12, 7, 2): (7, 5, 'd802729e381e94e1'),
+        (12, 7, 6): (7, 5, 'd27ca4763119a248'),
+        (12, 7, 7): (7, 5, '146e7c8e48b9d8a5'),
+        (12, 7, 10): (7, 5, '2da2786c925c42a2'),
+        (12, 7, 13): (7, 5, '978f4d45a0cf2500'),
+        (12, 7, 14): (7, 5, 'cca08644fa2d4edf'),
+        (12, 7, 15): (7, 5, 'd05500eb9b4854d1'),
+        (12, 7, 16): (7, 5, '89ea9161e82b95c4'),
+        (12, 7, 18): (7, 5, 'beb66091b3c1f9ef'),
+        (12, 7, 19): (7, 5, '8c4bfb5a2d4b1fa3'),
+        (12, 7, 20): (7, 5, '628ab52c38554281'),
+    }
+
+    @pytest.mark.parametrize("m, k, seed", list(REPEATED_PINNED))
+    def test_repeated_pair_list_pinned(self, m, k, seed):
+        inst = exact_instance(m, k, seed)
+        pairs = [(0, 1), (2, 3), (0, 1), (1, 0), (3, 4), (2, 3)]
+        got = fingerprint(ght_pair_based(inst.P, inst.Q, pairs=pairs))
+        assert got == self.REPEATED_PINNED[(m, k, seed)]
+
     def test_tuple_of_pairs_accepted(self):
         inst = exact_instance(10, 6, 2)
         pairs = materialize_pairs(Pigeonhole(4), len(inst.Q))
