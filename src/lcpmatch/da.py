@@ -15,17 +15,18 @@ arcs, counting each q once, fixes the motion; the base pair itself
 contributes the "+2".
 
 What depends only on a pair is built once. Per call: the axis frames of
-every live source pair and of every ordered model pair (_frames). Per
-batch: one search that keeps its rows as nonzero mask bytes (_base_rows),
-each group's distinct-q bound and row count read off those bytes, the
-bytes of the groups reaching the batch's starting floor put in rank
-order, and the scene table (_cyl_table), the cylinder coordinates of
+every live source pair and of every ordered model pair, in one _frames
+call. Per batch: one search that keeps its rows as nonzero mask bytes
+(_base_rows), each group's distinct-q bound and row count read off those
+bytes, the bytes of the groups reaching the batch's starting floor put in
+rank order, and the scene table (_cyl_table), the cylinder coordinates of
 every scene point about each source pair that owns such a group. Per
 chunk: the unpack of its groups' bytes into rows (groups the floor stops
 are never unpacked), each row's scene side in three gathers from the
-table, its model side about the base axis, its arc, the bounds and the
-sweep. A pair with coincident endpoints keeps a placeholder frame and
-raises DegeneratePair only when a screened base or a winner uses it.
+table, its model side about the base axis, its arc, and its (base, q) keys
+and arc pieces (_pieces), built once for the bound and every sweep. A pair
+with coincident endpoints keeps a placeholder frame and raises
+DegeneratePair only when a screened base or a winner uses it.
 
 Source pairs are taken in batches, one search for the candidate rows of
 every pair in a batch, and one loop (_vote) walks them in every mode. A
@@ -165,8 +166,8 @@ def _frames(points, pairs):
     points[a]; and bad, True where the endpoints coincide, whose frame is a
     placeholder that _gather and _cyl_arcs refuse.
     """
-    origins = points[pairs[:, 0]]
-    d = points[pairs[:, 1]] - origins
+    origins = points.take(pairs[:, 0], axis=0)
+    d = points.take(pairs[:, 1], axis=0) - origins
     length = np.sqrt((d * d).sum(axis=1))
     bad = length == 0.0
     u = d / np.where(bad, 1.0, length)[:, None]
@@ -186,13 +187,13 @@ def _refuse(bad):
 def _gather(axes, idx):
     """(frames, origins) of the _frames rows `idx`, refusing a degenerate one."""
     frames, origins, bad = axes
-    _refuse(bad[idx])
-    return frames[idx], origins[idx]
+    _refuse(bad.take(idx))
+    return frames.take(idx, axis=0), origins.take(idx, axis=0)
 
 
 def _cylinder(frames, origins, points, g, idx):
     """Height, distance and azimuth of points[idx] about axis g in its frame."""
-    v, f = points[idx] - origins[g], frames[g]
+    v, f = points.take(idx, axis=0) - origins.take(g, axis=0), frames.take(g, axis=0)
     # Written out: summing a (rows, 3, 3) product over its last axis took
     # 2.5 times as long.
     x, y, h = (f[:, k, 0] * v[:, 0] + f[:, k, 1] * v[:, 1] + f[:, k, 2] * v[:, 2] for k in range(3))
@@ -204,7 +205,7 @@ def _cyl_table(points, axes, rows):
     the _frames triple `axes`: ((h, r, az), bad), three (len(rows),
     len(points)) arrays by _cylinder's arithmetic element for element, one
     (rows, points) broadcast per operation, and the axes' bad flags."""
-    frames, origins, bad = (x[rows] for x in axes)
+    frames, origins, bad = (x.take(rows, axis=0) for x in axes)
     v = [points[:, c] - origins[:, c, None] for c in range(3)]
     x, y, h = (
         frames[:, k, 0, None] * v[0] + frames[:, k, 1, None] * v[1] + frames[:, k, 2, None] * v[2]
@@ -266,38 +267,43 @@ def _screen(pp, table, model, ids, g, qs, ps, floor, radius):
     row r pairs scene point qs[r] with model point ps[r] under base g[r],
     rows sorted by (g, qs, ps). A call is one chunk, and it computes only
     what depends on the rows: the arcs (_cyl_arcs, with the model side of
-    each row), the bounds and the sweeps. The bases at the highest bound are
-    stabbed first and raise the floor, then the others that reach it; _stab
-    scores a subset of bases as the stacked call does. Returns (overlap,
-    angle) per base.
+    each row), their pieces (_pieces, built once), the bounds and the
+    sweeps. The bases at the highest bound are stabbed first and raise the
+    floor, then the others that reach it; _stab scores a subset of bases as
+    a call on that subset alone does. Returns (overlap, angle) per base.
     """
-    rows = (qs, *_cyl_arcs(pp, table, model, ids, g, qs, ps, radius))
-    bound = _bin_bounds(g, *rows, len(ids))
+    pieces = _pieces(g, qs, *_cyl_arcs(pp, table, model, ids, g, qs, ps, radius))
+    bound = _bin_bounds(pieces, len(ids))
     overlap, angle = np.full(len(ids), -1), np.zeros(len(ids))
     todo = bound == max(floor, bound.max())
     while todo.any():
-        keep = todo[g]
-        local = np.cumsum(todo)[g[keep]] - 1
-        overlap[todo], angle[todo] = _stab(local, *(x[keep] for x in rows), int(todo.sum()))
+        overlap[todo], angle[todo] = (x[todo] for x in _stab(pieces, todo))
         floor = max(floor, int(overlap.max()))
         todo = (bound >= floor) & (overlap < 0)
     return overlap, angle
 
 
 def _wrap_all(theta):
-    """geometry._wrap over an array."""
-    t = theta % TWO_PI
-    return np.where(t >= TWO_PI, 0.0, t)
+    """geometry._wrap over an array with |theta| < 4*pi (_cyl_arcs keeps to
+    3*pi): theta % (2*pi), 2*pi set to 0.0, bit for bit in one add of k*2*pi,
+    exact for k = -1 (Sterbenz), the modulo's one rounded add for k = 1, and
+    for k = 2 the rounding of the sum it rounds after an exact add of 2*pi;
+    k = 0 adds +0.0, turning -0.0 to 0.0 as the modulo does."""
+    k = (theta < 0).view(np.int8) + (theta <= -TWO_PI).view(np.int8)
+    t = theta + (k - (theta >= TWO_PI).view(np.int8)) * TWO_PI
+    t[t >= TWO_PI] = 0.0
+    return t
 
 
 def _split(owner, start, end):
-    """geometry._segments over arrays of arcs from `start` to `end`.
+    """geometry._segments over arrays of arcs from `start` to `end` in [0, 2*pi).
 
     An arc reaching 2*pi becomes the pieces (start, 2*pi) and (0, rest), so
     one ending exactly at 2*pi also covers 0. Returns the owner, start and
-    end of every piece.
+    end of every piece, main pieces first. (end - start) % (2*pi) is one add.
     """
-    stop = start + (end - start) % TWO_PI
+    d = end - start
+    stop = start + (d + (d < 0) * TWO_PI)
     over = stop >= TWO_PI
     return (
         np.concatenate([owner, owner[over]]),
@@ -306,55 +312,68 @@ def _split(owner, start, end):
     )
 
 
-def _stab(g, qs, full, arc, starts, ends, n_bases):
+def _pieces(g, qs, full, arc, starts, ends):
+    """What _bin_bounds and every _stab of a chunk read, rows sorted by (g, qs):
+    the full rows, each (base, q) key's first row, base and whether it has a
+    full row, the arc rows, and each _split piece's row, key, start and end."""
+    new = _run_starts(g, qs)
+    heads = np.flatnonzero(new)
+    key = np.cumsum(new) - 1
+    is_full = np.zeros(len(heads), dtype=bool)
+    is_full[key[full]] = True
+    rows = np.flatnonzero(arc)
+    owner, s, e = _split(rows, _wrap_all(starts[rows]), _wrap_all(ends[rows]))
+    return full, heads, g.take(heads), is_full, rows, owner, key.take(owner), s, e
+
+
+def _stab(pieces, todo):
     """Per-base angle stabbing the most arcs, counting each (base, q) once.
 
-    Rows are sorted by (g, qs); each (base, q) is a key. A key with a full
-    row counts at every angle. Arcs are split at 2*pi into closed pieces,
-    and a key is open wherever one of its pieces is. The steps of a key
-    with two or more pieces, in (angle, start before end) order, sum to 0,
-    so one cumsum over all such keys gives each key's open count: the key
-    opens where that count rises from 0 and closes where it falls back to
-    0. The sweep visits each base's opens and closes in (angle, open before
-    close) order. The running count first peaks at an open, and the next
-    event, a close, ends that peak interval; its middle is the angle, so no
-    key counted there sits at the end of its arc unless the interval is a
-    point. Returns overlap and angle per base; a base with no pieces gets 0.0.
+    A key with a full row counts at every angle; the others sweep their
+    closed pieces, and a key is open wherever one of its pieces is. The
+    steps of a key with two or more pieces, in (angle, start before end)
+    order, sum to 0, so one cumsum over all such keys gives each key's open
+    count: the key opens where that count rises from 0 and closes where it
+    falls back to 0. The sweep visits each base's opens and closes in
+    (angle, open before close) order. The running count first peaks at an
+    open, and the next event, a close, ends that peak interval; its middle
+    is the angle, so no key counted there sits at the end of its arc unless
+    the interval is a point. Returns overlap and angle per base from the
+    chunk's _pieces, read where `todo` is True; a base with no pieces gets 0.0.
     """
-    new = _run_starts(g, qs)
-    key = np.cumsum(new) - 1
-    key_base = g[new]
-    is_full = np.zeros(len(key_base), dtype=bool)
-    is_full[key[full]] = True
-    arc = arc & ~is_full[key]
-    owner, s, e = _split(key[arc], _wrap_all(starts[arc]), _wrap_all(ends[arc]))
-    overlap = np.bincount(key_base[is_full], minlength=n_bases)
-    angle = np.zeros(n_bases)
-    if len(s) == 0:
+    _, _, key_base, is_full, _, _, key, s, e = pieces
+    keep = todo.take(key_base.take(key)) & ~is_full.take(key)
+    owner, pos = key[keep], np.concatenate([s[keep], e[keep]])
+    overlap, angle = np.bincount(key_base[is_full], minlength=len(todo)), np.zeros(len(todo))
+    if len(owner) == 0:
         return overlap, angle
-    ev = np.flatnonzero(np.tile(np.bincount(owner)[owner] > 1, 2))
-    owner, pos = np.tile(owner, 2), np.concatenate([s, e])
-    step = np.repeat([1, -1], len(s))
+    multi = np.bincount(owner).take(owner) > 1
+    ev = np.flatnonzero(np.concatenate([multi, multi]))
+    step = np.concatenate([np.ones_like(owner), -np.ones_like(owner)])
+    owner = np.concatenate([owner, owner])
     if len(ev):
         ev = ev[np.lexsort((-step[ev], pos[ev], owner[ev]))]
         count = np.cumsum(step[ev])
         # Keep an open that leaves its key's count at 1 and a close at 0.
-        inner = ev[count != (step[ev] > 0)]
-        owner, pos, step = (np.delete(x, inner) for x in (owner, pos, step))
-    ev_base = key_base[owner]
+        keep = np.ones(len(pos), dtype=bool)
+        keep[ev[count != (step[ev] > 0)]] = False
+        owner, pos, step = owner[keep], pos[keep], step[keep]
+    ev_base = key_base.take(owner)
     order = np.lexsort((-step, pos, ev_base))
-    ev_base, pos = ev_base[order], pos[order]
-    count = np.cumsum(step[order])
-    heads = np.flatnonzero(_run_starts(ev_base))
+    ev_base, pos = ev_base.take(order), pos.take(order)
+    count = np.cumsum(step.take(order))
+    new = _run_starts(ev_base)
+    heads = np.flatnonzero(new)
     peak = np.maximum.reduceat(count, heads)
-    hit = np.flatnonzero(count == np.repeat(peak, np.diff(np.append(heads, len(pos)))))
-    first_hit = hit[_run_starts(ev_base[hit])]
+    hit = np.flatnonzero(count == peak.take(np.cumsum(new) - 1))
+    first_hit = hit[_run_starts(ev_base.take(hit))]
+    mid = 0.5 * (pos.take(first_hit) + pos.take(first_hit + 1))
     overlap[ev_base[heads]] += peak
-    angle[ev_base[heads]] = _wrap_all(0.5 * (pos[first_hit] + pos[first_hit + 1]))
+    angle[ev_base[heads]] = np.where(mid >= TWO_PI, 0.0, mid)
     return overlap, angle
 
 
-def _bin_bounds(g, qs, full, arc, starts, ends, n_bases):
+def _bin_bounds(pieces, n_bases):
     """Per base, a bound on _stab's overlap from _BINS equal bins of the circle.
 
     Each (base, q) key touches the bins its _split pieces do, all of them
@@ -362,22 +381,20 @@ def _bin_bounds(g, qs, full, arc, starts, ends, n_bases):
     [s, e] touches the bins from that of s to that of e, by a monotone bin
     index, so a key open at _stab's angle touches that angle's bin.
     """
+    full, heads, key_base, _, rows, owner, _, s, e = pieces
     # One bit a bin; _BINS is a power of two up to 64.
     dtype = np.dtype(f"<u{max(_BINS // 8, 1)}")
     ones = dtype.type(np.iinfo(dtype).max)
-    rows = np.flatnonzero(arc)
-    owner, s, e = _split(rows, _wrap_all(starts[arc]), _wrap_all(ends[arc]))
     lo, hi = (np.minimum(x * (_BINS / TWO_PI), _BINS - 1).astype(dtype) for x in (s, e))
     piece = (ones >> (8 * dtype.itemsize - 1 - hi)) & (ones << lo)
     mask = np.where(full, ones, 0).astype(dtype)
     mask[rows] = piece[: len(rows)]
     mask[owner[len(rows) :]] |= piece[len(rows) :]  # the wrapped pieces from 0
-    heads = np.flatnonzero(_run_starts(g, qs))
     keys = np.bitwise_or.reduceat(mask, heads).view(np.uint8).reshape(-1, dtype.itemsize)
     bins = np.unpackbits(keys, axis=1, bitorder="little")
-    first = np.flatnonzero(_run_starts(g[heads]))
+    first = np.flatnonzero(_run_starts(key_base))
     bound = np.zeros(n_bases, dtype=np.int64)
-    bound[g[heads[first]]] = np.add.reduceat(bins, first, axis=0, dtype=np.int64).max(axis=1)
+    bound[key_base[first]] = np.add.reduceat(bins, first, axis=0, dtype=np.int64).max(axis=1)
     return bound
 
 
@@ -509,9 +526,9 @@ def _fit(pp, qq, sets):
     stacked."""
     cross_cov, ca, cb = [], [], []
     for q, p in (np.array(matched).T for matched in sets):
-        a, b = qq[q], pp[p]
-        ca.append(a.mean(axis=0))
-        cb.append(b.mean(axis=0))
+        a, b = qq.take(q, axis=0), pp.take(p, axis=0)
+        ca.append(np.add.reduce(a, 0) / len(a))
+        cb.append(np.add.reduce(b, 0) / len(b))
         cross_cov.append((a - ca[-1]).T @ (b - cb[-1]))
     u, _, vt = np.linalg.svd(np.stack(cross_cov))
     rot = vt.transpose(0, 2, 1) @ u.transpose(0, 2, 1)
@@ -527,26 +544,27 @@ def _vote(pp, qq, source, slack, radius, bare: bool) -> MatchResult:
     _select_winner makes of every base tied at it.
 
     Per call, the axis frames of every live source pair and of every ordered
-    model pair are built once (_frames). Each batch of pairs from _batches
-    takes its groups, as packed bytes, from one _base_rows search, puts the
-    bytes of the groups reaching the batch's starting floor (the only groups
-    it can screen) in rank order, and builds one scene table (_cyl_table):
-    the cylinder coordinates of every scene point about each pair that owns
-    such a group. The groups go by descending distinct-q bound, ties in
-    (pair, base) order, to _screen in chunks of at most _SCREEN_ROWS rows (at
-    least one group), each chunk's rows unpacked from its bytes only then;
-    _screen returns overlap -1 for a base it prunes, one below the floor.
-    The floor starts at the best overlap of the batches before, or 0, and
-    rises after every chunk; a batch stops at the first group whose bound is
-    below it, since every later group's bound is lower. A base at the global
-    maximum M has any bound >= M >= floor, so the tied set is never pruned.
-    With `bare`, a pair with no voting base scores 0 at angle 0.0 with the
-    two bases of _two_match, a 2-match.
+    model pair are built once, in one _frames call. Each batch of pairs from
+    _batches takes its groups, as packed bytes, from one _base_rows search,
+    puts the bytes of the groups reaching the batch's starting floor (the
+    only groups it can screen) in rank order, and builds one scene table
+    (_cyl_table): the cylinder coordinates of every scene point about each
+    pair that owns such a group. The groups go by descending distinct-q
+    bound, ties in (pair, base) order, to _screen in chunks of at most
+    _SCREEN_ROWS rows (at least one group), each chunk's rows unpacked from
+    its bytes only then; _screen returns overlap -1 for a base it prunes,
+    one below the floor. The floor starts at the best overlap of the
+    batches before, or 0, and rises after every chunk; a batch stops at the
+    first group whose bound is below it, since every later group's bound is
+    lower. A base at the global maximum M has any bound >= M >= floor, so
+    the tied set is never pruned. With `bare`, a pair with no voting base
+    scores 0 at angle 0.0 with the two bases of _two_match, a 2-match.
     """
     search = DistanceRows(pp)
     src, lengths = _live_pairs(source, qq, search, slack)
     dists = pairwise_distances(qq)
-    scene, model = _frames(qq, src), _frames(pp, search.pairs)
+    axes = _frames(np.concatenate([qq, pp]), np.concatenate([src, search.pairs + len(qq)]))
+    scene, model = tuple(x[: len(src)] for x in axes), tuple(x[len(src) :] for x in axes)
     # pid[i, j]: the row of model pair (i, j) in search.pairs and in `model`.
     pid = np.zeros((len(pp), len(pp)), dtype=np.int64)
     pid[search.pairs[:, 0], search.pairs[:, 1]] = np.arange(len(search.pairs))
@@ -557,8 +575,9 @@ def _vote(pp, qq, source, slack, radius, bare: bool) -> MatchResult:
             search, dists, slack, pairs, lens
         )
         # Groups in rank order; group t has rows heads[t]:ends[t] of the ranked rows.
-        order = np.argsort(-bounds, kind="stable")
-        owner, bases, sizes = owner[order], bases[order], sizes[order]
+        # A stable sort gives one permutation; on a narrow dtype numpy sorts by radix.
+        order = np.argsort((-bounds).astype(np.min_scalar_type(-len(qq))), kind="stable")
+        owner, bases, sizes = owner[order], bases.take(order, axis=0), sizes[order]
         ranked, ends = (-bounds[order]).tolist(), np.cumsum(sizes).tolist()
         heads = [0] + ends[:-1]
         overlap, angle = np.full(len(order), -1), np.zeros(len(order))
@@ -667,6 +686,8 @@ def expander_da(
     winner size falls short of it by at most (50 / sqrt(degree)) * n, with
     residuals at most report_factor * eps.
     """
+    if not 0 < alpha < np.inf:
+        raise ValueError("alpha must be finite and positive")
     if degree <= 2500.0 * alpha * alpha:
         raise DegreeTooSmall(
             f"degree {degree} must exceed 2500 * alpha^2 = {2500.0 * alpha * alpha:.1f}"

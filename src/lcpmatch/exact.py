@@ -149,7 +149,7 @@ _ALIGN_CELLS = 1 << 16
 
 def _row_keys(pp, qq, tq, tp, grid: float):
     """Motion key of every (scene triplet, model triplet) row, as (K, 12) floats."""
-    return _motion_keys(*motions_from_bases(qq[tq], pp[tp]), grid)
+    return _motion_keys(*motions_from_bases(qq.take(tq, axis=0), pp.take(tp, axis=0)), grid)
 
 
 def _pose_winner(pp, qq, tq, tp, params: ExactParams) -> MatchResult:
@@ -199,9 +199,10 @@ def alignment(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 3, 3)
     tq, tp = _congruent_triplets(pp, qq, params)
-    rot, tr = motions_from_bases(qq[tq], pp[tp])
+    rot, tr = motions_from_bases(qq.take(tq, axis=0), pp.take(tp, axis=0))
     first, key, _ = _group_rows(_motion_keys(rot, tr, params.motion_grid))
-    hits = _nearest_batch(pp, qq, rot[first], tr[first], _ALIGN_CELLS)[1] <= params.tau
+    rot, tr = rot.take(first, axis=0), tr.take(first, axis=0)
+    hits = _nearest_batch(pp, qq, rot, tr, _ALIGN_CELLS)[1] <= params.tau
 
     def matched(rows):
         own = hits[key[rows, None], tq[rows]]

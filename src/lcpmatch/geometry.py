@@ -376,9 +376,7 @@ def is_collinear(a, b, c, rel: float = COLLINEAR_REL) -> bool:
 def collinear_mask(points: FloatArray, triplets: NDArray, rel: float = COLLINEAR_REL) -> NDArray:
     """Vectorized is_collinear over an array of index triplets."""
     pts = np.asarray(points, dtype=np.float64)
-    a = pts[triplets[:, 0]]
-    b = pts[triplets[:, 1]]
-    c = pts[triplets[:, 2]]
+    a, b, c = (pts.take(triplets[:, k], axis=0) for k in range(3))
     ab = b - a
     ac = c - a
     bc = c - b

@@ -152,7 +152,7 @@ class DistanceRows:
         pos = np.repeat(np.arange(len(src)), count)
         # Slab pair k of pos runs over lo[pos] ... hi[pos] - 1.
         k = np.arange(len(pos)) + np.repeat(lo - (np.cumsum(count) - count), count)
-        i, j = self.pairs[k].T
+        i, j = self.pairs.take(k, axis=0).T
         order = np.argsort((pos * m + i) * m + j)
         pos, i, j = pos[order], i[order], j[order]
         used, slot = _slots(src, n)
@@ -164,7 +164,7 @@ class DistanceRows:
         step = max(1, _MASK_CELLS // (n * width))
         blocks = []
         for s in range(0, len(pos), step):
-            both = masks[row_a[s : s + step]] & masks[row_b[s : s + step]]
+            both = masks.take(row_a[s : s + step], axis=0) & masks.take(row_b[s : s + step], axis=0)
             flat = np.flatnonzero(both != 0)
             blocks.append(each(s * n * width + flat, both.take(flat)))
         return pos, i, j, width, blocks

@@ -104,8 +104,8 @@ def _balanced_partition(n: int, block_size: int) -> Partition:
 
 def pigeonhole_partition(n: int, alpha: float, arity: int = 2) -> Partition:
     """Block partition backing the pair (arity=2) or triplet (arity=3) scheme."""
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
+    if not 1 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 1")
     size = math.ceil(alpha) if arity == 2 else math.ceil(2 * alpha)
     return _balanced_partition(n, max(1, size))
 

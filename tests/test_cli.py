@@ -118,6 +118,24 @@ class TestMatch:
         assert code == EXIT_USAGE
         assert json.loads(err)["error"] == "usage"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--algo", "da", "--sampling", "pigeonhole", "--alpha", "inf"),
+            ("--algo", "da", "--sampling", "pigeonhole", "--alpha", "nan"),
+            ("--algo", "da", "--sampling", "pigeonhole", "--alpha", "0.5"),
+            ("--algo", "expander-da", "--degree", "8", "--alpha", "nan", "--seed", "1"),
+            ("--algo", "expander-da", "--degree", "8", "--alpha", "0", "--seed", "1"),
+            ("--algo", "expander-da", "--degree", "8", "--alpha", "inf", "--seed", "1"),
+        ],
+    )
+    def test_bad_alpha_is_a_usage_error(self, instance_file, capsys, flags):
+        code, _, err = run_cli(capsys, "match", str(instance_file), *flags)
+        assert code == EXIT_USAGE
+        error = json.loads(err)
+        assert error["error"] == "usage"
+        assert "alpha" in error["message"]
+
     def test_xyz_file_input(self, tmp_path, capsys):
         pts = np.random.default_rng(0).uniform(0, 10, size=(8, 3))
         p_file = tmp_path / "p.xyz"

@@ -12,10 +12,8 @@ from lcpmatch import da, index
 from lcpmatch.da import (
     MatchParams,
     _base_rows,
-    _bin_bounds,
     _live_pairs,
     _numeric_fuzz,
-    _stab,
     _two_match,
     da_exact,
     da_match,
@@ -653,6 +651,16 @@ def brute_stab(g, qs, full, arc, starts, ends, n_bases):
     return out
 
 
+def stab(g, qs, full, arc, starts, ends, n_bases):
+    """da._stab over every base of the rows, their pieces built first."""
+    return da._stab(da._pieces(g, qs, full, arc, starts, ends), np.ones(n_bases, dtype=bool))
+
+
+def bin_bounds(g, qs, full, arc, starts, ends, n_bases):
+    """da._bin_bounds of the rows, their pieces built first."""
+    return da._bin_bounds(da._pieces(g, qs, full, arc, starts, ends), n_bases)
+
+
 def stab_rows(rows, n_bases):
     """_stab inputs from rows (base, q, kind, start, end), kind in full/arc/empty."""
     rows = sorted(rows, key=lambda r: r[:2])
@@ -709,7 +717,7 @@ class TestScreen:
             [(0, 1, "empty", 0.0, 0.0), (0, 1, "empty", 1.0, 2.0), (0, 2, "arc", 1.0, 2.0)], 1
         )
         assert scalar_stab(*args) == [(1, 1.5)]
-        overlap, angle = _stab(*args)
+        overlap, angle = stab(*args)
         assert (overlap[0], angle[0]) == (1, 1.5)
 
     def test_two_arcs_merge_across_zero(self):
@@ -725,7 +733,7 @@ class TestScreen:
         )
         # The peak runs from 0.25 to 0.5, where q=2 closes.
         assert scalar_stab(*args) == [(2, 0.375)]
-        overlap, angle = _stab(*args)
+        overlap, angle = stab(*args)
         assert (overlap[0], angle[0]) == (2, 0.375)
 
     def test_arcs_covering_the_circle_count_as_full(self):
@@ -742,7 +750,7 @@ class TestScreen:
         # Base 1's arcs open at 0 and close at 2*pi, so its peak interval is
         # the whole circle.
         assert scalar_stab(*args) == [(2, 4.25), (1, np.pi)]
-        overlap, angle = _stab(*args)
+        overlap, angle = stab(*args)
         assert overlap.tolist() == [2, 1]
         assert angle.tolist() == [4.25, np.pi]
 
@@ -751,13 +759,13 @@ class TestScreen:
             [(0, 1, "full", 0.0, 0.0), (0, 2, "full", 0.0, 0.0), (0, 2, "arc", 1.0, 2.0)], 1
         )
         assert scalar_stab(*args) == [(2, 0.0)]
-        overlap, angle = _stab(*args)
+        overlap, angle = stab(*args)
         assert (overlap[0], angle[0]) == (2, 0.0)
 
     def test_arc_ending_at_two_pi_counts_at_zero(self):
         # (5.0, 0.0) ends exactly at 2*pi, which is angle 0, inside (0.0, 1.0).
         args = stab_rows([(0, 1, "arc", 5.0, 0.0), (0, 2, "arc", 0.0, 1.0)], 1)
-        overlap, angle = _stab(*args)
+        overlap, angle = stab(*args)
         assert (overlap[0], angle[0]) == (2, 0.0)
 
     def test_point_arc_at_the_seam(self):
@@ -766,7 +774,7 @@ class TestScreen:
             [(0, 1, "arc", 5.5, 0.0), (0, 1, "arc", 0.0, 0.0), (0, 2, "arc", 0.0, 1.0)], 1
         )
         assert brute_stab(*args) == [(2, 0.0)]
-        overlap, angle = _stab(*args)
+        overlap, angle = stab(*args)
         assert (overlap[0], angle[0]) == (2, 0.0)
 
     @staticmethod
@@ -787,13 +795,13 @@ class TestScreen:
 
     def test_random_rows_match_scalar_sweep(self):
         for args in self.random_row_sets(5, 300):
-            overlap, angle = _stab(*args)
+            overlap, angle = stab(*args)
             assert list(zip(overlap.tolist(), angle.tolist())) == scalar_stab(*args)
 
     def test_random_rows_match_brute_force(self):
         marks = np.array([0.0, 0.5, 1.0, np.pi, 5.0, 6.0, TWO_PI - 0.5, TWO_PI - 1e-17, TWO_PI])
         for args in self.random_row_sets(6, 3000, marks):
-            overlap, angle = _stab(*args)
+            overlap, angle = stab(*args)
             assert list(zip(overlap.tolist(), angle.tolist())) == brute_stab(*args)
 
     def test_bin_bound_at_the_seam(self):
@@ -809,8 +817,8 @@ class TestScreen:
             ],
             2,
         )
-        assert _stab(*args)[0].tolist() == [2, 2]
-        assert _bin_bounds(*args).tolist() == [2, 2]
+        assert stab(*args)[0].tolist() == [2, 2]
+        assert bin_bounds(*args).tolist() == [2, 2]
 
     @pytest.mark.parametrize("bins", [1, 8, 64])
     def test_bin_bound_covers_the_overlap(self, monkeypatch, bins):
@@ -825,8 +833,8 @@ class TestScreen:
             point = rng.random(len(ends)) < 0.1
             ends = np.where(point, np.nextafter(starts, -np.inf), ends)
             args = g, qs, full, arc, starts, ends, n_bases
-            bound = _bin_bounds(*args)
-            assert (bound >= _stab(*args)[0]).all()
+            bound = bin_bounds(*args)
+            assert (bound >= stab(*args)[0]).all()
             # Never above the count of q with a full or arc row.
             voting = {(base, q) for base, q, v in zip(g, qs, full | arc) if v}
             keys = np.bincount([base for base, _ in voting], minlength=n_bases)
@@ -840,8 +848,8 @@ class TestScreen:
         offsets = np.cumsum([0] + [args[-1] for args in sets])
         g = np.concatenate([args[0] + off for args, off in zip(sets, offsets)])
         rest = [np.concatenate([args[k] for args in sets]) for k in range(1, 6)]
-        overlap, angle = _stab(g, *rest, int(offsets[-1]))
-        want = [pair for args in sets for pair in zip(*(x.tolist() for x in _stab(*args)))]
+        overlap, angle = stab(g, *rest, int(offsets[-1]))
+        want = [pair for args in sets for pair in zip(*(x.tolist() for x in stab(*args)))]
         assert list(zip(overlap.tolist(), angle.tolist())) == want
 
     @pytest.mark.parametrize("seed", range(1, 4))
@@ -1590,6 +1598,13 @@ class TestExpanderDa:
         inst = generate_instance(GenSpec(m=10, n=10, k=6, eps=0.2), seed=0)
         with pytest.raises(DegreeTooSmall):
             expander_da(inst.P, inst.Q, eps=0.2, degree=100, alpha=4, seed=0)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), 0.0, -0.0, -0.05, float("inf")])
+    def test_alpha_outside_zero_to_inf_rejected(self, alpha):
+        # NaN would pass the degree check, which compares against it.
+        inst = generate_instance(GenSpec(m=10, n=10, k=6, eps=0.2), seed=0)
+        with pytest.raises(ValueError, match="alpha"):
+            expander_da(inst.P, inst.Q, eps=0.2, degree=8, alpha=alpha, seed=0)
 
     def test_tiny_slack_forces_full_recovery(self):
         # 50 n / sqrt(d) < 1 forces the degenerate complete-graph source.

@@ -5,14 +5,18 @@ Each reference below is the replaced code, kept as the oracle:
 np.unique(axis=0) for exact._group_rows, the per-(triplet, fourth point)
 row form for exact._fourth_point_signs, np.linalg.norm for
 geometry.axis_norms and the scalar frame tests, and
-np.unique(return_inverse=True) for index._slots.
+np.unique(return_inverse=True) for index._slots, float modulo for
+da._wrap_all and da._split, and the per-call sweep and bound for the DA
+screen's shared pieces.
 """
 
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+from lcpmatch import da
 from lcpmatch.errors import DegenerateBasis
 from lcpmatch.exact import (
     ExactParams,
@@ -24,6 +28,7 @@ from lcpmatch.exact import (
 )
 from lcpmatch.geometry import (
     COLLINEAR_REL,
+    TWO_PI,
     _triplet_frame,
     as_point,
     axis_norms,
@@ -33,8 +38,15 @@ from lcpmatch.geometry import (
 )
 from lcpmatch.index import _slots
 
+import test_da
 from test_geometry import same_bits
-from test_pinned_outputs import EXACT_INSTANCES, exact_instance
+from test_pinned_outputs import (
+    EXACT_INSTANCES,
+    TOLERANT_CALLS,
+    TOLERANT_SEEDS,
+    exact_instance,
+    tolerant_instance,
+)
 
 SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
 
@@ -245,3 +257,235 @@ def test_slots_equal_unique_inverse(seed):
         assert slot.shape == arr.shape
         np.testing.assert_array_equal(slot.reshape(-1), want_slot.reshape(-1))
         np.testing.assert_array_equal(used[slot], arr)
+
+
+# ---------------------------------------------------------------------------
+# angles wrapped without float modulo
+# ---------------------------------------------------------------------------
+
+
+def wrap_all_reference(theta):
+    t = theta % TWO_PI
+    return np.where(t >= TWO_PI, 0.0, t)
+
+
+def split_reference(owner, start, end):
+    stop = start + (end - start) % TWO_PI
+    over = stop >= TWO_PI
+    return (
+        np.concatenate([owner, owner[over]]),
+        np.concatenate([start, np.zeros(int(over.sum()))]),
+        np.concatenate([np.where(over, TWO_PI, stop), stop[over] - TWO_PI]),
+    )
+
+
+def near(values, ulps=40):
+    """Each value and its `ulps` float neighbours on either side."""
+    out = [np.asarray(values, dtype=np.float64)]
+    for direction in (np.inf, -np.inf):
+        x = out[0]
+        for _ in range(ulps):
+            x = np.nextafter(x, direction)
+            out.append(x)
+    return np.concatenate(out)
+
+
+def test_wrap_all_equals_float_modulo(rng):
+    marks = np.pi * np.array([0.0, 0.5, 1.0, 2.0, 3.0, 3.5])
+    edges = near(np.concatenate([marks, -marks, [-0.0, 1e-300, -1e-300, 5e-324, -5e-324]]))
+    for theta in (
+        rng.uniform(-3 * np.pi, 3 * np.pi, 400_000),
+        np.nextafter(rng.uniform(-4 * np.pi, 4 * np.pi, 400_000), 0.0),
+        # Tiny values of both signs; a negative one plus 2*pi rounds to 2*pi.
+        rng.uniform(-1, 1, 20_000) * 10.0 ** rng.uniform(-300, 0, 20_000),
+        edges,
+    ):
+        assert same_bits(da._wrap_all(theta), wrap_all_reference(theta))
+    # Only +0.0 comes out for a zero.
+    assert not np.signbit(da._wrap_all(np.array([-0.0, 0.0, TWO_PI, -TWO_PI]))).any()
+
+
+def test_split_equals_float_modulo(rng):
+    starts = np.concatenate([rng.uniform(0, TWO_PI, 200_000), near([0.0, np.pi, TWO_PI - 1e-15])])
+    starts = wrap_all_reference(starts)
+    for ends in (
+        wrap_all_reference(rng.uniform(0, TWO_PI, len(starts))),
+        starts,
+        # An end one ulp below its start covers all of the circle but that ulp.
+        np.nextafter(starts, -np.inf),
+        np.nextafter(starts, np.inf),
+        wrap_all_reference(starts + rng.choice([-1e-15, 1e-15, np.pi, -np.pi], len(starts))),
+    ):
+        ends = np.clip(ends, 0.0, np.nextafter(TWO_PI, 0))
+        owner = np.arange(len(starts))
+        got, want = da._split(owner, starts, ends), split_reference(owner, starts, ends)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
+
+
+# ---------------------------------------------------------------------------
+# one set of pieces per screen chunk
+# ---------------------------------------------------------------------------
+
+
+def stab_reference(g, qs, full, arc, starts, ends, n_bases):
+    """The sweep as one call per base subset built it, keys and pieces anew."""
+    new = da._run_starts(g, qs)
+    key = np.cumsum(new) - 1
+    key_base = g[new]
+    is_full = np.zeros(len(key_base), dtype=bool)
+    is_full[key[full]] = True
+    arc = arc & ~is_full[key]
+    owner, s, e = split_reference(
+        key[arc], wrap_all_reference(starts[arc]), wrap_all_reference(ends[arc])
+    )
+    overlap = np.bincount(key_base[is_full], minlength=n_bases)
+    angle = np.zeros(n_bases)
+    if len(s) == 0:
+        return overlap, angle
+    ev = np.flatnonzero(np.tile(np.bincount(owner)[owner] > 1, 2))
+    owner, pos = np.tile(owner, 2), np.concatenate([s, e])
+    step = np.repeat([1, -1], len(s))
+    if len(ev):
+        ev = ev[np.lexsort((-step[ev], pos[ev], owner[ev]))]
+        count = np.cumsum(step[ev])
+        inner = ev[count != (step[ev] > 0)]
+        owner, pos, step = (np.delete(x, inner) for x in (owner, pos, step))
+    ev_base = key_base[owner]
+    order = np.lexsort((-step, pos, ev_base))
+    ev_base, pos = ev_base[order], pos[order]
+    count = np.cumsum(step[order])
+    heads = np.flatnonzero(da._run_starts(ev_base))
+    peak = np.maximum.reduceat(count, heads)
+    hit = np.flatnonzero(count == np.repeat(peak, np.diff(np.append(heads, len(pos)))))
+    first_hit = hit[da._run_starts(ev_base[hit])]
+    overlap[ev_base[heads]] += peak
+    angle[ev_base[heads]] = wrap_all_reference(0.5 * (pos[first_hit] + pos[first_hit + 1]))
+    return overlap, angle
+
+
+def bin_bounds_reference(g, qs, full, arc, starts, ends, n_bases):
+    dtype = np.dtype(f"<u{max(da._BINS // 8, 1)}")
+    ones = dtype.type(np.iinfo(dtype).max)
+    rows = np.flatnonzero(arc)
+    owner, s, e = split_reference(
+        rows, wrap_all_reference(starts[arc]), wrap_all_reference(ends[arc])
+    )
+    lo, hi = (np.minimum(x * (da._BINS / TWO_PI), da._BINS - 1).astype(dtype) for x in (s, e))
+    piece = (ones >> (8 * dtype.itemsize - 1 - hi)) & (ones << lo)
+    mask = np.where(full, ones, 0).astype(dtype)
+    mask[rows] = piece[: len(rows)]
+    mask[owner[len(rows) :]] |= piece[len(rows) :]
+    heads = np.flatnonzero(da._run_starts(g, qs))
+    keys = np.bitwise_or.reduceat(mask, heads).view(np.uint8).reshape(-1, dtype.itemsize)
+    bins = np.unpackbits(keys, axis=1, bitorder="little")
+    first = np.flatnonzero(da._run_starts(g[heads]))
+    bound = np.zeros(n_bases, dtype=np.int64)
+    bound[g[heads[first]]] = np.add.reduceat(bins, first, axis=0, dtype=np.int64).max(axis=1)
+    return bound
+
+
+def screen_reference(g, qs, full, arc, starts, ends, n_bases, floor):
+    """The screen's loop over its rows, each sweep on the kept rows alone."""
+    rows = (qs, full, arc, starts, ends)
+    bound = bin_bounds_reference(g, *rows, n_bases)
+    overlap, angle = np.full(n_bases, -1), np.zeros(n_bases)
+    todo = bound == max(floor, bound.max())
+    while todo.any():
+        keep = todo[g]
+        local = np.cumsum(todo)[g[keep]] - 1
+        overlap[todo], angle[todo] = stab_reference(
+            local, *(x[keep] for x in rows), int(todo.sum())
+        )
+        floor = max(floor, int(overlap.max()))
+        todo = (bound >= floor) & (overlap < 0)
+    return overlap, angle
+
+
+def screen_on_rows(monkeypatch, g, qs, full, arc, starts, ends, n_bases, floor):
+    """da._screen on given arcs, standing in for _cyl_arcs."""
+    monkeypatch.setattr(da, "_cyl_arcs", lambda *args: (full, arc, starts, ends))
+    ids = np.zeros((n_bases, 2), dtype=np.int64)
+    return da._screen(None, None, None, ids, g, qs, None, floor, None)
+
+
+def assert_same_screen(got, want):
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+@lru_cache(maxsize=None)
+def recorded_rows():
+    """The arguments and arcs of the screens of the tolerant pinned calls
+    (da_match over all, pigeonhole and expander pairs, m=16, n=24) and of
+    da_exact on the pinned exact instances."""
+    runs = [
+        (tolerant_instance(seed), lambda P, Q, seed=seed, call=call: call(P, Q, seed))
+        for seed in TOLERANT_SEEDS
+        for call in TOLERANT_CALLS.values()
+    ]
+    runs += [(exact_instance(*key), lambda P, Q: da.da_exact(P, Q)) for key in EXACT_INSTANCES]
+    out = []
+    for inst, run in runs:
+        with test_da.recorded_screens() as recorded:
+            run(inst.P, inst.Q)
+        for args, _, _, _ in recorded:
+            out.append((args, da._cyl_arcs(*args[:7], args[8])))
+    return out
+
+
+def test_screen_equals_per_call_sweeps_on_recorded_screens():
+    calls = rows = 0
+    for args, arcs in recorded_rows():
+        ids, g, qs, floor = args[3], args[4], args[5], args[7]
+        for start in (floor, 0):
+            want = screen_reference(g, qs, *arcs, len(ids), start)
+            assert_same_screen(da._screen(*args[:7], start, args[8]), want)
+        calls, rows = calls + 1, rows + len(g)
+    assert calls > 50 and rows > 80_000
+
+
+@pytest.mark.parametrize("bins", [1, 8, 64])
+def test_screen_equals_per_call_sweeps_on_random_rows(monkeypatch, bins):
+    marks = np.array([0.0, 0.5, np.pi, TWO_PI - 0.5, TWO_PI - 1e-17, TWO_PI])
+    rng = np.random.default_rng(bins)
+    monkeypatch.setattr(da, "_BINS", bins)
+    for g, qs, full, arc, starts, ends, n_bases in test_da.TestScreen.random_row_sets(
+        bins, 1500, marks
+    ):
+        # Arcs from the whole of _cyl_arcs' range, and point arcs whose end
+        # rounds one ulp below their start.
+        shift = rng.integers(-1, 2, len(starts)) * TWO_PI
+        starts, ends = starts + shift, ends + shift
+        point = rng.random(len(ends)) < 0.1
+        ends = np.where(point, np.nextafter(starts, -np.inf), ends)
+        rows = (g, qs, full, arc, starts, ends)
+        for floor in (0, 1, 2):
+            want = screen_reference(*rows, n_bases, floor)
+            assert_same_screen(screen_on_rows(monkeypatch, *rows, n_bases, floor), want)
+        todo = rng.random(n_bases) < 0.5
+        keep = todo[g]
+        local = np.cumsum(todo)[g[keep]] - 1
+        got = da._stab(da._pieces(*rows), todo)
+        want = stab_reference(local, *(x[keep] for x in rows[1:]), int(todo.sum()))
+        assert_same_screen(tuple(x[todo] for x in got), want)
+        bound = da._bin_bounds(da._pieces(*rows), n_bases)
+        assert same_bits(bound, bin_bounds_reference(*rows, n_bases))
+
+
+def test_cyl_arcs_stay_within_four_pi(rng):
+    arcs = 0
+    for _, (_, _, starts, ends) in recorded_rows():
+        assert (np.abs(starts) < 2 * TWO_PI).all() and (np.abs(ends) < 2 * TWO_PI).all()
+    for scale in (1e-9, 1e-3, 1.0, 1e3, 1e6):
+        pp, qq = (rng.uniform(-1, 1, size=(12, 3)) * scale for _ in range(2))
+        pairs = np.argwhere(~np.eye(12, dtype=bool))
+        scene, model = da._frames(qq, pairs), da._frames(pp, pairs)
+        table = da._cyl_table(qq, scene, np.arange(len(pairs)))
+        ids = rng.integers(0, len(pairs), size=(300, 2))
+        g = np.sort(rng.integers(0, len(ids), 20_000))
+        qs, ps = rng.integers(0, 12, size=(2, len(g)))
+        for radius in (1e-12 * scale, 0.1 * scale, scale, 4 * scale):
+            full, arc, starts, ends = da._cyl_arcs(pp, table, model, ids, g, qs, ps, radius)
+            arcs += int(arc.sum())
+            assert (np.abs(starts) < 2 * TWO_PI).all() and (np.abs(ends) < 2 * TWO_PI).all()
+    assert arcs > 20_000

@@ -14,6 +14,7 @@ from lcpmatch.sampling import (
     estimate_lambda,
     materialize_pairs,
     pigeonhole_pairs,
+    pigeonhole_partition,
     pigeonhole_triplets,
     random_regular_graph,
 )
@@ -33,6 +34,14 @@ class TestPigeonholePairs:
 
     def test_alpha1_degenerate(self):
         assert pigeonhole_pairs(9, 1) == []
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize("alpha", [0.5, 0.0, -1.0, math.inf, math.nan])
+    def test_alpha_outside_one_to_inf_rejected(self, alpha, arity):
+        with pytest.raises(ValueError, match="alpha"):
+            pigeonhole_partition(12, alpha, arity)
+        with pytest.raises(ValueError, match="alpha"):
+            (pigeonhole_pairs if arity == 2 else pigeonhole_triplets)(12, alpha)
 
     @pytest.mark.parametrize("n", range(2, 13))
     @pytest.mark.parametrize("alpha", [2, 3])
