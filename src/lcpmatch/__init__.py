@@ -32,7 +32,6 @@ from .exact import (
 )
 from .geometry import (
     RigidMotion,
-    hausdorff,
     least_squares_motion,
     min_interpoint_distance,
     motion_from_bases,
@@ -43,7 +42,6 @@ from .oracle import (
     Instance,
     OracleResult,
     Truth,
-    bottleneck_distance,
     exact_lcp_bruteforce,
     generate_instance,
     verify_motion,
@@ -58,7 +56,6 @@ from .sampling import (
     estimate_lambda,
     materialize_pairs,
     pigeonhole_pairs,
-    pigeonhole_triplets,
     random_regular_graph,
 )
 

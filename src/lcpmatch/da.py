@@ -428,9 +428,7 @@ def _base_rows(search, dists, slack, src, lengths):
     so _set_bits(cols, values) of a run of groups gives q * 8 * width + p
     of their rows (q, p), by group, q, then p.
     """
-    pos, i, j, width, blocks = search.nonzero_bytes(dists, src, lengths, slack, lambda *b: b)
-    empty = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    flat, values = (np.concatenate(x) for x in zip(empty, *blocks))
+    pos, i, j, width, flat, values = search.nonzero_bytes(dists, src, lengths, slack)
     cell = flat // width  # the (entry, q) of each byte
     e = cell // len(dists)
     heads = np.flatnonzero(_run_starts(e))

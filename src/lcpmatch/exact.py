@@ -57,22 +57,25 @@ from .result import MatchResult, build_match_result
 from .sampling import AllPairs, PairSource, materialize_pairs
 
 
+# Quantization step of motion votes, in rotation entries and lengths.
+MOTION_GRID = 1e-6
+
+
 @dataclass(frozen=True)
 class ExactParams:
     """Floating-point realization of exact matching.
 
     tau: absolute congruence/match tolerance (a length).
-    motion_grid: quantization step for motion votes.
 
-    Collinear bases are skipped at geometry.COLLINEAR_REL.
+    Motion votes are quantized at MOTION_GRID, and collinear bases are
+    skipped at geometry.COLLINEAR_REL.
     """
 
     tau: float = 1e-9
-    motion_grid: float = 1e-6
 
     def __post_init__(self):
-        if not (0 < self.tau < np.inf and 0 < self.motion_grid < np.inf):
-            raise ValueError("tau and motion_grid must be finite and positive")
+        if not 0 < self.tau < np.inf:
+            raise ValueError("tau must be finite and positive")
 
 
 def _motion_keys(rot, tr, grid: float):
@@ -147,9 +150,9 @@ def _congruent_triplets(pp, qq, params: ExactParams):
 _ALIGN_CELLS = 1 << 16
 
 
-def _row_keys(pp, qq, tq, tp, grid: float):
+def _row_keys(pp, qq, tq, tp):
     """Motion key of every (scene triplet, model triplet) row, as (K, 12) floats."""
-    return _motion_keys(*motions_from_bases(qq.take(tq, axis=0), pp.take(tp, axis=0)), grid)
+    return _motion_keys(*motions_from_bases(qq.take(tq, axis=0), pp.take(tp, axis=0)), MOTION_GRID)
 
 
 def _pose_winner(pp, qq, tq, tp, params: ExactParams) -> MatchResult:
@@ -158,7 +161,7 @@ def _pose_winner(pp, qq, tq, tp, params: ExactParams) -> MatchResult:
     Ties go to the motion first seen, that is the smallest (tq, tp). The
     winner's motion is rebuilt from its first row by motion_from_bases.
     """
-    first, _, counts = _group_rows(_row_keys(pp, qq, tq, tp, params.motion_grid))
+    first, _, counts = _group_rows(_row_keys(pp, qq, tq, tp))
     top = counts.max()
     r = first[counts == top].min()
     mu = motion_from_bases(qq[tq[r]], pp[tp[r]])
@@ -200,7 +203,7 @@ def alignment(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
     _require_sizes(pp, qq, 3, 3)
     tq, tp = _congruent_triplets(pp, qq, params)
     rot, tr = motions_from_bases(qq.take(tq, axis=0), pp.take(tp, axis=0))
-    first, key, _ = _group_rows(_motion_keys(rot, tr, params.motion_grid))
+    first, key, _ = _group_rows(_motion_keys(rot, tr, MOTION_GRID))
     rot, tr = rot.take(first, axis=0), tr.take(first, axis=0)
     hits = _nearest_batch(pp, qq, rot, tr, _ALIGN_CELLS)[1] <= params.tau
 
@@ -289,7 +292,7 @@ def ght_pair_based(
     pos, tq, tp = _congruent_rows(pp, qq, ab, params.tau)
     # Tally per (position in the pair list, motion key): a repeated pair
     # votes apart instead of doubling its groups.
-    keys = _row_keys(pp, qq, tq, tp, params.motion_grid)
+    keys = _row_keys(pp, qq, tq, tp)
     first, _, counts = _group_rows(np.column_stack([pos, keys]))
     g_tq, g_tp = tq[first], tp[first]
     # The smallest (-votes, scene pair, model pair, motion key). Two groups

@@ -152,13 +152,6 @@ class RigidMotion:
             return self.rotation @ pts + self.translation
         return pts @ self.rotation.T + self.translation
 
-    def compose(self, inner: "RigidMotion") -> "RigidMotion":
-        """Return self o inner, i.e. apply `inner` first."""
-        return RigidMotion(
-            self.rotation @ inner.rotation,
-            self.rotation @ inner.translation + self.translation,
-        )
-
     def inverse(self) -> "RigidMotion":
         rt = self.rotation.T
         return RigidMotion(rt, -(rt @ self.translation))
@@ -509,17 +502,6 @@ def pair_canonical_motion(p1, p2, q1, q2) -> RigidMotion:
         w = w / np.linalg.norm(w)
         rot = 2.0 * np.outer(w, w) - np.eye(3)
     return RigidMotion(rot, a1 - rot @ b1)
-
-
-def hausdorff(P, Q) -> float:
-    """Directed Hausdorff distance from Q to P: max over q of min over p of |pq|."""
-    pp = as_points(P)
-    qq = as_points(Q)
-    if len(pp) == 0 or len(qq) == 0:
-        raise EmptySet("hausdorff requires non-empty point sets")
-    diff = qq[:, None, :] - pp[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2))
-    return float(d.min(axis=1).max())
 
 
 def least_squares_motion(src: FloatArray, dst: FloatArray) -> RigidMotion:

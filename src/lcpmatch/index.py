@@ -7,10 +7,10 @@ bit-packed masks of the model distance rows, m^2 n / 8 bytes per scene
 point searched. A mask is built by one outer subtraction of scene and
 model distance rows and one flat bit pack; a search ANDs the masks of its
 length-slab entries, taken in (pair, i, j) order, in blocks, and keeps
-the nonzero bytes (nonzero_bytes). query unpacks each block's bytes as it
-comes, so its rows come out grouped by base; the DA matcher keeps them and
-unpacks a base's rows only when it screens that base. The length slab of
-a pair is also DA's pair-length filter. The pair dictionary answers "is
+the nonzero bytes (nonzero_bytes). query unpacks all of them at once, its
+rows grouped by base; the DA matcher keeps the bytes and unpacks a base's
+rows only when it screens that base. The length slab of a pair is also
+DA's pair-length filter. The pair dictionary answers "is
 there a pair of P with length within a slack of L" by binary search on a
 sorted length array; the triplet index holds the ordered triplets of P
 with their triangle keys and answers box and first-key queries by one
@@ -132,17 +132,18 @@ class DistanceRows:
             np.searchsorted(self.lengths, lengths + slack, side="right"),
         )
 
-    def nonzero_bytes(self, scene_dists, src, lengths, slack: float, each):
-        """The slab entries of the source pairs `src` and the AND loop over them.
+    def nonzero_bytes(self, scene_dists, src, lengths, slack: float):
+        """The slab entries of the source pairs `src` and the nonzero bytes
+        of their AND masks.
 
-        Returns (pos, i, j, width, blocks). Entry e is model pair (i[e],
-        j[e]) in the length slab of src[pos[e]] = (a, b), entries sorted by
-        (pos, i, j). The loop ANDs the masks of (a, i) and (b, j), a block of
-        at most _MASK_CELLS bytes of entries at a time, and `blocks` holds
-        each(flat, values) of each block's nonzero bytes: the byte at index
-        flat[k] of the (entry, q, byte) layout, `width` bytes a q, is
-        values[k], ascending. Bit p % 8 (little bit order) of byte p // 8 of
-        (e, q) is set exactly when (q, p) passes query's test under entry e.
+        Returns (pos, i, j, width, flat, values). Entry e is model pair
+        (i[e], j[e]) in the length slab of src[pos[e]] = (a, b), entries
+        sorted by (pos, i, j). The masks of (a, i) and (b, j) are ANDed a
+        block of at most _MASK_CELLS bytes of entries at a time, and the
+        nonzero bytes of all blocks are kept: the byte at index flat[k] of
+        the (entry, q, byte) layout, `width` bytes a q, is values[k],
+        ascending. Bit p % 8 (little bit order) of byte p // 8 of (e, q) is
+        set exactly when (q, p) passes query's test under entry e.
         """
         scene_dists = np.asarray(scene_dists, dtype=np.float64)
         src = np.asarray(src, dtype=np.int64).reshape(-1, 2)
@@ -162,12 +163,13 @@ class DistanceRows:
         row_a, row_b = slot[:, 0] + i, slot[:, 1] + j
         width = masks.shape[2]
         step = max(1, _MASK_CELLS // (n * width))
-        blocks = []
+        flats, values = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.uint8)]
         for s in range(0, len(pos), step):
             both = masks.take(row_a[s : s + step], axis=0) & masks.take(row_b[s : s + step], axis=0)
             flat = np.flatnonzero(both != 0)
-            blocks.append(each(s * n * width + flat, both.take(flat)))
-        return pos, i, j, width, blocks
+            flats.append(s * n * width + flat)
+            values.append(both.take(flat))
+        return pos, i, j, width, np.concatenate(flats), np.concatenate(values)
 
     def query(self, scene_dists, src, lengths, slack: float):
         """Every congruent (pos, q, i, j, p) of the source pairs `src`.
@@ -178,12 +180,11 @@ class DistanceRows:
         q]) <= slack and abs(dists[j, p] - scene_dists[b, q]) <= slack, with
         q not in {a, b} and p not in {i, j}: the triangle-key test of
         (|ab|, |aq|, |bq|) against (|ij|, |ip|, |jp|), float for float.
-        nonzero_bytes unpacks each block's bytes as the block comes, so the
-        five int64 arrays come out ordered by pos, i, j, q, then p.
+        The five int64 arrays come out ordered by pos, i, j, q, then p.
         """
-        pos, i, j, width, hits = self.nonzero_bytes(scene_dists, src, lengths, slack, _set_bits)
+        pos, i, j, width, flat, values = self.nonzero_bytes(scene_dists, src, lengths, slack)
         # Bit index into the (entry, q, p) bits, p padded to whole bytes.
-        hit = np.concatenate([np.empty(0, dtype=np.int64), *hits])
+        hit = _set_bits(flat, values)
         n = len(scene_dists)
         e = hit // (8 * n * width)
         q_p = hit - e * (8 * n * width)

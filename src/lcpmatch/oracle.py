@@ -32,7 +32,7 @@ from .geometry import (
     tolerant_precondition,
 )
 from .index import ordered_triplets_and_keys
-from .result import greedy_injective
+from .result import certify
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +137,7 @@ def verify_motion(P, Q, motion: RigidMotion, radius: float) -> VerifyResult:
     """Exact matched set of `motion` at finite `radius` >= 0, plus its injective resolution."""
     if not 0 <= radius < np.inf:
         raise ValueError("radius must be finite and >= 0")
-    pairs, res = nearest_matches(P, Q, motion, radius)
-    return VerifyResult(
-        matched=tuple(pairs),
-        dedup_matched=greedy_injective(pairs, res),
-        max_residual=float(res.max()) if len(res) else 0.0,
-    )
+    return VerifyResult(*certify(*nearest_matches(P, Q, motion, radius)))
 
 
 # ---------------------------------------------------------------------------

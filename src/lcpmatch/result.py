@@ -72,6 +72,13 @@ def greedy_injective(pairs: list[tuple[int, int]], residuals: FloatArray) -> tup
     return tuple(kept)
 
 
+def certify(pairs: list[tuple[int, int]], residuals: FloatArray):
+    """(matched, dedup_matched, max_residual) of the nearest_matches output
+    (pairs, residuals); max_residual is 0.0 when nothing matched."""
+    max_res = float(residuals.max()) if len(residuals) else 0.0
+    return tuple(pairs), greedy_injective(pairs, residuals), max_res
+
+
 def build_match_result(
     P,
     Q,
@@ -82,18 +89,8 @@ def build_match_result(
     angle=None,
 ) -> MatchResult:
     """Verify `motion` against P at `radius` and package the certificate."""
-    pairs, res = nearest_matches(P, Q, motion, radius)
-    max_res = float(res.max()) if len(res) else 0.0
-    return MatchResult(
-        motion=motion,
-        matched=tuple(pairs),
-        dedup_matched=greedy_injective(pairs, res),
-        max_residual=max_res,
-        votes=votes,
-        radius=radius,
-        base_pair=base_pair,
-        angle=angle,
-    )
+    certificate = certify(*nearest_matches(P, Q, motion, radius))
+    return MatchResult(motion, *certificate, votes, radius, base_pair, angle)
 
 
-__all__ = ["MatchResult", "build_match_result", "greedy_injective"]
+__all__ = ["MatchResult", "build_match_result", "certify", "greedy_injective"]

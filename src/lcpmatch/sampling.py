@@ -9,7 +9,8 @@ floor(n / block_size) is what makes the covering guarantee hold for ragged n.
 
 Expander pair sources realize "well-spread pairs" as random regular graphs
 whose second eigenvalue is computed by a dense symmetric eigensolver after
-generation; generation retries with derived seeds until it clears 2*sqrt(d).
+generation; generation retries with derived seeds until it clears 2*sqrt(d)
+and lies below d by more than the solver's rounding.
 """
 
 from __future__ import annotations
@@ -85,25 +86,18 @@ def materialize_pairs(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Consecutive index blocks covering {0, ..., n-1}."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-
-def _balanced_partition(n: int, block_size: int) -> Partition:
-    """At most floor(n / block_size) blocks of near-equal size >= block_size."""
+def _balanced_partition(n: int, block_size: int) -> tuple[tuple[int, ...], ...]:
+    """At most floor(n / block_size) consecutive blocks of near-equal size
+    >= block_size, covering {0, ..., n-1}."""
     if n <= 0:
-        return Partition(())
+        return ()
     count = max(1, n // block_size)
     bounds = [round(i * n / count) for i in range(count + 1)]
-    blocks = tuple(tuple(range(bounds[i], bounds[i + 1])) for i in range(count))
-    return Partition(blocks)
+    return tuple(tuple(range(bounds[i], bounds[i + 1])) for i in range(count))
 
 
-def pigeonhole_partition(n: int, alpha: float, arity: int = 2) -> Partition:
-    """Block partition backing the pair (arity=2) or triplet (arity=3) scheme."""
+def pigeonhole_partition(n: int, alpha: float, arity: int = 2) -> tuple[tuple[int, ...], ...]:
+    """Blocks of the partition backing the pair (arity=2) or triplet (arity=3) scheme."""
     if not 1 <= alpha < math.inf:
         raise ValueError("alpha must be finite and >= 1")
     size = math.ceil(alpha) if arity == 2 else math.ceil(2 * alpha)
@@ -114,22 +108,14 @@ def pigeonhole_pairs(n: int, alpha: float) -> list[tuple[int, int]]:
     """All within-block pairs; any I with |I| > n/alpha contains one of them."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    part = pigeonhole_partition(n, alpha, arity=2)
-    out: list[tuple[int, int]] = []
-    for block in part.blocks:
-        out.extend(combinations(block, 2))
-    return out
+    return [c for block in pigeonhole_partition(n, alpha, arity=2) for c in combinations(block, 2)]
 
 
 def pigeonhole_triplets(n: int, alpha: float) -> list[tuple[int, int, int]]:
     """All within-block triplets; any I with |I| > n/alpha holds three in a block."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    part = pigeonhole_partition(n, alpha, arity=3)
-    out: list[tuple[int, int, int]] = []
-    for block in part.blocks:
-        out.extend(combinations(block, 3))
-    return out
+    return [c for block in pigeonhole_partition(n, alpha, arity=3) for c in combinations(block, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +132,6 @@ class ExpanderGraph:
     d: int
     edges: tuple[tuple[int, int], ...]
     lambda_est: float
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "ExpanderGraph":
-        es = tuple(sorted((min(a, b), max(a, b)) for a, b in edges))
-        deg = np.zeros(n, dtype=np.int64)
-        for a, b in es:
-            if a == b:
-                raise ValueError("self-loop in edge list")
-            deg[a] += 1
-            deg[b] += 1
-        if len(set(es)) != len(es):
-            raise ValueError("duplicate edge in edge list")
-        degrees = set(int(x) for x in deg)
-        if len(degrees) != 1:
-            raise ValueError(f"graph is not regular: degrees {sorted(degrees)}")
-        d = degrees.pop()
-        return cls(n, d, es, estimate_lambda(cls(n, d, es, 0.0)))
 
     def adjacency(self) -> np.ndarray:
         """The dense symmetric 0/1 adjacency matrix."""
@@ -217,10 +186,14 @@ _MAX_RETRIES = 32
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> ExpanderGraph:
-    """Seeded simple d-regular graph whose second eigenvalue is at most 2*sqrt(d).
+    """Seeded simple d-regular graph whose second eigenvalue is at most 2*sqrt(d)
+    and below d by more than estimate_lambda's rounding of n * d * 1e-16.
 
-    Regenerates from derived seeds until estimate_lambda clears the bound;
-    raises ConstructionFailed after _MAX_RETRIES seeds.
+    For d <= 4, 2*sqrt(d) >= d admits lambda = d, a disconnected or
+    bipartite graph, so the second test is what certifies an expander there;
+    d = 0, d = 1 and d = 2 at even n can never pass it. Regenerates from
+    derived seeds until estimate_lambda clears both; raises
+    ConstructionFailed after _MAX_RETRIES seeds.
     """
     if not 0 <= d < n:
         raise ValueError("degree must satisfy 0 <= d < n")
@@ -238,10 +211,11 @@ def random_regular_graph(n: int, d: int, seed: int) -> ExpanderGraph:
             continue
         g = ExpanderGraph(n, d, tuple(sorted(edges)), 0.0)
         lam = estimate_lambda(g)
-        if lam <= bound:
+        if lam <= bound and lam < d - n * d * 1e-16:
             return ExpanderGraph(n, d, g.edges, lam)
     raise ConstructionFailed(
-        f"no {d}-regular graph on {n} vertices with lambda <= {bound:.3f} in {_MAX_RETRIES} tries"
+        f"no {d}-regular graph on {n} vertices with lambda <= {bound:.3f} and below {d}"
+        f" in {_MAX_RETRIES} tries"
     )
 
 
@@ -268,8 +242,8 @@ def estimate_lambda(g: ExpanderGraph) -> float:
     The spectrum comes from np.linalg.eigvalsh of the dense adjacency
     matrix, so the value is exact up to its rounding, about n * d * 1e-16.
     A connected d-regular graph has top eigenvalue d once. Disconnected
-    graphs report exactly d (their true second eigenvalue, and a failure
-    signal for the 2*sqrt(d) acceptance loop whenever d > 4).
+    graphs report exactly d (their true second eigenvalue, which
+    random_regular_graph rejects at every d).
     """
     if g.n <= 1:
         return 0.0

@@ -102,6 +102,18 @@ class TestMatch:
         assert code == EXIT_ALGORITHM
         assert json.loads(err)["error"] == "degree_too_small"
 
+    @pytest.mark.parametrize("degree", ["1", "2"])
+    def test_expander_without_an_expander_is_an_algorithm_error(self, instance_file, capsys, degree):
+        # Every 1-regular graph, and every 2-regular graph on the 12 scene
+        # points, is disconnected or bipartite: its second eigenvalue is d.
+        code, _, err = run_cli(
+            capsys,
+            "match", str(instance_file),
+            "--algo", "da", "--sampling", "expander", "--degree", degree, "--seed", "1",
+        )
+        assert code == EXIT_ALGORITHM
+        assert json.loads(err)["error"] == "construction_failed"
+
     def test_sampling_rejected_for_triplet_algorithms(self, exact_instance_file, capsys):
         code, _, err = run_cli(
             capsys,

@@ -184,7 +184,7 @@ class TestAlignment:
         # chunked row loop, so both are checked.
         P, Q = grid_instance_with_decoy()
         tq, tp = exact._congruent_triplets(P, Q, ExactParams())
-        keys = np.unique(exact._row_keys(P, Q, tq, tp, ExactParams().motion_grid), axis=0)
+        keys = np.unique(exact._row_keys(P, Q, tq, tp), axis=0)
         assert len(keys) > 10 * max(1, cells // (len(P) * len(Q)))
         for matcher, reference in (
             (alignment, alignment_reference),
@@ -225,7 +225,7 @@ class TestAlignmentPerKey:
         rows = keys = 0
         for P, Q in _criterion_2_shapes():
             tq, tp = exact._congruent_triplets(P, Q, ExactParams())
-            row_keys = exact._row_keys(P, Q, tq, tp, ExactParams().motion_grid)
+            row_keys = exact._row_keys(P, Q, tq, tp)
             distinct = len(np.unique(row_keys, axis=0))
             assert distinct < len(tq)
             rows, keys = rows + len(tq), keys + distinct
@@ -477,17 +477,11 @@ class TestMotionKey:
         assert key[9:] == (10**19, -2 * 10**19, 3 * 10**19)
         assert key[:9] == (10**6, 0, 0, 0, 10**6, 0, 0, 0, 10**6)
 
-    def test_grid_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ExactParams(tau=1e-9, motion_grid=0.0)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"tau": float("nan")},
             {"tau": float("inf")},
-            {"motion_grid": float("nan")},
-            {"motion_grid": float("inf")},
         ],
     )
     def test_tolerances_must_be_finite(self, kwargs):
@@ -499,16 +493,16 @@ class TestBatchedMotions:
     @pytest.mark.parametrize("m, k, seed", EXACT_INSTANCES)
     def test_rows_agree_with_scalar_helper(self, m, k, seed):
         inst = exact_instance(m, k, seed)
-        pp, qq, grid = inst.P, inst.Q, ExactParams().motion_grid
+        pp, qq = inst.P, inst.Q
         tq, tp = exact._congruent_triplets(pp, qq, ExactParams())
         assert len(tq) > 0
         rot, tr = motions_from_bases(qq[tq], pp[tp])
-        keys = exact._row_keys(pp, qq, tq, tp, grid)
+        keys = exact._row_keys(pp, qq, tq, tp)
         for r in range(len(tq)):
             mu = motion_from_bases(qq[tq[r]], pp[tp[r]])
             assert np.abs(rot[r] - mu.rotation).max() <= 1e-12
             assert np.abs(tr[r] - mu.translation).max() <= 1e-12
-            assert tuple(int(v) for v in keys[r]) == motion_key(mu, grid)
+            assert tuple(int(v) for v in keys[r]) == motion_key(mu, exact.MOTION_GRID)
 
     @pytest.mark.parametrize(
         "bad",

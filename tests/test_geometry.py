@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcpmatch.errors import DegenerateBasis, DegeneratePair, EmptySet
+from lcpmatch.errors import DegenerateBasis, DegeneratePair
 from lcpmatch.geometry import (
     TWO_PI,
     AngleInterval,
     RigidMotion,
     cross,
     dihedral_interval,
-    hausdorff,
     is_collinear,
     max_overlap_angle,
     motion_from_bases,
@@ -88,27 +87,12 @@ def test_apply_preserves_distances(rng):
         assert abs(d1 - d0) <= 1e-9 * max(d0, 1.0)
 
 
-def test_compose_identity(rng):
-    mu = random_motion(rng)
-    out = RigidMotion.identity().compose(mu)
-    assert np.allclose(out.rotation, mu.rotation)
-    assert np.allclose(out.translation, mu.translation)
-
-
-def test_compose_inverse(rng):
-    mu = random_motion(rng)
-    ident = mu.compose(mu.inverse())
-    assert np.abs(ident.rotation - np.eye(3)).max() <= 1e-9
-    assert np.abs(ident.translation).max() <= 1e-8
-
-
-def test_compose_pointwise(rng):
+def test_inverse_undoes_apply(rng):
     for _ in range(100):
-        m1, m2 = random_motion(rng), random_motion(rng)
+        mu = random_motion(rng)
         p = random_points(rng, 1)[0]
-        lhs = m1.compose(m2).apply(p)
-        rhs = m1.apply(m2.apply(p))
-        assert np.abs(lhs - rhs).max() <= 1e-9 * max(1.0, np.abs(rhs).max())
+        back = mu.inverse().apply(mu.apply(p))
+        assert np.abs(back - p).max() <= 1e-9 * max(1.0, np.abs(p).max())
 
 
 def test_motion_is_proper(rng):
@@ -250,33 +234,6 @@ def test_dihedral_against_rotation_sweep(seed):
             assert min(dists) <= 1e-6, (th, iv)
         else:
             pytest.fail(f"{iv.kind} interval misclassified angle {th}")
-
-
-# ---------------------------------------------------------------------------
-# hausdorff
-# ---------------------------------------------------------------------------
-
-
-def test_hausdorff_identical_sets(rng):
-    pts = random_points(rng, 8)
-    assert hausdorff(pts, pts) == 0.0
-
-
-def test_hausdorff_single_pair():
-    assert hausdorff([[0, 0, 0]], [[3, 4, 0]]) == pytest.approx(5.0)
-
-
-def test_hausdorff_matches_bruteforce(rng):
-    for _ in range(20):
-        P = random_points(rng, 7)
-        Q = random_points(rng, 5)
-        brute = max(min(np.linalg.norm(q - p) for p in P) for q in Q)
-        assert hausdorff(P, Q) == pytest.approx(brute)
-
-
-def test_hausdorff_empty_raises():
-    with pytest.raises(EmptySet):
-        hausdorff(np.empty((0, 3)), [[0, 0, 0]])
 
 
 # ---------------------------------------------------------------------------

@@ -85,11 +85,11 @@ def pinned_keys():
         inst = exact_instance(m, k, seed)
         pp, qq = inst.P, inst.Q
         tq, tp = _congruent_triplets(pp, qq, params)
-        yield _row_keys(pp, qq, tq, tp, params.motion_grid)
+        yield _row_keys(pp, qq, tq, tp)
         every = np.argwhere(~np.eye(len(qq), dtype=bool))
         for ab in (every, np.concatenate([every[::2], every[::3]])):
             pos, tq, tp = _congruent_rows(pp, qq, ab, params.tau)
-            yield np.column_stack([pos, _row_keys(pp, qq, tq, tp, params.motion_grid)])
+            yield np.column_stack([pos, _row_keys(pp, qq, tq, tp)])
 
 
 def test_group_rows_on_pinned_keys():

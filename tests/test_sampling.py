@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from lcpmatch.errors import TooLarge
+from lcpmatch.errors import ConstructionFailed, TooLarge
 from lcpmatch.sampling import (
     AllPairs,
     Expander,
@@ -108,6 +108,36 @@ class TestRandomRegularGraph:
         assert sorted(g.edges) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         assert g.lambda_est == pytest.approx(1.0, abs=1e-3)
 
+    def test_k33_rejected(self):
+        # Seed 1's first graph is K3,3, bipartite, so its second eigenvalue
+        # is 3 = d, inside 2*sqrt(3); the next derived seed gives a graph
+        # with lambda below d.
+        g = random_regular_graph(6, 3, seed=1)
+        assert dense_lambda(g) < 3.0 - 1e-9
+        assert g.lambda_est < 3.0 - 1e-9
+
+    @pytest.mark.parametrize("n", [6, 8, 10, 12, 24])
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_no_expander_at_degree_below_three(self, n, d):
+        # Every 0-, 1- or 2-regular graph on an even number of vertices is
+        # disconnected or an even cycle, so lambda = d.
+        with pytest.raises(ConstructionFailed):
+            random_regular_graph(n, d, seed=0)
+
+    def test_lambda_below_degree_at_low_degrees(self):
+        # 2*sqrt(d) >= d for d <= 4, so only the second test keeps out
+        # disconnected and bipartite graphs there.
+        for n in range(5, 14):
+            for d in (2, 3, 4):
+                if d >= n or (n * d) % 2:
+                    continue
+                for seed in range(30):
+                    try:
+                        g = random_regular_graph(n, d, seed=seed)
+                    except ConstructionFailed:
+                        continue
+                    assert dense_lambda(g) < d - 1e-9, (n, d, seed)
+
     def test_parity_error(self):
         with pytest.raises(ValueError):
             random_regular_graph(5, 3, seed=0)
@@ -133,14 +163,14 @@ class TestRandomRegularGraph:
 
 class TestEstimateLambda:
     def test_k4_known_spectrum(self):
-        g = ExpanderGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        assert g.lambda_est == pytest.approx(1.0, abs=1e-3)
+        g = ExpanderGraph(4, 3, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), 0.0)
+        assert estimate_lambda(g) == pytest.approx(1.0, abs=1e-3)
 
     def test_c6_cycle(self):
         # Eigenvalues 2*cos(2*pi*k/6): the -2 branch dominates after deflation.
-        edges = [(i, (i + 1) % 6) for i in range(6)]
-        g = ExpanderGraph.from_edges(6, edges)
-        assert g.lambda_est == pytest.approx(2.0, abs=1e-3)
+        edges = tuple((i, (i + 1) % 6) for i in range(6))
+        g = ExpanderGraph(6, 2, edges, 0.0)
+        assert estimate_lambda(g) == pytest.approx(2.0, abs=1e-3)
 
     def test_matches_dense_oracle_small(self):
         shapes = [(12, 4, seed) for seed in range(8)] + [(128, 16, 1), (512, 16, 1)]
