@@ -114,6 +114,8 @@ def _pair_source(args, seed: int):
         return AllPairs()
     if args.sampling == "pigeonhole":
         return Pigeonhole(args.alpha)
+    if args.degree is None:
+        raise ValueError("--sampling expander requires --degree")
     return Expander(args.degree, seed)
 
 
@@ -222,13 +224,17 @@ def cmd_verify(args) -> int:
     check = oracle_mod.verify_motion(inst.P, inst.Q, motion, radius)
     verified = set(check.matched)
     claimed = [tuple(p) for p in res["matched"]]
+    sizes = len(inst.Q), len(inst.P)
+    inside = {c for c in claimed if all(type(x) is int and 0 <= x < k for x, k in zip(c, sizes))}
     for q, p in claimed:
-        if (q, p) not in verified:
+        if (q, p) not in inside:
+            problems.append(f"claimed pair ({q}, {p}) names no point of Q or P")
+        elif (q, p) not in verified:
             problems.append(f"claimed pair ({q}, {p}) not within radius {radius}")
     if check.max_residual > radius:
         problems.append(f"verified residual {check.max_residual} exceeds radius {radius}")
     claimed_res = float(res["max_residual"])
-    actual = _claimed_max_residual(inst, motion, claimed)
+    actual = _claimed_max_residual(inst, motion, inside)
     # Relative to the radius, so the check means the same in any unit.
     if actual > claimed_res + 1e-9 * radius:
         problems.append(

@@ -31,7 +31,6 @@ from lcpmatch.oracle import (
 )
 from lcpmatch.sampling import (
     AllPairs,
-    ExpanderGraph,
     Pigeonhole,
     diam_k,
     estimate_lambda,
@@ -41,6 +40,7 @@ from lcpmatch.sampling import (
 )
 
 from conftest import random_points
+from reference import dense_lambda
 
 
 def verdict(num: int, name: str, ok: bool, detail: str):
@@ -194,11 +194,6 @@ def test_criterion_4_pigeonhole_preserves_winners():
 # ---------------------------------------------------------------------------
 
 
-def _exact_lambda(g: ExpanderGraph) -> float:
-    eig = np.sort(np.linalg.eigvalsh(g.adjacency()))[::-1]
-    return float(np.abs(eig[1:]).max())
-
-
 def test_criterion_5_mixing_inequality():
     t0 = time.perf_counter()
     rng = np.random.default_rng(0xA5A5)
@@ -209,7 +204,7 @@ def test_criterion_5_mixing_inequality():
             for seed in range(5):
                 g = random_regular_graph(n, d, seed=seed)
                 graphs += 1
-                lam = _exact_lambda(g) if n == 64 else estimate_lambda(g)
+                lam = dense_lambda(g) if n == 64 else estimate_lambda(g)
                 edges = np.array(g.edges)
                 e0, e1 = edges[:, 0], edges[:, 1]
                 for _ in range(1000):
@@ -285,7 +280,7 @@ def test_criterion_6_long_edge_lemma():
         pts = random_points(rng, n, span=10.0)
         d = (4, 6, 8, 16)[i % 4]
         g = random_regular_graph(n, d, seed=6000 + i)
-        lam = _exact_lambda(g)
+        lam = dense_lambda(g)
         threshold = 25.0 * lam * n / g.d
         thresholds.append(threshold)
         qualifying, violations = _long_edge_violations(pts, set(g.edges), threshold)

@@ -114,6 +114,17 @@ class TestMatch:
         assert code == EXIT_ALGORITHM
         assert json.loads(err)["error"] == "construction_failed"
 
+    @pytest.mark.parametrize("algo", ["da", "da-exact", "ght-pair"])
+    def test_expander_sampling_without_degree_is_a_usage_error(self, instance_file, capsys, algo):
+        code, _, err = run_cli(
+            capsys, "match", str(instance_file), "--algo", algo, "--sampling", "expander"
+        )
+        assert code == EXIT_USAGE
+        assert json.loads(err) == {
+            "error": "usage",
+            "message": "--sampling expander requires --degree",
+        }
+
     def test_sampling_rejected_for_triplet_algorithms(self, exact_instance_file, capsys):
         code, _, err = run_cli(
             capsys,
@@ -273,6 +284,19 @@ class TestVerify:
         [problem] = json.loads(out)["problems"]
         assert problem.startswith("claimed max residual 0.0")
 
+    @pytest.mark.parametrize("pair", [[99, 0], [0, 99], [-1, 0], [0, -1], [1.5, 0]])
+    def test_claimed_pair_outside_the_sets_is_a_problem(
+        self, instance_file, tmp_path, capsys, pair
+    ):
+        report_path = self._match(instance_file, tmp_path, capsys)
+        report = json.loads(report_path.read_text())
+        report["result"]["matched"].append(pair)
+        report_path.write_text(json.dumps(report))
+        code, out, _ = run_cli(capsys, "verify", str(instance_file), "--report", str(report_path))
+        assert code == EXIT_VERIFY
+        problem = f"claimed pair ({pair[0]}, {pair[1]}) names no point of Q or P"
+        assert json.loads(out)["problems"] == [problem]
+
     @pytest.mark.parametrize("radius", ["nan", "-1", "inf"])
     @pytest.mark.parametrize("empty", [False, True])
     def test_bad_radius_is_a_usage_error(self, instance_file, tmp_path, capsys, radius, empty):
@@ -352,6 +376,13 @@ class TestBench:
             samp_times.append(t2 - t1)
             assert full.size == samp.size
         assert statistics.median(samp_times) <= statistics.median(full_times)
+
+
+    def test_expander_suite_without_degree_is_a_usage_error(self, capsys):
+        suite = {"cases": [{"m": 10, "n": 10, "k": 5, "eps": 0.3}], "sampling": "expander"}
+        code, _, err = run_cli(capsys, "bench", "--suite", json.dumps(suite))
+        assert code == EXIT_USAGE
+        assert json.loads(err)["error"] == "usage"
 
 
 class TestEntryPoint:

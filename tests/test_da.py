@@ -1,7 +1,5 @@
 import itertools
 from bisect import bisect_right
-from contextlib import contextmanager
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from functools import lru_cache
 
@@ -19,35 +17,44 @@ from lcpmatch.da import (
     da_match,
     expander_da,
 )
-from lcpmatch.errors import DegenerateBasis, DegeneratePair, DegreeTooSmall, NoCandidatePairs
+from lcpmatch.errors import DegeneratePair, DegreeTooSmall, NoCandidatePairs
 from lcpmatch.exact import ExactParams
-from lcpmatch.geometry import (
-    TWO_PI,
-    AngleInterval,
-    RigidMotion,
-    _nearest_batch,
-    cross,
-    dihedral_interval,
-    least_squares_motion,
-    max_overlap_angle,
-    nearest_matches,
-    pair_canonical_motion,
-    pairwise_distances,
-    union_intervals,
-)
-from lcpmatch.index import DistanceRows, _set_bits
+from lcpmatch.geometry import TWO_PI, RigidMotion, _nearest_batch, least_squares_motion
+from lcpmatch.geometry import nearest_matches, pairwise_distances
+from lcpmatch.index import DistanceRows
 from lcpmatch.oracle import GenSpec, exact_lcp_bruteforce, generate_instance, random_rotation
 from lcpmatch.result import MatchResult, build_match_result
 from lcpmatch.sampling import AllPairs, Expander, Pigeonhole, materialize_pairs
 
-from test_exact import five_point_instance
-from test_pinned_outputs import (
+from reference import (
     EXACT_INSTANCES,
     TOLERANT_CALLS,
     TOLERANT_SEEDS,
+    batch_groups,
+    cyl_arcs,
     exact_instance,
     fingerprint,
+    five_point_instance,
+    kernel_bounds,
+    kernel_stab,
+    motions,
+    pair_rows,
+    pinned_screens,
+    pinned_winner_inputs,
+    random_bases,
+    random_row_sets,
+    recorded_batches,
+    recording,
+    refine,
+    same_bits,
+    scalar_arcs,
+    scalar_overlap,
+    select_winner,
+    stab,
+    stab_rows,
+    tables,
     tolerant_instance,
+    unpacked,
 )
 
 
@@ -169,152 +176,32 @@ def screened_and_scalar(P, Q, eps, source):
     screened angle, and the best screened overlap.
 
     All source pairs go through the screen as one batch and one call; a base
-    the screen prunes reads overlap -1. The scalar overlap comes from the
-    geometry helpers: each base's pair_canonical_motion, a dihedral_interval
-    per row, and scalar_stab; for a pruned base with fewer distinct q than
-    the best, that count stands in for it. Returns (rows, best, radius);
-    rows hold per base (overlap, angle, scalar overlap, (a, b), (i, j), qs,
-    ps).
+    the screen prunes reads overlap -1. The scalar overlap is the reference
+    DA's (scalar_overlap); for a pruned base with fewer distinct q than the
+    best, that count stands in for it. Returns (rows, best, radius); rows
+    hold per base (overlap, angle, scalar overlap, (a, b), (i, j), qs, ps).
     """
     pp, qq = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     fuzz = _numeric_fuzz(pp, qq)
     slack, radius = max(2 * eps, fuzz), max(4 * eps, fuzz)
     src, lengths = _live_pairs(source, qq, DistanceRows(pp), slack)
-    qs, ps, owner, bases, cuts, _ = base_rows(
-        DistanceRows(pp), pairwise_distances(qq), slack, src, lengths
-    )
-    g = np.repeat(np.arange(len(bases)), np.diff(cuts))
-    overlaps, angles = screen(pp, qq, src[owner], bases, g, qs, ps, 0, radius)
-    best, out = int(overlaps.max()), []
-    for k, (a, b, (i, j), q_rows, p_rows) in enumerate(tied_set(src, owner, bases, cuts, qs, ps)):
+    batch = _base_rows(DistanceRows(pp), pairwise_distances(qq), slack, src, lengths)
+    owner, bases, _, sizes, qs, ps = (np.array(x, dtype=np.int64) for x in unpacked(*batch))
+    g = np.repeat(np.arange(len(bases)), sizes)
+    overlaps, angles = screen_bases(pp, qq, src[owner], bases, g, qs, ps, 0, radius)
+    best, out, cuts = int(overlaps.max()), [], np.append(0, np.cumsum(sizes))
+    for k, (ab, ij) in enumerate(zip(map(tuple, src[owner].tolist()), map(tuple, bases.tolist()))):
+        q_rows, p_rows = qs[cuts[k] : cuts[k + 1]], ps[cuts[k] : cuts[k + 1]]
         ref = len(set(q_rows.tolist()))
         if overlaps[k] >= 0 or ref >= best:
-            phi = pair_canonical_motion(pp[i], pp[j], qq[a], qq[b])
-            rows = []
-            for q, p in zip(q_rows.tolist(), p_rows.tolist()):
-                iv = dihedral_interval(pp[i], pp[j], phi.apply(qq[q]), pp[p], radius)
-                rows.append((0, q, iv.kind, iv.start, iv.end))
-            [(ref, _)] = scalar_stab(*stab_rows(rows, 1))
-        out.append((int(overlaps[k]), float(angles[k]), ref, (a, b), (i, j), q_rows, p_rows))
+            ref = scalar_overlap(pp, qq, ab, ij, q_rows, p_rows, radius)
+        out.append((int(overlaps[k]), float(angles[k]), ref, ab, ij, q_rows, p_rows))
     return out, best, radius
 
 
-def tied_set(src, owner, bases, cuts, qs, ps):
-    """The (a, b, base, qs, ps) of every group of a _base_rows batch."""
-    return [
-        (*src[owner[k]].tolist(), (i, j), qs[cuts[k] : cuts[k + 1]], ps[cuts[k] : cuts[k + 1]])
-        for k, (i, j) in enumerate(bases.tolist())
-    ]
-
-
-def per_pair_rows(pp, qq, a, b, slack):
-    """(i, j, q, p) rows of source pair (a, b) by brute force over every
-    (q, i, j, p), with distances as one source pair at a time computes them."""
-    length = float(np.linalg.norm(qq[a] - qq[b]))
-    d_a = np.linalg.norm(qq - qq[a], axis=1)
-    d_b = np.linalg.norm(qq - qq[b], axis=1)
-    dp = np.array([np.linalg.norm(pp - x, axis=1) for x in pp])
-    q, i, j, p = np.ix_(*(np.arange(k) for k in (len(qq), len(pp), len(pp), len(pp))))
-    ok = (length - slack <= dp[i, j]) & (dp[i, j] <= length + slack)
-    ok = ok & (np.abs(dp[i, p] - d_a[q]) <= slack) & (np.abs(dp[j, p] - d_b[q]) <= slack)
-    ok &= (q != a) & (q != b) & (i != j) & (p != i) & (p != j)
-    q, i, j, p = np.nonzero(ok)
-    return sorted(zip(i.tolist(), j.tolist(), q.tolist(), p.tolist()))
-
-
-def base_rows(search, dists, slack, src, lengths):
-    """_base_rows with every group's bytes unpacked, in the layout of the row
-    path (row_path): (qs, ps, owner, bases, cuts, bounds), group g owning
-    rows cuts[g]:cuts[g + 1], rows by pair, base, q, then p."""
-    owner, bases, bounds, sizes, _, cols, values, width = _base_rows(
-        search, dists, slack, src, lengths
-    )
-    bits = _set_bits(cols, values)
-    qs = bits // (8 * width)
-    return qs, bits - qs * (8 * width), owner, bases, np.append(0, np.cumsum(sizes)), bounds
-
-
-def row_path(search, dists, slack, src, lengths):
-    """_base_rows as it was before the search kept bytes: DistanceRows.query
-    unpacks every row, grouped by (pair, base); (qs, ps, owner, bases, cuts,
-    bounds) as from base_rows, bounds[g] counting the distinct q of group g."""
-    pos, qs, i, j, ps = search.query(dists, src, lengths, slack)
-    new = da._run_starts(pos, i, j)
-    heads = np.flatnonzero(new)
-    bounds = np.add.reduceat((new | da._run_starts(qs)).astype(np.int64), heads)
-    bases = np.column_stack([i[heads], j[heads]])
-    return qs, ps, pos[heads], bases, np.append(heads, len(qs)), bounds
-
-
-def batch_rows(pp, qq, src, lengths, slack):
-    """(pair, i, j, q, p) rows of one _base_rows batch, in its order."""
-    qs, ps, owner, bases, cuts, _ = base_rows(
-        DistanceRows(pp), pairwise_distances(qq), slack, src, lengths
-    )
-    g = np.repeat(np.arange(len(bases)), np.diff(cuts))
-    return list(zip(owner[g].tolist(), *bases[g].T.tolist(), qs.tolist(), ps.tolist()))
-
-
-def reference_frames(points, pairs):
-    """The axis frame of every row of `pairs`, with no call or batch table:
-    (frames, origins), raising DegeneratePair on coincident endpoints."""
-    origins = points[pairs[:, 0]]
-    d = points[pairs[:, 1]] - origins
-    length = np.sqrt((d * d).sum(axis=1))
-    if (length == 0.0).any():
-        raise DegeneratePair("pair endpoints coincide")
-    u = d / length[:, None]
-    e1 = np.zeros_like(u)
-    e1[np.arange(len(u)), np.argmin(np.abs(u), axis=1)] = 1.0
-    e1 -= (e1 * u).sum(axis=1)[:, None] * u
-    e1 /= np.sqrt((e1 * e1).sum(axis=1))[:, None]
-    return np.stack([e1, cross(u, e1), u], axis=1), origins
-
-
-def reference_cylinder(frames, origins, points, g, idx):
-    """Height, distance and azimuth of points[idx] about axis g, per row."""
-    v, f = points[idx] - origins[g], frames[g]
-    x, y, h = (f[:, k, 0] * v[:, 0] + f[:, k, 1] * v[:, 1] + f[:, k, 2] * v[:, 2] for k in range(3))
-    return h, np.hypot(x, y), np.arctan2(y, x)
-
-
-def reference_cyl_arcs(pp, qq, src, bases, g, qs, ps, radius):
-    """The arc solve with both sides per row: base g[r] = bases[g[r]] of
-    source pair src[g[r]], frames built per base."""
-    hq, rq, aq = reference_cylinder(*reference_frames(qq, src), qq, g, qs)
-    hp, rp, ap = reference_cylinder(*reference_frames(pp, bases), pp, g, ps)
-    dh, dr = hq - hp, rq - rp
-    s = radius * radius - dh * dh - dr * dr
-    prod = 4.0 * rq * rp
-    full = s >= prod
-    arc = ~full & (s >= 0.0)
-    half = 2.0 * np.arcsin(np.sqrt(np.divide(s, prod, out=np.zeros_like(s), where=arc)))
-    centre = ap - aq
-    return full, arc, centre - half, centre + half
-
-
-def reference_motions(pp, qq, src, bases, angles):
-    """The motion of each base turned by its angle from frames built per base."""
-    (fq, qa), (fp, pi) = reference_frames(qq, src), reference_frames(pp, bases)
-    c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
-    turned = np.stack([c * fq[:, 0] - s * fq[:, 1], s * fq[:, 0] + c * fq[:, 1], fq[:, 2]], axis=1)
-    rot = fp.transpose(0, 2, 1) @ turned
-    return rot, pi - (rot @ qa[:, :, None])[:, :, 0]
-
-
-def distinct_frames(points, pairs):
-    """da._frames of the distinct rows of `pairs`, and each row's index among them."""
-    rows, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    return da._frames(points, rows), inverse.reshape(-1)
-
-
-def tables(pp, qq, src, bases):
-    """(table, model, ids) for bases bases[k] of source pairs src[k], as
-    _vote builds them: one scene-table row per distinct source pair, and
-    the frames of the distinct model pairs."""
-    (scene, tq), (model, tp) = distinct_frames(qq, src), distinct_frames(pp, bases)
-    table = da._cyl_table(qq, scene, np.arange(len(scene[0])))
-    return table, model, np.column_stack([tq, tp])
+def screen_bases(pp, qq, src, bases, g, qs, ps, floor, radius):
+    """da._screen on tables built from the per-base src and bases."""
+    return da._screen(pp, *tables(pp, qq, src, bases), g, qs, ps, floor, radius)
 
 
 def row_arcs(pp, qq, src, bases, g, qs, ps, radius):
@@ -322,68 +209,30 @@ def row_arcs(pp, qq, src, bases, g, qs, ps, radius):
     return da._cyl_arcs(pp, *tables(pp, qq, src, bases), g, qs, ps, radius)
 
 
-def screen(pp, qq, src, bases, g, qs, ps, floor, radius):
-    """da._screen on tables built from the per-base src and bases."""
-    return da._screen(pp, *tables(pp, qq, src, bases), g, qs, ps, floor, radius)
+@lru_cache(maxsize=None)
+def tolerant_pair_rows(seed, slack):
+    """{(a, b): pair_rows} of every pair of the tolerant instance `seed`,
+    with |ab| as one source pair at a time computes it."""
+    inst = tolerant_instance(seed)
+    dp, dq = pairwise_distances(inst.P), pairwise_distances(inst.Q)
+    return {
+        (a, b): pair_rows(dp, dq, a, b, float(np.linalg.norm(inst.Q[a] - inst.Q[b])), slack)
+        for a, b in materialize_pairs(AllPairs(), len(inst.Q))
+    }
 
 
-def motions(pp, qq, src, bases, angles):
-    """da._motions on frames gathered from tables of the distinct pairs."""
-    (scene, kq), (model, kp) = distinct_frames(qq, src), distinct_frames(pp, bases)
-    angles = np.asarray(angles, dtype=np.float64)
-    return da._motions(*da._gather(scene, kq), *da._gather(model, kp), angles)
+def batch_rows(groups):
+    """(pair, i, j, q, p) of every row of an `unpacked` or batch_groups result."""
+    owner, bases, _, sizes, qs, ps = groups
+    g = np.repeat(np.arange(len(owner)), sizes).tolist()
+    return [(owner[k], *bases[k], q, p) for k, q, p in zip(g, qs, ps)]
 
 
-@contextmanager
-def recorded_screens():
-    """Record the _screen calls of the matchers run inside, as (args,
-    pairs, bases, result): the arguments, and per base its source pair (a,
-    b) and model pair (i, j), read from the call's live pairs, the rows of
-    the batch's scene table and DistanceRows' pair order."""
-    calls, state = [], {}
-    live_pairs, cyl_table, screen_fn = da._live_pairs, da._cyl_table, da._screen
-
-    def live(source, qq, search, slack):
-        src, lengths = live_pairs(source, qq, search, slack)
-        state["src"], state["model"] = src, search.pairs
-        return src, lengths
-
-    def table(points, axes, rows):
-        state["rows"] = rows
-        return cyl_table(points, axes, rows)
-
-    def record(*args):
-        tq, tp = args[3].T
-        pairs, bases = state["src"][state["rows"][tq]], state["model"][tp]
-        result = screen_fn(*args)
-        calls.append((args, pairs, bases, result))
-        return result
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(da, "_live_pairs", live)
-        patch.setattr(da, "_cyl_table", table)
-        patch.setattr(da, "_screen", record)
-        yield calls
-
-
-@contextmanager
-def recorded_batches():
-    """Record, per _base_rows call of the matchers run inside, its arguments
-    and the arguments of the _screen calls that follow it."""
-    batches, base_rows_fn, screen_fn = [], da._base_rows, da._screen
-
-    def rows(*args):
-        batches.append((args, []))
-        return base_rows_fn(*args)
-
-    def record(*args):
-        batches[-1][1].append(args)
-        return screen_fn(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(da, "_base_rows", rows)
-        patch.setattr(da, "_screen", record)
-        yield batches
+def one_pair_batch(pp, qq, a, b, length, slack):
+    """(kernel, brute force) groups of the batch of source pair (a, b) alone."""
+    dp, dq = pairwise_distances(pp), pairwise_distances(qq)
+    got = _base_rows(DistanceRows(pp), dq, slack, np.array([[a, b]]), np.array([length]))
+    return unpacked(*got), batch_groups([pair_rows(dp, dq, a, b, length, slack)])
 
 
 class TestLivePairs:
@@ -463,15 +312,13 @@ class TestBaseRows:
         for k, (a, b) in enumerate(src.tolist()):
             assert lengths[k] == float(np.linalg.norm(qq[a] - qq[b]))
         dists = pairwise_distances(qq)
-        for a in range(len(qq)):
-            assert dists[a].tobytes() == np.linalg.norm(qq - qq[a], axis=1).tobytes()
-        want = [
-            (k, *row)
-            for k, (a, b) in enumerate(src.tolist())
-            for row in per_pair_rows(pp, qq, a, b, slack)
-        ]
-        assert len(want) > 1000
-        assert batch_rows(pp, qq, src, lengths, slack) == want
+        for x, d in ((pp, pairwise_distances(pp)), (qq, dists)):
+            for a in range(len(x)):
+                assert d[a].tobytes() == np.linalg.norm(x - x[a], axis=1).tobytes()
+        rows = tolerant_pair_rows(seed, slack)
+        want = batch_groups([rows[a, b] for a, b in src.tolist()])
+        assert len(want[4]) > 1000
+        assert unpacked(*_base_rows(DistanceRows(pp), dists, slack, src, lengths)) == want
 
     @pytest.mark.parametrize("seed", range(1, 4))
     def test_rows_at_the_slack_boundary(self, seed):
@@ -504,11 +351,10 @@ class TestBaseRows:
             inner = np.flatnonzero(gaps[:, 0] < worst)
             r = int(inner[np.argsort(worst[inner], kind="stable")[len(inner) // 50]])
             slack = float(worst[r])
-            sub, lengths = _live_pairs([(a, b)], qq, search, slack)
-            got = batch_rows(pp, qq, sub, lengths, slack)
-            want = [(0, *row) for row in per_pair_rows(pp, qq, a, b, slack)]
+            _, lengths = _live_pairs([(a, b)], qq, search, slack)
+            got, want = one_pair_batch(pp, qq, a, b, float(lengths[0]), slack)
             assert got == want
-            assert (0, *trips[r, :2].tolist(), q, int(trips[r, 2])) in got
+            assert (0, *trips[r, :2].tolist(), q, int(trips[r, 2])) in batch_rows(got)
 
     def test_slab_centred_on_the_pair_length(self):
         # _live_pairs' |ab| can differ from the scene matrix entry in the last
@@ -527,153 +373,48 @@ class TestBaseRows:
                 off = dq[a, b] - slack <= x <= dq[a, b] + slack
                 if not (0.3 <= slack <= 2.0 and on != off) or checked == 10:
                     continue
-                got = batch_rows(pp, qq, np.array([[a, b]]), np.array([length]), slack)
-                assert got == [(0, *row) for row in per_pair_rows(pp, qq, a, b, slack)]
-                checked += any(dp[i, j] == x for _, i, j, _, _ in got)
+                got, want = one_pair_batch(pp, qq, a, b, length, slack)
+                assert got == want
+                checked += any(dp[i, j] == x for i, j in got[1])
         assert checked == 10
 
     @pytest.mark.parametrize("seed", range(1, 7))
     def test_bytes_equal_row_path(self, seed):
         # Each group's distinct-q bound and row count, read off the bytes,
-        # and its unpacked rows equal the row path's, batch by batch, over
-        # all pairs and at a slack that makes most groups single rows.
+        # and its unpacked rows equal the brute-force rows, batch by batch,
+        # over all pairs and at a slack that makes most groups single rows.
         inst = tolerant_instance(seed)
         pp, qq = inst.P, inst.Q
         search, dists = DistanceRows(pp), pairwise_distances(qq)
         for slack in (2 * inst.eps, 0.05):
             src, lengths = _live_pairs(AllPairs(), qq, search, slack)
+            rows = tolerant_pair_rows(seed, slack)
             for k in range(0, len(src), 7):
-                args = search, dists, slack, src[k : k + 7], lengths[k : k + 7]
-                owner, bases, bounds, sizes, *_ = _base_rows(*args)
-                want = row_path(*args)
-                assert bounds.tobytes() == want[5].tobytes()
-                assert sizes.tobytes() == np.diff(want[4]).tobytes()
-                assert (owner.tobytes(), bases.tobytes()) == (want[2].tobytes(), want[3].tobytes())
-                got = base_rows(*args)
-                assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+                batch = slice(k, k + 7)
+                got = unpacked(*_base_rows(search, dists, slack, src[batch], lengths[batch]))
+                assert got == batch_groups([rows[a, b] for a, b in src[batch].tolist()])
 
-    def test_fewer_rows_unpacked_than_found(self, monkeypatch):
+    def test_fewer_rows_unpacked_than_found(self):
         # The screen's floor stops before the last groups of a batch, whose
         # bytes are never unpacked.
         inst = tolerant_instance(1)
-        found, unpacked = [], []
-        rows, set_bits = da._base_rows, da._set_bits
-
-        def count_found(*args):
-            found.append(len(row_path(*args)[0]))
-            return rows(*args)
-
-        def count_unpacked(*args):
-            out = set_bits(*args)
-            unpacked.append(len(out))
-            return out
-
-        monkeypatch.setattr(da, "_base_rows", count_found)
-        monkeypatch.setattr(da, "_set_bits", count_unpacked)
-        da_match(inst.P, inst.Q, MatchParams(inst.eps, pair_source=Pigeonhole(4)))
-        assert 0 < sum(unpacked) < sum(found)
+        batches = recorded_batches(
+            lambda: da_match(inst.P, inst.Q, MatchParams(inst.eps, pair_source=Pigeonhole(4)))
+        )
+        found = sum(int(result[3].sum()) for _, result, _ in batches)
+        screened = sum(len(args[4]) for *_, screens in batches for args, *_ in screens)
+        assert 0 < screened < found
 
 
-def arc_pieces(start, end):
-    """An arc's closed pieces in [0, 2*pi]: split at 2*pi, so a piece ending at
-    2*pi also covers 0."""
-    s, e = (0.0 if x % TWO_PI >= TWO_PI else x % TWO_PI for x in (float(start), float(end)))
-    stop = s + (e - s) % TWO_PI
-    return [(s, stop)] if stop < TWO_PI else [(s, TWO_PI), (0.0, stop - TWO_PI)]
-
-
-def run_end(pieces, x):
-    """The end of the union of overlapping `pieces` that holds x, or None."""
-    runs = []
-    for s, e in sorted(pieces):
-        if runs and s <= runs[-1][1]:
-            runs[-1][1] = max(runs[-1][1], e)
-        else:
-            runs.append([s, e])
-    return next((e for s, e in runs if s <= x <= e), None)
-
-
-def middle_of_peak(x, pieces):
-    """The middle of the peak interval that starts at x: it ends where the
-    first q counted at x closes. `pieces` holds (q, start, end) of every q
-    without a full row."""
-    per_q = {}
-    for q, s, e in pieces:
-        per_q.setdefault(q, []).append((s, e))
-    ends = [run_end(ps, x) for ps in per_q.values()]
-    return (x + min(e for e in ends if e is not None)) / 2
-
-
-def scalar_stab(g, qs, full, arc, starts, ends, n_bases):
-    """_stab by union_intervals and max_overlap_angle, one base at a time;
-    the angle is the middle of the first peak interval, 0.0 with no arcs."""
-    out = []
-    for base in range(n_bases):
-        per_q, pieces = {}, []
-        rows = np.flatnonzero(g == base).tolist()
-        whole = {qs[r] for r in rows if full[r]}
-        for r in rows:
-            if full[r]:
-                per_q.setdefault(qs[r], []).append(AngleInterval.full())
-            elif arc[r]:
-                per_q.setdefault(qs[r], []).append(
-                    AngleInterval.arc(float(starts[r]), float(ends[r]))
-                )
-                if qs[r] not in whole:
-                    pieces += [(qs[r], s, e) for s, e in arc_pieces(starts[r], ends[r])]
-        family = [iv for ivs in per_q.values() for iv in union_intervals(ivs)]
-        angle, overlap = max_overlap_angle(family)
-        out.append((overlap, middle_of_peak(angle, pieces) if pieces else 0.0))
-    return out
-
-
-def brute_stab(g, qs, full, arc, starts, ends, n_bases):
-    """_stab by brute force: arcs split at 2*pi into closed pieces, a piece
-    ending at 2*pi also covering 0. At each piece start x, count the distinct
-    q with a piece containing x, plus the q with a full row; the angle is the
-    middle of the peak interval from the smallest x at the maximum."""
-    out = []
-    for base in range(n_bases):
-        rows = np.flatnonzero(g == base).tolist()
-        whole = {qs[r] for r in rows if full[r]}
-        pieces = [
-            (qs[r], s, e)
-            for r in rows
-            if arc[r] and qs[r] not in whole
-            for s, e in arc_pieces(starts[r], ends[r])
-        ]
-        counts = {
-            x: len(whole) + len({q for q, s, e in pieces if s <= x <= e}) for _, x, _ in pieces
-        }
-        peak = max(counts.values(), default=len(whole))
-        first = min((x for x in counts if counts[x] == peak), default=None)
-        out.append((peak, 0.0 if first is None else middle_of_peak(first, pieces)))
-    return out
-
-
-def stab(g, qs, full, arc, starts, ends, n_bases):
-    """da._stab over every base of the rows, their pieces built first."""
-    return da._stab(da._pieces(g, qs, full, arc, starts, ends), np.ones(n_bases, dtype=bool))
-
-
-def bin_bounds(g, qs, full, arc, starts, ends, n_bases):
-    """da._bin_bounds of the rows, their pieces built first."""
-    return da._bin_bounds(da._pieces(g, qs, full, arc, starts, ends), n_bases)
-
-
-def stab_rows(rows, n_bases):
-    """_stab inputs from rows (base, q, kind, start, end), kind in full/arc/empty."""
-    rows = sorted(rows, key=lambda r: r[:2])
-    g = np.array([r[0] for r in rows], dtype=np.int64)
-    qs = np.array([r[1] for r in rows], dtype=np.int64)
-    kinds = np.array([r[2] for r in rows])
-    starts = np.array([r[3] for r in rows], dtype=float)
-    ends = np.array([r[4] for r in rows], dtype=float)
-    return g, qs, kinds == "full", kinds == "arc", starts, ends, n_bases
+def stabbed(rows, n_bases):
+    """_stab and the reference stab of rows (base, q, kind, start, end), kind
+    in full/arc/empty, each as a list of (overlap, angle) per base."""
+    args = stab_rows(rows, n_bases)
+    return [list(zip(*(x.tolist() for x in out))) for out in (kernel_stab(*args), stab(*args))]
 
 
 class TestScreen:
-    """The batched screen against the scalar per-base path it replaces."""
+    """The batched screen against the reference DA's scalar path."""
 
     @staticmethod
     def compare_with_scalar(P, Q, source, angles=True):
@@ -690,7 +431,7 @@ class TestScreen:
                 continue
             assert overlap == ref_overlap
             if angles:
-                rot, tr = motions(pp, qq, np.array([ab]), np.array([ij]), [angle])
+                rot, tr = motions(pp, qq, np.array([ab]), np.array([ij]), np.array([angle]))
                 dist = np.linalg.norm(qq[qs] @ rot[0].T + tr[0] - pp[ps], axis=1)
                 assert len(set(qs[dist <= radius * (1 + 1e-9)].tolist())) >= overlap
                 assert len(set(qs[dist <= radius * (1 - 1e-9)].tolist())) <= overlap
@@ -713,96 +454,50 @@ class TestScreen:
             self.compare_with_scalar(inst.P, inst.Q, AllPairs(), angles=False)
 
     def test_q_without_arc_does_not_count(self):
-        args = stab_rows(
-            [(0, 1, "empty", 0.0, 0.0), (0, 1, "empty", 1.0, 2.0), (0, 2, "arc", 1.0, 2.0)], 1
-        )
-        assert scalar_stab(*args) == [(1, 1.5)]
-        overlap, angle = stab(*args)
-        assert (overlap[0], angle[0]) == (1, 1.5)
+        rows = [(0, 1, "empty", 0.0, 0.0), (0, 1, "empty", 1.0, 2.0), (0, 2, "arc", 1.0, 2.0)]
+        assert stabbed(rows, 1) == [[(1, 1.5)]] * 2
 
     def test_two_arcs_merge_across_zero(self):
         # q=1 holds (5.5, 0.3) and (0.2, 1.0): one arc through 0, counted once.
-        args = stab_rows(
-            [
-                (0, 1, "arc", 5.5, 0.3),
-                (0, 1, "arc", 0.2, 1.0),
-                (0, 2, "arc", 0.25, 0.5),
-                (0, 3, "arc", 5.8, 6.0),
-            ],
-            1,
-        )
+        rows = [
+            (0, 1, "arc", 5.5, 0.3),
+            (0, 1, "arc", 0.2, 1.0),
+            (0, 2, "arc", 0.25, 0.5),
+            (0, 3, "arc", 5.8, 6.0),
+        ]
         # The peak runs from 0.25 to 0.5, where q=2 closes.
-        assert scalar_stab(*args) == [(2, 0.375)]
-        overlap, angle = stab(*args)
-        assert (overlap[0], angle[0]) == (2, 0.375)
+        assert stabbed(rows, 1) == [[(2, 0.375)]] * 2
 
     def test_arcs_covering_the_circle_count_as_full(self):
-        args = stab_rows(
-            [
-                (0, 1, "arc", 0.0, 3.5),
-                (0, 1, "arc", 3.0, 0.5),
-                (0, 2, "arc", 4.0, 4.5),
-                (1, 1, "arc", 1.0, 4.0),
-                (1, 1, "arc", 3.0, 1.5),
-            ],
-            2,
-        )
+        rows = [
+            (0, 1, "arc", 0.0, 3.5),
+            (0, 1, "arc", 3.0, 0.5),
+            (0, 2, "arc", 4.0, 4.5),
+            (1, 1, "arc", 1.0, 4.0),
+            (1, 1, "arc", 3.0, 1.5),
+        ]
         # Base 1's arcs open at 0 and close at 2*pi, so its peak interval is
         # the whole circle.
-        assert scalar_stab(*args) == [(2, 4.25), (1, np.pi)]
-        overlap, angle = stab(*args)
-        assert overlap.tolist() == [2, 1]
-        assert angle.tolist() == [4.25, np.pi]
+        assert stabbed(rows, 2) == [[(2, 4.25), (1, np.pi)]] * 2
 
     def test_full_only_base_gets_angle_zero(self):
-        args = stab_rows(
-            [(0, 1, "full", 0.0, 0.0), (0, 2, "full", 0.0, 0.0), (0, 2, "arc", 1.0, 2.0)], 1
-        )
-        assert scalar_stab(*args) == [(2, 0.0)]
-        overlap, angle = stab(*args)
-        assert (overlap[0], angle[0]) == (2, 0.0)
+        rows = [(0, 1, "full", 0.0, 0.0), (0, 2, "full", 0.0, 0.0), (0, 2, "arc", 1.0, 2.0)]
+        assert stabbed(rows, 1) == [[(2, 0.0)]] * 2
 
     def test_arc_ending_at_two_pi_counts_at_zero(self):
         # (5.0, 0.0) ends exactly at 2*pi, which is angle 0, inside (0.0, 1.0).
-        args = stab_rows([(0, 1, "arc", 5.0, 0.0), (0, 2, "arc", 0.0, 1.0)], 1)
-        overlap, angle = stab(*args)
-        assert (overlap[0], angle[0]) == (2, 0.0)
+        assert stabbed([(0, 1, "arc", 5.0, 0.0), (0, 2, "arc", 0.0, 1.0)], 1) == [[(2, 0.0)]] * 2
 
     def test_point_arc_at_the_seam(self):
         # q=1 holds (5.5, 0.0) and the single angle 0.0; q=2 holds (0.0, 1.0).
-        args = stab_rows(
-            [(0, 1, "arc", 5.5, 0.0), (0, 1, "arc", 0.0, 0.0), (0, 2, "arc", 0.0, 1.0)], 1
-        )
-        assert brute_stab(*args) == [(2, 0.0)]
-        overlap, angle = stab(*args)
-        assert (overlap[0], angle[0]) == (2, 0.0)
-
-    @staticmethod
-    def random_row_sets(seed, count, marks=None):
-        """Random _stab inputs; with `marks`, half the arcs end on those angles."""
-        rng = np.random.default_rng(seed)
-        for _ in range(count):
-            n_bases = int(rng.integers(1, 4))
-            rows = []
-            for _ in range(int(rng.integers(0, 20))):
-                kind = rng.choice(["full", "arc", "arc", "arc", "empty"])
-                if marks is not None and rng.random() < 0.5:
-                    start, end = rng.choice(marks, 2)
-                else:
-                    start, end = rng.uniform(0, TWO_PI, 2)
-                rows.append((int(rng.integers(n_bases)), int(rng.integers(4)), kind, start, end))
-            yield stab_rows(rows, n_bases)
-
-    def test_random_rows_match_scalar_sweep(self):
-        for args in self.random_row_sets(5, 300):
-            overlap, angle = stab(*args)
-            assert list(zip(overlap.tolist(), angle.tolist())) == scalar_stab(*args)
+        rows = [(0, 1, "arc", 5.5, 0.0), (0, 1, "arc", 0.0, 0.0), (0, 2, "arc", 0.0, 1.0)]
+        assert stabbed(rows, 1) == [[(2, 0.0)]] * 2
 
     def test_random_rows_match_brute_force(self):
         marks = np.array([0.0, 0.5, 1.0, np.pi, 5.0, 6.0, TWO_PI - 0.5, TWO_PI - 1e-17, TWO_PI])
-        for args in self.random_row_sets(6, 3000, marks):
-            overlap, angle = stab(*args)
-            assert list(zip(overlap.tolist(), angle.tolist())) == brute_stab(*args)
+        for args in itertools.chain(random_row_sets(5, 300), random_row_sets(6, 3000, marks)):
+            got, want = kernel_stab(*args), stab(*args)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
     def test_bin_bound_at_the_seam(self):
         # Base 0: (5.0, 0.0) ends at 2*pi, so its folded piece meets (0.0, 1.0)
@@ -818,7 +513,7 @@ class TestScreen:
             2,
         )
         assert stab(*args)[0].tolist() == [2, 2]
-        assert bin_bounds(*args).tolist() == [2, 2]
+        assert kernel_bounds(*args).tolist() == [2, 2]
 
     @pytest.mark.parametrize("bins", [1, 8, 64])
     def test_bin_bound_covers_the_overlap(self, monkeypatch, bins):
@@ -827,13 +522,13 @@ class TestScreen:
         marks = np.concatenate([edges, [0.5, 5.0, TWO_PI - 1e-17]])
         rng = np.random.default_rng(9)
         tighter = 0
-        for g, qs, full, arc, starts, ends, n_bases in self.random_row_sets(8, 3000, marks):
+        for g, qs, full, arc, starts, ends, n_bases in random_row_sets(8, 3000, marks):
             # A tenth of the arcs are point arcs whose end rounds one ulp below
             # their start, so they read as all of the circle but that ulp.
             point = rng.random(len(ends)) < 0.1
             ends = np.where(point, np.nextafter(starts, -np.inf), ends)
             args = g, qs, full, arc, starts, ends, n_bases
-            bound = bin_bounds(*args)
+            bound = kernel_bounds(*args)
             assert (bound >= stab(*args)[0]).all()
             # Never above the count of q with a full or arc row.
             voting = {(base, q) for base, q, v in zip(g, qs, full | arc) if v}
@@ -844,12 +539,12 @@ class TestScreen:
 
     def test_stacked_row_sets_score_as_alone(self):
         # Row sets stacked as the bases of one _stab call score as they do alone.
-        sets = list(self.random_row_sets(7, 200, np.array([0.0, 1.0, TWO_PI - 0.5, TWO_PI])))
+        sets = list(random_row_sets(7, 200, np.array([0.0, 1.0, TWO_PI - 0.5, TWO_PI])))
         offsets = np.cumsum([0] + [args[-1] for args in sets])
         g = np.concatenate([args[0] + off for args, off in zip(sets, offsets)])
         rest = [np.concatenate([args[k] for args in sets]) for k in range(1, 6)]
-        overlap, angle = stab(g, *rest, int(offsets[-1]))
-        want = [pair for args in sets for pair in zip(*(x.tolist() for x in stab(*args)))]
+        overlap, angle = kernel_stab(g, *rest, int(offsets[-1]))
+        want = [pair for args in sets for pair in zip(*(x.tolist() for x in kernel_stab(*args)))]
         assert list(zip(overlap.tolist(), angle.tolist())) == want
 
     @pytest.mark.parametrize("seed", range(1, 4))
@@ -858,17 +553,17 @@ class TestScreen:
         pp, qq = inst.P, inst.Q
         slack, radius = 2 * inst.eps, 4 * inst.eps
         src, lengths = _live_pairs(Pigeonhole(4), qq, DistanceRows(pp), slack)
-        qs, ps, owner, bases, cuts, _ = base_rows(
-            DistanceRows(pp), pairwise_distances(qq), slack, src, lengths
-        )
+        batch = _base_rows(DistanceRows(pp), pairwise_distances(qq), slack, src, lengths)
+        owner, bases, _, sizes, qs, ps = (np.array(x, dtype=np.int64) for x in unpacked(*batch))
+        cuts = np.append(0, np.cumsum(sizes))
         assert len(bases) > 100
-        g = np.repeat(np.arange(len(bases)), np.diff(cuts))
-        stacked = screen(pp, qq, src[owner], bases, g, qs, ps, 0, radius)
+        g = np.repeat(np.arange(len(bases)), sizes)
+        stacked = screen_bases(pp, qq, src[owner], bases, g, qs, ps, 0, radius)
         best = int(stacked[0].max())
         for k in range(len(bases)):
             one, rows = slice(k, k + 1), slice(cuts[k], cuts[k + 1])
             alone = (src[owner[one]], bases[one], g[rows] - k, qs[rows], ps[rows])
-            overlap, angle = screen(pp, qq, *alone, 0, radius)
+            overlap, angle = screen_bases(pp, qq, *alone, 0, radius)
             if stacked[0][k] < 0:  # pruned by the stacked call's floor
                 assert overlap[0] < best
             else:
@@ -921,41 +616,29 @@ class TestBatchBudget:
 
     def test_descending_bounds_skip_groups(self, monkeypatch):
         inst = tolerant_instance(1)
-        params = MatchParams(inst.eps, pair_source=Pigeonhole(4))
-        rows, groups = da._base_rows, []
+        pq, params = (inst.P, inst.Q), MatchParams(inst.eps, pair_source=Pigeonhole(4))
 
-        def screened(recorded):
-            """Per _screen call: bases, lowest bound, best overlap, (a, b, i, j) keys."""
-            out = []
-            for (_, _, _, ids, g, qs, *_), pairs, bases, (overlap, _) in recorded:
-                new = np.ones(len(g), dtype=bool)
-                new[1:] = (g[1:] != g[:-1]) | (qs[1:] != qs[:-1])
-                bounds = np.bincount(g[new], minlength=len(ids))
-                keys = [tuple(k) for k in np.column_stack([pairs, bases]).tolist()]
-                out.append((len(ids), int(bounds.min()), int(overlap.max()), keys))
-            return out
+        def screened(run):
+            """Per _screen call of run(), its base count and (a, b, i, j) keys,
+            and the group count of its batches; no call screens a base whose
+            bound is below the best overlap of the calls before it."""
+            batches, sizes, keys, floor = recorded_batches(run), [], [], 0
+            for *_, screens in batches:
+                for (_, _, _, ids, g, qs, *_), pairs, bases, (overlap, _) in screens:
+                    new = np.ones(len(g), dtype=bool)
+                    new[1:] = (g[1:] != g[:-1]) | (qs[1:] != qs[:-1])
+                    assert np.bincount(g[new], minlength=len(ids)).min() >= floor
+                    floor = max(floor, int(overlap.max()))
+                    sizes.append(len(ids))
+                    keys += [tuple(k) for k in np.column_stack([pairs, bases]).tolist()]
+            return sizes, keys, sum(len(result[2]) for _, result, _ in batches)
 
-        def count_groups(*args):
-            out = rows(*args)
-            groups.append(len(out[2]))
-            return out
-
-        monkeypatch.setattr(da, "_base_rows", count_groups)
         work, results = {}, set()
         for budgets in ((1 << 62, 1 << 62), (1 << 62, 1), (1, 1 << 62)):
             monkeypatch.setattr(da, "_BATCH_CELLS", budgets[0])
             monkeypatch.setattr(da, "_SCREEN_ROWS", budgets[1])
-            groups.clear()
-            with recorded_screens() as recorded:
-                results.add(fingerprint(da_match(inst.P, inst.Q, params)))
-            calls = screened(recorded)
-            # No call screens a base whose bound is below the best overlap
-            # of the calls before it.
-            floor = 0
-            for _, lowest, top, _ in calls:
-                assert lowest >= floor
-                floor = max(floor, top)
-            work[budgets] = [n for n, *_ in calls], sum(groups)
+            sizes, _, n_groups = screened(lambda: results.add(fingerprint(da_match(*pq, params))))
+            work[budgets] = sizes, n_groups
         assert len(results) == 1
         # Unbounded, the one batch is one call over every group.
         sizes, n_groups = work[1 << 62, 1 << 62]
@@ -982,23 +665,15 @@ class TestBatchBudget:
                 for cells, chunk in ((1 << 62, 1), (1, 1 << 62)):
                     monkeypatch.setattr(da, "_BATCH_CELLS", cells)
                     monkeypatch.setattr(da, "_SCREEN_ROWS", chunk)
-                    with recorded_screens() as recorded:
-                        results.add(fingerprint(run()))
-                    calls = screened(recorded)
-                    assert calls
-                    floor = 0
-                    for _, lowest, top, _ in calls:
-                        assert lowest >= floor
-                        floor = max(floor, top)
-                    keys = [key for *_, screened in calls for key in screened]
+                    sizes, keys, _ = screened(lambda: results.add(fingerprint(run())))
+                    assert sizes
                     assert len(set(keys)) == len(keys)
                 assert len(results) == 1
 
     def test_screen_inputs_equal_row_path(self, monkeypatch):
-        # Every _screen call gets the (ids, g, qs, ps) of the row path: every
-        # row unpacked by DistanceRows.query, and all of them reordered by
-        # rank. The screen, batch and mask budgets go each at 1 and at its
-        # default.
+        # Every _screen call gets the (ids, g, qs, ps) of the brute-force
+        # rows, all of them reordered by rank. The screen, batch and mask
+        # budgets go each at 1 and at its default.
         inst, exact = tolerant_instance(1), exact_instance(*EXACT_INSTANCES[0])
         runs = (
             lambda: da_match(inst.P, inst.Q, MatchParams(inst.eps, pair_source=Pigeonhole(4))),
@@ -1006,32 +681,36 @@ class TestBatchBudget:
             lambda: da_exact(exact.P, exact.Q),
         )
         defaults = da._SCREEN_ROWS, da._BATCH_CELLS, index._MASK_CELLS
-        calls = 0
+        calls, found = 0, [{} for _ in runs]
         for rows, cells, mask in itertools.product(*((1, x) for x in defaults)):
             monkeypatch.setattr(da, "_SCREEN_ROWS", rows)
             monkeypatch.setattr(da, "_BATCH_CELLS", cells)
             monkeypatch.setattr(index, "_MASK_CELLS", mask)
-            for run in runs:
-                with recorded_batches() as batches:
-                    run()
-                for args, screens in batches:
-                    self.check_screens(args, screens, rows)
+            for run, per_pair in zip(runs, found):
+                for args, _, screens in recorded_batches(run):
+                    self.check_screens(args, [s[0] for s in screens], rows, per_pair)
                     calls += len(screens)
         assert calls > 1000
 
     @staticmethod
-    def check_screens(args, screens, screen_rows):
+    def check_screens(args, screens, screen_rows, per_pair):
         """The _screen calls `screens` of the batch of _base_rows(*args) take
-        the groups and rows of the row path in rank order, chunked as _vote
-        chunks them at `screen_rows`."""
-        qs, ps, owner, bases, cuts, bounds = row_path(*args)
+        the groups and rows found by brute force in rank order, chunked as
+        _vote chunks them at `screen_rows`; `per_pair` caches pair_rows."""
+        search, dists, slack, src, lengths = args
+        for (a, b), length in zip(src.tolist(), lengths.tolist()):
+            if (a, b) not in per_pair:
+                per_pair[a, b] = pair_rows(search.dists, dists, a, b, length, slack)
+        groups = batch_groups([per_pair[a, b] for a, b in src.tolist()])
+        owner, bases, bounds, sizes, qs, ps = (np.array(x, dtype=np.int64) for x in groups)
+        cuts = np.append(0, np.cumsum(sizes))
         order = np.argsort(-bounds, kind="stable")
         r = np.concatenate([np.arange(cuts[t], cuts[t + 1]) for t in order] + [[]]).astype(np.int64)
         qs, ps, owner, bases, bounds = qs[r], ps[r], owner[order], bases[order], bounds[order]
-        sizes = np.diff(cuts)[order]
+        sizes = sizes[order]
         ends = np.cumsum(sizes)
-        pid = np.zeros((len(args[0].dists),) * 2, dtype=np.int64)
-        pid[tuple(args[0].pairs.T)] = np.arange(len(args[0].pairs))
+        pid = np.zeros((len(search.dists),) * 2, dtype=np.int64)
+        pid[tuple(search.pairs.T)] = np.arange(len(search.pairs))
         start = 0
         for _, _, _, ids, g, got_qs, got_ps, floor, _ in screens:
             reach = int((bounds >= floor).sum())
@@ -1072,47 +751,6 @@ class TestBatchBudget:
             assert all(r == results[0] for r in results)
 
 
-def reference_select_winner(pp, qq, scene, model, top, tied, radius, fits):
-    """The winner step one tied motion at a time: motions from frames built
-    per base (reference_motions), verified by build_match_result, refined by
-    reference_refine, the best taken by ((-size, max_residual), q pair, p
-    pair, angle). The tied motions share the dict of refits `fits`."""
-    scored = []
-    src, bases, angles = (np.array([t[c] for t in tied]) for c in range(3))
-    for (ab, ij, angle, *_), rot, tr in zip(tied, *reference_motions(pp, qq, src, bases, angles)):
-        result = build_match_result(pp, qq, RigidMotion(rot, tr), radius, top + 2, (ab, ij), angle)
-        result = reference_refine(pp, qq, result, radius, fits)
-        scored.append((((-result.size, result.max_residual), ab, ij, angle), result))
-    return min(scored, key=lambda s: s[0])[1]
-
-
-def reference_refine(pp, qq, result, radius, fits, rounds=8):
-    """Up to `rounds` rounds of least-squares refit on the injective matches,
-    each kept only when it verifies strictly better; `fits` holds the
-    verified fit of each matched set fitted so far (None if degenerate)."""
-    for _ in range(rounds):
-        matched = result.dedup_matched
-        if len(matched) < 3:
-            return result
-        if matched not in fits:
-            q, p = np.array(matched).T
-            try:
-                fit = least_squares_motion(qq[q], pp[p])
-            except DegenerateBasis:
-                fit = None
-            fits[matched] = None if fit is None else build_match_result(pp, qq, fit, radius, 0)
-        if fits[matched] is None:
-            return result
-        polished = replace(
-            fits[matched], votes=result.votes, base_pair=result.base_pair, angle=result.angle
-        )
-        rank = (-result.size, result.max_residual - 1e-15)
-        if not (-polished.size, polished.max_residual) < rank:
-            return result
-        result = polished
-    return result
-
-
 def winner_key(r):
     return (
         r.size,
@@ -1127,72 +765,39 @@ def winner_key(r):
     )
 
 
-@lru_cache(maxsize=None)
-def recorded_winner_inputs():
-    """The _select_winner arguments of the tolerant pinned calls, da_exact on
-    the pinned exact instances, and one all-pairs call at an eps so far
-    below the noise that no base votes and over 200 bases tie at 0."""
-    inputs, select = [], da._select_winner
-
-    def record(*args):
-        inputs.append(args)
-        return select(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(da, "_select_winner", record)
-        for seed in TOLERANT_SEEDS:
-            inst = tolerant_instance(seed)
-            for call in TOLERANT_CALLS.values():
-                call(inst.P, inst.Q, seed)
-        for m, k, seed in EXACT_INSTANCES:
-            inst = exact_instance(m, k, seed)
-            da_exact(inst.P, inst.Q)
-        inst = tolerant_instance(12)
-        da_match(inst.P, inst.Q, MatchParams(0.015))
-    return inputs
+def fitted_sets(calls):
+    """The matched sets that recorded da._fit calls were given, in call order."""
+    return [m for _, (_, _, sets), _ in calls for m in sets]
 
 
 class TestSelectWinner:
-    """The batched winner step against the scalar loop it replaces."""
+    """The batched winner step against the reference's one motion at a time."""
 
     def test_recorded_inputs_cover_the_cases(self):
-        inputs = recorded_winner_inputs()
+        inputs = pinned_winner_inputs()
         assert len(inputs) == len(TOLERANT_SEEDS) * len(TOLERANT_CALLS) + len(EXACT_INSTANCES) + 1
         top, tied = inputs[-1][4:6]
         assert top == 0 and len(tied) > 200
 
-    @staticmethod
-    def recorded_fits(monkeypatch):
-        """The matched sets that da._fit is given, in call order."""
-        sets, fit = [], da._fit
-
-        def record(pp, qq, new):
-            sets.extend(new)
-            return fit(pp, qq, new)
-
-        monkeypatch.setattr(da, "_fit", record)
-        return sets
-
     def test_equals_scalar_reference(self, monkeypatch):
-        fitted = self.recorded_fits(monkeypatch)
         # At the default verify budget, and at one motion a pass.
         for cells in (da._VERIFY_CELLS, 1):
             monkeypatch.setattr(da, "_VERIFY_CELLS", cells)
-            for args in recorded_winner_inputs():
+            for args in pinned_winner_inputs():
                 shared = {}
-                want = winner_key(reference_select_winner(*args, shared))
-                fitted.clear()
-                assert winner_key(da._select_winner(*args)) == want
+                want = winner_key(select_winner(*args, shared))
+                with recording(da, "_fit") as calls:
+                    assert winner_key(da._select_winner(*args)) == want
                 # Each matched set is fitted once, and the same sets as the
-                # scalar loop's shared refits.
+                # reference's shared refits.
+                fitted = fitted_sets(calls)
                 assert len(set(fitted)) == len(fitted)
                 assert set(fitted) == set(shared)
 
-    def test_refit_rounds_up_to_the_cap(self, monkeypatch):
+    def test_refit_rounds_up_to_the_cap(self):
         # Points on a widening spiral with noise at 0.4 of the radius: each
         # refit on the matches of the one before reaches a few more points,
         # so some chains run into the 8-round cap.
-        fitted = self.recorded_fits(monkeypatch)
         lengths, capped, binding = [], 0, 0
         for seed in range(30):
             rng = np.random.default_rng(seed)
@@ -1202,12 +807,13 @@ class TestSelectWinner:
             start = build_match_result(
                 P, Q, RigidMotion.from_axis_angle(rng.normal(size=3), 0.05), 0.25, 5
             )
-            want = reference_refine(P, Q, start, 0.25, {})
+            want = refine(P, Q, start, 0.25, {})
             # The start motion twice: both chains end on one fit, each set
             # fitted once.
             rot, tr = (np.stack([x, x]) for x in (start.motion.rotation, start.motion.translation))
-            fitted.clear()
-            rot, tr, certs, at = da._refine(P, Q, rot, tr, 0.25)
+            with recording(da, "_fit") as calls:
+                rot, tr, certs, at = da._refine(P, Q, rot, tr, 0.25)
+            fitted = fitted_sets(calls)
             got = MatchResult(RigidMotion(rot[at[0]], tr[at[0]]), *certs[at[0]], 5, 0.25)
             assert winner_key(got) == winner_key(want)
             assert at[0] == at[1]
@@ -1218,21 +824,20 @@ class TestSelectWinner:
             lengths.append(len(fitted))
             # The eighth round is kept: seven rounds end elsewhere. And the
             # cap binds: a ninth round would move on.
-            seven, nine = (reference_refine(P, Q, start, 0.25, {}, rounds=r) for r in (7, 9))
+            seven, nine = (refine(P, Q, start, 0.25, {}, rounds=r) for r in (7, 9))
             capped += winner_key(seven) != winner_key(want)
             binding += winner_key(nine) != winner_key(want)
         assert capped and binding and min(lengths) < 4
 
-    def test_fit_equals_least_squares_motion(self, monkeypatch):
+    def test_fit_equals_least_squares_motion(self):
         # Every matched set the recorded winner steps fit, then random sets at
         # every coordinate scale, 3-point sets and reflections among them.
-        fitted = self.recorded_fits(monkeypatch)
         cases = []
-        for args in recorded_winner_inputs():
-            fitted.clear()
-            da._select_winner(*args)
-            if fitted:
-                cases.append((args[0], args[1], list(fitted)))
+        for args in pinned_winner_inputs():
+            with recording(da, "_fit") as calls:
+                da._select_winner(*args)
+            if calls:
+                cases.append((args[0], args[1], fitted_sets(calls)))
         assert sum(len(sets) for *_, sets in cases) > 40
         rng = np.random.default_rng(3)
         for scale in (1e-9, 1e-3, 1.0, 1e3, 1e6):
@@ -1295,47 +900,25 @@ class TestSelectWinner:
 
 class TestSweepAgainstDenseSampling:
     def test_dense_sampling_never_beats_sweep(self):
-        # Rebuild the winner's interval family through the public API and
+        # Rebuild the winner's arcs through the reference's scalar path and
         # check 1e5-angle sampling cannot find a better angle.
         inst = generate_instance(GenSpec(m=12, n=10, k=6, eps=0.4), seed=2)
         res = da_match(inst.P, inst.Q, MatchParams(eps=inst.eps))
         (a, b), (i, j) = res.base_pair
-        phi = pair_canonical_motion(inst.P[i], inst.P[j], inst.Q[a], inst.Q[b])
-        slack = 2 * inst.eps
-        base_len = np.linalg.norm(inst.P[i] - inst.P[j])
-        dq, dp = pairwise_distances(inst.Q), pairwise_distances(inst.P)
-        per_q = {}
-        for q in range(len(inst.Q)):
-            if q in (a, b):
-                continue
-            key = dq[[a, a, b], [b, q, q]]
-            if abs(key[0] - base_len) > slack:
-                continue
-            for p in range(len(inst.P)):
-                if p in (i, j):
-                    continue
-                pkey = dp[[i, i, j], [j, p, p]]
-                if np.abs(key - pkey).max() > slack:
-                    continue
-                iv = dihedral_interval(
-                    inst.P[i], inst.P[j], phi.apply(inst.Q[q]), inst.P[p], res.radius
-                )
-                per_q.setdefault(q, []).append(iv)
-        family = []
-        for q in per_q:
-            family.extend(union_intervals(per_q[q]))
-        angle, count = max_overlap_angle(family)
+        length = float(np.linalg.norm(inst.Q[a] - inst.Q[b]))
+        dp, dq = pairwise_distances(inst.P), pairwise_distances(inst.Q)
+        rows = [(q, p) for *ij, q, p in pair_rows(dp, dq, a, b, length, 2 * inst.eps) if ij == [i, j]]
+        qs, ps = (np.array(x) for x in zip(*rows))
+        full, arc, starts, ends = scalar_arcs(inst.P, inst.Q, (a, b), (i, j), qs, ps, res.radius)
+        count = int(stab(np.zeros(len(qs), dtype=np.int64), qs, full, arc, starts, ends, 1)[0][0])
         assert count == res.votes - 2
         thetas = np.linspace(0.0, TWO_PI, 100_000, endpoint=False)
-        counts = np.zeros(len(thetas), dtype=int)
-        for iv in family:
-            if iv.kind == "full":
-                counts += 1
-            elif iv.kind == "arc":
-                d = (thetas - iv.start) % TWO_PI
-                counts += (d <= iv.length).astype(int)
-        best_dense = counts.max() if len(counts) else 0
-        assert best_dense <= count
+        inside = full[:, None] | (
+            arc[:, None] & ((thetas - starts[:, None]) % TWO_PI <= ((ends - starts) % TWO_PI)[:, None])
+        )
+        # A q counts once wherever one of its rows holds the angle.
+        counts = sum(inside[qs == q].any(axis=0).astype(int) for q in set(qs.tolist()))
+        assert counts.max() <= count
 
 
 def turned(a, u, x, cos, sin):
@@ -1421,9 +1004,8 @@ class TestCylArcs:
         for m, k in ((10, 6), (12, 7)):
             for seed in range(1, 9):
                 inst = generate_instance(GenSpec(m=m, n=m, k=k, eps=0.0, exact=True), seed=seed)
-                with recorded_screens() as recorded:
-                    da_exact(inst.P, inst.Q)
-                seen += [(inst.P, inst.Q, args, src, bases) for args, src, bases, _ in recorded]
+                batches = recorded_batches(lambda: da_exact(inst.P, inst.Q))
+                seen += [(inst.P, inst.Q, *screen[:3]) for *_, screens in batches for screen in screens]
         rows = 0
         with localcontext() as ctx:
             ctx.prec = 60
@@ -1440,8 +1022,7 @@ class TestCylArcs:
 
 class TestGatheredSolve:
     """The arc solve and the winner's motions from the call and batch
-    tables equal, bit for bit, the per-row solve that built both frames for
-    every row."""
+    tables equal, bit for bit, the reference's per-base solve."""
 
     @staticmethod
     def same_arcs(got, want):
@@ -1450,61 +1031,40 @@ class TestGatheredSolve:
     def test_recorded_screens(self):
         # The screens of the 18 tolerant pinned calls and of da_exact on the
         # 8 pinned exact instances.
-        runs = [
-            (tolerant_instance(seed), lambda P, Q, seed=seed, call=call: call(P, Q, seed))
-            for seed in TOLERANT_SEEDS
-            for call in TOLERANT_CALLS.values()
-        ]
-        runs += [(exact_instance(*key), lambda P, Q: da_exact(P, Q)) for key in EXACT_INSTANCES]
         checked = 0
-        for inst, run in runs:
-            with recorded_screens() as recorded:
-                run(inst.P, inst.Q)
-            assert recorded
-            for (pp, table, model, ids, g, qs, ps, _, radius), pairs, bases, _ in recorded:
-                got = da._cyl_arcs(pp, table, model, ids, g, qs, ps, radius)
-                want = reference_cyl_arcs(pp, inst.Q, pairs, bases, g, qs, ps, radius)
-                assert self.same_arcs(got, want)
-                checked += len(qs)
+        for qq, (pp, table, model, ids, g, qs, ps, _, radius), pairs, bases in pinned_screens():
+            got = da._cyl_arcs(pp, table, model, ids, g, qs, ps, radius)
+            assert self.same_arcs(got, cyl_arcs(pp, qq, pairs, bases, g, qs, ps, radius))
+            checked += len(qs)
         assert checked > 80_000
 
     def test_recorded_winner_motions(self):
-        for pp, qq, scene, model, _, tied, _ in recorded_winner_inputs():
+        for pp, qq, scene, model, _, tied, _ in pinned_winner_inputs():
             src, bases, angles, kq, kp = (np.array([t[c] for t in tied]) for c in range(5))
             rot, tr = da._motions(*da._gather(scene, kq), *da._gather(model, kp), angles)
-            want_rot, want_tr = reference_motions(pp, qq, src, bases, angles)
+            want_rot, want_tr = motions(pp, qq, src, bases, angles)
             assert rot.tobytes() == want_rot.tobytes()
             assert tr.tobytes() == want_tr.tobytes()
 
     @pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e3, 1e6])
     def test_random_rows(self, scale):
-        # Random pairs, bases and rows, with p a turned and shifted q on some
-        # rows so that every kind occurs; bases share source pairs and model
-        # pairs, as a batch's do.
+        # Random pairs, bases and rows at every kind of row; bases share
+        # source pairs and model pairs, as a batch's do.
         rng = np.random.default_rng(int(-np.log10(scale) + 20))
         kinds = set()
         for _ in range(20):
-            m, n = (int(x) for x in rng.integers(4, 12, size=2))
-            pp = rng.uniform(-scale, scale, (m, 3)) + rng.uniform(-scale, scale, 3)
-            qq = rng.uniform(-scale, scale, (n, 3))
-            n_bases = int(rng.integers(1, 30))
-            src = np.stack([rng.choice(n, 2, replace=False) for _ in range(n_bases // 3 + 1)])
-            mod = np.stack([rng.choice(m, 2, replace=False) for _ in range(n_bases // 2 + 1)])
-            src = src[rng.integers(0, len(src), n_bases)]
-            bases = mod[rng.integers(0, len(mod), n_bases)]
-            g = np.sort(rng.integers(0, n_bases, 200))
-            qs, ps = rng.integers(0, n, 200), rng.integers(0, m, 200)
-            radius = scale * rng.uniform(0.0, 3.0)
+            pp, qq, src, bases, g, qs, ps, radius = random_bases(rng, scale)
             got = row_arcs(pp, qq, src, bases, g, qs, ps, radius)
-            want = reference_cyl_arcs(pp, qq, src, bases, g, qs, ps, radius)
-            assert self.same_arcs(got, want)
+            assert self.same_arcs(got, cyl_arcs(pp, qq, src, bases, g, qs, ps, radius))
             full, arc = got[:2]
             kinds |= {"full"} if full.any() else set()
             kinds |= {"arc"} if arc.any() else set()
             kinds |= {"empty"} if (~full & ~arc).any() else set()
-            angles = rng.uniform(-TWO_PI, 2 * TWO_PI, n_bases)
-            rot, tr = motions(pp, qq, src, bases, angles)
-            want_rot, want_tr = reference_motions(pp, qq, src, bases, angles)
+            angles = rng.uniform(-TWO_PI, 2 * TWO_PI, len(src))
+            every = np.arange(len(src))
+            scene, model = da._frames(qq, src), da._frames(pp, bases)
+            rot, tr = da._motions(*da._gather(scene, every), *da._gather(model, every), angles)
+            want_rot, want_tr = motions(pp, qq, src, bases, angles)
             assert rot.tobytes() == want_rot.tobytes()
             assert tr.tobytes() == want_tr.tobytes()
         assert kinds == {"full", "arc", "empty"}

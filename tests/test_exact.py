@@ -24,34 +24,26 @@ from lcpmatch.geometry import (
 )
 from lcpmatch.index import DistanceRows
 from lcpmatch.oracle import GenSpec, exact_lcp_bruteforce, generate_instance, random_rotation
-from lcpmatch.result import build_match_result
 from lcpmatch.sampling import Pigeonhole, materialize_pairs
 
 from conftest import random_points
-from test_oracle import _criterion_2_shapes, _edge_cases, _planted_generic
-from test_pinned_outputs import EXACT_INSTANCES, exact_instance, fingerprint
+from reference import (
+    EXACT_INSTANCES,
+    _criterion_2_shapes,
+    _edge_cases,
+    _planted_generic,
+    alignment as alignment_reference,
+    exact_instance,
+    fingerprint,
+    five_point_instance,
+    geometric_hashing as geometric_hashing_reference,
+    geometric_hashing_counts,
+    scored_rows,
+)
 
 UNIT_CUBE = np.array(
     [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=float
 )
-
-
-def five_point_instance():
-    """Five common points plus distractors on both sides, exactly congruent.
-
-    Mirrors the classic picture: the planted motion is discoverable through
-    any pair of the common set and collects k - 2 = 3 votes per base pair.
-    """
-    common = np.array(
-        [[0, 0, 0], [4, 0, 0], [0, 5, 0], [1, 2, 7], [6, 3, 2]], dtype=float
-    )
-    p_extra = np.array([[20, 1, 3], [25, 7, 1], [22, 13, 9]], dtype=float)
-    q_extra = np.array([[-30, 5, 2], [-28, -9, 4]], dtype=float)
-    P = np.vstack([common, p_extra])
-    rot = random_rotation(np.random.default_rng(424242))
-    mu = RigidMotion(rot, np.array([3.0, -17.0, 6.0]))
-    Q = np.vstack([mu.apply(common), q_extra])
-    return P, Q, mu
 
 
 def grid_instance_with_decoy():
@@ -63,66 +55,6 @@ def grid_instance_with_decoy():
     decoy = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], float) @ random_rotation(rng).T + 40.0
     planted = P[[0, 3, 5, 8, 10]] @ random_rotation(rng).T + np.array([0.5, -2.0, 3.0])
     return P, np.vstack([decoy, planted])
-
-
-def alignment_reference(P, Q, tau=1e-9):
-    """Row by row alignment: (top count, first row reaching it, its result),
-    each row scored by its own motion."""
-    exact._require_sizes(P, Q, 3, 3)
-    tq, tp = exact._congruent_triplets(P, Q, ExactParams(tau=tau))
-    best = None
-    for r in range(len(tq)):
-        mu = motion_from_bases(Q[tq[r]], P[tp[r]])
-        ok = np.linalg.norm(mu.apply(Q)[:, None] - P[None], axis=2).min(axis=1) <= tau
-        ok[tq[r]] = False
-        if best is None or ok.sum() > best[0]:
-            best = (int(ok.sum()), r, mu)
-    count, row, mu = best
-    return count, row, build_match_result(P, Q, mu, tau, votes=count)
-
-
-def _reference_sign(pts, d, trip, x, rel=1e-9):
-    a, b, c = pts[trip]
-    det = float(np.dot(np.cross(b - a, c - a), pts[x] - a))
-    scale = max(d[trip[0], trip[1]], d[trip[0], trip[2]], d[trip[1], trip[2]], *d[x, trip])
-    return 0 if abs(det) < rel * scale**3 else int(np.sign(det))
-
-
-def geometric_hashing_counts(P, Q, tau=1e-9):
-    """Row by row geometric hashing: every congruent row's fourth-point votes."""
-    tq, tp = exact._congruent_triplets(P, Q, ExactParams(tau=tau))
-    dq, dp = pairwise_distances(Q), pairwise_distances(P)
-    counts = []
-    for r in range(len(tq)):
-        count = 0
-        for q4 in set(range(len(Q))) - set(tq[r]):
-            for p4 in set(range(len(P))) - set(tp[r]):
-                if (np.abs(dq[q4, tq[r]] - dp[p4, tp[r]]) <= tau).all() and _reference_sign(
-                    Q, dq, tq[r], q4
-                ) == _reference_sign(P, dp, tp[r], p4):
-                    count += 1
-        counts.append(count)
-    return np.array(counts)
-
-
-def geometric_hashing_reference(P, Q, tau=1e-9):
-    """(top count, first row reaching it) of geometric_hashing_counts."""
-    counts = geometric_hashing_counts(P, Q, tau)
-    return int(counts.max()), int(np.argmax(counts))
-
-
-def scored_rows(monkeypatch, matcher, P, Q):
-    """(tq, tp, counts) of the rows that matcher scores through exact._best_row."""
-    seen = []
-    best_row = exact._best_row
-
-    def record(pp, qq, tq, tp, score, params):
-        seen.append((tq, tp, score(slice(0, len(tq)))))
-        return best_row(pp, qq, tq, tp, score, params)
-
-    monkeypatch.setattr(exact, "_best_row", record)
-    matcher(P, Q)
-    return seen[-1]
 
 
 def count_identity_triplet_votes(P, tau=1e-9):
@@ -266,15 +198,15 @@ class TestGeometricHashing:
         assert res.votes == 2  # k - 3 further points
 
     @pytest.mark.parametrize("height, kept", [(0.5e-9, False), (2e-9, True)])
-    def test_near_collinear_rows_as_alignment(self, monkeypatch, height, kept):
+    def test_near_collinear_rows_as_alignment(self, height, kept):
         # (0, 1, 2) is a triangle of height just below or just above the
         # COLLINEAR_REL threshold. Both matchers score the same congruent
         # rows, so they skip its orderings together.
         P = np.array(
             [[0, 0, 0], [1, 0, 0], [0.5, height, 0], [0.2, 0.7, 0.4], [0.9, 0.3, -0.6]]
         )
-        tq, tp, _ = scored_rows(monkeypatch, alignment, P, P)
-        g_tq, g_tp, _ = scored_rows(monkeypatch, geometric_hashing, P, P)
+        tq, tp, _ = scored_rows(alignment, P, P)
+        g_tq, g_tp, _ = scored_rows(geometric_hashing, P, P)
         assert np.array_equal(tq, g_tq) and np.array_equal(tp, g_tp)
         near = set(permutations([0, 1, 2]))
         for trips in (tq, tp):
@@ -282,7 +214,7 @@ class TestGeometricHashing:
             assert near.isdisjoint(map(tuple, trips)) != kept
 
     @pytest.mark.parametrize("z, votes", [(-1e-12, 1), (5e-8, 1), (1e-6, 0), (-1e-6, 0)])
-    def test_zero_band_fourth_point(self, monkeypatch, z, votes):
+    def test_zero_band_fourth_point(self, z, votes):
         # det = z for the unit right triangle and the fourth point (4, 4, z).
         # The zero band is rel * scale^3 = 1.81e-7, scale being the fourth
         # point's distance 5.66 to the origin (the triangle's sides are at
@@ -293,7 +225,7 @@ class TestGeometricHashing:
         Q = np.array(tri + [[4, 4, 1e-12]])
         P = np.array(tri + [[4, 4, z]])
         if votes:
-            _, _, counts = scored_rows(monkeypatch, geometric_hashing, P, Q)
+            _, _, counts = scored_rows(geometric_hashing, P, Q)
             assert np.array_equal(counts, geometric_hashing_counts(P, Q))
             assert counts.max() == votes
         else:
@@ -301,7 +233,7 @@ class TestGeometricHashing:
                 geometric_hashing(P, Q)
 
     @pytest.mark.parametrize("copied", ["model", "scene"])
-    def test_own_vertex_never_votes(self, monkeypatch, copied):
+    def test_own_vertex_never_votes(self, copied):
         # One set also holds a copy of a triangle vertex. A vertex of a row's
         # own triplet is congruent to that copy as a fourth point, but must
         # not vote.
@@ -310,7 +242,7 @@ class TestGeometricHashing:
         Q = np.vstack([P, [[3, 0, 0]]])
         if copied == "model":
             P, Q = Q, P
-        tq, tp, counts = scored_rows(monkeypatch, geometric_hashing, P, Q)
+        tq, tp, counts = scored_rows(geometric_hashing, P, Q)
         assert np.array_equal(counts, geometric_hashing_counts(P, Q))
         # The row (0, 1, 2) -> (0, 1, 2) holds the copy outside its triplets.
         row = np.flatnonzero((tq == [0, 1, 2]).all(axis=1) & (tp == [0, 1, 2]).all(axis=1))

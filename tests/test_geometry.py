@@ -18,6 +18,7 @@ from lcpmatch.geometry import (
 )
 
 from conftest import random_motion, random_points
+from reference import same_bits
 
 
 def rot_matrix(axis, angle):
@@ -38,10 +39,6 @@ def rot_matrix(axis, angle):
 # ---------------------------------------------------------------------------
 # rigid motions
 # ---------------------------------------------------------------------------
-
-
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_cross_bit_equal_to_np_cross(rng):

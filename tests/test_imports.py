@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from test_perfbench_names import tracing
+from reference import tracing
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lcpmatch"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")

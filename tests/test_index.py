@@ -14,6 +14,7 @@ from lcpmatch.index import (
 )
 
 from conftest import random_points
+from reference import pair_rows
 
 
 def brute_pairs(P):
@@ -111,16 +112,12 @@ class TestTripletIndex:
 
 
 def brute_rows(dp, dq, src, lengths, slack):
-    """(pos, q, i, j, p) of DistanceRows.query by testing every candidate."""
-    m, n = len(dp), len(dq)
-    q, i, j, p = np.ix_(np.arange(n), np.arange(m), np.arange(m), np.arange(m))
-    out = []
-    for pos, ((a, b), length) in enumerate(zip(src.tolist(), lengths.tolist())):
-        ok = (length - slack <= dp[i, j]) & (dp[i, j] <= length + slack)
-        ok = ok & (np.abs(dp[i, p] - dq[a, q]) <= slack) & (np.abs(dp[j, p] - dq[b, q]) <= slack)
-        ok &= (q != a) & (q != b) & (i != j) & (p != i) & (p != j)
-        out += [(pos, *row) for row in zip(*(x.tolist() for x in np.nonzero(ok)))]
-    return out
+    """(pos, q, i, j, p) of DistanceRows.query from each pair's brute-force pair_rows."""
+    return sorted(
+        (pos, q, i, j, p)
+        for pos, ((a, b), length) in enumerate(zip(src.tolist(), lengths.tolist()))
+        for i, j, q, p in pair_rows(dp, dq, a, b, length, slack)
+    )
 
 
 def query_rows(P, Q, src, lengths, slack):

@@ -1,16 +1,12 @@
-"""The narrow kernels of the vote tally and the frame tests equal the generic
-numpy code they replaced, bit for bit.
-
-Each reference below is the replaced code, kept as the oracle:
-np.unique(axis=0) for exact._group_rows, the per-(triplet, fourth point)
-row form for exact._fourth_point_signs, np.linalg.norm for
-geometry.axis_norms and the scalar frame tests, and
-np.unique(return_inverse=True) for index._slots, float modulo for
-da._wrap_all and da._split, and the per-call sweep and bound for the DA
-screen's shared pieces.
+"""The narrow kernels of the vote tally, the frame tests and the DA sweep
+equal, bit for bit, the reference forms in reference.py: np.unique(axis=0)
+for exact._group_rows, the per-(triplet, fourth point) row form for
+exact._fourth_point_signs, np.linalg.norm for geometry.axis_norms and the
+scalar frame tests, np.unique(return_inverse=True) for index._slots, float
+modulo for da._wrap_all and da._split, and the brute-force sweep and the
+screen's loop over it for da._stab and da._screen.
 """
 
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -27,25 +23,32 @@ from lcpmatch.exact import (
     _row_keys,
 )
 from lcpmatch.geometry import (
-    COLLINEAR_REL,
     TWO_PI,
     _triplet_frame,
-    as_point,
     axis_norms,
-    cross,
     is_collinear,
     pairwise_distances,
 )
 from lcpmatch.index import _slots
 
-import test_da
-from test_geometry import same_bits
-from test_pinned_outputs import (
+import reference
+from reference import (
     EXACT_INSTANCES,
-    TOLERANT_CALLS,
-    TOLERANT_SEEDS,
+    cyl_arcs,
     exact_instance,
-    tolerant_instance,
+    fourth_point_signs,
+    kernel_bounds,
+    pinned_screens,
+    random_bases,
+    random_row_sets,
+    same_bits,
+    screen,
+    split,
+    stab,
+    tables,
+    triplet_frame,
+    unique_rows,
+    wrap,
 )
 
 SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
@@ -56,16 +59,9 @@ SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
 # ---------------------------------------------------------------------------
 
 
-def unique_rows_reference(keys):
-    _, first, inverse, counts = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    return first, inverse.reshape(-1), counts
-
-
 def assert_same_groups(keys):
     first, inverse, counts = _group_rows(keys)
-    ref_first, ref_inverse, ref_counts = unique_rows_reference(keys)
+    ref_first, ref_inverse, ref_counts = unique_rows(keys)
     # Group g here is group to_ref[g] of np.unique, whose groups are in
     # numeric order; the map must be a bijection.
     to_ref = ref_inverse[first]
@@ -119,19 +115,6 @@ def test_group_rows_on_duplicated_random_keys(seed, width):
 # ---------------------------------------------------------------------------
 
 
-def fourth_point_signs_reference(pts, d, trips):
-    """Orientation sign of every (triplet, fourth point), one row per pair."""
-    n = len(pts)
-    i, j, k = np.repeat(trips, n, axis=0).T
-    x = np.tile(np.arange(n), len(trips))
-    a = pts[i]
-    det = np.einsum("ij,ij->i", cross(pts[j] - a, pts[k] - a), pts[x] - a)
-    scale = np.max([d[i, j], d[i, k], d[j, k], d[x, i], d[x, j], d[x, k]], axis=0)
-    signs = np.sign(det)
-    signs[np.abs(det) < COLLINEAR_REL * scale**3] = 0
-    return signs.reshape(len(trips), n)
-
-
 def sign_sets():
     """Random sets, quarter-grid sets, whose many coplanar quads have zero
     determinants, and nearly flat sets of spread sizes, whose quads straddle
@@ -153,7 +136,7 @@ def test_fourth_point_signs_match_per_row_reference():
         d = pairwise_distances(pts)
         trips = np.array(list(permutations(range(len(pts)), 3)))
         got = _fourth_point_signs(pts, d, trips)
-        assert same_bits(got, fourth_point_signs_reference(pts, d, trips))
+        assert same_bits(got, fourth_point_signs(pts, d, trips))
         entries, zeros = entries + got.size, zeros + int((got == 0).sum())
     assert entries == 216_000
     # Besides the triplets' own points, coplanar and nearly coplanar quads.
@@ -174,40 +157,6 @@ def test_axis_norms_equal_linalg_norm(rng):
     assert same_bits(axis_norms(wide), np.linalg.norm(wide, axis=1))
 
 
-def is_collinear_reference(a, b, c, rel=COLLINEAR_REL):
-    pa, pb, pc = as_point(a), as_point(b), as_point(c)
-    dmax = max(
-        float(np.linalg.norm(pb - pa)),
-        float(np.linalg.norm(pc - pa)),
-        float(np.linalg.norm(pc - pb)),
-    )
-    if dmax == 0.0:
-        return True
-    area2 = float(np.linalg.norm(cross(pb - pa, pc - pa)))
-    return area2 <= rel * dmax * dmax
-
-
-def triplet_frame_reference(trip):
-    """The frame of geometry._triplet_frame, or None where it raises."""
-    a, b, c = trip
-    ab, ac = b - a, c - a
-    dmax = max(
-        float(np.linalg.norm(ab)),
-        float(np.linalg.norm(ac)),
-        float(np.linalg.norm(c - b)),
-    )
-    nab = float(np.linalg.norm(ab))
-    if dmax == 0.0 or nab <= COLLINEAR_REL * dmax:
-        return None
-    e1 = ab / nab
-    h = ac - (ac @ e1) * e1
-    nh = float(np.linalg.norm(h))
-    if nh <= COLLINEAR_REL * dmax:
-        return None
-    e2 = h / nh
-    return a, np.column_stack([e1, e2, cross(e1, e2)])
-
-
 def frame_triplets(rng):
     """Random triplets at every scale, near-collinear ones about the
     threshold, and ones with coincident points."""
@@ -226,8 +175,8 @@ def frame_triplets(rng):
 def test_scalar_frame_tests_equal_linalg_norm_forms(rng):
     both = 0
     for trip in frame_triplets(rng):
-        assert is_collinear(*trip) == is_collinear_reference(*trip)
-        want = triplet_frame_reference(trip)
+        assert is_collinear(*trip) == reference.is_collinear(*trip)
+        want = triplet_frame(trip)
         try:
             got = _triplet_frame(trip)
         except DegenerateBasis:
@@ -264,21 +213,6 @@ def test_slots_equal_unique_inverse(seed):
 # ---------------------------------------------------------------------------
 
 
-def wrap_all_reference(theta):
-    t = theta % TWO_PI
-    return np.where(t >= TWO_PI, 0.0, t)
-
-
-def split_reference(owner, start, end):
-    stop = start + (end - start) % TWO_PI
-    over = stop >= TWO_PI
-    return (
-        np.concatenate([owner, owner[over]]),
-        np.concatenate([start, np.zeros(int(over.sum()))]),
-        np.concatenate([np.where(over, TWO_PI, stop), stop[over] - TWO_PI]),
-    )
-
-
 def near(values, ulps=40):
     """Each value and its `ulps` float neighbours on either side."""
     out = [np.asarray(values, dtype=np.float64)]
@@ -300,25 +234,25 @@ def test_wrap_all_equals_float_modulo(rng):
         rng.uniform(-1, 1, 20_000) * 10.0 ** rng.uniform(-300, 0, 20_000),
         edges,
     ):
-        assert same_bits(da._wrap_all(theta), wrap_all_reference(theta))
+        assert same_bits(da._wrap_all(theta), wrap(theta))
     # Only +0.0 comes out for a zero.
     assert not np.signbit(da._wrap_all(np.array([-0.0, 0.0, TWO_PI, -TWO_PI]))).any()
 
 
 def test_split_equals_float_modulo(rng):
     starts = np.concatenate([rng.uniform(0, TWO_PI, 200_000), near([0.0, np.pi, TWO_PI - 1e-15])])
-    starts = wrap_all_reference(starts)
+    starts = wrap(starts)
     for ends in (
-        wrap_all_reference(rng.uniform(0, TWO_PI, len(starts))),
+        wrap(rng.uniform(0, TWO_PI, len(starts))),
         starts,
         # An end one ulp below its start covers all of the circle but that ulp.
         np.nextafter(starts, -np.inf),
         np.nextafter(starts, np.inf),
-        wrap_all_reference(starts + rng.choice([-1e-15, 1e-15, np.pi, -np.pi], len(starts))),
+        wrap(starts + rng.choice([-1e-15, 1e-15, np.pi, -np.pi], len(starts))),
     ):
         ends = np.clip(ends, 0.0, np.nextafter(TWO_PI, 0))
         owner = np.arange(len(starts))
-        got, want = da._split(owner, starts, ends), split_reference(owner, starts, ends)
+        got, want = da._split(owner, starts, ends), split(owner, starts, ends)
         np.testing.assert_array_equal(got[0], want[0])
         assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
 
@@ -328,118 +262,18 @@ def test_split_equals_float_modulo(rng):
 # ---------------------------------------------------------------------------
 
 
-def stab_reference(g, qs, full, arc, starts, ends, n_bases):
-    """The sweep as one call per base subset built it, keys and pieces anew."""
-    new = da._run_starts(g, qs)
-    key = np.cumsum(new) - 1
-    key_base = g[new]
-    is_full = np.zeros(len(key_base), dtype=bool)
-    is_full[key[full]] = True
-    arc = arc & ~is_full[key]
-    owner, s, e = split_reference(
-        key[arc], wrap_all_reference(starts[arc]), wrap_all_reference(ends[arc])
-    )
-    overlap = np.bincount(key_base[is_full], minlength=n_bases)
-    angle = np.zeros(n_bases)
-    if len(s) == 0:
-        return overlap, angle
-    ev = np.flatnonzero(np.tile(np.bincount(owner)[owner] > 1, 2))
-    owner, pos = np.tile(owner, 2), np.concatenate([s, e])
-    step = np.repeat([1, -1], len(s))
-    if len(ev):
-        ev = ev[np.lexsort((-step[ev], pos[ev], owner[ev]))]
-        count = np.cumsum(step[ev])
-        inner = ev[count != (step[ev] > 0)]
-        owner, pos, step = (np.delete(x, inner) for x in (owner, pos, step))
-    ev_base = key_base[owner]
-    order = np.lexsort((-step, pos, ev_base))
-    ev_base, pos = ev_base[order], pos[order]
-    count = np.cumsum(step[order])
-    heads = np.flatnonzero(da._run_starts(ev_base))
-    peak = np.maximum.reduceat(count, heads)
-    hit = np.flatnonzero(count == np.repeat(peak, np.diff(np.append(heads, len(pos)))))
-    first_hit = hit[da._run_starts(ev_base[hit])]
-    overlap[ev_base[heads]] += peak
-    angle[ev_base[heads]] = wrap_all_reference(0.5 * (pos[first_hit] + pos[first_hit + 1]))
-    return overlap, angle
-
-
-def bin_bounds_reference(g, qs, full, arc, starts, ends, n_bases):
-    dtype = np.dtype(f"<u{max(da._BINS // 8, 1)}")
-    ones = dtype.type(np.iinfo(dtype).max)
-    rows = np.flatnonzero(arc)
-    owner, s, e = split_reference(
-        rows, wrap_all_reference(starts[arc]), wrap_all_reference(ends[arc])
-    )
-    lo, hi = (np.minimum(x * (da._BINS / TWO_PI), da._BINS - 1).astype(dtype) for x in (s, e))
-    piece = (ones >> (8 * dtype.itemsize - 1 - hi)) & (ones << lo)
-    mask = np.where(full, ones, 0).astype(dtype)
-    mask[rows] = piece[: len(rows)]
-    mask[owner[len(rows) :]] |= piece[len(rows) :]
-    heads = np.flatnonzero(da._run_starts(g, qs))
-    keys = np.bitwise_or.reduceat(mask, heads).view(np.uint8).reshape(-1, dtype.itemsize)
-    bins = np.unpackbits(keys, axis=1, bitorder="little")
-    first = np.flatnonzero(da._run_starts(g[heads]))
-    bound = np.zeros(n_bases, dtype=np.int64)
-    bound[g[heads[first]]] = np.add.reduceat(bins, first, axis=0, dtype=np.int64).max(axis=1)
-    return bound
-
-
-def screen_reference(g, qs, full, arc, starts, ends, n_bases, floor):
-    """The screen's loop over its rows, each sweep on the kept rows alone."""
-    rows = (qs, full, arc, starts, ends)
-    bound = bin_bounds_reference(g, *rows, n_bases)
-    overlap, angle = np.full(n_bases, -1), np.zeros(n_bases)
-    todo = bound == max(floor, bound.max())
-    while todo.any():
-        keep = todo[g]
-        local = np.cumsum(todo)[g[keep]] - 1
-        overlap[todo], angle[todo] = stab_reference(
-            local, *(x[keep] for x in rows), int(todo.sum())
-        )
-        floor = max(floor, int(overlap.max()))
-        todo = (bound >= floor) & (overlap < 0)
-    return overlap, angle
-
-
-def screen_on_rows(monkeypatch, g, qs, full, arc, starts, ends, n_bases, floor):
-    """da._screen on given arcs, standing in for _cyl_arcs."""
-    monkeypatch.setattr(da, "_cyl_arcs", lambda *args: (full, arc, starts, ends))
-    ids = np.zeros((n_bases, 2), dtype=np.int64)
-    return da._screen(None, None, None, ids, g, qs, None, floor, None)
-
-
-def assert_same_screen(got, want):
-    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
-
-
-@lru_cache(maxsize=None)
-def recorded_rows():
-    """The arguments and arcs of the screens of the tolerant pinned calls
-    (da_match over all, pigeonhole and expander pairs, m=16, n=24) and of
-    da_exact on the pinned exact instances."""
-    runs = [
-        (tolerant_instance(seed), lambda P, Q, seed=seed, call=call: call(P, Q, seed))
-        for seed in TOLERANT_SEEDS
-        for call in TOLERANT_CALLS.values()
-    ]
-    runs += [(exact_instance(*key), lambda P, Q: da.da_exact(P, Q)) for key in EXACT_INSTANCES]
-    out = []
-    for inst, run in runs:
-        with test_da.recorded_screens() as recorded:
-            run(inst.P, inst.Q)
-        for args, _, _, _ in recorded:
-            out.append((args, da._cyl_arcs(*args[:7], args[8])))
-    return out
-
-
 def test_screen_equals_per_call_sweeps_on_recorded_screens():
+    # The screen of every base from the recorded call's floor and from 0,
+    # on the reference's arcs of the recorded rows and the kernel's bounds.
     calls = rows = 0
-    for args, arcs in recorded_rows():
-        ids, g, qs, floor = args[3], args[4], args[5], args[7]
+    for qq, args, pairs, bases in pinned_screens():
+        pp, g, qs, ps, floor, radius = args[0], *args[4:]
+        arcs = cyl_arcs(pp, qq, pairs, bases, g, qs, ps, radius)
+        bound = kernel_bounds(g, qs, *arcs, len(bases))
         for start in (floor, 0):
-            want = screen_reference(g, qs, *arcs, len(ids), start)
-            assert_same_screen(da._screen(*args[:7], start, args[8]), want)
+            want = screen((g, qs, *arcs), len(bases), start, bound)
+            got = da._screen(*args[:7], start, radius)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
         calls, rows = calls + 1, rows + len(g)
     assert calls > 50 and rows > 80_000
 
@@ -449,9 +283,7 @@ def test_screen_equals_per_call_sweeps_on_random_rows(monkeypatch, bins):
     marks = np.array([0.0, 0.5, np.pi, TWO_PI - 0.5, TWO_PI - 1e-17, TWO_PI])
     rng = np.random.default_rng(bins)
     monkeypatch.setattr(da, "_BINS", bins)
-    for g, qs, full, arc, starts, ends, n_bases in test_da.TestScreen.random_row_sets(
-        bins, 1500, marks
-    ):
+    for g, qs, full, arc, starts, ends, n_bases in random_row_sets(bins, 1500, marks):
         # Arcs from the whole of _cyl_arcs' range, and point arcs whose end
         # rounds one ulp below their start.
         shift = rng.integers(-1, 2, len(starts)) * TWO_PI
@@ -459,22 +291,28 @@ def test_screen_equals_per_call_sweeps_on_random_rows(monkeypatch, bins):
         point = rng.random(len(ends)) < 0.1
         ends = np.where(point, np.nextafter(starts, -np.inf), ends)
         rows = (g, qs, full, arc, starts, ends)
-        for floor in (0, 1, 2):
-            want = screen_reference(*rows, n_bases, floor)
-            assert_same_screen(screen_on_rows(monkeypatch, *rows, n_bases, floor), want)
+        # A subset of the bases scores as the reference scores it.
         todo = rng.random(n_bases) < 0.5
-        keep = todo[g]
-        local = np.cumsum(todo)[g[keep]] - 1
-        got = da._stab(da._pieces(*rows), todo)
-        want = stab_reference(local, *(x[keep] for x in rows[1:]), int(todo.sum()))
-        assert_same_screen(tuple(x[todo] for x in got), want)
-        bound = da._bin_bounds(da._pieces(*rows), n_bases)
-        assert same_bits(bound, bin_bounds_reference(*rows, n_bases))
+        got, want = da._stab(da._pieces(*rows), todo), stab(*rows, n_bases, todo)
+        assert same_bits(got[0][todo], want[0][todo]) and same_bits(got[1][todo], want[1][todo])
+        assert (kernel_bounds(*rows, n_bases) >= stab(*rows, n_bases)[0]).all()
+    # The screen on random geometric rows from each floor, no kernel stood in.
+    for _ in range(100):
+        pp, qq, src, bases, g, qs, ps, radius = random_bases(rng, 1.0)
+        order = np.lexsort((ps, qs, g))
+        g, qs, ps = g[order], qs[order], ps[order]
+        arcs = cyl_arcs(pp, qq, src, bases, g, qs, ps, radius)
+        bound = kernel_bounds(g, qs, *arcs, len(src))
+        for floor in (0, 1, 2):
+            want = screen((g, qs, *arcs), len(src), floor, bound)
+            got = da._screen(pp, *tables(pp, qq, src, bases), g, qs, ps, floor, radius)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 
 def test_cyl_arcs_stay_within_four_pi(rng):
     arcs = 0
-    for _, (_, _, starts, ends) in recorded_rows():
+    for _, args, _, _ in pinned_screens():
+        _, _, starts, ends = da._cyl_arcs(*args[:7], args[8])
         assert (np.abs(starts) < 2 * TWO_PI).all() and (np.abs(ends) < 2 * TWO_PI).all()
     for scale in (1e-9, 1e-3, 1.0, 1e3, 1e6):
         pp, qq = (rng.uniform(-1, 1, size=(12, 3)) * scale for _ in range(2))

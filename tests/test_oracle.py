@@ -1,4 +1,4 @@
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from lcpmatch.oracle import (
 )
 
 from conftest import random_motion, random_points
+from reference import _criterion_2_shapes, _edge_cases, _planted_generic
 
 
 class TestBruteforceLcp:
@@ -146,51 +147,6 @@ def _same_result(a, b):
         and a.motion.rotation.tobytes() == b.motion.rotation.tobytes()
         and a.motion.translation.tobytes() == b.motion.translation.tobytes()
     )
-
-
-def _criterion_2_shapes():
-    # The instances of acceptance criterion 2, without the guard that calls the oracle.
-    for i in range(200):
-        m, n = 8 + (i % 5), 8 + ((i // 5) % 5)
-        spec = GenSpec(m=m, n=n, k=4 + (i % (min(m, n) - 3)), eps=0.0, exact=True, lcp_guard=False)
-        inst = generate_instance(spec, seed=2000 + i)
-        yield inst.P, inst.Q
-
-
-def _planted_generic():
-    # Every other copy is perturbed by up to 2e-10 a coordinate, so residuals and
-    # key differences spread up to about tau instead of sitting at rounding level.
-    rng = np.random.default_rng(5)
-    for i in range(100):
-        m, n = (int(x) for x in rng.integers(3, 12, size=2))
-        k = int(rng.integers(3, min(m, n) + 1))
-        P = rng.uniform(-5.0, 5.0, (m, 3))
-        copy = random_motion(rng, 3.0).apply(P[:k]) + (i % 2) * rng.uniform(-2e-10, 2e-10, (k, 3))
-        Q = np.vstack([copy, rng.uniform(-5.0, 5.0, (n - k, 3))])
-        yield P, Q[rng.permutation(n)]
-
-
-def _edge_cases():
-    rng = np.random.default_rng(6)
-    line = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
-    # All collinear, with and without equal pair lengths, against lines and generic sets.
-    yield np.outer([0.0, 1.0, 3.0, 7.0], line), np.outer([0.0, 2.0, 3.0], [0.0, 0.6, 0.8])
-    yield np.outer([0.0, 1.0, 3.0, 7.0, 12.0], line), random_points(rng, 6)
-    yield random_points(rng, 6), np.outer([5.0, 6.0, 8.0, 12.0], line)
-    # m or n below 3.
-    for m, n in ((1, 1), (1, 5), (5, 1), (2, 2), (2, 6), (6, 2)):
-        P = random_points(rng, m)
-        yield P, np.vstack([P[: min(m, n)], random_points(rng, n - min(m, n))])
-    # Integer grids: many equal lengths, many congruent triplets and tied counts.
-    cube = np.array(list(product(range(3), repeat=3)), dtype=np.float64)
-    for _ in range(12):
-        m, n = (int(x) for x in rng.integers(6, 10, size=2))
-        signed = np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], 3)
-        shift = rng.integers(-5, 6, size=3).astype(np.float64)
-        yield cube[rng.choice(27, m, replace=False)], cube[rng.choice(27, n, replace=False)] @ signed.T + shift
-    # No congruent triplet.
-    for _ in range(3):
-        yield random_points(rng, 7, span=1.0), random_points(rng, 6, span=1000.0)
 
 
 class TestBatchedBruteforce:

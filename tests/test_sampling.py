@@ -20,6 +20,7 @@ from lcpmatch.sampling import (
 )
 
 from conftest import random_points
+from reference import dense_lambda
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +94,6 @@ class TestPigeonholeTriplets:
 # ---------------------------------------------------------------------------
 # expander graphs
 # ---------------------------------------------------------------------------
-
-
-def dense_lambda(g: ExpanderGraph) -> float:
-    """Oracle: full eigendecomposition, drop one copy of the trivial eigenvalue."""
-    eig = np.sort(np.linalg.eigvalsh(g.adjacency()))[::-1]
-    assert eig[0] == pytest.approx(g.d, abs=1e-8)
-    return float(np.abs(eig[1:]).max())
 
 
 class TestRandomRegularGraph:
