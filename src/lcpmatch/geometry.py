@@ -1,4 +1,5 @@
-"""3D geometry core: rigid motions, motion bases, nearest matches, and the
+"""3D geometry core: rigid motions, motion bases, triplet collinearity
+(collinear_mask, over arrays of index triplets), nearest matches, and the
 scalar dihedral-angle intervals.
 
 Conventions
@@ -124,27 +125,6 @@ class RigidMotion:
     def identity(cls) -> "RigidMotion":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_axis_angle(cls, axis, angle: float, center=None) -> "RigidMotion":
-        """Rotation by `angle` about the line through `center` directed along `axis`."""
-        u = as_point(axis)
-        n = np.linalg.norm(u)
-        if n == 0.0:
-            raise DegeneratePair("rotation axis has zero length")
-        u = u / n
-        k = np.array(
-            [
-                [0.0, -u[2], u[1]],
-                [u[2], 0.0, -u[0]],
-                [-u[1], u[0], 0.0],
-            ]
-        )
-        rot = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-        if center is None:
-            return cls(rot, np.zeros(3))
-        c = as_point(center)
-        return cls(rot, c - rot @ c)
-
     def apply(self, points):
         """Apply to a single point (3,) or a point set (N, 3)."""
         pts = np.asarray(points, dtype=np.float64)
@@ -156,20 +136,24 @@ class RigidMotion:
         rt = self.rotation.T
         return RigidMotion(rt, -(rt @ self.translation))
 
-    def is_proper(self, tol: float = 1e-9) -> bool:
-        """Orthonormal within `tol` and determinant +1."""
-        r = self.rotation
-        return (
-            np.abs(r @ r.T - np.eye(3)).max() <= tol
-            and abs(float(np.linalg.det(r)) - 1.0) <= tol
-        )
-
 
 def rotation_about_line(p1, p2, angle: float) -> RigidMotion:
     """Rotation by `angle` about the directed line p1 -> p2."""
     a = as_point(p1)
-    b = as_point(p2)
-    return RigidMotion.from_axis_angle(b - a, angle, center=a)
+    u = as_point(p2) - a
+    n = np.linalg.norm(u)
+    if n == 0.0:
+        raise DegeneratePair("rotation axis has zero length")
+    u = u / n
+    k = np.array(
+        [
+            [0.0, -u[2], u[1]],
+            [u[2], 0.0, -u[0]],
+            [-u[1], u[0], 0.0],
+        ]
+    )
+    rot = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    return RigidMotion(rot, a - rot @ a)
 
 
 def _wrap(theta: float) -> float:
@@ -351,23 +335,9 @@ def dihedral_interval(p1, p2, q, p, r: float) -> AngleInterval:
     return AngleInterval.arc(phi0 + delta, phi0 + TWO_PI - delta)
 
 
-def is_collinear(a, b, c, rel: float = COLLINEAR_REL) -> bool:
-    """Triangle-height collinearity test, relative to the triplet diameter."""
-    pa, pb, pc = as_point(a), as_point(b), as_point(c)
-    ab, ac, bc = pb - pa, pc - pa, pc - pb
-    # np.sqrt(x.dot(x)) is what np.linalg.norm computes for a 1-D x, and a
-    # square root is monotone, so the largest square gives the largest norm.
-    dmax = float(np.sqrt(max(ab.dot(ab), ac.dot(ac), bc.dot(bc))))
-    if dmax == 0.0:
-        return True
-    n = cross(ab, ac)
-    area2 = float(np.sqrt(n.dot(n)))
-    # Height above the longest side is area2 / dmax.
-    return area2 <= rel * dmax * dmax
-
-
 def collinear_mask(points: FloatArray, triplets: NDArray, rel: float = COLLINEAR_REL) -> NDArray:
-    """Vectorized is_collinear over an array of index triplets."""
+    """For each index triplet, whether its triangle's height above the
+    longest side is at most `rel` times that side."""
     pts = np.asarray(points, dtype=np.float64)
     a, b, c = (pts.take(triplets[:, k], axis=0) for k in range(3))
     ab = b - a

@@ -434,7 +434,9 @@ def _fill_points(
 
 
 def _collinear_with_any_pair(cand: np.ndarray, pts: np.ndarray) -> bool:
-    """is_collinear(pts[i], pts[j], cand, rel=1e-7) for some pair i < j, decided alike."""
+    """Whether cand is collinear with some pair pts[i], pts[j], i < j, by the
+    test of geometry.collinear_mask at rel=1e-7: the triangle's height above
+    its longest side is at most 1e-7 times that side."""
     i, j = np.triu_indices(len(pts), k=1)
     ab, ac = pts[j] - pts[i], cand - pts[i]
     dmax = np.maximum(np.maximum(row_norms(ab), row_norms(ac)), row_norms(cand - pts[j]))

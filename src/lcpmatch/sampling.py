@@ -23,8 +23,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .errors import ConstructionFailed, TooFewPoints, TooLarge
-from .geometry import as_points, pairwise_distances
+from .errors import ConstructionFailed
 
 
 # ---------------------------------------------------------------------------
@@ -251,35 +250,3 @@ def estimate_lambda(g: ExpanderGraph) -> float:
         return float(g.d)
     eig = np.linalg.eigvalsh(g.adjacency())  # ascending
     return float(np.abs(eig[:-1]).max())
-
-
-# ---------------------------------------------------------------------------
-# diam_k
-# ---------------------------------------------------------------------------
-
-
-def diam_k(S, k: int) -> float:
-    """Minimum diameter of S after deleting k points, by brute force.
-
-    Exact over all C(|S|, k) removals; guarded so the enumeration stays at
-    desk scale.
-    """
-    pts = as_points(S)
-    n = len(pts)
-    if not 0 <= k < n:
-        raise ValueError("need 0 <= k < |S|")
-    if n - k < 2:
-        raise TooFewPoints("at least two points must remain")
-    if math.comb(n, k) > 10**6:
-        raise TooLarge(f"C({n}, {k}) removals exceed the brute-force cap")
-    d = pairwise_distances(pts)
-    if k == 0:
-        return float(d.max())
-    best = math.inf
-    idx = np.arange(n)
-    for removed in combinations(range(n), k):
-        keep = np.setdiff1d(idx, removed, assume_unique=True)
-        diam = float(d[np.ix_(keep, keep)].max())
-        if diam < best:
-            best = diam
-    return best

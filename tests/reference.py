@@ -12,33 +12,37 @@ through the scalar arc path (pair_canonical_motion, dihedral_interval) and
 as the screen's loop. `cyl_arcs` and `motions` solve the arcs and the
 winner's motions in frames built per base, the arithmetic the gathered
 kernels reproduce bit for bit; `select_winner` and `refine` take the winner
-step one motion at a time. Exact family: `alignment` and
+step one motion at a time; `turned` is the rotation about a line, by
+Rodrigues' formula, that the arcs stand for. Exact family: `alignment` and
 `geometric_hashing_counts` score row by row, on the generic numpy forms of
-its kernels below them. `dense_lambda` is the expander graphs' second
-eigenvalue from a full eigendecomposition.
+its kernels below them, `is_collinear` among them. `dense_lambda` is the
+expander graphs' second eigenvalue from a full eigendecomposition, and
+`diam_k` the long-edge lemma's diameter after deletions, by brute force.
 
 The pinned instances come from test_pinned_outputs and the tracer from
 test_perfbench_names, which stay as they are; test modules take them from
 here and import no other test module.
 """
 
+import math
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from lcpmatch import da, exact
 from lcpmatch.da import MatchParams, da_exact, da_match
-from lcpmatch.errors import DegenerateBasis, DegeneratePair
+from lcpmatch.errors import DegenerateBasis, DegeneratePair, TooFewPoints, TooLarge
 from lcpmatch.exact import ExactParams
 from lcpmatch.geometry import (
     COLLINEAR_REL,
     TWO_PI,
     RigidMotion,
     as_point,
+    as_points,
     cross,
     dihedral_interval,
     least_squares_motion,
@@ -180,6 +184,16 @@ def unpacked(owner, bases, bounds, sizes, cuts, cols, values, width):
 # ---------------------------------------------------------------------------
 # DA: arcs and motions
 # ---------------------------------------------------------------------------
+
+
+def turned(a, b, x, angles):
+    """The points x, of shape (3,) or (N, 3), turned about the directed line
+    a -> b by each of `angles` (Rodrigues): shape (len(angles), *x.shape)."""
+    u = (b - a) / np.linalg.norm(b - a)
+    v = x - a
+    h = np.multiply.outer(v @ u, u)
+    c, s = np.cos(angles), np.sin(angles)
+    return a + h + np.multiply.outer(c, v - h) + np.multiply.outer(s, np.cross(u, v))
 
 
 def frames(points, pairs):
@@ -607,6 +621,7 @@ def fourth_point_signs(pts, d, trips):
 
 
 def is_collinear(a, b, c, rel=COLLINEAR_REL):
+    """geometry.collinear_mask of one triplet of points, on np.linalg.norm."""
     pa, pb, pc = as_point(a), as_point(b), as_point(c)
     dmax = max(
         float(np.linalg.norm(pb - pa)),
@@ -638,3 +653,19 @@ def triplet_frame(trip):
         return None
     e2 = h / nh
     return a, np.column_stack([e1, e2, cross(e1, e2)])
+
+
+def diam_k(S, k):
+    """Minimum diameter of S after deleting k points, by brute force over all
+    C(|S|, k) removals; guarded so the enumeration stays at desk scale."""
+    pts = as_points(S)
+    n = len(pts)
+    if not 0 <= k < n:
+        raise ValueError("need 0 <= k < |S|")
+    if n - k < 2:
+        raise TooFewPoints("at least two points must remain")
+    if math.comb(n, k) > 10**6:
+        raise TooLarge(f"C({n}, {k}) removals exceed the brute-force cap")
+    d = pairwise_distances(pts)
+    keep = (np.setdiff1d(np.arange(n), removed) for removed in combinations(range(n), k))
+    return min(float(d[np.ix_(s, s)].max()) for s in keep)

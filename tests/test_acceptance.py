@@ -8,10 +8,9 @@ runtime calibration.
 import json
 import math
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
-import pytest
 
 from lcpmatch.cli import EXIT_OK, main
 from lcpmatch.da import MatchParams, _cyl_arcs, _cyl_table, _frames, da_exact, da_match, expander_da
@@ -22,17 +21,17 @@ from lcpmatch.exact import (
     ght_pair_based,
     pose_clustering,
 )
-from lcpmatch.geometry import TWO_PI, dihedral_interval, motion_from_bases
+from lcpmatch.geometry import TWO_PI, RigidMotion, dihedral_interval, motion_from_bases
 from lcpmatch.oracle import (
     GenSpec,
     bottleneck_distance,
     exact_lcp_bruteforce,
     generate_instance,
+    random_rotation,
 )
 from lcpmatch.sampling import (
     AllPairs,
     Pigeonhole,
-    diam_k,
     estimate_lambda,
     pigeonhole_pairs,
     pigeonhole_triplets,
@@ -40,7 +39,7 @@ from lcpmatch.sampling import (
 )
 
 from conftest import random_points
-from reference import dense_lambda
+from reference import dense_lambda, diam_k, is_collinear, turned
 
 
 def verdict(num: int, name: str, ok: bool, detail: str):
@@ -352,24 +351,6 @@ def test_criterion_7_expander_bicriteria():
 # ---------------------------------------------------------------------------
 
 
-def _sweep_images(p1, p2, q, angles):
-    """q rotated about the directed line p1 -> p2 by each angle (Rodrigues)."""
-    u = p2 - p1
-    u = u / np.linalg.norm(u)
-    v = q - p1
-    c = np.cos(angles)[:, None]
-    s = np.sin(angles)[:, None]
-    cross = np.cross(u, v)
-    dot = float(u @ v)
-    return c * v + s * cross + (1 - c) * dot * u + p1
-
-
-def _sweep_mismatches(p1, p2, q, p, r, angles):
-    """Dense rotation sweep via explicit Rodrigues application."""
-    dists = np.linalg.norm(_sweep_images(p1, p2, q, angles) - p, axis=1)
-    return dists <= r
-
-
 def _misclassified(truth, pred, angles, ends) -> int:
     """Swept angles where `pred` differs from `truth` more than 1e-6 rad
     around the circle from every solved arc end in `ends`; with no ends (a
@@ -397,7 +378,7 @@ def test_criterion_8_numerical_oracles():
     configs.append((np.zeros(3), np.array([0, 0, 1.0]), np.array([0, 0, 0.5]), np.array([5.0, 0, 0.5]), 0.5))
     for p1, p2, q, p, r in configs:
         cases += 1
-        truth = _sweep_mismatches(p1, p2, q, p, r, angles)
+        truth = np.linalg.norm(turned(p1, p2, q, angles) - p, axis=1) <= r
         iv = dihedral_interval(p1, p2, q, p, r)
         ends = ()
         if iv.kind == "full":
@@ -413,39 +394,40 @@ def test_criterion_8_numerical_oracles():
     # The same sweep of the arc solve the DA screen runs, on a one-row scene
     # table and the frames of one model pair. The source pair and the base
     # are both p1 -> p2, so a turn by t in the axis frames is the rotation
-    # by t about that axis. The configurations above, then p a
-    # turned q plus noise, which mostly gives partial arcs; a generator of
-    # its own leaves the draws below unchanged.
+    # by t about that axis. One row each on the 1M-angle grid: the
+    # configurations above, then p a turned q plus noise, which mostly gives
+    # partial arcs; a generator of its own leaves the draws below unchanged.
     arc_rng = np.random.default_rng(0xC7A8)
-    arc_configs = list(configs)
+    groups = [(p1, p2, q[None], p[None], r) for p1, p2, q, p, r in configs]
     for _ in range(12):
         p1, p2, q = arc_rng.normal(size=(3, 3)) * 4.0
         r = arc_rng.uniform(0.2, 1.5)
         t = arc_rng.uniform(0.0, TWO_PI, size=1)
-        p = _sweep_images(p1, p2, q, t)[0] + arc_rng.normal(size=3) * 0.4 * r
-        arc_configs.append((p1, p2, q, p, r))
+        p = turned(p1, p2, q, t)[0] + arc_rng.normal(size=3) * 0.4 * r
+        groups.append((p1, p2, q[None], p[None], r))
     kinds = {"arc": 0, "full": 0, "empty": 0}
     cyl_bad = 0
-    pair, ids, zero, one = np.array([[0, 1]]), np.array([[0, 0]]), np.array([0]), np.array([2])
-    for p1, p2, q, p, r in arc_configs:
-        truth = _sweep_mismatches(p1, p2, q, p, r, angles)
-        pp, qq = np.array([p1, p2, p]), np.array([p1, p2, q])
-        table = _cyl_table(qq, _frames(qq, pair), zero)
-        full, arc, starts, ends = _cyl_arcs(pp, table, _frames(pp, pair), ids, zero, one, one, r)
-        solved = ()
-        if full[0] or not arc[0]:
-            kinds["full" if full[0] else "empty"] += 1
-            pred = np.full_like(truth, full[0])
-        else:
-            kinds["arc"] += 1
-            pred = (angles - starts[0]) % TWO_PI <= (ends[0] - starts[0]) % TWO_PI
-            solved = (starts[0], ends[0])
-        cyl_bad += _misclassified(truth, pred, angles, solved)
+    pair, ids = np.array([[0, 1]]), np.array([[0, 0]])
+    for p1, p2, qs, ps, r in groups:
+        truth = np.linalg.norm(turned(p1, p2, qs, angles) - ps, axis=2) <= r
+        pp, qq = np.vstack([p1, p2, ps]), np.vstack([p1, p2, qs])
+        rows = np.arange(2, len(qq))
+        table = _cyl_table(qq, _frames(qq, pair), np.array([0]))
+        full, arc, starts, ends = _cyl_arcs(
+            pp, table, _frames(pp, pair), ids, np.zeros(len(rows), dtype=np.int64), rows, rows, r
+        )
+        for k in range(len(rows)):
+            solved = ()
+            if full[k] or not arc[k]:
+                kinds["full" if full[k] else "empty"] += 1
+                pred = np.full(len(angles), full[k])
+            else:
+                kinds["arc"] += 1
+                pred = (angles - starts[k]) % TWO_PI <= (ends[k] - starts[k]) % TWO_PI
+                solved = (starts[k], ends[k])
+            cyl_bad += _misclassified(truth[:, k], pred, angles, solved)
 
     # Motion round-trip accuracy.
-    from lcpmatch.oracle import random_rotation
-    from lcpmatch.geometry import RigidMotion, is_collinear
-
     worst_rt = 0.0
     done = 0
     while done < 1000:
@@ -462,8 +444,6 @@ def test_criterion_8_numerical_oracles():
         )
 
     # Bottleneck distance against the factorial oracle.
-    from itertools import permutations
-
     bn_bad = 0
     for _ in range(50):
         nq = int(rng.integers(2, 8))
@@ -478,13 +458,16 @@ def test_criterion_8_numerical_oracles():
         if abs(bottleneck_distance(P, Q) - float(brute)) > 1e-12:
             bn_bad += 1
 
+    # The 27 one-row groups give at least 12 arcs and one full row;
+    # TestCylArcs::test_dense_sweep sweeps 300 more rows on 100 axes.
+    covered = kinds["full"] == 1 and kinds["arc"] >= 12
     elapsed = time.perf_counter() - t0
     verdict(
         8,
         "dihedral and cylinder-arc sweeps, motion round-trip 1e-8, bottleneck factorial oracle",
-        bad == 0 and cyl_bad == 0 and kinds["arc"] >= 12 and worst_rt <= 1e-8 and bn_bad == 0,
-        f"{cases} sweep configs with {bad} misclassifications, {len(arc_configs)} _cyl_arcs "
-        f"configs ({kinds['arc']} arc, {kinds['full']} full, {kinds['empty']} empty) with "
+        bad == 0 and cyl_bad == 0 and covered and worst_rt <= 1e-8 and bn_bad == 0,
+        f"{cases} sweep configs with {bad} misclassifications, {sum(kinds.values())} _cyl_arcs "
+        f"rows ({kinds['arc']} arc, {kinds['full']} full, {kinds['empty']} empty) with "
         f"{cyl_bad} misclassifications, round-trip {worst_rt:.2e}, bottleneck 50/50, "
         f"{elapsed:.1f}s",
     )

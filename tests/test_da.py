@@ -20,7 +20,7 @@ from lcpmatch.da import (
 from lcpmatch.errors import DegeneratePair, DegreeTooSmall, NoCandidatePairs
 from lcpmatch.exact import ExactParams
 from lcpmatch.geometry import TWO_PI, RigidMotion, _nearest_batch, least_squares_motion
-from lcpmatch.geometry import nearest_matches, pairwise_distances
+from lcpmatch.geometry import nearest_matches, pairwise_distances, rotation_about_line
 from lcpmatch.index import DistanceRows
 from lcpmatch.oracle import GenSpec, exact_lcp_bruteforce, generate_instance, random_rotation
 from lcpmatch.result import MatchResult, build_match_result
@@ -54,6 +54,7 @@ from reference import (
     stab_rows,
     tables,
     tolerant_instance,
+    turned,
     unpacked,
 )
 
@@ -805,7 +806,7 @@ class TestSelectWinner:
             P = np.column_stack([r * np.cos(th), r * np.sin(th), 0.5 * r * rng.uniform(-1, 1, 30)])
             Q = P + rng.normal(0.0, 0.1, P.shape)
             start = build_match_result(
-                P, Q, RigidMotion.from_axis_angle(rng.normal(size=3), 0.05), 0.25, 5
+                P, Q, rotation_about_line(np.zeros(3), rng.normal(size=3), 0.05), 0.25, 5
             )
             want = refine(P, Q, start, 0.25, {})
             # The start motion twice: both chains end on one fit, each set
@@ -921,14 +922,6 @@ class TestSweepAgainstDenseSampling:
         assert counts.max() <= count
 
 
-def turned(a, u, x, cos, sin):
-    """x turned about the line through a along unit u by the angles of each
-    (cos, sin) (Rodrigues)."""
-    v = x - a
-    h = u * (u @ v)
-    return a + h + np.multiply.outer(cos, v - h) + np.multiply.outer(sin, np.cross(u, v))
-
-
 def exact_cylinder(o, e, x):
     """Height and distance of x about the axis o -> e, in Decimal arithmetic
     on the exact values of the float coordinates."""
@@ -948,7 +941,6 @@ class TestCylArcs:
         # near it (full), and q with a p too far along the axis (empty).
         rng = np.random.default_rng(0xC71)
         thetas = np.linspace(0.0, TWO_PI, 200_000, endpoint=False)
-        cos, sin = np.cos(thetas), np.sin(thetas)
         kinds = {"full": 0, "arc": 0, "empty": 0}
         for _ in range(100):
             a = rng.normal(size=3) * 3.0
@@ -958,7 +950,7 @@ class TestCylArcs:
             r = rng.uniform(0.2, 1.0)
             q = a + rng.normal(size=3) * 2.0
             t = rng.uniform(0.0, TWO_PI)
-            p = turned(a, u, q, np.cos(t), np.sin(t)) + rng.normal(size=3) * 0.8 * r
+            p = turned(a, b, q, t) + rng.normal(size=3) * 0.8 * r
             on_axis = a + u * rng.uniform(-2.0, 2.0)
             off = rng.normal(size=3)
             near = on_axis + off * (0.5 * r / np.linalg.norm(off))
@@ -970,20 +962,19 @@ class TestCylArcs:
             full, arc, starts, ends = row_arcs(
                 pp, qq, pair, pair, np.zeros(len(rows), dtype=np.int64), rows, rows, r
             )
-            for k, x in enumerate(rows.tolist()):
-                gap = turned(a, u, qq[x], cos, sin) - pp[x]
-                truth = np.einsum("ij,ij->i", gap, gap) <= r * r
+            truth = np.linalg.norm(turned(a, b, qq[rows], thetas) - pp[rows], axis=2) <= r
+            for k in range(len(rows)):
                 if full[k] or not arc[k]:
                     kinds["full" if full[k] else "empty"] += 1
-                    assert (truth == full[k]).all()
+                    assert (truth[:, k] == full[k]).all()
                     continue
                 kinds["arc"] += 1
                 inside = (thetas - starts[k]) % TWO_PI <= (ends[k] - starts[k]) % TWO_PI
-                wrong = thetas[inside != truth]
+                wrong = thetas[inside != truth[:, k]]
                 gap = np.minimum(
-                    *(np.abs((wrong - x + np.pi) % TWO_PI - np.pi) for x in (starts[k], ends[k]))
+                    *(np.abs((wrong - end + np.pi) % TWO_PI - np.pi) for end in (starts[k], ends[k]))
                 )
-                assert (gap <= 1e-4).all()
+                assert (gap <= 1e-6).all()
         assert kinds["full"] == 100 and kinds["empty"] >= 100 and kinds["arc"] >= 40, kinds
 
     def test_point_arc_has_equal_ends(self):

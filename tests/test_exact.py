@@ -17,7 +17,6 @@ from lcpmatch.exact import (
 )
 from lcpmatch.geometry import (
     RigidMotion,
-    is_collinear,
     motion_from_bases,
     motions_from_bases,
     pairwise_distances,
@@ -38,6 +37,7 @@ from reference import (
     five_point_instance,
     geometric_hashing as geometric_hashing_reference,
     geometric_hashing_counts,
+    is_collinear,
     scored_rows,
 )
 

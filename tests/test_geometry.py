@@ -10,30 +10,15 @@ from lcpmatch.geometry import (
     RigidMotion,
     cross,
     dihedral_interval,
-    is_collinear,
     max_overlap_angle,
     motion_from_bases,
     pair_canonical_motion,
+    rotation_about_line,
     union_intervals,
 )
 
 from conftest import random_motion, random_points
-from reference import same_bits
-
-
-def rot_matrix(axis, angle):
-    """Test-local Rodrigues rotation, independent of the library's."""
-    u = np.asarray(axis, float)
-    u = u / np.linalg.norm(u)
-    c, s = np.cos(angle), np.sin(angle)
-    x, y, z = u
-    return np.array(
-        [
-            [c + x * x * (1 - c), x * y * (1 - c) - z * s, x * z * (1 - c) + y * s],
-            [y * x * (1 - c) + z * s, c + y * y * (1 - c), y * z * (1 - c) - x * s],
-            [z * x * (1 - c) - y * s, z * y * (1 - c) + x * s, c + z * z * (1 - c)],
-        ]
-    )
+from reference import is_collinear, same_bits, turned
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +56,7 @@ def test_apply_identity():
 
 
 def test_apply_rotation_pi_about_z():
-    mu = RigidMotion.from_axis_angle([0, 0, 1], np.pi)
+    mu = rotation_about_line(np.zeros(3), [0, 0, 1], np.pi)
     assert np.allclose(mu.apply([1.0, 0.0, 0.0]), [-1, 0, 0], atol=1e-12)
 
 
@@ -92,8 +77,13 @@ def test_inverse_undoes_apply(rng):
         assert np.abs(back - p).max() <= 1e-9 * max(1.0, np.abs(p).max())
 
 
+def is_proper(rot):
+    """Orthonormal within 1e-9 and determinant +1."""
+    return np.abs(rot @ rot.T - np.eye(3)).max() <= 1e-9 and abs(np.linalg.det(rot) - 1.0) <= 1e-9
+
+
 def test_motion_is_proper(rng):
-    assert random_motion(rng).is_proper()
+    assert is_proper(random_motion(rng).rotation)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +100,7 @@ def test_motion_from_bases_identity():
 
 def test_motion_from_bases_constructed_rotation():
     trip = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    rot = rot_matrix([0, 0, 1], np.pi)
+    rot = turned(np.zeros(3), np.array([0.0, 0, 1]), np.eye(3), [np.pi])[0].T
     mu = motion_from_bases(trip, trip @ rot.T)
     assert np.abs(mu.rotation - rot).max() <= 1e-12
 
@@ -180,7 +170,7 @@ def test_pair_canonical_antiparallel_consistent():
     q1, q2 = np.array([0.0, 0, 0]), np.array([-1.0, 0, 0])
     mu = pair_canonical_motion(p1, p2, q1, q2)
     assert np.allclose(mu.apply(q2), p2, atol=1e-12)
-    assert mu.is_proper()
+    assert is_proper(mu.rotation)
 
 
 def test_pair_canonical_degenerate_raises():
@@ -217,9 +207,7 @@ def test_dihedral_against_rotation_sweep(seed):
     r = abs(rng.normal()) * 2.0
     iv = dihedral_interval(p1, p2, q, p, r)
     thetas = rng.uniform(0.0, TWO_PI, size=400)
-    for th in thetas:
-        rot = rot_matrix(p2 - p1, th)
-        img = rot @ (q - p1) + p1
+    for th, img in zip(thetas, turned(p1, p2, q, thetas)):
         truth = np.linalg.norm(img - p) <= r
         if truth == iv.contains(th):
             continue

@@ -1,8 +1,8 @@
 """The narrow kernels of the vote tally, the frame tests and the DA sweep
 equal, bit for bit, the reference forms in reference.py: np.unique(axis=0)
 for exact._group_rows, the per-(triplet, fourth point) row form for
-exact._fourth_point_signs, np.linalg.norm for geometry.axis_norms and the
-scalar frame tests, np.unique(return_inverse=True) for index._slots, float
+exact._fourth_point_signs, np.linalg.norm for geometry.axis_norms,
+geometry.collinear_mask and the scalar frame test, np.unique(return_inverse=True) for index._slots, float
 modulo for da._wrap_all and da._split, and the brute-force sweep and the
 screen's loop over it for da._stab and da._screen.
 """
@@ -26,7 +26,7 @@ from lcpmatch.geometry import (
     TWO_PI,
     _triplet_frame,
     axis_norms,
-    is_collinear,
+    collinear_mask,
     pairwise_distances,
 )
 from lcpmatch.index import _slots
@@ -175,7 +175,7 @@ def frame_triplets(rng):
 def test_scalar_frame_tests_equal_linalg_norm_forms(rng):
     both = 0
     for trip in frame_triplets(rng):
-        assert is_collinear(*trip) == reference.is_collinear(*trip)
+        assert collinear_mask(trip, np.array([[0, 1, 2]]))[0] == reference.is_collinear(*trip)
         want = triplet_frame(trip)
         try:
             got = _triplet_frame(trip)

@@ -10,7 +10,6 @@ from lcpmatch.sampling import (
     Expander,
     ExpanderGraph,
     Pigeonhole,
-    diam_k,
     estimate_lambda,
     materialize_pairs,
     pigeonhole_pairs,
@@ -20,7 +19,7 @@ from lcpmatch.sampling import (
 )
 
 from conftest import random_points
-from reference import dense_lambda
+from reference import dense_lambda, diam_k
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +268,7 @@ class TestPairSources:
 
 
 # ---------------------------------------------------------------------------
-# diam_k
+# diam_k, criterion 6's brute-force oracle in reference.py
 # ---------------------------------------------------------------------------
 
 
