@@ -131,27 +131,17 @@ _TRIPLET_MATCHERS = {
 def _dispatch(args, inst: oracle_mod.Instance, seed: int) -> MatchResult:
     eps = float(args.eps) if args.eps is not None else inst.eps
     if args.algo == "da":
-        factor = args.radius_factor if args.radius_factor is not None else 4.0
-        params = da_mod.MatchParams(
-            eps=eps, pair_source=_pair_source(args, seed), report_factor=factor
-        )
+        params = da_mod.MatchParams(eps=eps, pair_source=_pair_source(args, seed))
         return da_mod.da_match(inst.P, inst.Q, params)
     if args.algo == "da-exact":
         return da_mod.da_exact(
             inst.P, inst.Q, exact_mod.ExactParams(tau=args.tau), pairs=_pair_source(args, seed)
         )
     if args.algo == "expander-da":
-        factor = args.radius_factor if args.radius_factor is not None else 6.0
         if args.degree is None:
             raise ValueError("expander-da requires --degree")
         return da_mod.expander_da(
-            inst.P,
-            inst.Q,
-            eps,
-            degree=args.degree,
-            alpha=args.alpha,
-            seed=seed,
-            report_factor=factor,
+            inst.P, inst.Q, eps, degree=args.degree, alpha=args.alpha, seed=seed
         )
     params = exact_mod.ExactParams(tau=args.tau)
     triplet_matcher = _TRIPLET_MATCHERS.get(args.algo)
@@ -179,7 +169,6 @@ def build_run_report(args, inst: oracle_mod.Instance, result: MatchResult, seed:
             "sampling": args.sampling,
             "alpha": args.alpha,
             "degree": args.degree,
-            "radius_factor": args.radius_factor,
             "tolerant": tolerant_precondition(inst.P, inst.Q, eps),
         },
         "result": {**result.to_dict(), "verified": _reverify(inst, result)},
@@ -303,8 +292,7 @@ def cmd_bench(args) -> int:
                         alpha=alpha,
                         degree=degree,
                         eps=None,
-                        tau=1e-9,
-                        radius_factor=None,
+                        tau=exact_mod.ExactParams.tau,
                     )
                     start = time.perf_counter()
                     try:
@@ -367,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--alpha", type=float, default=4.0)
     m.add_argument("--degree", type=int, default=None)
     m.add_argument("--eps", type=float, default=None, help="override instance eps")
-    m.add_argument("--tau", type=float, default=1e-9)
-    m.add_argument("--radius-factor", type=float, default=None)
+    m.add_argument("--tau", type=float, default=exact_mod.ExactParams.tau)
     m.add_argument("--seed", type=int, default=None)
     m.add_argument("--out", default=None)
     m.set_defaults(func=cmd_match)

@@ -53,8 +53,9 @@ interpoint distance above 2*eps), the diameter pair of the optimal matched
 set passes the filter and votes the full set at radius 4*eps, so the winner
 is at least as large as the optimum. The exact-mode variant (zero noise)
 runs the same loop at slack and radius tau. The expander variant draws
-source pairs from a verified expander graph and widens the radius to 6*eps
-by default, trading a bounded size slack for fewer pairs.
+source pairs from a verified expander graph and certifies at the wider
+radius 6*eps, trading a bounded size slack for fewer pairs. Each entry point
+fixes its radius; no parameter changes it.
 """
 
 from __future__ import annotations
@@ -89,21 +90,14 @@ from .sampling import AllPairs, Expander, PairSource, materialize_pairs
 
 @dataclass(frozen=True)
 class MatchParams:
-    """Tolerance, pair source, and certificate radius factor for da_match.
-
-    The report factor scales eps into the certificate radius (4 for the
-    plain matcher, 6 for the expander variant).
-    """
+    """Tolerance and pair source for da_match, which certifies at 4*eps."""
 
     eps: float
     pair_source: PairSource = AllPairs()
-    report_factor: float = 4.0
 
     def __post_init__(self):
         if not 0 <= self.eps < np.inf:
             raise ValueError("eps must be finite and >= 0")
-        if not 0 < self.report_factor < np.inf:
-            raise ValueError("report_factor must be finite and positive")
 
 
 # Cells (third scene points times third model points times model pairs in
@@ -627,7 +621,7 @@ def da_match(P, Q, params: MatchParams) -> MatchResult:
 
     With AllPairs and the tolerant precondition the returned raw size
     (votes) is at least the optimal matched-set size and every certified
-    residual is at most report_factor * eps.
+    residual is at most 4 * eps.
 
     Source pairs are searched in batches of at most _BATCH_CELLS cells, and
     _vote screens each batch's bases by descending bound in chunks of at
@@ -637,12 +631,18 @@ def da_match(P, Q, params: MatchParams) -> MatchResult:
     _select_winner builds, verifies and refines their motions. At eps = 0
     the radius is 1e-9 times the data's span, and the same screen votes.
     """
+    return _tolerant(P, Q, params, 4.0)
+
+
+def _tolerant(P, Q, params: MatchParams, factor: float) -> MatchResult:
+    """Tolerant DA at slack 2 * eps and radius factor * eps, each at least
+    the data's numeric fuzz; the factor is fixed by the public entry point."""
     pp, qq = as_points(P), as_points(Q)
     if len(pp) < 2 or len(qq) < 2:
         raise TooFewPoints("da_match needs at least 2 points per set")
     fuzz = _numeric_fuzz(pp, qq)
     slack = max(2.0 * params.eps, fuzz)
-    radius = max(params.report_factor * params.eps, fuzz)
+    radius = max(factor * params.eps, fuzz)
     return _vote(pp, qq, params.pair_source, slack, radius, bare=True)
 
 
@@ -669,20 +669,12 @@ def da_exact(
     return _vote(pp, qq, pairs, radius, radius, bare=False)
 
 
-def expander_da(
-    P,
-    Q,
-    eps: float,
-    degree: int,
-    alpha: float,
-    seed: int,
-    report_factor: float = 6.0,
-) -> MatchResult:
-    """Dihedral matcher over expander-sampled pairs with a widened radius.
+def expander_da(P, Q, eps: float, degree: int, alpha: float, seed: int) -> MatchResult:
+    """Dihedral matcher over expander-sampled pairs, certified at 6 * eps.
 
     Requires degree > 2500 * alpha^2. When the optimum exceeds n/alpha the
     winner size falls short of it by at most (50 / sqrt(degree)) * n, with
-    residuals at most report_factor * eps.
+    residuals at most 6 * eps.
     """
     if not 0 < alpha < np.inf:
         raise ValueError("alpha must be finite and positive")
@@ -690,7 +682,4 @@ def expander_da(
         raise DegreeTooSmall(
             f"degree {degree} must exceed 2500 * alpha^2 = {2500.0 * alpha * alpha:.1f}"
         )
-    params = MatchParams(
-        eps=eps, pair_source=Expander(degree, seed), report_factor=report_factor
-    )
-    return da_match(P, Q, params)
+    return _tolerant(P, Q, MatchParams(eps=eps, pair_source=Expander(degree, seed)), 6.0)

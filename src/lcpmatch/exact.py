@@ -304,6 +304,4 @@ def ght_pair_based(
     r = first[g]
     mu = motion_from_bases(qq[tq[r]], pp[tp[r]])
     base_pair = ((int(tq[r, 0]), int(tq[r, 1])), (int(tp[r, 0]), int(tp[r, 1])))
-    return build_match_result(
-        pp, qq, mu, params.tau, votes=int(counts[g]), base_pair=base_pair
-    )
+    return build_match_result(pp, qq, mu, params.tau, int(counts[g]), base_pair)

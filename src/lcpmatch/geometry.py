@@ -121,10 +121,6 @@ class RigidMotion:
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tr)
 
-    @classmethod
-    def identity(cls) -> "RigidMotion":
-        return cls(np.eye(3), np.zeros(3))
-
     def apply(self, points):
         """Apply to a single point (3,) or a point set (N, 3)."""
         pts = np.asarray(points, dtype=np.float64)

@@ -80,17 +80,11 @@ def certify(pairs: list[tuple[int, int]], residuals: FloatArray):
 
 
 def build_match_result(
-    P,
-    Q,
-    motion: RigidMotion,
-    radius: float,
-    votes: int,
-    base_pair=None,
-    angle=None,
+    P, Q, motion: RigidMotion, radius: float, votes: int, base_pair=None
 ) -> MatchResult:
     """Verify `motion` against P at `radius` and package the certificate."""
     certificate = certify(*nearest_matches(P, Q, motion, radius))
-    return MatchResult(motion, *certificate, votes, radius, base_pair, angle)
+    return MatchResult(motion, *certificate, votes, radius, base_pair)
 
 
 __all__ = ["MatchResult", "build_match_result", "certify", "greedy_injective"]

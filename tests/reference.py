@@ -399,7 +399,8 @@ def select_winner(pp, qq, scene, model, top, tied, radius, fits):
     scored = []
     src, bases, angles = (np.array([t[c] for t in tied]) for c in range(3))
     for (ab, ij, angle, *_), rot, tr in zip(tied, *motions(pp, qq, src, bases, angles)):
-        result = build_match_result(pp, qq, RigidMotion(rot, tr), radius, top + 2, (ab, ij), angle)
+        result = build_match_result(pp, qq, RigidMotion(rot, tr), radius, top + 2, (ab, ij))
+        result = replace(result, angle=angle)
         result = refine(pp, qq, result, radius, fits)
         scored.append((((-result.size, result.max_residual), ab, ij, angle), result))
     return min(scored, key=lambda s: s[0])[1]

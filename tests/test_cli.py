@@ -188,15 +188,23 @@ class TestMatch:
             reports.append(json.dumps(rep, sort_keys=True))
         assert len(set(reports)) == 1
 
-    @pytest.mark.parametrize("command", ["match", "bench"])
-    def test_threads_flag_is_gone(self, instance_file, capsys, command):
-        # Matching runs in the calling thread; no command takes a thread count.
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            pytest.param("match", "--threads", "2", id="match"),
+            pytest.param("bench", "--threads", "2", id="bench"),
+            pytest.param("match", "--radius-factor", "6", id="match-radius-factor"),
+        ],
+    )
+    def test_threads_flag_is_gone(self, instance_file, capsys, command, flag, value):
+        # Matching runs in the calling thread; no command takes a thread
+        # count. Each DA entry point fixes its radius; no flag changes it.
         args = [str(instance_file), "--algo", "da"] if command == "match" else ["--suite", "{}"]
-        code, _, _ = run_cli(capsys, command, *args, "--threads", "2")
+        code, _, _ = run_cli(capsys, command, *args, flag, value)
         assert code == EXIT_USAGE
         if command == "match":
             code, out, _ = run_cli(capsys, command, *args)
-            assert "threads" not in json.loads(out)["params"]
+            assert flag[2:].replace("-", "_") not in json.loads(out)["params"]
 
     def test_env_seed_fallback(self, instance_file, capsys, monkeypatch):
         monkeypatch.setenv("LCP_MATCH_SEED", "42")

@@ -145,15 +145,7 @@ class TestDaMatch:
             votes = [v for _, v in ordered]
             assert votes == sorted(votes), (seed, sizes)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"eps": float("nan")},
-            {"eps": float("inf")},
-            {"eps": 0.3, "report_factor": float("nan")},
-            {"eps": 0.3, "report_factor": float("inf")},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"eps": float("nan")}, {"eps": float("inf")}])
     def test_params_must_be_finite(self, kwargs):
         with pytest.raises(ValueError):
             MatchParams(**kwargs)

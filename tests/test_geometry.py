@@ -52,7 +52,7 @@ def test_cross_bit_equal_to_np_cross(rng):
 
 
 def test_apply_identity():
-    assert np.allclose(RigidMotion.identity().apply([1.0, 2.0, 3.0]), [1, 2, 3])
+    assert np.allclose(RigidMotion(np.eye(3), np.zeros(3)).apply([1.0, 2.0, 3.0]), [1, 2, 3])
 
 
 def test_apply_rotation_pi_about_z():

@@ -170,18 +170,21 @@ class TestBatchedBruteforce:
             assert _same_result(exact_lcp_bruteforce(P, Q), res)
 
 
+IDENTITY = RigidMotion(np.eye(3), np.zeros(3))
+
+
 class TestVerifyMotion:
     def test_empty_model_raises(self, rng):
         with pytest.raises(EmptySet):
-            verify_motion(np.empty((0, 3)), random_points(rng, 4), RigidMotion.identity(), 1.0)
+            verify_motion(np.empty((0, 3)), random_points(rng, 4), IDENTITY, 1.0)
 
     def test_empty_scene_matches_nothing(self, rng):
-        res = verify_motion(random_points(rng, 4), np.empty((0, 3)), RigidMotion.identity(), 1.0)
+        res = verify_motion(random_points(rng, 4), np.empty((0, 3)), IDENTITY, 1.0)
         assert res.size == 0 and res.max_residual == 0.0
 
     def test_identity_radius_zero(self, rng):
         P = random_points(rng, 6)
-        res = verify_motion(P, P, RigidMotion.identity(), 0.0)
+        res = verify_motion(P, P, IDENTITY, 0.0)
         assert res.size == 6
         assert res.max_residual == 0.0
 
@@ -193,13 +196,13 @@ class TestVerifyMotion:
     def test_radius_below_min_residual_empty(self, rng):
         P = random_points(rng, 5)
         Q = P + 1.0
-        res = verify_motion(P, Q, RigidMotion.identity(), 0.5)
+        res = verify_motion(P, Q, IDENTITY, 0.5)
         assert res.size == 0
 
     def test_dedup_is_injective(self, rng):
         P = np.array([[0.0, 0, 0], [10.0, 0, 0]])
         Q = np.array([[0.1, 0, 0], [-0.1, 0, 0], [10.0, 0, 0]])
-        res = verify_motion(P, Q, RigidMotion.identity(), 1.0)
+        res = verify_motion(P, Q, IDENTITY, 1.0)
         assert res.size == 3  # Hausdorff count: both near-origin qs match p0
         ps = [p for _, p in res.dedup_matched]
         assert len(ps) == len(set(ps)) == 2
@@ -211,7 +214,7 @@ class TestVerifyMotion:
     def test_radius_must_be_finite_and_nonnegative(self, rng, radius):
         P = random_points(rng, 4)
         with pytest.raises(ValueError):
-            verify_motion(P, P, RigidMotion.identity(), radius)
+            verify_motion(P, P, IDENTITY, radius)
 
 
 def directed_hausdorff(P, Q) -> float:

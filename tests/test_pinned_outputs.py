@@ -21,12 +21,14 @@ from lcpmatch import (
     alignment,
     da_exact,
     da_match,
+    expander_da,
     generate_instance,
     geometric_hashing,
     ght,
     ght_pair_based,
     pose_clustering,
 )
+from lcpmatch.da import _numeric_fuzz
 
 EPS = 0.3
 
@@ -48,6 +50,7 @@ TOLERANT_CALLS = {
     "da[expander]": lambda P, Q, seed: da_match(
         P, Q, MatchParams(EPS, pair_source=Expander(8, seed))
     ),
+    "expander_da": lambda P, Q, seed: expander_da(P, Q, EPS, degree=8, alpha=0.05, seed=seed),
 }
 
 # (m = n, k, seed)
@@ -78,7 +81,8 @@ def fingerprint(result) -> tuple[int, int, str]:
 # one sorted-key join; every later change must reproduce them bit for bit.
 # The da and da_exact entries were re-recorded, with the same votes, when
 # arcs moved to cylinder coordinates and the certificate to the middle of
-# the peak interval.
+# the peak interval. The expander_da entries were recorded before its radius
+# factor stopped being a parameter.
 PINNED = {
     'pose/m10/s1': (6, 120, 'f560ddfa8c586f67'),
     'align/m10/s1': (6, 3, 'f560ddfa8c586f67'),
@@ -154,6 +158,12 @@ PINNED = {
     'da[all]/s6': (10, 9, '5cacc8191c4dcb3e'),
     'da[pigeonhole]/s6': (9, 9, '6fe5c1b34b6db119'),
     'da[expander]/s6': (10, 9, '5cacc8191c4dcb3e'),
+    'expander_da/s1': (14, 11, '2bea5fc9e0eaedaa'),
+    'expander_da/s2': (10, 9, '440bd3cfb3d682b9'),
+    'expander_da/s3': (14, 11, '2969891cb216d800'),
+    'expander_da/s4': (12, 10, 'a49cb9d5c9ec3896'),
+    'expander_da/s5': (11, 10, '91accba21ee99c3c'),
+    'expander_da/s6': (11, 9, 'aa1b4e43e30629a0'),
 }
 
 
@@ -169,5 +179,9 @@ def test_exact_outputs_pinned(name, m, k, seed):
 @pytest.mark.parametrize("name", list(TOLERANT_CALLS))
 def test_tolerant_outputs_pinned(name, seed):
     inst = tolerant_instance(seed)
-    got = fingerprint(TOLERANT_CALLS[name](inst.P, inst.Q, seed))
-    assert got == PINNED[f"{name}/s{seed}"]
+    result = TOLERANT_CALLS[name](inst.P, inst.Q, seed)
+    assert fingerprint(result) == PINNED[f"{name}/s{seed}"]
+    # Each entry point fixes its radius: 4*eps for da_match, 6*eps for
+    # expander_da, either at least the data's numeric fuzz.
+    factor = 6.0 if name == "expander_da" else 4.0
+    assert result.radius == max(factor * EPS, _numeric_fuzz(inst.P, inst.Q))
