@@ -631,15 +631,16 @@ def da_match(P, Q, params: MatchParams) -> MatchResult:
     _select_winner builds, verifies and refines their motions. At eps = 0
     the radius is 1e-9 times the data's span, and the same screen votes.
     """
-    return _tolerant(P, Q, params, 4.0)
+    return _tolerant(P, Q, params, 4.0, "da_match")
 
 
-def _tolerant(P, Q, params: MatchParams, factor: float) -> MatchResult:
+def _tolerant(P, Q, params: MatchParams, factor: float, caller: str) -> MatchResult:
     """Tolerant DA at slack 2 * eps and radius factor * eps, each at least
-    the data's numeric fuzz; the factor is fixed by the public entry point."""
+    the data's numeric fuzz; the factor is fixed by the public entry point
+    `caller`, which the TooFewPoints error names."""
     pp, qq = as_points(P), as_points(Q)
     if len(pp) < 2 or len(qq) < 2:
-        raise TooFewPoints("da_match needs at least 2 points per set")
+        raise TooFewPoints(f"{caller} needs at least 2 points per set")
     fuzz = _numeric_fuzz(pp, qq)
     slack = max(2.0 * params.eps, fuzz)
     radius = max(factor * params.eps, fuzz)
@@ -682,4 +683,5 @@ def expander_da(P, Q, eps: float, degree: int, alpha: float, seed: int) -> Match
         raise DegreeTooSmall(
             f"degree {degree} must exceed 2500 * alpha^2 = {2500.0 * alpha * alpha:.1f}"
         )
-    return _tolerant(P, Q, MatchParams(eps=eps, pair_source=Expander(degree, seed)), 6.0)
+    params = MatchParams(eps=eps, pair_source=Expander(degree, seed))
+    return _tolerant(P, Q, params, 6.0, "expander_da")

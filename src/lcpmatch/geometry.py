@@ -96,9 +96,11 @@ def min_interpoint_distance(points) -> float:
     pts = as_points(points)
     if len(pts) < 2:
         return float("inf")
+    # The matrix is symmetric bit for bit, so its off-diagonal minimum is
+    # that of the upper triangle.
     d = pairwise_distances(pts)
-    iu = np.triu_indices(len(pts), k=1)
-    return float(d[iu].min())
+    np.fill_diagonal(d, np.inf)
+    return float(d.min())
 
 
 def tolerant_precondition(P, Q, eps: float) -> bool:

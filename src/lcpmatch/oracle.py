@@ -389,14 +389,17 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 
 _MAX_REJECTS = 100_000
+# Most candidates _fill_points draws per Generator call; a larger block costs
+# more in its (B, B) distance matrix than it saves in calls.
+_BLOCK = 64
 
 
-def _sample_point(rng, box: float, grid: bool, origin: np.ndarray | None = None) -> np.ndarray:
+def _draw(rng, size: int, box: float, grid: bool) -> np.ndarray:
+    """`size` candidate points: the same values, and the same generator state
+    after, as `size` successive size-3 draws."""
     if grid:
-        pt = rng.integers(0, int(box) + 1, size=3).astype(np.float64)
-    else:
-        pt = rng.uniform(0.0, box, size=3)
-    return pt if origin is None else pt + origin
+        return rng.integers(0, int(box) + 1, size=(size, 3)).astype(np.float64)
+    return rng.uniform(0.0, box, size=(size, 3))
 
 
 def _fill_points(
@@ -412,24 +415,60 @@ def _fill_points(
     budget: list[int] | None = None,
     origin: np.ndarray | None = None,
 ) -> np.ndarray | None:
-    """`existing` plus `count` sampled points as one (N, 3) array, or None past the budget."""
-    pts = np.empty((0, 3)) if existing is None else existing
+    """`existing` plus `count` sampled points as one (N, 3) array, or None past the budget.
+
+    Candidates come in blocks of at most _BLOCK, each tested against the
+    accepted points, the clearance set and itself in one pass. A walk in
+    draw order then drops the candidates within `sep` of one accepted
+    earlier in the block and, under `reject_collinear`, runs the
+    collinearity test on the rest, until `count` points are in. Each candidate the walk consumes costs one unit
+    of the budget. The generator is rewound to the block's start and redraws
+    just those candidates, so the points, the budget left and every later
+    draw are bit for bit those of drawing and testing one candidate at a
+    time.
+    """
+    start = 0 if existing is None else len(existing)
+    pts = np.empty((start + count, 3))
+    if existing is not None:
+        pts[:start] = existing
     near = np.empty((0, 3)) if clearance_from is None else clearance_from
-    added = 0
-    while added < count:
+    n = start
+    while n < len(pts):
+        state = rng.bit_generator.state
+        size = min(_BLOCK, 2 * (len(pts) - n) + 8)
+        cand = _draw(rng, size, box, grid)
+        if origin is not None:
+            cand = cand + origin
+        # Distances by row_norms, the test one candidate at a time makes.
+        # Columns: the points accepted before the block, the clearance set,
+        # then the block itself.
+        cols = np.concatenate([pts[:n], near, cand])
+        d = row_norms((cand[:, None, :] - cols).reshape(-1, 3)).reshape(size, len(cols))
+        ok = ~((d[:, :n] <= sep).any(axis=1) | (d[:, n : n + len(near)] <= clearance).any(axis=1))
+        # The later candidates too close to each one, which its acceptance drops.
+        ii, jj = np.nonzero(d[:, n + len(near) :] <= sep)
+        later: dict[int, list[int]] = {}
+        for i, j in zip(ii[ii < jj].tolist(), jj[ii < jj].tolist()):
+            later.setdefault(i, []).append(j)
+        ok = ok.tolist()
+        used = size
+        for i in range(size):
+            if not ok[i] or (reject_collinear and _collinear_with_any_pair(cand[i], pts[:n])):
+                continue
+            pts[n] = cand[i]
+            n += 1
+            if n == len(pts):
+                used = i + 1
+                break
+            for j in later.get(i, ()):
+                ok[j] = False
         if budget is not None:
-            budget[0] -= 1
+            budget[0] -= used
             if budget[0] <= 0:
                 return None
-        cand = _sample_point(rng, box, grid, origin)
-        if len(pts) and row_norms(cand - pts).min() <= sep:
-            continue
-        if len(near) and row_norms(cand - near).min() <= clearance:
-            continue
-        if reject_collinear and _collinear_with_any_pair(cand, pts):
-            continue
-        pts = np.vstack([pts, cand])
-        added += 1
+        if used < size:
+            rng.bit_generator.state = state
+            _draw(rng, used, box, grid)
     return pts
 
 
@@ -451,7 +490,10 @@ def generate_instance(spec: GenSpec, seed: int) -> Instance:
     proper rigid motion and perturbed inside the noise ball; distractors
     respect Q's separation and the clearance from the planted images. When
     the brute-force guard applies, instances whose true optimum exceeds k
-    are resampled.
+    are resampled. _fill_points draws the candidates in blocks, walks each
+    block in draw order and rewinds the generator to the last candidate it
+    used, so an instance is bit-identical to one sampled a candidate at a
+    time.
     """
     g = spec.resolved()
     if g.k > min(g.m, g.n):

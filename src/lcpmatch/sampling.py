@@ -71,8 +71,7 @@ def materialize_pairs(
         if source.degree >= n - 1:
             # A nominal degree at or past n-1 degenerates to the complete graph.
             return [(i, j) for i in range(n) for j in range(i + 1, n)]
-        g = random_regular_graph(n, source.degree, source.seed)
-        return sorted((int(a), int(b)) for a, b in g.edges)
+        return list(random_regular_graph(n, source.degree, source.seed).edges)
     pairs = [(operator.index(a), operator.index(b)) for a, b in source]
     bad = [p for p in pairs if not (0 <= p[0] < n and 0 <= p[1] < n)]
     if bad:

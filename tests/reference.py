@@ -18,6 +18,8 @@ Rodrigues' formula, that the arcs stand for. Exact family: `alignment` and
 its kernels below them, `is_collinear` among them. `dense_lambda` is the
 expander graphs' second eigenvalue from a full eigendecomposition, and
 `diam_k` the long-edge lemma's diameter after deletions, by brute force.
+Generator: `fill_points` samples as oracle._fill_points does, one candidate
+per Generator call, each tested alone against every accepted point.
 
 The pinned instances come from test_pinned_outputs and the tracer from
 test_perfbench_names, which stay as they are; test modules take them from
@@ -49,9 +51,10 @@ from lcpmatch.geometry import (
     motion_from_bases,
     pair_canonical_motion,
     pairwise_distances,
+    row_norms,
 )
 from lcpmatch.index import _set_bits
-from lcpmatch.oracle import GenSpec, generate_instance, random_rotation
+from lcpmatch.oracle import GenSpec, _collinear_with_any_pair, generate_instance, random_rotation
 from lcpmatch.result import build_match_result
 
 from conftest import random_motion, random_points
@@ -670,3 +673,44 @@ def diam_k(S, k):
     d = pairwise_distances(pts)
     keep = (np.setdiff1d(np.arange(n), removed) for removed in combinations(range(n), k))
     return min(float(d[np.ix_(s, s)].max()) for s in keep)
+
+
+def fill_points(
+    rng,
+    count,
+    box,
+    grid,
+    sep,
+    reject_collinear,
+    existing=None,
+    clearance_from=None,
+    clearance=0.0,
+    budget=None,
+    origin=None,
+):
+    """oracle._fill_points one candidate at a time: each is drawn by its own
+    size-3 call, charged to the budget, tested against every accepted point
+    and the clearance set, and stacked onto the accepted points."""
+    pts = np.empty((0, 3)) if existing is None else existing
+    near = np.empty((0, 3)) if clearance_from is None else clearance_from
+    added = 0
+    while added < count:
+        if budget is not None:
+            budget[0] -= 1
+            if budget[0] <= 0:
+                return None
+        if grid:
+            cand = rng.integers(0, int(box) + 1, size=3).astype(np.float64)
+        else:
+            cand = rng.uniform(0.0, box, size=3)
+        if origin is not None:
+            cand = cand + origin
+        if len(pts) and row_norms(cand - pts).min() <= sep:
+            continue
+        if len(near) and row_norms(cand - near).min() <= clearance:
+            continue
+        if reject_collinear and _collinear_with_any_pair(cand, pts):
+            continue
+        pts = np.vstack([pts, cand])
+        added += 1
+    return pts

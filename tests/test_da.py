@@ -17,7 +17,7 @@ from lcpmatch.da import (
     da_match,
     expander_da,
 )
-from lcpmatch.errors import DegeneratePair, DegreeTooSmall, NoCandidatePairs
+from lcpmatch.errors import DegeneratePair, DegreeTooSmall, NoCandidatePairs, TooFewPoints
 from lcpmatch.exact import ExactParams
 from lcpmatch.geometry import TWO_PI, RigidMotion, _nearest_batch, least_squares_motion
 from lcpmatch.geometry import nearest_matches, pairwise_distances, rotation_about_line
@@ -155,6 +155,19 @@ class TestDaMatch:
         inst = generate_instance(GenSpec(m=10, n=10, k=7, eps=0.0, exact=True), seed=4)
         res = da_match(inst.P * scale, inst.Q * scale, MatchParams(eps=0.0))
         assert (res.size, res.votes) == (7, 7)
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("da_match", lambda P, Q: da_match(P, Q, MatchParams(eps=0.1))),
+            ("expander_da", lambda P, Q: expander_da(P, Q, 0.1, degree=8, alpha=0.05, seed=0)),
+        ],
+    )
+    def test_one_point_raises_naming_the_entry_point(self, name, call):
+        P = np.array([[0.0, 0, 0]])
+        Q = np.array([[5.0, 5, 5], [5.0, 7, 5]])
+        with pytest.raises(TooFewPoints, match=rf"^{name} needs at least 2 points"):
+            call(P, Q)
 
     def test_two_point_sets_fall_back_to_pair_match(self):
         P = np.array([[0.0, 0, 0], [2.0, 0, 0]])

@@ -26,7 +26,7 @@ from lcpmatch.oracle import (
 )
 
 from conftest import random_motion, random_points
-from reference import _criterion_2_shapes, _edge_cases, _planted_generic
+from reference import _criterion_2_shapes, _edge_cases, _planted_generic, fill_points
 
 
 class TestBruteforceLcp:
@@ -328,7 +328,8 @@ class TestGenerator:
 
 
 # Instance.digest()[:16] per (spec, seed), recorded before the generator's
-# rejection tests were batched; they must reproduce every instance bit for bit.
+# rejection tests were batched (the last three specs: before its candidates
+# were drawn in blocks); they must reproduce every instance bit for bit.
 PINNED_SPECS = {
     "tol-default": GenSpec(m=12, n=16, k=6, eps=0.3),
     "tol-bench": GenSpec(m=16, n=24, k=8, eps=0.3, noise=0.3),
@@ -343,6 +344,11 @@ PINNED_SPECS = {
     "exact-small-box-noguard": GenSpec(
         m=12, n=12, k=7, eps=0.0, exact=True, box=5.0, lcp_guard=False
     ),
+    # A tight box that rejects many candidates, sets that span several blocks
+    # of the sampler, and the collinearity rejection at 40 points.
+    "tol-tight-box": GenSpec(m=16, n=24, k=8, eps=0.3, noise=0.3, box=3.5),
+    "tol-many-blocks": GenSpec(m=100, n=100, k=30, eps=0.3),
+    "exact-noguard-40": GenSpec(m=40, n=40, k=12, eps=0.0, exact=True, lcp_guard=False),
 }
 PINNED_DIGESTS = {
     ("tol-default", 1): "75c729703399f445",
@@ -375,6 +381,15 @@ PINNED_DIGESTS = {
     ("exact-small-box-noguard", 1): "1855451a11869e3c",
     ("exact-small-box-noguard", 2): "68b371ad76c264da",
     ("exact-small-box-noguard", 3): "234d933c86b5bfc8",
+    ("tol-tight-box", 1): "53a83ef4e02118c6",
+    ("tol-tight-box", 2): "c0699c666b587795",
+    ("tol-tight-box", 3): "fe1ccc34fb936ce8",
+    ("tol-many-blocks", 1): "97961b8fba6c9443",
+    ("tol-many-blocks", 2): "3285902467c19c2e",
+    ("tol-many-blocks", 3): "22d87edb284e6198",
+    ("exact-noguard-40", 1): "2524459960cedc78",
+    ("exact-noguard-40", 2): "f4901a005c7235d6",
+    ("exact-noguard-40", 3): "202d56f175f1973f",
 }
 
 
@@ -382,3 +397,116 @@ PINNED_DIGESTS = {
 def test_pinned_generator_digest(name, seed):
     inst = generate_instance(PINNED_SPECS[name], seed=seed)
     assert inst.digest()[:16] == PINNED_DIGESTS[name, seed]
+
+
+class TestBlockSampler:
+    """oracle._fill_points draws candidates in blocks and rewinds the
+    generator; the output must be that of one draw per candidate."""
+
+    DRAWS = {
+        "uniform": lambda rng, rows: rng.uniform(0.0, 7.5, size=rows),
+        "integers-4": lambda rng, rows: rng.integers(0, 4, size=rows),
+        "integers-13": lambda rng, rows: rng.integers(0, 13, size=rows),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DRAWS))
+    @pytest.mark.parametrize("used", [0, 1, 7, 24])
+    def test_rng_block_contract(self, kind, used):
+        # The installed numpy must keep the contract the sampler rests on: a
+        # (B, 3) block equals B successive size-3 draws, and restoring the
+        # state and redrawing `used` rows leaves the generator where `used`
+        # single draws leave it, the buffered 32-bit half included.
+        draw = self.DRAWS[kind]
+        block_rng = np.random.default_rng([5, 1])
+        single_rng = np.random.default_rng([5, 1])
+        draw(block_rng, 1)  # start off an even count of 32-bit halves
+        draw(single_rng, 1)
+        state = block_rng.bit_generator.state
+        block = draw(block_rng, (24, 3))
+        singles = np.array([draw(single_rng, 3) for _ in range(24)])
+        assert block.dtype == singles.dtype
+        assert block.tobytes() == singles.tobytes()
+        assert block_rng.bit_generator.state == single_rng.bit_generator.state
+
+        block_rng.bit_generator.state = state
+        draw(block_rng, (used, 3))
+        single_rng = np.random.default_rng([5, 1])
+        draw(single_rng, 1)
+        for _ in range(used):
+            draw(single_rng, 3)
+        assert block_rng.bit_generator.state == single_rng.bit_generator.state
+        assert draw(block_rng, 5).tobytes() == draw(single_rng, 5).tobytes()
+
+    @staticmethod
+    def recipe(seed):
+        """Random _fill_points arguments: tight and loose boxes, the grid
+        with the collinearity rejection, accepted points with a clearance
+        set, and budgets that run out inside a block, at its end or never."""
+        pick = np.random.default_rng(seed)
+        grid = bool(seed % 3 == 0)
+        count = int(pick.integers(1, 90))
+        box = float(pick.choice([3.0, 5.0, 12.0]))
+        # Grid points lie exactly 1 and 2 apart, on the boundary of the test.
+        sep = float(pick.choice([1.0, 2.0] if grid else [0.3, 1.0, 1.7]))
+        kwargs = {}
+        if not grid and seed % 2:
+            images = pick.uniform(0.0, box, size=(int(pick.integers(1, 12)), 3))
+            kwargs = dict(
+                existing=images,
+                clearance_from=images,
+                clearance=float(pick.choice([0.5, sep, 2.5])),
+                origin=images.min(axis=0) - 0.25 * box,
+            )
+        budget = int(pick.choice([1, count, count + 8, 64, 65, 200, 2000]))
+        return (count, box, grid, sep, grid), kwargs, budget
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_equals_one_candidate_at_a_time(self, seed):
+        args, kwargs, budget = self.recipe(seed)
+        got_budget, want_budget = [budget], [budget]
+        got_rng, want_rng = np.random.default_rng([seed, 9]), np.random.default_rng([seed, 9])
+        got = oracle._fill_points(got_rng, *args, budget=got_budget, **kwargs)
+        want = fill_points(want_rng, *args, budget=want_budget, **kwargs)
+        if want is None:
+            assert got is None
+            return
+        assert got is not None and got.tobytes() == want.tobytes()
+        assert got_budget == want_budget
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_budget_spent_on_the_last_candidate(self, grid):
+        # A budget that reaches 0 on the candidate completing the fill fails
+        # it and one unit more lets it through, as one draw at a time does.
+        args = (12, 4.0, grid, 1.0, grid)
+        left = [10**4]
+        fill_points(np.random.default_rng(3), *args, budget=left)
+        used = 10**4 - left[0]
+        assert used > 12
+        for budget in (used, used + 1):
+            got = oracle._fill_points(np.random.default_rng(3), *args, budget=[budget])
+            want = fill_points(np.random.default_rng(3), *args, budget=[budget])
+            assert (got is None) == (want is None) == (budget == used)
+            assert want is None or got.tobytes() == want.tobytes()
+
+    def test_recipes_cover_the_cases(self):
+        # The recipes reach a budget that runs out, fills that reject
+        # candidates, and fills within one block and over several.
+        seen = set()
+        for seed in range(24):
+            args, kwargs, budget = self.recipe(seed)
+            left = [budget]
+            pts = fill_points(np.random.default_rng([seed, 9]), *args, budget=left, **kwargs)
+            if pts is None:
+                seen.add("budget runs out")
+                continue
+            used = budget - left[0]
+            seen.add("rejects" if used > args[0] else "rejects none")
+            seen.add("several blocks" if used > oracle._BLOCK else "one block")
+        assert seen == {
+            "budget runs out",
+            "rejects",
+            "rejects none",
+            "several blocks",
+            "one block",
+        }

@@ -1,9 +1,11 @@
-"""Every name the benchmark's tracer wraps still exists in lcpmatch.
+"""Every name the benchmark's tracer wraps still exists in lcpmatch, and
+the benchmark's workloads still give their pinned results.
 
 perfbench/tracing.py finds the layers of a match by wrapping library names
 in the namespace of their callers. A refactor that deletes or moves one of
 them does not fail the benchmark: the tracer skips the name and reports its
-per-layer metrics absent. This test fails instead.
+per-layer metrics absent. This test fails instead. The workloads' seed-11
+digests pin the benchmark's instances and results bit for bit.
 """
 
 import ast
@@ -13,11 +15,12 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    """perfbench/<name>.py as module perfbench_<name>, read and not changed."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses resolves the module's annotations through sys.modules.
     sys.modules[spec.name] = module
@@ -25,7 +28,8 @@ def _load_tracing():
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing")
+workloads = _load("workloads")
 
 
 @pytest.mark.parametrize("wrap", tracing.WRAPS, ids=lambda w: w.key)
@@ -55,3 +59,20 @@ def test_noqa_imports_are_wrapped(module):
     ]
     assert kept
     assert not set(kept) - wrapped, f"{sorted(set(kept) - wrapped)} are not wrapped in {module}"
+
+
+@pytest.mark.parametrize(
+    "name, digest", [("da-sampled", "699d28ee9a047392"), ("exact-family", "78636bf6723e018c")]
+)
+def test_seed_11_digest(name, digest):
+    # The digest `perfbench/run.py --seed 11` prints: the first `cycle`
+    # operations, which run on the first cycle_cases() pool cases alone.
+    w = workloads.WORKLOADS[name]
+    pool = w.make_pool(11, w.cycle_cases())
+    hashed = workloads.Digest()
+    for j in range(w.cycle):
+        case, matcher = w.op(j, len(pool))
+        result = matcher.call(pool[case])
+        assert not w.check(pool[case], result), (j, matcher.label)
+        hashed.add(j, matcher.label, result, None)
+    assert hashed.hexdigest() == digest

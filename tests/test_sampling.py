@@ -251,6 +251,7 @@ class TestPairSources:
         assert len(pairs) == 30 * 6 // 2
         assert all(i < j for i, j in pairs)
         assert pairs == sorted(pairs)
+        assert all(type(i) is int and type(j) is int for i, j in pairs)
 
     def test_expander_saturates_to_complete(self):
         pairs = materialize_pairs(Expander(10**6, seed=0), 20)
