@@ -18,13 +18,14 @@ _congruent_triplets, and differ in the voting space:
 - ght_pair_based: motions voted per common base pair, so a k-matching wins
   k - 2 votes through any pair inside it.
 
-The motions of all congruent rows are built in one batch
-(geometry.motions_from_bases) and voted with array operations: motion keys
+Both triangles of each congruent row are measured once (_triangles), for
+the collinear test, the frames of the motions (_motions) and geometric
+hashing's normals. Motions are voted with array operations: motion keys
 grouped by a stable sort of their bytes (_group_rows); alignment's matched
 points found once per motion key and, with geometric hashing's fourth
 points, counted per row in chunks of a fixed cell budget. Only the winner's
-motion is rebuilt from its row by the scalar motion_from_bases, so results
-do not depend on the last bits of the batched arithmetic.
+motion is rebuilt by the scalar motion_from_bases, so results do not depend
+on the last bits of the batched arithmetic.
 
 "Exact" is realized in floating point: congruence within an absolute
 tolerance tau, and motion votes on a quantization grid. Collinear bases are
@@ -42,16 +43,17 @@ from .errors import NoCongruentTriplets, TooFewPoints
 from .geometry import (
     COLLINEAR_REL,
     RigidMotion,
+    _frames,
     _nearest_batch,
     as_points,
-    collinear_mask,
+    axis_norms,
     cross,
     motion_from_bases,
-    motions_from_bases,
     pairwise_distances,
 )
 from .index import DistanceRows
 # perfbench/tracing.py wraps these names here; no matcher calls them.
+from .geometry import collinear_mask  # noqa: F401
 from .index import build_triplet_index, ordered_triplets_and_keys  # noqa: F401
 from .result import MatchResult, build_match_result
 from .sampling import AllPairs, PairSource, materialize_pairs
@@ -118,30 +120,54 @@ def _require_sizes(P, Q, min_p: int, min_q: int):
         raise TooFewPoints(f"need at least {min_p} model and {min_q} scene points")
 
 
+def _triangles(pts, trips):
+    """((a, b - a, c - a, |b - a|, longest side, cross(b - a, c - a)), flags) of
+    the triangles (a, b, c) = pts[trips[r]]; the flags are collinear_mask's."""
+    a, b, c = (pts.take(trips[:, k], axis=0) for k in range(3))
+    ab, ac = b - a, c - a
+    nab = axis_norms(ab)
+    dmax = np.maximum(nab, np.maximum(axis_norms(ac), axis_norms(c - b)))
+    normal = cross(ab, ac)
+    return (a, ab, ac, nab, dmax, normal), axis_norms(normal) <= COLLINEAR_REL * dmax * dmax
+
+
 def _congruent_rows(pp, qq, ab, tau: float):
     """Non-collinear rows (pos, tq, tp) of the scene pairs ab, by (pos, q, i, j, p).
 
     Scene pair ab[pos] = (a, b) is searched at its length |ab|; row
     tq = (a, b, q) is congruent within tau to model triplet tp = (i, j, p).
-    Rows with a collinear scene or model triplet are dropped. Raises
-    NoCongruentTriplets when there is none.
+    Rows with a collinear scene or model triplet are dropped. Returns
+    (pos, tq, tp, tri, dq, dp): tri is _triangles of the scene triplets,
+    then the model ones; dq and dp are the distance matrices searched.
+    Raises NoCongruentTriplets when there is no row.
     """
-    dq = pairwise_distances(qq)
-    pos, q, i, j, p = DistanceRows(pp).query(dq, ab, dq[ab[:, 0], ab[:, 1]], tau)
-    tq, tp = np.column_stack([ab[pos], q]), np.column_stack([i, j, p])
-    keep = ~(collinear_mask(qq, tq) | collinear_mask(pp, tp))
-    pos, tq, tp = pos[keep], tq[keep], tp[keep]
+    dq, rows = pairwise_distances(qq), DistanceRows(pp)
+    pos, q, i, j, p = rows.query(dq, ab, dq[ab[:, 0], ab[:, 1]], tau)
+    lex = np.lexsort((p, j, i, q, pos))
+    pos, tq, tp = pos[lex], np.column_stack([ab[pos], q])[lex], np.column_stack([i, j, p])[lex]
+    tri, collinear = _triangles(np.concatenate([qq, pp]), np.concatenate([tq, tp + len(qq)]))
+    keep = ~(collinear[: len(pos)] | collinear[len(pos) :])
+    if not keep.all():
+        tri = tuple(x[np.tile(keep, 2)] for x in tri)
+        pos, tq, tp = pos[keep], tq[keep], tp[keep]
     if len(tq) == 0:
         raise NoCongruentTriplets("no congruent triplet pair")
-    lex = np.lexsort((*tp.T[::-1], tq[:, 2], pos))
-    return pos[lex], tq[lex], tp[lex]
+    return pos, tq, tp, tri, dq, rows.dists
 
 
 def _congruent_triplets(pp, qq, params: ExactParams):
-    """The (tq, tp) rows of _congruent_rows over every ordered scene pair, in lex order."""
+    """(tq, tp, tri, dq, dp) of _congruent_rows over every ordered scene pair."""
     ab = np.column_stack(np.nonzero(~np.eye(len(qq), dtype=bool)))
-    _, tq, tp = _congruent_rows(pp, qq, ab, params.tau)
-    return tq, tp
+    return _congruent_rows(pp, qq, ab, params.tau)[1:]
+
+
+def _motions(tri):
+    """motions_from_bases of the rows whose scene and model triplets `tri`
+    measured: (K, 3, 3) rotations and (K, 3) translations, the same bits."""
+    a, frame = tri[0], _frames(*tri[1:5])
+    k = len(a) // 2
+    rot = frame[k:] @ frame[:k].transpose(0, 2, 1)
+    return rot, a[k:] - np.einsum("kij,kj->ki", rot, a[:k])
 
 
 # Cells (rows x scene points x model points) that one chunk of _best_row's
@@ -150,30 +176,26 @@ def _congruent_triplets(pp, qq, params: ExactParams):
 _ALIGN_CELLS = 1 << 16
 
 
-def _row_keys(pp, qq, tq, tp):
-    """Motion key of every (scene triplet, model triplet) row, as (K, 12) floats."""
-    return _motion_keys(*motions_from_bases(qq.take(tq, axis=0), pp.take(tp, axis=0)), MOTION_GRID)
+def _row_keys(tri):
+    """Motion key of every row whose triplets `tri` measured, as (K, 12) floats."""
+    return _motion_keys(*_motions(tri), MOTION_GRID)
 
 
-def _pose_winner(pp, qq, tq, tp, params: ExactParams) -> MatchResult:
-    """Most-voted motion over congruent triplet rows in lexicographic order.
+def pose_clustering(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
+    """Vote each congruent triplet pair's motion in a quantized motion space.
 
-    Ties go to the motion first seen, that is the smallest (tq, tp). The
-    winner's motion is rebuilt from its first row by motion_from_bases.
+    Rows vote in lexicographic order; ties go to the motion first seen, that
+    is the smallest (tq, tp). The winner's motion is rebuilt from its first
+    row by motion_from_bases.
     """
-    first, _, counts = _group_rows(_row_keys(pp, qq, tq, tp))
+    pp, qq = as_points(P), as_points(Q)
+    _require_sizes(pp, qq, 3, 3)
+    tq, tp, tri, _, _ = _congruent_triplets(pp, qq, params)
+    first, _, counts = _group_rows(_row_keys(tri))
     top = counts.max()
     r = first[counts == top].min()
     mu = motion_from_bases(qq[tq[r]], pp[tp[r]])
     return build_match_result(pp, qq, mu, params.tau, votes=int(top))
-
-
-def pose_clustering(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
-    """Vote each congruent triplet pair's motion in a quantized motion space."""
-    pp, qq = as_points(P), as_points(Q)
-    _require_sizes(pp, qq, 3, 3)
-    tq, tp = _congruent_triplets(pp, qq, params)
-    return _pose_winner(pp, qq, tq, tp, params)
 
 
 def _best_row(pp, qq, tq, tp, score, params: ExactParams) -> MatchResult:
@@ -201,8 +223,8 @@ def alignment(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
     """
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 3, 3)
-    tq, tp = _congruent_triplets(pp, qq, params)
-    rot, tr = motions_from_bases(qq.take(tq, axis=0), pp.take(tp, axis=0))
+    tq, tp, tri, _, _ = _congruent_triplets(pp, qq, params)
+    rot, tr = _motions(tri)
     first, key, _ = _group_rows(_motion_keys(rot, tr, MOTION_GRID))
     rot, tr = rot.take(first, axis=0), tr.take(first, axis=0)
     hits = _nearest_batch(pp, qq, rot, tr, _ALIGN_CELLS)[1] <= params.tau
@@ -223,16 +245,17 @@ def ght(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
     return pose_clustering(P, Q, params)
 
 
-def _fourth_point_signs(pts, d, trips):
+def _fourth_point_signs(pts, d, trips, normal):
     """Orientation sign of every (triplet, fourth point), as (len(trips), len(pts)).
 
-    The sign of det(b - a, c - a, x - a) for triplet (a, b, c) and fourth
-    point x is 0 inside the zero band |det| < COLLINEAR_REL * scale^3, scale
-    being the largest of the quad's six distances.
+    The sign of det(b - a, c - a, x - a) = normal . (x - a) for triplet
+    (a, b, c), normal = cross(b - a, c - a), and fourth point x is 0 inside
+    the zero band |det| < COLLINEAR_REL * scale^3, scale being the largest
+    of the quad's six distances.
     """
     i, j, k = trips.T
     a = pts[i]
-    det = np.einsum("kj,kxj->kx", cross(pts[j] - a, pts[k] - a), pts[None] - a[:, None])
+    det = np.einsum("kj,kxj->kx", normal, pts[None] - a[:, None])
     # d is symmetric bit for bit, so row d[i] holds the distances d[x, i].
     side = np.maximum(d[i, j], np.maximum(d[i, k], d[j, k]))[:, None]
     scale = np.maximum(np.maximum(side, d[i]), np.maximum(d[j], d[k]))
@@ -250,8 +273,8 @@ def geometric_hashing(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
     """
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 4, 4)
-    tq, tp = _congruent_triplets(pp, qq, params)
-    dq, dp = pairwise_distances(qq), pairwise_distances(pp)
+    tq, tp, tri, dq, dp = _congruent_triplets(pp, qq, params)
+    q_normal, p_normal = tri[5][: len(tq)], tri[5][len(tq) :]
 
     def fourth_points(rows):
         q_trips, p_trips = tq[rows], tp[rows]
@@ -259,8 +282,8 @@ def geometric_hashing(P, Q, params: ExactParams = ExactParams()) -> MatchResult:
         for c in range(3):
             ok &= np.abs(dq[q_trips[:, c], :, None] - dp[p_trips[:, c], None, :]) <= params.tau
         ok &= (
-            _fourth_point_signs(qq, dq, q_trips)[:, :, None]
-            == _fourth_point_signs(pp, dp, p_trips)[:, None, :]
+            _fourth_point_signs(qq, dq, q_trips, q_normal[rows])[:, :, None]
+            == _fourth_point_signs(pp, dp, p_trips, p_normal[rows])[:, None, :]
         )
         own = np.arange(len(ok))[:, None]
         ok[own, q_trips] = False
@@ -289,10 +312,10 @@ def ght_pair_based(
     pp, qq = as_points(P), as_points(Q)
     _require_sizes(pp, qq, 3, 3)
     ab = np.array(materialize_pairs(pairs, len(qq)), dtype=np.int64).reshape(-1, 2)
-    pos, tq, tp = _congruent_rows(pp, qq, ab, params.tau)
+    pos, tq, tp, tri, _, _ = _congruent_rows(pp, qq, ab, params.tau)
     # Tally per (position in the pair list, motion key): a repeated pair
     # votes apart instead of doubling its groups.
-    keys = _row_keys(pp, qq, tq, tp)
+    keys = _row_keys(tri)
     first, _, counts = _group_rows(np.column_stack([pos, keys]))
     g_tq, g_tp = tq[first], tp[first]
     # The smallest (-votes, scene pair, model pair, motion key). Two groups

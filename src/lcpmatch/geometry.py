@@ -398,6 +398,12 @@ def _triplet_frames(trips: FloatArray) -> tuple[FloatArray, FloatArray]:
     ac = c - a
     nab = axis_norms(ab)
     dmax = np.maximum(nab, np.maximum(axis_norms(ac), axis_norms(c - b)))
+    return a, _frames(ab, ac, nab, dmax)
+
+
+def _frames(ab, ac, nab, dmax) -> FloatArray:
+    """(K, 3, 3) frames of triangles (a, b, c) from their (K, 3) b - a and
+    c - a, |b - a| and longest side, under the tests of _triplet_frame."""
     if ((dmax == 0.0) | (nab <= COLLINEAR_REL * dmax)).any():
         raise DegenerateBasis("triplet has coincident points")
     e1 = ab / nab[:, None]
@@ -406,7 +412,7 @@ def _triplet_frames(trips: FloatArray) -> tuple[FloatArray, FloatArray]:
     if (nh <= COLLINEAR_REL * dmax).any():
         raise DegenerateBasis("triplet is collinear")
     e2 = h / nh[:, None]
-    return a, np.stack([e1, e2, cross(e1, e2)], axis=2)
+    return np.stack([e1, e2, cross(e1, e2)], axis=2)
 
 
 def pair_canonical_motion(p1, p2, q1, q2) -> RigidMotion:

@@ -550,7 +550,8 @@ def _generate_once(g: GenSpec, rng, budget) -> Instance | None:
         g.min_sep,
         g.exact,
         existing=images,
-        clearance_from=images,
+        # A clearance <= min_sep rejects nothing that `existing` keeps.
+        clearance_from=images if g.clearance > g.min_sep else None,
         clearance=g.clearance,
         budget=budget,
         origin=origin,

@@ -13,11 +13,13 @@ as the screen's loop. `cyl_arcs` and `motions` solve the arcs and the
 winner's motions in frames built per base, the arithmetic the gathered
 kernels reproduce bit for bit; `select_winner` and `refine` take the winner
 step one motion at a time; `turned` is the rotation about a line, by
-Rodrigues' formula, that the arcs stand for. Exact family: `alignment` and
-`geometric_hashing_counts` score row by row, on the generic numpy forms of
-its kernels below them, `is_collinear` among them. `dense_lambda` is the
-expander graphs' second eigenvalue from a full eigendecomposition, and
-`diam_k` the long-edge lemma's diameter after deletions, by brute force.
+Rodrigues' formula, that the arcs stand for. Exact family: `congruent_rows`
+keeps the search's rows by geometry.collinear_mask of each side, then sorts
+them; `alignment` and `geometric_hashing_counts` score row by row, on the
+generic numpy forms of its kernels below them, `is_collinear` among them.
+`dense_lambda` is the expander graphs' second eigenvalue from a full
+eigendecomposition, and `diam_k` the long-edge lemma's diameter after
+deletions, by brute force.
 Generator: `fill_points` samples as oracle._fill_points does, one candidate
 per Generator call, each tested alone against every accepted point.
 
@@ -45,6 +47,7 @@ from lcpmatch.geometry import (
     RigidMotion,
     as_point,
     as_points,
+    collinear_mask,
     cross,
     dihedral_interval,
     least_squares_motion,
@@ -53,7 +56,7 @@ from lcpmatch.geometry import (
     pairwise_distances,
     row_norms,
 )
-from lcpmatch.index import _set_bits
+from lcpmatch.index import DistanceRows, _set_bits
 from lcpmatch.oracle import GenSpec, _collinear_with_any_pair, generate_instance, random_rotation
 from lcpmatch.result import build_match_result
 
@@ -557,11 +560,32 @@ def dense_lambda(g):
     return float(np.abs(eig[1:]).max())
 
 
+# Triplets that the frame tests refuse and collinear_mask flags.
+DEGENERATE_TRIPLETS = [
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]],  # collinear
+    [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]],  # coincident
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5e-9, 0.0]],  # height below 1e-9
+]
+
+
+def congruent_rows(pp, qq, ab, tau):
+    """(pos, tq, tp) of exact._congruent_rows: the search's rows less those
+    with a collinear scene or model triplet by geometry.collinear_mask, in
+    (pos, q, i, j, p) order."""
+    dq = pairwise_distances(qq)
+    pos, q, i, j, p = DistanceRows(pp).query(dq, ab, dq[ab[:, 0], ab[:, 1]], tau)
+    tq, tp = np.column_stack([ab[pos], q]), np.column_stack([i, j, p])
+    keep = ~(collinear_mask(qq, tq) | collinear_mask(pp, tp))
+    pos, tq, tp = pos[keep], tq[keep], tp[keep]
+    lex = np.lexsort((*tp.T[::-1], tq[:, 2], pos))
+    return pos[lex], tq[lex], tp[lex]
+
+
 def alignment(P, Q, tau=1e-9):
     """Row by row alignment: (top count, first row reaching it, its result),
     each row scored by its own motion."""
     exact._require_sizes(P, Q, 3, 3)
-    tq, tp = exact._congruent_triplets(P, Q, ExactParams(tau=tau))
+    tq, tp = exact._congruent_triplets(P, Q, ExactParams(tau=tau))[:2]
     best = None
     for r in range(len(tq)):
         mu = motion_from_bases(Q[tq[r]], P[tp[r]])
@@ -577,7 +601,7 @@ def geometric_hashing_counts(P, Q, tau=1e-9):
     """Row by row geometric hashing: every congruent row's fourth-point
     votes, a (q4, p4) pair voting when its three distances to the row's
     triplets agree within tau and its orientation signs are equal."""
-    tq, tp = exact._congruent_triplets(P, Q, ExactParams(tau=tau))
+    tq, tp = exact._congruent_triplets(P, Q, ExactParams(tau=tau))[:2]
     dq, dp = pairwise_distances(Q), pairwise_distances(P)
     sq, sp = fourth_point_signs(Q, dq, tq), fourth_point_signs(P, dp, tp)
     counts = np.zeros(len(tq), dtype=np.int64)

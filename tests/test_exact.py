@@ -27,6 +27,7 @@ from lcpmatch.sampling import Pigeonhole, materialize_pairs
 
 from conftest import random_points
 from reference import (
+    DEGENERATE_TRIPLETS,
     EXACT_INSTANCES,
     _criterion_2_shapes,
     _edge_cases,
@@ -115,8 +116,8 @@ class TestAlignment:
         # deep in the row list. Alignment and geometric hashing share the
         # chunked row loop, so both are checked.
         P, Q = grid_instance_with_decoy()
-        tq, tp = exact._congruent_triplets(P, Q, ExactParams())
-        keys = np.unique(exact._row_keys(P, Q, tq, tp), axis=0)
+        tq, tp, tri, _, _ = exact._congruent_triplets(P, Q, ExactParams())
+        keys = np.unique(exact._row_keys(tri), axis=0)
         assert len(keys) > 10 * max(1, cells // (len(P) * len(Q)))
         for matcher, reference in (
             (alignment, alignment_reference),
@@ -156,8 +157,8 @@ class TestAlignmentPerKey:
     def test_fewer_keys_than_rows(self):
         rows = keys = 0
         for P, Q in _criterion_2_shapes():
-            tq, tp = exact._congruent_triplets(P, Q, ExactParams())
-            row_keys = exact._row_keys(P, Q, tq, tp)
+            tq, _, tri, _, _ = exact._congruent_triplets(P, Q, ExactParams())
+            row_keys = exact._row_keys(tri)
             distinct = len(np.unique(row_keys, axis=0))
             assert distinct < len(tq)
             rows, keys = rows + len(tq), keys + distinct
@@ -382,7 +383,7 @@ class TestCongruentRows:
         pos, q, i, j, p = DistanceRows(P).query(dq, ab, dq[0, [1]], tau)
         found = set(zip(q.tolist(), i.tolist(), j.tolist(), p.tolist()))
         assert (2, 0, 1, 2) in found and (3, 0, 1, 3) in found
-        _, tq, tp = exact._congruent_rows(P, Q, ab, tau)
+        _, tq, tp, _, _, _ = exact._congruent_rows(P, Q, ab, tau)
         rows = set(zip(map(tuple, tq.tolist()), map(tuple, tp.tolist())))
         assert ((0, 1, 3), (0, 1, 3)) in rows
         assert ((0, 1, 2), (0, 1, 2)) not in rows
@@ -426,24 +427,17 @@ class TestBatchedMotions:
     def test_rows_agree_with_scalar_helper(self, m, k, seed):
         inst = exact_instance(m, k, seed)
         pp, qq = inst.P, inst.Q
-        tq, tp = exact._congruent_triplets(pp, qq, ExactParams())
+        tq, tp, tri, _, _ = exact._congruent_triplets(pp, qq, ExactParams())
         assert len(tq) > 0
         rot, tr = motions_from_bases(qq[tq], pp[tp])
-        keys = exact._row_keys(pp, qq, tq, tp)
+        keys = exact._row_keys(tri)
         for r in range(len(tq)):
             mu = motion_from_bases(qq[tq[r]], pp[tp[r]])
             assert np.abs(rot[r] - mu.rotation).max() <= 1e-12
             assert np.abs(tr[r] - mu.translation).max() <= 1e-12
             assert tuple(int(v) for v in keys[r]) == motion_key(mu, exact.MOTION_GRID)
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]],  # collinear
-            [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]],  # coincident
-            [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5e-9, 0.0]],  # height below 1e-9
-        ],
-    )
+    @pytest.mark.parametrize("bad", DEGENERATE_TRIPLETS)
     def test_degenerate_row_raises(self, bad):
         good = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         bad = np.array(bad)

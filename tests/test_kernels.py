@@ -1,7 +1,9 @@
 """The narrow kernels of the vote tally, the frame tests and the DA sweep
 equal, bit for bit, the reference forms in reference.py: np.unique(axis=0)
 for exact._group_rows, the per-(triplet, fourth point) row form for
-exact._fourth_point_signs, np.linalg.norm for geometry.axis_norms,
+exact._fourth_point_signs, collinear_mask and motions_from_bases for the
+one measure of each congruent row's triangles (exact._triangles, _motions
+and _congruent_rows), np.linalg.norm for geometry.axis_norms,
 geometry.collinear_mask and the scalar frame test, np.unique(return_inverse=True) for index._slots, float
 modulo for da._wrap_all and da._split, and the brute-force sweep and the
 screen's loop over it for da._stab and da._screen.
@@ -20,19 +22,23 @@ from lcpmatch.exact import (
     _congruent_triplets,
     _fourth_point_signs,
     _group_rows,
+    _motions,
     _row_keys,
+    _triangles,
 )
 from lcpmatch.geometry import (
     TWO_PI,
     _triplet_frame,
     axis_norms,
     collinear_mask,
+    motions_from_bases,
     pairwise_distances,
 )
-from lcpmatch.index import _slots
+from lcpmatch.index import DistanceRows, _slots
 
 import reference
 from reference import (
+    DEGENERATE_TRIPLETS,
     EXACT_INSTANCES,
     cyl_arcs,
     exact_instance,
@@ -80,12 +86,11 @@ def pinned_keys():
     for m, k, seed in EXACT_INSTANCES:
         inst = exact_instance(m, k, seed)
         pp, qq = inst.P, inst.Q
-        tq, tp = _congruent_triplets(pp, qq, params)
-        yield _row_keys(pp, qq, tq, tp)
+        yield _row_keys(_congruent_triplets(pp, qq, params)[2])
         every = np.argwhere(~np.eye(len(qq), dtype=bool))
         for ab in (every, np.concatenate([every[::2], every[::3]])):
-            pos, tq, tp = _congruent_rows(pp, qq, ab, params.tau)
-            yield np.column_stack([pos, _row_keys(pp, qq, tq, tp)])
+            pos, _, _, tri, _, _ = _congruent_rows(pp, qq, ab, params.tau)
+            yield np.column_stack([pos, _row_keys(tri)])
 
 
 def test_group_rows_on_pinned_keys():
@@ -135,12 +140,89 @@ def test_fourth_point_signs_match_per_row_reference():
     for pts in sign_sets():
         d = pairwise_distances(pts)
         trips = np.array(list(permutations(range(len(pts)), 3)))
-        got = _fourth_point_signs(pts, d, trips)
+        normal = _triangles(pts, trips)[0][5]
+        got = _fourth_point_signs(pts, d, trips, normal)
         assert same_bits(got, fourth_point_signs(pts, d, trips))
         entries, zeros = entries + got.size, zeros + int((got == 0).sum())
     assert entries == 216_000
     # Besides the triplets' own points, coplanar and nearly coplanar quads.
     assert zeros > 30 * 720 * 3
+
+
+# ---------------------------------------------------------------------------
+# both triangles of a congruent row measured once
+# ---------------------------------------------------------------------------
+
+
+def measured(q_trips, p_trips):
+    """_triangles of (K, 3, 3) scene triplets, then model triplets, in one pass."""
+    pts = np.concatenate([q_trips, p_trips]).reshape(-1, 3)
+    return _triangles(pts, np.arange(len(pts)).reshape(-1, 3))
+
+
+def test_triangles_flag_as_collinear_mask_and_build_motions(rng):
+    trips = np.stack(list(frame_triplets(rng)))
+    _, collinear = measured(trips, trips)
+    flat = np.arange(3 * len(trips)).reshape(-1, 3)
+    want = collinear_mask(trips.reshape(-1, 3), flat)
+    assert np.array_equal(collinear, np.concatenate([want, want]))
+    # Near-collinear triplets fall on both sides of the threshold.
+    assert 100 < want.sum() < len(trips) - 500
+    # Each kept triplet as the scene side of a row, a shuffled one as the model side.
+    q = trips[~want]
+    p = q[rng.permutation(len(q))]
+    tri, collinear = measured(q, p)
+    assert not collinear.any()
+    rot, tr = _motions(tri)
+    want_rot, want_tr = motions_from_bases(q, p)
+    assert same_bits(rot, want_rot) and same_bits(tr, want_tr)
+
+
+@pytest.mark.parametrize("bad", DEGENERATE_TRIPLETS)
+def test_degenerate_triplets_flagged_and_refused(bad):
+    good = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    bad = np.array(bad)
+    for q, p in (([good, bad], [good, good]), ([good, good], [good, bad])):
+        tri, collinear = measured(np.stack(q), np.stack(p))
+        flat = np.arange(12).reshape(-1, 3)
+        assert np.array_equal(collinear, collinear_mask(np.concatenate(q + p), flat))
+        assert collinear.sum() == 1
+        with pytest.raises(DegenerateBasis):
+            _motions(tri)
+
+
+def row_instances():
+    """(pp, qq, ab, tau) of the pinned exact instances, over every ordered
+    pair and over a list that repeats every sixth pair, and of quarter-grid
+    sets at every scale, whose collinear and coincident triplets drop rows."""
+    for m, k, seed in EXACT_INSTANCES:
+        inst = exact_instance(m, k, seed)
+        every = np.argwhere(~np.eye(len(inst.Q), dtype=bool))
+        for ab in (every, np.concatenate([every[::2], every[::3]])):
+            yield inst.P, inst.Q, ab, 1e-9
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        for scale in SCALES:
+            pp, qq = (rng.integers(0, 3, size=(9, 3)) * 0.25 * scale for _ in range(2))
+            yield pp, qq, np.argwhere(~np.eye(len(qq), dtype=bool)), 1e-9 * scale
+
+
+def test_congruent_rows_measure_each_triangle_once():
+    dropped = 0
+    for pp, qq, ab, tau in row_instances():
+        pos, tq, tp, tri, dq, dp = _congruent_rows(pp, qq, ab, tau)
+        for got, want in zip((pos, tq, tp), reference.congruent_rows(pp, qq, ab, tau)):
+            np.testing.assert_array_equal(got, want)
+        assert same_bits(dq, pairwise_distances(qq)) and same_bits(dp, pairwise_distances(pp))
+        rot, tr = _motions(tri)
+        want_rot, want_tr = motions_from_bases(qq[tq], pp[tp])
+        assert same_bits(rot, want_rot) and same_bits(tr, want_tr)
+        # Geometric hashing's signs off the pass's normals.
+        q_normal, p_normal = tri[5][: len(tq)], tri[5][len(tq) :]
+        assert same_bits(_fourth_point_signs(qq, dq, tq, q_normal), fourth_point_signs(qq, dq, tq))
+        assert same_bits(_fourth_point_signs(pp, dp, tp, p_normal), fourth_point_signs(pp, dp, tp))
+        dropped += len(DistanceRows(pp).query(dq, ab, dq[ab[:, 0], ab[:, 1]], tau)[0]) - len(pos)
+    assert dropped > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +241,8 @@ def test_axis_norms_equal_linalg_norm(rng):
 
 def frame_triplets(rng):
     """Random triplets at every scale, near-collinear ones about the
-    threshold, and ones with coincident points."""
+    threshold, with the middle point second or first (then |bc| is the
+    longest side), and ones with coincident points."""
     for scale in SCALES:
         for _ in range(100):
             trip = rng.uniform(-1.0, 1.0, size=(3, 3)) * scale
@@ -168,6 +251,7 @@ def frame_triplets(rng):
             bent[2] = trip[0] + 2.0 * (trip[1] - trip[0])
             bent[2] += rng.normal(size=3) * scale * 10.0 ** rng.uniform(-12, -7)
             yield bent
+            yield bent[[1, 0, 2]]
         yield np.zeros((3, 3))
         yield np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [scale, 0.0, 0.0]])
 
